@@ -17,9 +17,8 @@ from kinostable import (
     cost_pc,
     cost_strip,
     diametric_box,
-    optimal_obb,
+    optimal,
     optimal_pc,
-    optimal_strip,
     oracle_argmin,
 )
 
@@ -45,8 +44,8 @@ print()
 # 2x2 scatter matrix, box and strip from the convex hull edge orientations.
 for name, opt in (
     ("principal axis", optimal_pc(frame)),
-    ("bounding box  ", optimal_obb(frame)),
-    ("covering strip", optimal_strip(frame)),
+    ("bounding box  ", optimal(frame, "obb")),
+    ("covering strip", optimal(frame, "strip")),
 ):
     oracle = oracle_argmin(frame, opt.kind, grid_size=8192)
     print(

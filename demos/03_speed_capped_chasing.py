@@ -29,19 +29,20 @@ for name, raw in (
 ):
     traj, spatial, temporal = normalize_trajectory(raw)
     res = chase(traj, params, dt)
+    box, strip = res.runs["obb"], res.runs["strip"]
     sz = res.safe_zone
     narrow = sz.aspect <= 0.5
     print(f"{name}: normalized by space x{spatial:.3f}, time x{temporal:.3f}")
     print(f"    samples: {len(res.times)}, aspect range "
           f"[{sz.aspect.min():.3f}, {sz.aspect.max():.3f}]")
-    print(f"    max per-step turn: {res.step_distances().max():.6f} "
+    print(f"    max per-step turn: {box.step_distances().max():.6f} "
           f"(cap {params.max_turn_rate * dt:.3f})")
     if narrow.any():
         gap_bound = 8.0 * np.arcsin(sz.aspect[narrow]) + params.max_turn_rate * dt
         print(f"    narrow samples in safe corridor: "
               f"{int((sz.ang_gap[narrow] <= gap_bound).sum())}/{int(narrow.sum())}")
-    print(f"    worst ratios: box {np.max(res.ratio_obb):.3f}, "
-          f"strip {np.max(res.ratio_strip):.3f}  (guarantee: 18)")
+    print(f"    worst ratios: box {np.max(box.ratio):.3f}, "
+          f"strip {np.max(strip.ratio):.3f}  (guarantee: 18)")
     print()
 
 # Why the aspect ratio controls everything: a thin diametric box pins the

@@ -19,7 +19,7 @@ here is the whole argument, made numerical.
 
 import math
 
-from kinostable import optimal_strip, winding_number
+from kinostable import optimal, winding_number
 from kinostable.scenarios import stateless_disk
 
 samples = 4096
@@ -27,7 +27,7 @@ forced = []
 for k in range(samples):
     phi = 2.0 * math.pi * k / samples
     frame = stateless_disk(n=5, r=1.0, phi=phi)
-    forced.append(optimal_strip(frame).alpha)
+    forced.append(optimal(frame, "strip").alpha)
 
 w = winding_number(forced)
 print(f"swept phi over {samples} values; forced orientation winding number = {w}")
@@ -36,12 +36,12 @@ print("|winding| = 2: the forced orientation double-covers the orientation circl
 # A few spot checks: the forced orientation tracks the line direction.
 for k in (0, samples // 8, samples // 4, samples // 2):
     phi = 2.0 * math.pi * k / samples
-    alpha = optimal_strip(stateless_disk(5, 1.0, phi)).alpha
+    alpha = optimal(stateless_disk(5, 1.0, phi), "strip").alpha
     print(f"  phi={phi:6.3f} -> forced orientation {alpha:6.3f} rad")
 
 # Away from full contraction nothing is forced: the blended triangle keeps
 # the frame honest.
 frame = stateless_disk(5, 0.5, 1.0)
-print("half contraction strip width:", f"{optimal_strip(frame).cost:.4f}", "(nonzero)")
+print("half contraction strip width:", f"{optimal(frame, 'strip').cost:.4f}", "(nonzero)")
 
 assert abs(w) == 2

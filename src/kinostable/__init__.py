@@ -49,9 +49,7 @@ from .solvers import (
     OptimalDescriptor,
     hull_edge_orientations,
     optimal,
-    optimal_obb,
     optimal_pc,
-    optimal_strip,
     oracle_argmin,
 )
 from .tracker import (
@@ -114,9 +112,7 @@ __all__ = [
     "max_ratio",
     "normalize_trajectory",
     "optimal",
-    "optimal_obb",
     "optimal_pc",
-    "optimal_strip",
     "oracle_argmin",
     "pair_turn_bound",
     "ratio",

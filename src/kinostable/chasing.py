@@ -12,22 +12,27 @@ diametric box, the safe half-width ``H`` = c*arcsin(aspect), the jump
 allowance ``J`` = (c+2)*arcsin(aspect), and whether the tracker currently
 sits inside the safe zone (gap <= H) or the enclosing interval
 (gap <= H + J).
+
+One chase path is scored against both the box and the strip optimum.  The
+run comes back as one ``TrackerOutput`` per kind, the same run table the
+topological tracker fills (with no flip events), beside the safe-zone
+report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import angular_distance, canonical, rotate_toward
+from .angles import ORIENTATION_PERIOD, angular_distance, canonical, rotate_toward
 from .costs import DescriptorKind, cost_obb, cost_strip
 from .errors import DegenerateInputError, DomainError
 from .geometry import diametric_box, frame_diameter
-from .ratios import DEFAULT_POLICY, RatioPolicy, ratio
+from .ratios import ratio
 from .solvers import optimal_box_and_strip
-from .tracker import TrackerOutput, tracking_period
+from .tracker import TrackerOutput
 from .trajectory import Trajectory
 
 
@@ -129,41 +134,21 @@ class SafeZoneReport:
 
 @dataclass
 class ChaseResult:
-    """A chase run: tracker state plus costs for both extent descriptors."""
+    """A chase run: one orientation path, its safe-zone report, and one run
+    table per extent descriptor (box and strip) scoring that path.
+
+    Every table shares the run's ``times`` and ``beta`` arrays and has
+    period pi, because the chased orientation is taken modulo pi.
+    """
 
     params: ChaseParams
-    dt: float
     times: np.ndarray
     beta: np.ndarray
-    target_alpha: np.ndarray
     safe_zone: SafeZoneReport
-    cost_obb: np.ndarray
-    opt_obb_cost: np.ndarray
-    ratio_obb: np.ndarray
-    cost_strip: np.ndarray
-    opt_strip_cost: np.ndarray
-    ratio_strip: np.ndarray
-    opt_obb_alpha: np.ndarray = field(default_factory=lambda: np.empty(0))
-    opt_strip_alpha: np.ndarray = field(default_factory=lambda: np.empty(0))
+    runs: dict[DescriptorKind, TrackerOutput]
 
-    def tracker_output(self, kind: DescriptorKind) -> TrackerOutput:
-        kind = DescriptorKind(kind)
-        if kind is DescriptorKind.OBB:
-            c, oc, oa, r = self.cost_obb, self.opt_obb_cost, self.opt_obb_alpha, self.ratio_obb
-        elif kind is DescriptorKind.STRIP:
-            c, oc, oa, r = self.cost_strip, self.opt_strip_cost, self.opt_strip_alpha, self.ratio_strip
-        else:
-            raise DomainError("chase runs report box and strip costs only")
-        return TrackerOutput(
-            kind=kind, dt=self.dt, period=tracking_period(kind), times=self.times,
-            beta=self.beta, opt_alpha=oa, cost=c, opt_cost=oc, ratio=r, flips=[],
-        )
 
-    def step_distances(self) -> np.ndarray:
-        out = np.empty(max(len(self.beta) - 1, 0))
-        for i in range(len(out)):
-            out[i] = angular_distance(self.beta[i], self.beta[i + 1])
-        return out
+_CHASE_COSTS = ((DescriptorKind.OBB, cost_obb), (DescriptorKind.STRIP, cost_strip))
 
 
 def chase(
@@ -171,83 +156,65 @@ def chase(
     params: ChaseParams = ChaseParams(),
     dt: float = 1e-3,
     beta0: float | None = None,
-    policy: RatioPolicy = DEFAULT_POLICY,
-    target: str = "pair",
 ) -> ChaseResult:
     """Run the speed-capped chasing tracker over a (normalized) trajectory.
 
-    ``beta0`` defaults to the chased orientation of the first frame, which
-    starts the run in steady state.  ``target`` selects what to chase:
-    ``"pair"`` (the diametric-pair orientation, the analyzed variant) or
-    ``"box"`` (the optimal box orientation; experimental, no guarantee).
-    The safe-zone report always measures the gap to the pair orientation,
-    since that is the quantity the guarantees speak about.
+    The tracker chases the diametric-pair orientation; ``beta0`` defaults to
+    that orientation in the first frame, which starts the run in steady
+    state.
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
-    if target not in ("pair", "box"):
-        raise DomainError("target must be 'pair' or 'box'")
     times = traj.sample_times(dt)
     n = len(times)
     c = params.safe_zone_factor
     max_step = params.max_turn_rate * dt
 
     beta_arr = np.empty(n)
-    target_arr = np.empty(n)
     aspect = np.empty(n)
     half_w = np.empty(n)
     jump_d = np.empty(n)
     gap_arr = np.empty(n)
     in_safe = np.zeros(n, dtype=bool)
     in_interval = np.zeros(n, dtype=bool)
-    c_obb = np.empty(n)
-    o_obb = np.empty(n)
-    r_obb = np.empty(n)
-    a_obb = np.empty(n)
-    c_strip = np.empty(n)
-    o_strip = np.empty(n)
-    r_strip = np.empty(n)
-    a_strip = np.empty(n)
+    # Per kind: optimal orientation, cost of beta, optimal cost, ratio.
+    columns = [tuple(np.empty(n) for _ in range(4)) for _ in _CHASE_COSTS]
 
     beta = None
     for i, t in enumerate(times):
         frame = traj.frame_at(float(t))
         box = diametric_box(frame)
         alpha = box.alpha
-        opt_box, opt_strip_ = optimal_box_and_strip(frame)
-        chased = alpha if target == "pair" else opt_box.alpha
         if beta is None:
-            beta = canonical(beta0) if beta0 is not None else chased
+            beta = canonical(beta0) if beta0 is not None else alpha
         else:
-            beta = rotate_toward(beta, chased, max_step)
+            beta = rotate_toward(beta, alpha, max_step)
         gap = angular_distance(beta, alpha)
         h = safe_zone_half_width(box.aspect, c)
         j = jump_distance(box.aspect, c)
         beta_arr[i] = beta
-        target_arr[i] = alpha
         aspect[i] = box.aspect
         half_w[i] = h
         jump_d[i] = j
         gap_arr[i] = gap
         in_safe[i] = gap <= h
         in_interval[i] = gap <= h + j
-        c_obb[i] = cost_obb(frame.points, beta)
-        o_obb[i] = opt_box.cost
-        r_obb[i] = ratio(c_obb[i], o_obb[i], policy)
-        a_obb[i] = opt_box.alpha
-        c_strip[i] = cost_strip(frame.points, beta)
-        o_strip[i] = opt_strip_.cost
-        r_strip[i] = ratio(c_strip[i], o_strip[i], policy)
-        a_strip[i] = opt_strip_.alpha
+        optima = optimal_box_and_strip(frame)
+        for (_, cost_fn), opt, (opt_a, out_c, opt_c, r) in zip(_CHASE_COSTS, optima, columns):
+            opt_a[i] = opt.alpha
+            out_c[i] = cost_fn(frame.points, beta)
+            opt_c[i] = opt.cost
+            r[i] = ratio(out_c[i], opt_c[i])
 
     report = SafeZoneReport(
         aspect=aspect, safe_half_width=half_w, jump_allowance=jump_d,
         ang_gap=gap_arr, in_safe_zone=in_safe, in_interval=in_interval,
     )
-    return ChaseResult(
-        params=params, dt=dt, times=times, beta=beta_arr, target_alpha=target_arr,
-        safe_zone=report,
-        cost_obb=c_obb, opt_obb_cost=o_obb, ratio_obb=r_obb,
-        cost_strip=c_strip, opt_strip_cost=o_strip, ratio_strip=r_strip,
-        opt_obb_alpha=a_obb, opt_strip_alpha=a_strip,
-    )
+    runs = {
+        kind: TrackerOutput(
+            kind=kind, dt=dt, period=ORIENTATION_PERIOD, times=times, beta=beta_arr,
+            opt_alpha=opt_a, cost=out_c, opt_cost=opt_c, ratio=r,
+        )
+        for (kind, _), (opt_a, out_c, opt_c, r) in zip(_CHASE_COSTS, columns)
+    }
+    return ChaseResult(params=params, times=times, beta=beta_arr, safe_zone=report, runs=runs)

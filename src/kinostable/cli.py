@@ -4,6 +4,10 @@ Subcommands compose over stdin/stdout pipes::
 
     kinostable scenario obb-lower-bound | kinostable track --kind obb | kinostable ratio
 
+``track`` runs the continuous topological tracker (``--tracker optimal``
+reports the raw per-sample optimum instead); ``chase`` runs the
+speed-capped chaser.  Both write the same run CSV.
+
 Exit status: 0 on success, 2 on any input-validation error, 3 when
 ``verify`` finds a failing claim.
 """
@@ -81,11 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["pc", "obb", "strip"], default="obb")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument(
-        "--tracker", choices=["topological", "chase", "optimal"], default="topological",
-        help="continuous unbounded-speed tracker, speed-capped chase, or raw optimum",
+        "--tracker", choices=["topological", "optimal"], default="topological",
+        help="continuous unbounded-speed tracker, or the raw per-sample optimum",
     )
-    p.add_argument("--K", type=float, default=43.0, help="chase rotation-rate cap")
-    p.add_argument("--c", type=float, default=3.0, help="chase safe-zone factor")
 
     p = sub.add_parser("chase", help="speed-capped chase run with safe-zone report")
     _add_io_args(p)
@@ -146,21 +148,9 @@ def _cmd_descriptor(args) -> int:
 def _cmd_track(args) -> int:
     with _open_in(args.input) as fp:
         traj = read_trajectory(fp)
-    kind = DescriptorKind(args.kind)
-    if args.tracker == "chase":
-        if kind is DescriptorKind.PC:
-            raise KinostableError("the chase tracker reports box and strip kinds only")
-        normalized, _, _ = normalize_trajectory(traj)
-        result = chase(normalized, ChaseParams(args.K, args.c), args.dt)
-        with _open_out(args.out) as fp:
-            write_chase_csv(fp, result, kind)
-        return 0
-    if args.tracker == "optimal":
-        output = track_topological(traj, kind, args.dt, detect_flips=False)
-        with _open_out(args.out) as fp:
-            write_tracker_csv(fp, output)
-        return 0
-    output = track_topological(traj, kind, args.dt)
+    output = track_topological(
+        traj, DescriptorKind(args.kind), args.dt, detect_flips=args.tracker == "topological",
+    )
     with _open_out(args.out) as fp:
         write_tracker_csv(fp, output)
     return 0

@@ -80,11 +80,7 @@ def convex_hull(points) -> np.ndarray:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2:
-        # Collinear with interior duplicates removed by the <= turn test.
-        return np.array(hull, dtype=float)
-    return np.array(hull, dtype=float)
+    return np.array(lower[:-1] + upper[:-1], dtype=float)
 
 
 def extent(points, theta: float) -> float:

@@ -29,7 +29,7 @@ def ratio(out_cost: float, opt_cost: float, policy: RatioPolicy = DEFAULT_POLICY
     return math.inf
 
 
-def max_ratio(output, policy: RatioPolicy = DEFAULT_POLICY) -> float:
+def max_ratio(output) -> float:
     """Worst ratio over a tracker run, flip sweeps included.
 
     ``output`` is any object with a ``ratio`` array and a ``flips`` list of

@@ -9,9 +9,10 @@ contract)::
 
     time,beta,optAlpha,cost,optCost,ratio,z,H,J,angGap,inSafeZone
 
+Every run is a ``TrackerOutput`` table written by one row writer.
 Topological and per-frame-optimum runs leave the chase-only columns empty;
-flip sweeps appear as extra rows at the flip time carrying the worst swept
-orientation and ratio.
+chase runs fill them from the safe-zone report.  Flip sweeps appear as
+extra rows at the flip time carrying the worst swept orientation and ratio.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .chasing import ChaseResult
+from .chasing import ChaseResult, SafeZoneReport
 from .costs import DescriptorKind
-from .errors import FileFormatError
+from .errors import DomainError, FileFormatError
 from .tracker import TrackerOutput
 from .trajectory import Trajectory
 
@@ -114,43 +115,52 @@ def _csv_row(values: Iterable[object]) -> str:
     return ",".join(out)
 
 
-def write_tracker_csv(fp: IO[str], output: TrackerOutput) -> None:
-    """Sampled tracker run; flip sweeps become extra rows at their flip time."""
+_NO_ZONE = [None] * 5
+
+
+def _write_run(fp: IO[str], run: TrackerOutput, zone: SafeZoneReport | None) -> None:
+    """Header, one row per sample and one per flip sweep, in time order.
+
+    A flip row sits before the sample rows at or after its time.  With a
+    safe-zone report, sample rows also fill the five chase-only cells.
+    """
     fp.write(",".join(CSV_COLUMNS) + "\n")
-    flips = sorted(output.flips, key=lambda f: f.time)
+    flips = sorted(run.flips, key=lambda f: f.time)
     fi = 0
-    for i in range(len(output.times)):
-        t = float(output.times[i])
+    n = len(run.times)
+    for i in range(n + 1):
+        t = float(run.times[i]) if i < n else math.inf
         while fi < len(flips) and flips[fi].time <= t:
             f = flips[fi]
             fp.write(_csv_row([
                 f.time, f.worst_orientation, f.end, f.worst_cost, f.opt_cost,
-                f.worst_ratio, None, None, None, None, None,
+                f.worst_ratio, *_NO_ZONE,
             ]) + "\n")
             fi += 1
-        fp.write(_csv_row([
-            t, output.beta[i], output.opt_alpha[i], output.cost[i],
-            output.opt_cost[i], output.ratio[i], None, None, None, None, None,
-        ]) + "\n")
-    for f in flips[fi:]:
-        fp.write(_csv_row([
-            f.time, f.worst_orientation, f.end, f.worst_cost, f.opt_cost,
-            f.worst_ratio, None, None, None, None, None,
-        ]) + "\n")
+        if i == n:
+            break
+        cells = [t, run.beta[i], run.opt_alpha[i], run.cost[i], run.opt_cost[i], run.ratio[i]]
+        if zone is None:
+            cells += _NO_ZONE
+        else:
+            cells += [
+                zone.aspect[i], zone.safe_half_width[i], zone.jump_allowance[i],
+                zone.ang_gap[i], bool(zone.in_safe_zone[i]),
+            ]
+        fp.write(_csv_row(cells) + "\n")
+
+
+def write_tracker_csv(fp: IO[str], output: TrackerOutput) -> None:
+    """Sampled tracker run; flip sweeps become extra rows at their flip time."""
+    _write_run(fp, output, None)
 
 
 def write_chase_csv(fp: IO[str], result: ChaseResult, kind: DescriptorKind) -> None:
     """Chase run with the safe-zone columns, reporting the requested cost kind."""
-    kind = DescriptorKind(kind)
-    out = result.tracker_output(kind)
-    sz = result.safe_zone
-    fp.write(",".join(CSV_COLUMNS) + "\n")
-    for i in range(len(result.times)):
-        fp.write(_csv_row([
-            result.times[i], result.beta[i], out.opt_alpha[i], out.cost[i],
-            out.opt_cost[i], out.ratio[i], sz.aspect[i], sz.safe_half_width[i],
-            sz.jump_allowance[i], sz.ang_gap[i], bool(sz.in_safe_zone[i]),
-        ]) + "\n")
+    run = result.runs.get(DescriptorKind(kind))
+    if run is None:
+        raise DomainError("chase runs report box and strip costs only")
+    _write_run(fp, run, result.safe_zone)
 
 
 def read_run_csv(fp: IO[str]) -> dict[str, np.ndarray]:

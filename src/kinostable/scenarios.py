@@ -11,7 +11,6 @@ cap, and a seeded random-walk fuzz family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,16 +20,6 @@ from .trajectory import Trajectory
 
 #: Fixed non-collinear anchor set blended into the collinear sweep frames.
 _ANCHOR = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A named scenario with the parameters that fully determine it."""
-
-    name: str
-    parameters: dict = field(default_factory=dict)
-    duration: float = 1.0
-    point_count: int = 0
 
 
 def obb_lower_bound(duration: float = 1.0) -> Trajectory:
@@ -98,11 +87,6 @@ def stateless_disk(n: int, r: float, phi: float) -> Frame:
     line = np.column_stack([r * i / n * math.sin(phi), r * i / n * math.cos(phi)])
     anchor = _ANCHOR[np.arange(n) % 3]
     return Frame(line + (1.0 - r) * anchor)
-
-
-def stateless_sweep(n: int = 5, samples: int = 4096) -> list[Frame]:
-    """Frames of the fully collinear family over one full sweep of phi."""
-    return [stateless_disk(n, 1.0, 2.0 * math.pi * k / samples) for k in range(samples)]
 
 
 def pc_fast_flip(

@@ -59,36 +59,21 @@ def _argmin_with_ties(angles: np.ndarray, values: np.ndarray) -> tuple[float, fl
     return float(angles[best]), cmin, tuple(float(a) for a in np.sort(tied))
 
 
-def optimal_obb(frame) -> OptimalDescriptor:
-    """Minimum-area oriented bounding box via hull edge candidates."""
+def _hull_optima(frame, kinds: tuple[DescriptorKind, ...]) -> list[OptimalDescriptor]:
+    """Box and/or strip optima among one set of hull edge candidates."""
     pts = as_points(frame)
     angles = hull_edge_orientations(pts)
-    values = costs_at(pts, DescriptorKind.OBB, angles)
-    alpha, cmin, ties = _argmin_with_ties(angles, values)
-    return OptimalDescriptor(DescriptorKind.OBB, alpha, cmin, ties)
-
-
-def optimal_strip(frame) -> OptimalDescriptor:
-    """Thinnest covering strip via hull edge candidates (antipodal width)."""
-    pts = as_points(frame)
-    angles = hull_edge_orientations(pts)
-    values = costs_at(pts, DescriptorKind.STRIP, angles)
-    alpha, cmin, ties = _argmin_with_ties(angles, values)
-    return OptimalDescriptor(DescriptorKind.STRIP, alpha, cmin, ties)
+    out = []
+    for kind in kinds:
+        alpha, cmin, ties = _argmin_with_ties(angles, costs_at(pts, kind, angles))
+        out.append(OptimalDescriptor(kind, alpha, cmin, ties))
+    return out
 
 
 def optimal_box_and_strip(frame) -> tuple[OptimalDescriptor, OptimalDescriptor]:
     """Both hull-edge optima from a single hull computation."""
-    pts = as_points(frame)
-    angles = hull_edge_orientations(pts)
-    box_vals = costs_at(pts, DescriptorKind.OBB, angles)
-    strip_vals = costs_at(pts, DescriptorKind.STRIP, angles)
-    ba, bc, bt = _argmin_with_ties(angles, box_vals)
-    sa, sc, st = _argmin_with_ties(angles, strip_vals)
-    return (
-        OptimalDescriptor(DescriptorKind.OBB, ba, bc, bt),
-        OptimalDescriptor(DescriptorKind.STRIP, sa, sc, st),
-    )
+    box, strip = _hull_optima(frame, (DescriptorKind.OBB, DescriptorKind.STRIP))
+    return box, strip
 
 
 def optimal_pc(frame) -> OptimalDescriptor:
@@ -112,16 +97,12 @@ def optimal_pc(frame) -> OptimalDescriptor:
     return OptimalDescriptor(DescriptorKind.PC, alpha, lam_min, (alpha,))
 
 
-_SOLVERS = {
-    DescriptorKind.PC: optimal_pc,
-    DescriptorKind.OBB: optimal_obb,
-    DescriptorKind.STRIP: optimal_strip,
-}
-
-
 def optimal(frame, kind: DescriptorKind) -> OptimalDescriptor:
-    """Dispatch to the solver for ``kind``."""
-    return _SOLVERS[DescriptorKind(kind)](frame)
+    """The optimal orientation of ``frame`` for one descriptor kind."""
+    kind = DescriptorKind(kind)
+    if kind is DescriptorKind.PC:
+        return optimal_pc(frame)
+    return _hull_optima(frame, (kind,))[0]
 
 
 def oracle_argmin(frame, kind: DescriptorKind, grid_size: int = 8192) -> OptimalDescriptor:

@@ -24,7 +24,7 @@ from .angles import BOX_PERIOD, ORIENTATION_PERIOD, angular_distance, canonical
 from .costs import DescriptorKind, cost, costs_at
 from .errors import DomainError
 from .geometry import frame_diameter
-from .ratios import DEFAULT_POLICY, RatioPolicy, ratio
+from .ratios import ratio
 from .solvers import optimal
 from .trajectory import Trajectory
 
@@ -57,7 +57,11 @@ class FlipEvent:
 
 @dataclass
 class TrackerOutput:
-    """Sampled tracker run: per-sample arrays plus recorded flip sweeps."""
+    """The run table of either tracker: per-sample arrays plus recorded flip sweeps.
+
+    ``track_topological`` fills one table; ``chase`` fills one per extent
+    kind, with no flips.
+    """
 
     kind: DescriptorKind
     dt: float
@@ -106,8 +110,8 @@ def _arc_worst(pts, kind, start: float, signed_len: float, grid: int) -> tuple[f
     return float(offsets[i]), float(values[i])
 
 
-def _sweep(pts, kind, period, a_from: float, a_to: float, policy: RatioPolicy,
-           opt_cost: float, time: float) -> FlipEvent:
+def _sweep(pts, kind, period, a_from: float, a_to: float, opt_cost: float,
+           time: float) -> FlipEvent:
     gap_up = (canonical(a_to, period) - canonical(a_from, period)) % period
     gap_down = period - gap_up
     _, worst_up = _arc_worst(pts, kind, a_from, gap_up, _DIRECTION_GRID)
@@ -131,12 +135,12 @@ def _sweep(pts, kind, period, a_from: float, a_to: float, policy: RatioPolicy,
         worst_orientation=canonical(a_from + off, period),
         worst_cost=worst,
         opt_cost=opt_cost,
-        worst_ratio=ratio(worst, opt_cost, policy),
+        worst_ratio=ratio(worst, opt_cost),
     )
 
 
 def _locate_flip(traj: Trajectory, kind, period, t_lo, a_lo, t_hi, a_hi,
-                 threshold: float, policy: RatioPolicy) -> FlipEvent | None:
+                 threshold: float) -> FlipEvent | None:
     """Bisect to the instant where the optimum switches sides, then sweep there.
 
     If the refined endpoints collapse below the flip threshold the jump was
@@ -157,14 +161,13 @@ def _locate_flip(traj: Trajectory, kind, period, t_lo, a_lo, t_hi, a_hi,
     t_flip = 0.5 * (t_lo + t_hi)
     frame = traj.frame_at(t_flip)
     opt = optimal(frame, kind)
-    return _sweep(frame.points, kind, period, a_lo, a_hi, policy, opt.cost, t_flip)
+    return _sweep(frame.points, kind, period, a_lo, a_hi, opt.cost, t_flip)
 
 
 def track_topological(
     traj: Trajectory,
     kind: DescriptorKind,
     dt: float,
-    policy: RatioPolicy = DEFAULT_POLICY,
     detect_flips: bool = True,
 ) -> TrackerOutput:
     """Run the continuous, unbounded-speed tracker over a sampled trajectory.
@@ -199,8 +202,7 @@ def track_topological(
                 threshold = min(threshold, period / 4.0)
                 if jump > threshold:
                     flip = _locate_flip(
-                        traj, kind, period, prev_t, beta[i - 1], float(t), b,
-                        threshold, policy,
+                        traj, kind, period, prev_t, beta[i - 1], float(t), b, threshold,
                     )
                     if flip is not None:
                         flips.append(flip)
@@ -208,7 +210,7 @@ def track_topological(
         opt_alpha[i] = opt.alpha
         opt_cost[i] = opt.cost
         out_cost[i] = cost(frame.points, kind, b)
-        ratios[i] = ratio(out_cost[i], opt_cost[i], policy)
+        ratios[i] = ratio(out_cost[i], opt_cost[i])
         prev_t = float(t)
 
     return TrackerOutput(

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import winding_number
+from .angles import angular_distance, winding_number
 from .chasing import ChaseParams, chase, normalize_trajectory
 from .costs import DescriptorKind
 from .errors import DomainError
+from .geometry import diametric_box
 from .ratios import max_ratio
 from .scenarios import (
     obb_lower_bound,
@@ -31,7 +32,7 @@ from .scenarios import (
     stateless_disk,
     strip_lower_bound,
 )
-from .solvers import optimal_pc, optimal_strip
+from .solvers import optimal, optimal_pc
 from .tracker import track_topological
 from .trajectory import Trajectory
 
@@ -255,8 +256,6 @@ def verify_bound_empirics(
     inside the arcsine argument (turn bound) and 4*dt of extra elapsed time
     (drop bound).
     """
-    from .geometry import diametric_box  # local import keeps module deps one-way
-
     turn_viol = 0
     turn_worst = -math.inf
     turn_witness = None
@@ -276,8 +275,6 @@ def verify_bound_empirics(
             for i in range(len(times) - k):
                 z = float(aspects[i])
                 if elapsed <= (1.0 - z) / (2.0 + 2.0 * z):
-                    from .angles import angular_distance
-
                     measured = angular_distance(float(alphas[i]), float(alphas[i + k]))
                     arg = z + (elapsed + 4.0 * dt) * (2.0 + 2.0 * z)
                     bound = math.asin(min(arg, 1.0))
@@ -311,8 +308,6 @@ def verify_bound_empirics(
 
 def measured_axis_speed(traj: Trajectory, dt: float = 1e-3) -> float:
     """Max finite-difference rotation speed of the optimal principal axis."""
-    from .angles import angular_distance
-
     times = traj.sample_times(dt)
     alphas = [optimal_pc(traj.frame_at(float(t))).alpha for t in times]
     worst = 0.0
@@ -341,7 +336,7 @@ def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3, anchor: int = 0) -> 
 def forced_orientation_winding(n: int = 5, samples: int = 4096) -> int:
     """Winding number of the forced optimal strip orientation over one sweep."""
     angles = [
-        optimal_strip(stateless_disk(n, 1.0, 2.0 * math.pi * k / samples)).alpha
+        optimal(stateless_disk(n, 1.0, 2.0 * math.pi * k / samples), DescriptorKind.STRIP).alpha
         for k in range(samples)
     ]
     return winding_number(angles)
@@ -373,7 +368,8 @@ def chase_suite(
 
     def run(traj: Trajectory):
         res = chase(traj, params, dt)
-        step_excess = float(res.step_distances().max() - step_cap) if len(res.times) > 1 else -step_cap
+        box, strip = res.runs[DescriptorKind.OBB], res.runs[DescriptorKind.STRIP]
+        step_excess = float(box.step_distances().max() - step_cap) if len(res.times) > 1 else -step_cap
         sz = res.safe_zone
         warm = np.nonzero(sz.in_safe_zone)[0]
         violations = 0
@@ -388,7 +384,7 @@ def chase_suite(
                 worst_excess = float(excess.max())
         return (
             step_excess, violations, worst_excess,
-            float(np.max(res.ratio_obb)), float(np.max(res.ratio_strip)),
+            float(np.max(box.ratio)), float(np.max(strip.ratio)),
         )
 
     rows = _parallel_map(run, trajectories)
@@ -399,15 +395,6 @@ def chase_suite(
         max_obb_ratio=max(r[3] for r in rows),
         max_strip_ratio=max(r[4] for r in rows),
     )
-
-
-def worst_flip_ratio(outputs) -> float:
-    """Largest recorded flip-sweep ratio across tracker runs."""
-    worst = 0.0
-    for out in outputs:
-        for flip in out.flips:
-            worst = max(worst, flip.worst_ratio)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +493,7 @@ def run_claim_suite(opts: SuiteOptions = SuiteOptions()) -> VerificationReport:
         speed > opts.fast_flip_rate and min_diam >= 1.0,
     ))
 
-    chase_trajs = [normalize_trajectory(t)[0] for _, t in corpus[:2]]
-    chase_trajs += [
-        normalize_trajectory(random_walk(seed=opts.seed + s))[0] for s in range(opts.walks)
-    ]
+    chase_trajs = [t for _, t in normalized[:2] + normalized[3:]]
     suite = chase_suite(chase_trajs, opts.chase_params, dt)
     report.add(ClaimCheck(
         "chase-rotation-cap",
@@ -533,12 +517,11 @@ def run_claim_suite(opts: SuiteOptions = SuiteOptions()) -> VerificationReport:
         worst <= ratio_cap,
     ))
 
-    def walk_flips(seed: int) -> float:
-        out = track_topological(random_walk(seed=seed), DescriptorKind.OBB, dt)
+    def walk_flips(walk: Trajectory) -> float:
+        out = track_topological(walk, DescriptorKind.OBB, dt)
         return max((f.worst_ratio for f in out.flips), default=0.0)
 
-    flip_worst = max(_parallel_map(walk_flips, [opts.seed + s for s in range(opts.walks)]),
-                     default=0.0)
+    flip_worst = max(_parallel_map(walk_flips, [t for _, t in corpus[3:]]), default=0.0)
     report.add(ClaimCheck(
         "box-flip-sweep-cap",
         "recorded box flip sweeps on the random-walk corpus stay within 5/4",

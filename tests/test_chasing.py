@@ -12,6 +12,7 @@ from kinostable.chasing import (
     pair_turn_bound,
     safe_zone_half_width,
 )
+from kinostable.costs import DescriptorKind
 from kinostable.errors import DomainError
 from kinostable.scenarios import random_walk, strip_lower_bound
 from kinostable.trajectory import Trajectory
@@ -118,7 +119,7 @@ class TestChase:
             # warm start: only interpolation-rounding wiggle, no real motion
             assert np.ptp(res.beta) <= 1e-9
             # diametric alignment is at most twice the optimal box area
-            assert np.all(res.ratio_obb <= 2.0 + 1e-9)
+            assert np.all(res.runs[DescriptorKind.OBB].ratio <= 2.0 + 1e-9)
 
     def test_rotation_law_is_exact_from_perpendicular_start(self):
         pts = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 0.1)])
@@ -139,14 +140,14 @@ class TestChase:
         traj = normalize_trajectory(random_walk(seed=9, steps=25))[0]
         params = ChaseParams()
         dt = 2e-3
-        res = chase(traj, params, dt)
-        assert res.step_distances().max() <= params.max_turn_rate * dt + 1e-12
+        steps = chase(traj, params, dt).runs[DescriptorKind.OBB].step_distances()
+        assert steps.max() <= params.max_turn_rate * dt + 1e-12
 
     def test_strip_scenario_ratio_within_guarantee(self):
         traj = normalize_trajectory(strip_lower_bound())[0]
         res = chase(traj, ChaseParams(max_turn_rate=43.0, safe_zone_factor=3.0), 1e-3)
-        assert np.max(res.ratio_strip) <= 18.0
-        assert np.max(res.ratio_obb) <= 18.0
+        assert np.max(res.runs[DescriptorKind.STRIP].ratio) <= 18.0
+        assert np.max(res.runs[DescriptorKind.OBB].ratio) <= 18.0
 
     def test_safe_zone_flags_are_consistent(self):
         traj = normalize_trajectory(random_walk(seed=2, steps=25))[0]
@@ -162,12 +163,3 @@ class TestChase:
         with pytest.raises(DomainError):
             ChaseParams(safe_zone_factor=0.5)
 
-
-def test_chase_box_target_variant():
-    traj = normalize_trajectory(random_walk(seed=6, steps=20))[0]
-    res = chase(traj, dt=2e-3, target="box")
-    # still speed-capped and still bounded, just chasing the box optimum
-    assert res.step_distances().max() <= 43.0 * 2e-3 + 1e-12
-    assert np.max(res.ratio_obb) <= 18.0
-    with pytest.raises(DomainError):
-        chase(traj, dt=2e-3, target="corner")

@@ -78,18 +78,6 @@ def test_chase_run_csv(tmp_path, capsys):
     assert cells[-1] in {"0", "1"}
 
 
-def test_track_chase_mode_matches_chase_command(tmp_path):
-    traj_path = tmp_path / "walk.jsonl"
-    main(["scenario", "random-walk", "--seed", "5", "--steps", "8", "--out", str(traj_path)])
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    assert main(["track", str(traj_path), "--tracker", "chase", "--kind", "obb",
-                 "--dt", "5e-3", "--out", str(out_a)]) == 0
-    assert main(["chase", str(traj_path), "--kind", "obb", "--dt", "5e-3",
-                 "--out", str(out_b)]) == 0
-    assert out_a.read_text() == out_b.read_text()
-
-
 def test_malformed_file_is_validation_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["track"], stdin_text="not json\n", monkeypatch=monkeypatch)
     assert code == 2

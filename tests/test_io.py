@@ -80,13 +80,21 @@ class TestRunCsv:
     def test_chase_csv_carries_safe_zone(self):
         traj = normalize_trajectory(random_walk(n=5, steps=10, seed=3))[0]
         res = chase(traj, ChaseParams(), dt=5e-3)
-        buf = io.StringIO()
-        write_chase_csv(buf, res, DescriptorKind.STRIP)
-        buf.seek(0)
-        cols = read_run_csv(buf)
+        by_kind = {}
+        for kind in (DescriptorKind.OBB, DescriptorKind.STRIP):
+            buf = io.StringIO()
+            write_chase_csv(buf, res, kind)
+            buf.seek(0)
+            by_kind[kind] = read_run_csv(buf)
+        cols = by_kind[DescriptorKind.STRIP]
         assert not np.isnan(cols["z"]).any()
         assert np.all((cols["inSafeZone"] == 0) | (cols["inSafeZone"] == 1))
         assert np.all(cols["H"] == pytest.approx(3.0 * np.arcsin(cols["z"])))
+        # One chase path: only the cost columns depend on the reported kind.
+        for name in ("time", "beta", "z", "H", "J", "angGap", "inSafeZone"):
+            assert np.array_equal(by_kind[DescriptorKind.OBB][name], cols[name])
+        # The chased orientation is taken modulo pi for both kinds.
+        assert {run.period for run in res.runs.values()} == {math.pi}
 
     def test_write_is_deterministic(self):
         traj = obb_lower_bound()

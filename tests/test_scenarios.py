@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kinostable.angles import canonical
-from kinostable.costs import cost_obb, cost_strip
+from kinostable.costs import DescriptorKind, cost_obb, cost_strip
 from kinostable.errors import DomainError
 from kinostable.geometry import frame_diameter
 from kinostable.scenarios import (
@@ -16,7 +16,7 @@ from kinostable.scenarios import (
     stateless_disk,
     strip_lower_bound,
 )
-from kinostable.solvers import optimal_obb, optimal_pc, optimal_strip
+from kinostable.solvers import optimal, optimal_pc
 from kinostable.verify import measured_axis_speed, min_anchor_diameter
 
 TILTED_ALPHA = 2.0 * math.atan(0.5)
@@ -25,8 +25,8 @@ TILTED_ALPHA = 2.0 * math.atan(0.5)
 class TestBoxFlipScenario:
     def test_endpoints_select_the_two_boxes(self):
         traj = obb_lower_bound()
-        first = optimal_obb(traj.frame_at(0.0))
-        last = optimal_obb(traj.frame_at(traj.horizon))
+        first = optimal(traj.frame_at(0.0), DescriptorKind.OBB)
+        last = optimal(traj.frame_at(traj.horizon), DescriptorKind.OBB)
         assert first.alpha == pytest.approx(0.0, abs=1e-12)
         assert first.cost == pytest.approx(2.0)
         assert last.alpha == pytest.approx(TILTED_ALPHA)
@@ -44,7 +44,7 @@ class TestStripFlipScenario:
         traj = strip_lower_bound(start_height=5.0)
         # top points reach height 1 at four fifths of the horizon
         frame = traj.frame_at(0.8 * traj.horizon)
-        opt = optimal_strip(frame)
+        opt = optimal(frame, DescriptorKind.STRIP)
         assert opt.cost == pytest.approx(1.0)
         assert opt.all_optima == pytest.approx((0.0, math.pi / 2))
         assert cost_strip(frame.points, math.pi / 4) == pytest.approx(math.sqrt(2.0))
@@ -74,8 +74,8 @@ class TestStatelessFamily:
         for phi in (0.0, 0.7, 2.0, 4.5):
             frame = stateless_disk(6, 1.0, phi)
             forced = canonical(math.pi / 2 - phi)
-            assert optimal_strip(frame).alpha == pytest.approx(forced, abs=1e-9)
-            assert optimal_strip(frame).cost == pytest.approx(0.0, abs=1e-12)
+            assert optimal(frame, DescriptorKind.STRIP).alpha == pytest.approx(forced, abs=1e-9)
+            assert optimal(frame, DescriptorKind.STRIP).cost == pytest.approx(0.0, abs=1e-12)
 
     def test_no_contraction_returns_anchor(self):
         frame = stateless_disk(6, 0.0, 1.234)
@@ -118,7 +118,7 @@ class TestAxisSpeedEscape:
         normalized, _, _ = normalize_trajectory(traj, sample_count=257)
         res = chase(normalized, dt=2e-3)
         assert np.max(res.safe_zone.aspect) < 0.5
-        assert np.max(res.ratio_obb) < 4.0
+        assert np.max(res.runs[DescriptorKind.OBB].ratio) < 4.0
 
 
 class TestRandomWalk:

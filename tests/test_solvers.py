@@ -7,10 +7,9 @@ from kinostable.costs import DescriptorKind, cost_pc, cost_strip, costs_at
 from kinostable.geometry import Frame, diametric_box
 from kinostable.solvers import (
     hull_edge_orientations,
+    optimal,
     optimal_box_and_strip,
-    optimal_obb,
     optimal_pc,
-    optimal_strip,
     oracle_argmin,
 )
 
@@ -25,44 +24,44 @@ def random_frame(rng, n_max=50):
 
 class TestOptimalOBB:
     def test_unit_square(self):
-        opt = optimal_obb(UNIT_SQUARE)
+        opt = optimal(UNIT_SQUARE, DescriptorKind.OBB)
         assert opt.cost == pytest.approx(1.0)
         assert opt.alpha == pytest.approx(0.0)
         assert opt.all_optima == pytest.approx((0.0, math.pi / 2))
 
     def test_box_flip_start_configuration(self):
-        opt = optimal_obb(Frame(BOX_FLIP_STATIC + [(2.0, 0.0)]))
+        opt = optimal(Frame(BOX_FLIP_STATIC + [(2.0, 0.0)]), DescriptorKind.OBB)
         assert opt.alpha == pytest.approx(0.0, abs=1e-12)
         assert opt.cost == pytest.approx(2.0)
 
     def test_box_flip_end_configuration(self):
-        opt = optimal_obb(Frame(BOX_FLIP_STATIC + [(1.2, 1.6)]))
+        opt = optimal(Frame(BOX_FLIP_STATIC + [(1.2, 1.6)]), DescriptorKind.OBB)
         assert opt.alpha == pytest.approx(TILTED_ALPHA)
         assert opt.cost == pytest.approx(2.0)
 
     def test_collinear_frame_costs_zero(self):
-        opt = optimal_obb(Frame([(0.0, 0.0), (2.0, 0.0)]))
+        opt = optimal(Frame([(0.0, 0.0), (2.0, 0.0)]), DescriptorKind.OBB)
         assert opt.cost == 0.0
         assert opt.alpha == 0.0
-        tilted = optimal_obb(Frame([(0.0, 0.0), (2.0, 2.0)]))
+        tilted = optimal(Frame([(0.0, 0.0), (2.0, 2.0)]), DescriptorKind.OBB)
         assert tilted.cost == pytest.approx(0.0, abs=1e-12)
         assert tilted.alpha == pytest.approx(math.pi / 4)
 
 
 class TestOptimalStrip:
     def test_unit_square_two_optima(self):
-        opt = optimal_strip(UNIT_SQUARE)
+        opt = optimal(UNIT_SQUARE, DescriptorKind.STRIP)
         assert opt.cost == pytest.approx(1.0)
         assert opt.all_optima == pytest.approx((0.0, math.pi / 2))
 
     def test_collinear_segment(self):
-        opt = optimal_strip(Frame([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]))
+        opt = optimal(Frame([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]), DescriptorKind.STRIP)
         assert opt.alpha == pytest.approx(math.pi / 4)
         assert opt.cost == pytest.approx(0.0, abs=1e-12)
 
     def test_flat_triangle_against_dense_grid(self):
         frame = Frame([(0.0, 0.0), (4.0, 0.0), (2.0, 1.0)])
-        opt = optimal_strip(frame)
+        opt = optimal(frame, DescriptorKind.STRIP)
         oracle = oracle_argmin(frame, DescriptorKind.STRIP, 100_000)
         assert opt.alpha == pytest.approx(0.0, abs=1e-12)
         assert opt.cost == pytest.approx(1.0)
@@ -120,7 +119,7 @@ class TestOracle:
         rng = np.random.default_rng(13)
         frame = Frame(random_frame(rng, n_max=20))
         grid = 2048
-        opt = optimal_obb(frame)
+        opt = optimal(frame, DescriptorKind.OBB)
         oracle = oracle_argmin(frame, DescriptorKind.OBB, grid)
         # grid miss is bounded by angle resolution times a cost Lipschitz bound
         diam = diametric_box(frame).diameter
@@ -142,8 +141,8 @@ def test_strip_at_box_orientation_upper_bounds_optimum():
     rng = np.random.default_rng(77)
     for _ in range(50):
         frame = Frame(random_frame(rng, n_max=25))
-        box = optimal_obb(frame)
-        strip = optimal_strip(frame)
+        box = optimal(frame, DescriptorKind.OBB)
+        strip = optimal(frame, DescriptorKind.STRIP)
         assert strip.cost <= cost_strip(frame.points, box.alpha) + 1e-12
 
 
