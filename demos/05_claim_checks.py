@@ -2,19 +2,10 @@
 Checking the guarantees numerically
 ===================================
 
-Every constant the trackers rely on is re-verified by computation:
-
-* the constrained max-min program whose value bounds the worst box sweep
-  by 5/4 (grid search plus local refinement),
-* the sine/arcsine inequalities behind the chase analysis,
-* the sampled bounds on how fast the diametric pair can turn and how fast
-  its aspect ratio can drop,
-* the worst ratios of the adversarial scenarios,
-* the double-cover winding, the principal-axis speed escape, and the chase
-  guarantees themselves.
-
-The same suite runs as ``kinostable verify``; smaller knobs here keep the
-demo quick.
+Every constant the trackers rely on is re-verified by computation.  The
+claims, with their expected values and tolerances, are the rows of
+``kinostable.verify.CLAIMS``; this demo runs that table as
+``kinostable verify`` does, with smaller knobs to keep it quick.
 """
 
 from kinostable import SuiteOptions, run_claim_suite

@@ -9,121 +9,37 @@ diametric-pair orientation.  A scenario corpus and a verification suite
 measure the worst-case quality ratios these trackers can be forced into.
 """
 
-from .angles import (
-    BOX_PERIOD,
-    ORIENTATION_PERIOD,
-    angular_distance,
-    canonical,
-    rotate_toward,
-    signed_gap,
-    winding_number,
-)
-from .chasing import (
-    ChaseParams,
-    ChaseResult,
-    SafeZoneReport,
-    aspect_drop_bound,
-    chase,
-    jump_distance,
-    normalize_trajectory,
-    pair_turn_bound,
-    safe_zone_half_width,
-)
-from .costs import DescriptorKind, cost, cost_obb, cost_pc, cost_strip, costs_at
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    FileFormatError,
-    KinostableError,
-)
-from .geometry import (
-    DiametricBox,
-    Frame,
-    convex_hull,
-    diametric_box,
-    extent,
-    frame_diameter,
-)
-from .ratios import RatioPolicy, max_ratio, ratio
-from .solvers import (
-    OptimalDescriptor,
-    hull_edge_orientations,
-    optimal,
-    optimal_pc,
-    oracle_argmin,
-)
-from .tracker import (
-    FlipEvent,
-    TrackerOutput,
-    intermediate_box_area,
-    track_topological,
-    tracking_period,
-)
-from .trajectory import Trajectory
-from .verify import (
-    ClaimCheck,
-    SuiteOptions,
-    VerificationReport,
-    run_claim_suite,
-    verify_bound_empirics,
-    verify_obb_program,
-    verify_trig_bounds,
-)
+# The names the README quickstart and the demos use; everything else is
+# imported from its module.
+from .angles import winding_number
+from .chasing import ChaseParams, aspect_drop_bound, chase, normalize_trajectory, pair_turn_bound
+from .costs import DescriptorKind, cost_obb, cost_pc, cost_strip
+from .geometry import Frame, diametric_box
+from .ratios import max_ratio
+from .solvers import optimal, optimal_pc, oracle_argmin
+from .tracker import track_topological
+from .verify import SuiteOptions, run_claim_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOX_PERIOD",
-    "ORIENTATION_PERIOD",
     "ChaseParams",
-    "ChaseResult",
-    "ClaimCheck",
-    "DegenerateInputError",
     "DescriptorKind",
-    "DiametricBox",
-    "DomainError",
-    "FileFormatError",
-    "FlipEvent",
     "Frame",
-    "KinostableError",
-    "OptimalDescriptor",
-    "RatioPolicy",
-    "SafeZoneReport",
     "SuiteOptions",
-    "TrackerOutput",
-    "Trajectory",
-    "VerificationReport",
-    "angular_distance",
     "aspect_drop_bound",
-    "canonical",
     "chase",
-    "convex_hull",
-    "cost",
     "cost_obb",
     "cost_pc",
     "cost_strip",
-    "costs_at",
     "diametric_box",
-    "extent",
-    "frame_diameter",
-    "hull_edge_orientations",
-    "intermediate_box_area",
-    "jump_distance",
     "max_ratio",
     "normalize_trajectory",
     "optimal",
     "optimal_pc",
     "oracle_argmin",
     "pair_turn_bound",
-    "ratio",
-    "rotate_toward",
     "run_claim_suite",
-    "safe_zone_half_width",
-    "signed_gap",
     "track_topological",
-    "tracking_period",
     "winding_number",
-    "verify_bound_empirics",
-    "verify_obb_program",
-    "verify_trig_bounds",
 ]

@@ -33,7 +33,7 @@ from .runio import (
     write_trajectory,
 )
 from .scenarios import SCENARIO_NAMES, build_scenario
-from .solvers import optimal
+from .solvers import optimal, optimal_box_and_strip, optimal_pc
 from .tracker import track_topological
 from .verify import SuiteOptions, run_claim_suite
 
@@ -130,16 +130,18 @@ def _cmd_scenario(args) -> int:
 def _cmd_descriptor(args) -> int:
     with _open_in(args.input) as fp:
         traj = read_trajectory(fp)
-    kinds = [DescriptorKind(args.kind)] if args.kind != "all" else list(DescriptorKind)
     times = traj.sample_times(args.dt) if traj.horizon > 0 else np.array([0.0])
     with _open_out(args.out) as fp:
         fp.write("time,kind,alpha,cost,degenerate\n")
         for t in times:
             frame = traj.frame_at(float(t))
-            for kind in kinds:
-                opt = optimal(frame, kind)
+            if args.kind == "all":  # box and strip from one hull build
+                optima = [optimal_pc(frame), *optimal_box_and_strip(frame)]
+            else:
+                optima = [optimal(frame, args.kind)]
+            for opt in optima:
                 fp.write(
-                    f"{float(t)!r},{kind.value},{opt.alpha!r},{opt.cost!r},"
+                    f"{float(t)!r},{opt.kind.value},{opt.alpha!r},{opt.cost!r},"
                     f"{1 if opt.isotropic else 0}\n"
                 )
     return 0

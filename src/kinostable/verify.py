@@ -1,20 +1,24 @@
 """Numerical re-verification of every closed-form guarantee the trackers rely on.
 
-Each check is a :class:`ClaimCheck` with an expected value, a computed
-value, and a tolerance (or a violation count that must be zero).  The full
-suite covers: the constrained max-min program bounding the worst box sweep
-by 5/4, the sine/arcsine inequalities, the empirical orientation-change and
-aspect-drop bounds, the worst-case flip ratios of the three built-in
-adversarial scenarios, the double-cover winding of the forced orientation,
-the principal-axis speed escape, and the speed-capped chase guarantees.
+The claims live in one table, :data:`CLAIMS`: each row has an id, a
+description and a check that compares a computed value with its expected
+value under a pinned tolerance (or a violation count that must be zero).
+The table covers: the constrained max-min program bounding the worst box
+sweep by 5/4, the sine/arcsine inequalities, the empirical
+orientation-change and aspect-drop bounds, the worst-case flip ratios of the
+three built-in adversarial scenarios, the double-cover winding of the forced
+orientation, the principal-axis speed escape, the speed-capped chase
+guarantees, and the recorded box sweeps on random walks.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,9 +81,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.claims)
-
-    def add(self, claim: ClaimCheck) -> None:
-        self.claims.append(claim)
 
     def table_lines(self) -> list[str]:
         width = max((len(c.claim_id) for c in self.claims), default=10)
@@ -398,7 +399,9 @@ def chase_suite(
 
 
 # ---------------------------------------------------------------------------
-# The assembled claim suite.
+# The claim table.  ``run_claim_suite``, ``kinostable verify``, demo 05 and
+# the acceptance gate all iterate ``CLAIMS``; each expected value, tolerance
+# and runtime budget is written down once, here.
 
 
 @dataclass(frozen=True)
@@ -412,120 +415,205 @@ class SuiteOptions:
     chase_params: ChaseParams = ChaseParams()
 
 
+class SuiteRun:
+    """The inputs several claims share, each built on first use, once per run.
+
+    Stage functions are looked up by their module-level names when a claim
+    runs, so anything that replaces them on the module (a profiler, a span
+    recorder) sees every call.
+    """
+
+    def __init__(self, opts: SuiteOptions):
+        self.opts = opts
+
+    @cached_property
+    def program(self) -> ProgramResult:
+        return verify_obb_program(self.opts.grid, self.opts.grid)
+
+    @cached_property
+    def trig(self) -> dict[str, SamplingResult]:
+        return verify_trig_bounds(self.opts.trig_samples, self.opts.seed)
+
+    @cached_property
+    def walks(self) -> list[tuple[str, Trajectory]]:
+        """The raw random-walk corpus."""
+        return [
+            (f"random-walk-{s}", random_walk(seed=self.opts.seed + s))
+            for s in range(self.opts.walks)
+        ]
+
+    @cached_property
+    def normalized(self) -> list[tuple[str, Trajectory]]:
+        """The three flip scenarios and the walks, each normalized."""
+        corpus = [
+            ("obb-lower-bound", obb_lower_bound()),
+            ("strip-lower-bound", strip_lower_bound()),
+            ("pc-flip", pc_flip()),
+            *self.walks,
+        ]
+        return [(name, normalize_trajectory(t)[0]) for name, t in corpus]
+
+    @cached_property
+    def empirics(self) -> dict[str, SamplingResult]:
+        return verify_bound_empirics(self.normalized, self.opts.dt)
+
+    @cached_property
+    def chased(self) -> ChaseSuiteResult:
+        """The chase guarantees on the normalized corpus, without the axis scenario."""
+        trajs = [t for name, t in self.normalized if name != "pc-flip"]
+        return chase_suite(trajs, self.opts.chase_params, self.opts.dt)
+
+
+@dataclass(frozen=True)
+class Budget:
+    """A runtime bound the acceptance gate puts on the claims that share it."""
+
+    name: str
+    seconds: float
+
+
+# (expected, computed, passed, detail), as the report prints them.
+Verdict = tuple[str, str, bool, str]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One row of the claim table: an id, what it states, and how it is checked."""
+
+    claim_id: str
+    description: str
+    check: Callable[[SuiteRun], Verdict]
+    budget: Budget | None = None
+
+    def evaluate(self, run: SuiteRun) -> ClaimCheck:
+        return ClaimCheck(self.claim_id, self.description, *self.check(run))
+
+
+FIVE_QUARTERS = 1.25 + 1e-3  # the 5/4 box-sweep bound plus grid and sampling slack
+PROGRAM_BUDGET = Budget("the sweep program", 60.0)
+BOX_FLIP_BUDGET = Budget("the box flip scenario and sweep", 30.0)
+CHASE_BUDGET = Budget("the chase guarantees", 120.0)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def run_claim_suite(opts: SuiteOptions = SuiteOptions()) -> VerificationReport:
-    """Run every verification claim and collect a report."""
-    report = VerificationReport()
-    dt = opts.dt
+def _at_most(value: float, cap: float, detail: str = "", label: str = "") -> Verdict:
+    return f"{label}<= {cap:g}", _fmt(value), value <= cap, detail
 
-    prog = verify_obb_program(opts.grid, opts.grid)
-    report.add(ClaimCheck(
-        "box-sweep-program-max",
-        "global max of the worst-intermediate-box program stays at or below 5/4",
-        "<= 1.251", _fmt(prog.max_value), prog.max_value <= 1.25 + 1e-3,
-        f"argmax a={prog.argmax[0]:.6f} b={prog.argmax[1]:.6f} alpha={prog.argmax[2]:.6f}",
-    ))
-    small_expect = 0.5 + SQRT2 / 2.0
-    report.add(ClaimCheck(
-        "box-sweep-small-angle-branch",
-        "small-angle branch max equals 1/2 + sqrt(2)/2",
-        _fmt(small_expect), _fmt(prog.small_angle_max),
-        abs(prog.small_angle_max - small_expect) <= 1e-6,
-    ))
 
-    trig = verify_trig_bounds(opts.trig_samples, opts.seed)
-    for key, res in trig.items():
-        report.add(ClaimCheck(
-            f"trig-{key}", f"sampled inequality {key} holds",
-            "0 violations", f"{res.violations} violations", res.violations == 0,
-            f"worst margin {res.worst_margin:.3e}"
-            + (f", witness {res.witness}" if res.witness else ""),
-        ))
+def _near(value: float, expected: float, tol: float, detail: str = "") -> Verdict:
+    return _fmt(expected), _fmt(value), abs(value - expected) <= tol, detail
 
-    corpus: list[tuple[str, Trajectory]] = [
-        ("obb-lower-bound", obb_lower_bound()),
-        ("strip-lower-bound", strip_lower_bound()),
-        ("pc-flip", pc_flip()),
-    ]
-    corpus += [
-        (f"random-walk-{s}", random_walk(seed=opts.seed + s)) for s in range(opts.walks)
-    ]
-    normalized = [(name, normalize_trajectory(t)[0]) for name, t in corpus]
-    empirics = verify_bound_empirics(normalized, dt)
-    for key, res in empirics.items():
-        report.add(ClaimCheck(
-            f"bound-{key}", f"sampled {key} bound holds with discretization slack",
-            "0 violations", f"{res.violations} violations", res.violations == 0,
-            f"worst margin {res.worst_margin:.3e}",
-        ))
 
-    flip_cases = [
-        ("box-flip-ratio", obb_lower_bound(), DescriptorKind.OBB, 1.25, 1e-3),
-        ("strip-flip-ratio", strip_lower_bound(), DescriptorKind.STRIP, SQRT2, 1e-3),
-        ("axis-flip-ratio", pc_flip(), DescriptorKind.PC, 1.0, 1e-6),
-    ]
-    for claim_id, traj, kind, expected, tol in flip_cases:
-        measured = max_ratio(track_topological(traj, kind, dt))
-        report.add(ClaimCheck(
-            claim_id, f"worst tracked ratio on the forced {kind.value} flip scenario",
-            _fmt(expected), _fmt(measured), abs(measured - expected) <= tol,
-            f"tolerance {tol:g}",
-        ))
+def _no_violations(count: int, detail: str) -> Verdict:
+    return "0 violations", f"{count} violations", count == 0, detail
 
+
+def _trig_claim(key: str) -> Claim:
+    def check(run: SuiteRun) -> Verdict:
+        res = run.trig[key]
+        witness = f", witness {res.witness}" if res.witness else ""
+        return _no_violations(res.violations, f"worst margin {res.worst_margin:.3e}{witness}")
+
+    return Claim(f"trig-{key}", f"sampled inequality {key} holds", check)
+
+
+def _bound_claim(key: str) -> Claim:
+    def check(run: SuiteRun) -> Verdict:
+        res = run.empirics[key]
+        return _no_violations(res.violations, f"worst margin {res.worst_margin:.3e}")
+
+    return Claim(f"bound-{key}", f"sampled {key} bound holds with discretization slack", check)
+
+
+def _flip_claim(claim_id: str, scenario: Callable[[], Trajectory], kind: DescriptorKind,
+                expected: float, tol: float, budget: Budget | None = None) -> Claim:
+    def check(run: SuiteRun) -> Verdict:
+        measured = max_ratio(track_topological(scenario(), kind, run.opts.dt))
+        return _near(measured, expected, tol, f"tolerance {tol:g}")
+
+    return Claim(claim_id, f"worst tracked ratio on the forced {kind.value} flip scenario",
+                 check, budget)
+
+
+def _program_max(run: SuiteRun) -> Verdict:
+    a, b, alpha = run.program.argmax
+    return _at_most(run.program.max_value, FIVE_QUARTERS,
+                    f"argmax a={a:.6f} b={b:.6f} alpha={alpha:.6f}")
+
+
+def _double_cover(run: SuiteRun) -> Verdict:
     winding = forced_orientation_winding()
-    report.add(ClaimCheck(
-        "stateless-double-cover",
-        "forced orientation winds twice over one sweep of the collinear family",
-        "|winding| = 2", str(winding), abs(winding) == 2,
-    ))
+    return "|winding| = 2", str(winding), abs(winding) == 2, ""
 
-    fast = pc_fast_flip(opts.fast_flip_rate)
-    speed = measured_axis_speed(fast, dt)
-    min_diam = min_anchor_diameter(fast, dt)
-    report.add(ClaimCheck(
-        "axis-speed-escape",
-        "principal axis outruns the speed cap while the diameter stays >= 1",
-        f"> {opts.fast_flip_rate:g} and diameter >= 1",
-        f"speed {speed:.4g}, diameter >= {min_diam:.6g}",
-        speed > opts.fast_flip_rate and min_diam >= 1.0,
-    ))
 
-    chase_trajs = [t for _, t in normalized[:2] + normalized[3:]]
-    suite = chase_suite(chase_trajs, opts.chase_params, dt)
-    report.add(ClaimCheck(
-        "chase-rotation-cap",
-        "per-step chase rotation never exceeds rate * dt",
-        "excess <= 1e-12", _fmt(suite.max_step_excess), suite.max_step_excess <= 1e-12,
-    ))
-    report.add(ClaimCheck(
-        "chase-safe-zone",
-        "post warm-up gap within (2c+2)*arcsin(aspect) plus one step, when aspect <= 1/2",
-        "0 violations", f"{suite.safe_zone_violations} violations",
-        suite.safe_zone_violations == 0,
-        f"worst excess {suite.worst_gap_excess:.3e}",
-    ))
-    ratio_cap = 4.0 * opts.chase_params.safe_zone_factor + 6.0
-    worst = max(suite.max_obb_ratio, suite.max_strip_ratio)
-    report.add(ClaimCheck(
-        "chase-ratio-cap",
-        "box and strip chase ratios stay within 4c+6",
-        f"<= {ratio_cap:g}",
-        f"obb {suite.max_obb_ratio:.4g}, strip {suite.max_strip_ratio:.4g}",
-        worst <= ratio_cap,
-    ))
+def _axis_speed_escape(run: SuiteRun) -> Verdict:
+    rate = run.opts.fast_flip_rate
+    fast = pc_fast_flip(rate)
+    speed = measured_axis_speed(fast, run.opts.dt)
+    min_diam = min_anchor_diameter(fast, run.opts.dt)
+    return (f"> {rate:g} and diameter >= 1", f"speed {speed:.4g}, diameter >= {min_diam:.6g}",
+            speed > rate and min_diam >= 1.0, "")
 
-    def walk_flips(walk: Trajectory) -> float:
-        out = track_topological(walk, DescriptorKind.OBB, dt)
-        return max((f.worst_ratio for f in out.flips), default=0.0)
 
-    flip_worst = max(_parallel_map(walk_flips, [t for _, t in corpus[3:]]), default=0.0)
-    report.add(ClaimCheck(
-        "box-flip-sweep-cap",
-        "recorded box flip sweeps on the random-walk corpus stay within 5/4",
-        "<= 1.251", _fmt(flip_worst), flip_worst <= 1.25 + 1e-3,
-    ))
+def _chase_ratio_cap(run: SuiteRun) -> Verdict:
+    box, strip = run.chased.max_obb_ratio, run.chased.max_strip_ratio
+    cap = 4.0 * run.opts.chase_params.safe_zone_factor + 6.0
+    return f"<= {cap:g}", f"obb {box:.4g}, strip {strip:.4g}", max(box, strip) <= cap, ""
 
-    return report
+
+def _walk_flip_worst(walk: Trajectory, dt: float) -> float:
+    out = track_topological(walk, DescriptorKind.OBB, dt)
+    return max((f.worst_ratio for f in out.flips), default=0.0)
+
+
+def _sweep_cap(run: SuiteRun) -> Verdict:
+    walks = [t for _, t in run.walks]
+    worst = max(_parallel_map(lambda w: _walk_flip_worst(w, run.opts.dt), walks), default=0.0)
+    return _at_most(worst, FIVE_QUARTERS)
+
+
+CLAIMS: tuple[Claim, ...] = (
+    Claim("box-sweep-program-max",
+          "global max of the worst-intermediate-box program stays at or below 5/4",
+          _program_max, PROGRAM_BUDGET),
+    Claim("box-sweep-small-angle-branch", "small-angle branch max equals 1/2 + sqrt(2)/2",
+          lambda run: _near(run.program.small_angle_max, 0.5 + SQRT2 / 2.0, 1e-6),
+          PROGRAM_BUDGET),
+    _trig_claim("sine-upper"),
+    _trig_claim("sine-lower"),
+    _trig_claim("arcsine-envelope"),
+    _bound_claim("pair-turn"),
+    _bound_claim("aspect-drop"),
+    _flip_claim("box-flip-ratio", obb_lower_bound, DescriptorKind.OBB, 1.25, 1e-3,
+                BOX_FLIP_BUDGET),
+    _flip_claim("strip-flip-ratio", strip_lower_bound, DescriptorKind.STRIP, SQRT2, 1e-3),
+    _flip_claim("axis-flip-ratio", pc_flip, DescriptorKind.PC, 1.0, 1e-6),
+    Claim("stateless-double-cover",
+          "forced orientation winds twice over one sweep of the collinear family",
+          _double_cover),
+    Claim("axis-speed-escape",
+          "principal axis outruns the speed cap while the diameter stays >= 1",
+          _axis_speed_escape),
+    Claim("chase-rotation-cap", "per-step chase rotation never exceeds rate * dt",
+          lambda run: _at_most(run.chased.max_step_excess, 1e-12, label="excess "),
+          CHASE_BUDGET),
+    Claim("chase-safe-zone",
+          "post warm-up gap within (2c+2)*arcsin(aspect) plus one step, when aspect <= 1/2",
+          lambda run: _no_violations(run.chased.safe_zone_violations,
+                                     f"worst excess {run.chased.worst_gap_excess:.3e}"),
+          CHASE_BUDGET),
+    Claim("chase-ratio-cap", "box and strip chase ratios stay within 4c+6",
+          _chase_ratio_cap, CHASE_BUDGET),
+    Claim("box-flip-sweep-cap",
+          "recorded box flip sweeps on the random-walk corpus stay within 5/4",
+          _sweep_cap, BOX_FLIP_BUDGET),
+)
+
+
+def run_claim_suite(opts: SuiteOptions = SuiteOptions()) -> VerificationReport:
+    """Check every claim in ``CLAIMS`` on one run's shared inputs."""
+    run = SuiteRun(opts)
+    return VerificationReport([claim.evaluate(run) for claim in CLAIMS])

@@ -1,9 +1,16 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
+from kinostable import solvers
 from kinostable.cli import main
+from kinostable.costs import DescriptorKind
+from kinostable.runio import write_trajectory
+from kinostable.solvers import optimal
+from kinostable.trajectory import Trajectory
+from kinostable.verify import CLAIMS
 
 UNIT_SQUARE_FILE = (
     '{"format": "kinostable-trajectory", "version": 1, "points": 4, "horizon": 0.0}\n'
@@ -51,6 +58,29 @@ def test_descriptor_reports_all_kinds(capsys, monkeypatch):
     assert float(rows["obb"][3]) == pytest.approx(1.0)
     assert float(rows["strip"][3]) == pytest.approx(1.0)
     assert rows["pc"][4] == "1"  # isotropic square: degenerate principal axis
+
+
+def test_descriptor_all_builds_one_hull_per_sample(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(7)
+    start = rng.normal(size=(200, 2)) * (3.0, 1.0)
+    traj = Trajectory(np.array([0.0, 1.0]), np.stack([start, start[:, ::-1]]))
+    traj_path = tmp_path / "traj.jsonl"
+    with open(traj_path, "w", encoding="utf-8") as fp:
+        write_trajectory(fp, traj)
+    expected = [
+        f"{float(t)!r},{kind.value},{opt.alpha!r},{opt.cost!r},{1 if opt.isotropic else 0}"
+        for t in traj.sample_times(0.25)
+        for kind in DescriptorKind
+        for opt in [optimal(traj.frame_at(float(t)), kind)]
+    ]
+    hull_builds = []
+    real = solvers.hull_edge_orientations
+    monkeypatch.setattr(solvers, "hull_edge_orientations",
+                        lambda pts: hull_builds.append(1) or real(pts))
+    code, out, _ = run_cli(capsys, ["descriptor", str(traj_path), "--dt", "0.25"])
+    assert code == 0
+    assert out.splitlines()[1:] == expected
+    assert len(hull_builds) == len(traj.sample_times(0.25))
 
 
 def test_track_optimal_mode(tmp_path, capsys):
@@ -109,7 +139,8 @@ def test_verify_quick_suite_exits_zero(tmp_path, capsys):
     assert "ALL CLAIMS PASS" in out
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
-    assert len(report["claims"]) >= 14
+    assert [c["id"] for c in report["claims"]] == [c.claim_id for c in CLAIMS]
+    assert len({c.claim_id for c in CLAIMS}) == len(CLAIMS)
 
 
 def test_verify_failure_exits_three(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kinostable.chasing import normalize_trajectory
-from kinostable.ratios import RatioPolicy, max_ratio, ratio
+from kinostable.ratios import max_ratio, ratio
 from kinostable.scenarios import obb_lower_bound, random_walk
 from kinostable.costs import DescriptorKind
 from kinostable.tracker import track_topological
@@ -30,10 +30,6 @@ class TestRatioPolicy:
 
     def test_missing_a_zero_optimum_is_infinite(self):
         assert ratio(0.5, 0.0) == math.inf
-
-    def test_policy_threshold(self):
-        policy = RatioPolicy(eps_zero=1e-6)
-        assert ratio(1e-7, 1e-8, policy) == 1.0
 
     def test_scale_invariance_of_run_ratios(self):
         traj = obb_lower_bound()
