@@ -212,7 +212,7 @@ def chase(
     )
     runs = {
         kind: TrackerOutput(
-            kind=kind, dt=dt, period=ORIENTATION_PERIOD, times=times, beta=beta_arr,
+            kind=kind, period=ORIENTATION_PERIOD, times=times, beta=beta_arr,
             opt_alpha=opt_a, cost=out_c, opt_cost=opt_c, ratio=r,
         )
         for (kind, _), (opt_a, out_c, opt_c, r) in zip(_CHASE_COSTS, columns)

@@ -4,9 +4,9 @@ Subcommands compose over stdin/stdout pipes::
 
     kinostable scenario obb-lower-bound | kinostable track --kind obb | kinostable ratio
 
-``track`` runs the continuous topological tracker (``--tracker optimal``
-reports the raw per-sample optimum instead); ``chase`` runs the
-speed-capped chaser.  Both write the same run CSV.
+``track`` runs the continuous topological tracker and ``chase`` the
+speed-capped chaser; both write the same run CSV.  ``descriptor`` reports
+the raw per-sample optimum.
 
 Exit status: 0 on success, 2 on any input-validation error, 3 when
 ``verify`` finds a failing claim.
@@ -84,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
     p.add_argument("--kind", choices=["pc", "obb", "strip"], default="obb")
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument(
-        "--tracker", choices=["topological", "optimal"], default="topological",
-        help="continuous unbounded-speed tracker, or the raw per-sample optimum",
-    )
 
     p = sub.add_parser("chase", help="speed-capped chase run with safe-zone report")
     _add_io_args(p)
@@ -150,9 +146,7 @@ def _cmd_descriptor(args) -> int:
 def _cmd_track(args) -> int:
     with _open_in(args.input) as fp:
         traj = read_trajectory(fp)
-    output = track_topological(
-        traj, DescriptorKind(args.kind), args.dt, detect_flips=args.tracker == "topological",
-    )
+    output = track_topological(traj, DescriptorKind(args.kind), args.dt)
     with _open_out(args.out) as fp:
         write_tracker_csv(fp, output)
     return 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,16 @@ class Frame:
     @property
     def centroid(self) -> np.ndarray:
         return self.points.mean(axis=0)
+
+    @cached_property
+    def hull(self) -> np.ndarray:
+        """The frame's convex hull, built once on first use."""
+        return convex_hull(self.points)
+
+
+def hull_of(points) -> np.ndarray:
+    """Convex hull of a point set; a Frame's own hull is built at most once."""
+    return points.hull if isinstance(points, Frame) else convex_hull(points)
 
 
 def convex_hull(points) -> np.ndarray:
@@ -106,6 +117,14 @@ class DiametricBox:
     aspect: float = field(default=0.0)
 
 
+def _pair_distances(points) -> tuple[np.ndarray, np.ndarray]:
+    """Farthest-pair candidates (the hull above the brute-force limit) and their squared distances."""
+    pts = as_points(points)
+    cand = pts if len(pts) <= _BRUTE_FORCE_LIMIT else hull_of(points)
+    diff = cand[:, None, :] - cand[None, :, :]
+    return cand, np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def diametric_box(points) -> DiametricBox:
     """Diametric box of a frame.
 
@@ -116,9 +135,7 @@ def diametric_box(points) -> DiametricBox:
     pts = as_points(points)
     if len(pts) < 2:
         raise DegenerateInputError("need at least 2 points")
-    cand = pts if len(pts) <= _BRUTE_FORCE_LIMIT else convex_hull(pts)
-    diff = cand[:, None, :] - cand[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    cand, d2 = _pair_distances(points)
     dmax2 = float(d2.max())
     if dmax2 == 0.0:
         raise DegenerateInputError("all points coincide; diametric box is undefined")
@@ -143,8 +160,5 @@ def diametric_box(points) -> DiametricBox:
 
 def frame_diameter(points) -> float:
     """Largest pairwise distance in the frame."""
-    pts = as_points(points)
-    cand = pts if len(pts) <= _BRUTE_FORCE_LIMIT else convex_hull(pts)
-    diff = cand[:, None, :] - cand[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    _, d2 = _pair_distances(points)
     return float(math.sqrt(float(d2.max())))

@@ -10,9 +10,9 @@ contract)::
     time,beta,optAlpha,cost,optCost,ratio,z,H,J,angGap,inSafeZone
 
 Every run is a ``TrackerOutput`` table written by one row writer.
-Topological and per-frame-optimum runs leave the chase-only columns empty;
-chase runs fill them from the safe-zone report.  Flip sweeps appear as
-extra rows at the flip time carrying the worst swept orientation and ratio.
+Topological runs leave the chase-only columns empty; chase runs fill them
+from the safe-zone report.  Flip sweeps appear as extra rows at the flip
+time carrying the worst swept orientation and ratio.
 """
 
 from __future__ import annotations

@@ -189,37 +189,31 @@ def _stateless_disk_trajectory(n: int = 5, samples: int = 256, duration: float =
     return Trajectory(times, keyframes)
 
 
+# Each named scenario built from a parameter mapping; the order is the CLI's.
+_BUILDERS = {
+    "obb-lower-bound": lambda p: obb_lower_bound(duration=p.get("duration", 1.0)),
+    "strip-lower-bound": lambda p: strip_lower_bound(
+        start_height=p.get("start_height", 5.0), duration=p.get("duration", 1.0)
+    ),
+    "pc-flip": lambda p: pc_flip(duration=p.get("duration", 1.0)),
+    "pc-fast-flip": lambda p: pc_fast_flip(
+        target_rate=p.get("target_rate", 100.0), duration=p.get("duration", 1.0)
+    ),
+    "stateless-disk": lambda p: _stateless_disk_trajectory(
+        n=int(p.get("n", 5)), samples=int(p.get("steps", 256)),
+        duration=p.get("duration", 1.0),
+    ),
+    "random-walk": lambda p: random_walk(
+        n=int(p.get("n", 8)), steps=int(p.get("steps", 50)),
+        seed=int(p.get("seed", 0)), duration=p.get("duration", 1.0),
+    ),
+}
+
+SCENARIO_NAMES = tuple(_BUILDERS)
+
+
 def build_scenario(name: str, params: dict | None = None) -> Trajectory:
     """Build a named scenario trajectory from a parameter mapping."""
-    p = dict(params or {})
-    builders = {
-        "obb-lower-bound": lambda: obb_lower_bound(duration=p.get("duration", 1.0)),
-        "strip-lower-bound": lambda: strip_lower_bound(
-            start_height=p.get("start_height", 5.0), duration=p.get("duration", 1.0)
-        ),
-        "pc-flip": lambda: pc_flip(duration=p.get("duration", 1.0)),
-        "pc-fast-flip": lambda: pc_fast_flip(
-            target_rate=p.get("target_rate", 100.0), duration=p.get("duration", 1.0)
-        ),
-        "stateless-disk": lambda: _stateless_disk_trajectory(
-            n=int(p.get("n", 5)), samples=int(p.get("steps", 256)),
-            duration=p.get("duration", 1.0),
-        ),
-        "random-walk": lambda: random_walk(
-            n=int(p.get("n", 8)), steps=int(p.get("steps", 50)),
-            seed=int(p.get("seed", 0)), duration=p.get("duration", 1.0),
-        ),
-    }
-    if name not in builders:
-        raise DomainError(f"unknown scenario {name!r}; choose from {sorted(builders)}")
-    return builders[name]()
-
-
-SCENARIO_NAMES = (
-    "obb-lower-bound",
-    "strip-lower-bound",
-    "pc-flip",
-    "pc-fast-flip",
-    "stateless-disk",
-    "random-walk",
-)
+    if name not in _BUILDERS:
+        raise DomainError(f"unknown scenario {name!r}; choose from {sorted(_BUILDERS)}")
+    return _BUILDERS[name](dict(params or {}))

@@ -18,7 +18,7 @@ import numpy as np
 from .angles import canonical
 from .costs import DescriptorKind, costs_at
 from .errors import DegenerateInputError, DomainError
-from .geometry import as_points, convex_hull
+from .geometry import as_points, hull_of
 
 _EIGEN_TIE_REL = 1e-9
 _COST_TIE_REL = 1e-9
@@ -41,7 +41,7 @@ class OptimalDescriptor:
 
 def hull_edge_orientations(points) -> np.ndarray:
     """Canonical orientations of the hull edges, sorted and deduplicated."""
-    hull = convex_hull(points)
+    hull = hull_of(points)
     if len(hull) == 2:
         e = hull[1] - hull[0]
         return np.array([canonical(math.atan2(e[1], e[0]))])
@@ -62,7 +62,7 @@ def _argmin_with_ties(angles: np.ndarray, values: np.ndarray) -> tuple[float, fl
 def _hull_optima(frame, kinds: tuple[DescriptorKind, ...]) -> list[OptimalDescriptor]:
     """Box and/or strip optima among one set of hull edge candidates."""
     pts = as_points(frame)
-    angles = hull_edge_orientations(pts)
+    angles = hull_edge_orientations(frame)
     out = []
     for kind in kinds:
         alpha, cmin, ties = _argmin_with_ties(angles, costs_at(pts, kind, angles))

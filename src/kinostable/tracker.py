@@ -64,7 +64,6 @@ class TrackerOutput:
     """
 
     kind: DescriptorKind
-    dt: float
     period: float
     times: np.ndarray
     beta: np.ndarray
@@ -168,13 +167,8 @@ def track_topological(
     traj: Trajectory,
     kind: DescriptorKind,
     dt: float,
-    detect_flips: bool = True,
 ) -> TrackerOutput:
-    """Run the continuous, unbounded-speed tracker over a sampled trajectory.
-
-    ``detect_flips=False`` skips flip localization and sweep accounting,
-    leaving just the per-sample optimum (the raw, discontinuous output).
-    """
+    """Run the continuous, unbounded-speed tracker over a sampled trajectory."""
     if dt <= 0.0:
         raise DomainError("dt must be positive")
     kind = DescriptorKind(kind)
@@ -195,7 +189,7 @@ def track_topological(
         frame = traj.frame_at(float(t))
         opt = optimal(frame, kind)
         b = canonical(opt.alpha, period)
-        if detect_flips and prev_t is not None:
+        if prev_t is not None:
             jump = angular_distance(beta[i - 1], b, period)
             if jump > 1e-9:
                 threshold = _FLIP_SPEED_FACTOR * dt * v_max / frame_diameter(frame)
@@ -214,7 +208,7 @@ def track_topological(
         prev_t = float(t)
 
     return TrackerOutput(
-        kind=kind, dt=dt, period=period, times=times, beta=beta,
+        kind=kind, period=period, times=times, beta=beta,
         opt_alpha=opt_alpha, cost=out_cost, opt_cost=opt_cost, ratio=ratios,
         flips=flips,
     )

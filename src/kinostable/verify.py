@@ -8,15 +8,14 @@ sweep by 5/4, the sine/arcsine inequalities, the empirical
 orientation-change and aspect-drop bounds, the worst-case flip ratios of the
 three built-in adversarial scenarios, the double-cover winding of the forced
 orientation, the principal-axis speed escape, the speed-capped chase
-guarantees, and the recorded box sweeps on random walks.
+guarantees, and the recorded box sweeps on random walks.  Every stage runs
+serially on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,24 +43,13 @@ SQRT2 = math.sqrt(2.0)
 
 
 def thread_count() -> int:
-    """Parallelism cap: KINOSTABLE_THREADS if set, else the CPU count."""
-    env = os.environ.get("KINOSTABLE_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise DomainError(f"KINOSTABLE_THREADS must be an integer, got {env!r}") from exc
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
+    """Always 1; kept because kinobench/run.py records it in its provenance."""
+    return 1
 
 
 def _parallel_map(fn, items):
-    """Map preserving order, fanned out over at most thread_count() workers."""
-    workers = min(thread_count(), max(len(items), 1))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Ordered serial map; kept because kinobench/spans.py times the walk-flip stage by it."""
+    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)
@@ -352,18 +340,16 @@ class ChaseSuiteResult:
     max_strip_ratio: float
 
 
-def chase_suite(
-    trajectories: list[Trajectory],
-    params: ChaseParams = ChaseParams(),
-    dt: float = 1e-3,
-) -> ChaseSuiteResult:
-    """Chase every (already normalized) trajectory and aggregate the guarantees.
+def chase_suite(trajectories: list[Trajectory], dt: float = 1e-3) -> ChaseSuiteResult:
+    """Chase every (already normalized) trajectory with the default
+    ``ChaseParams`` and aggregate the guarantees.
 
     Checks, per run: the per-step rotation never exceeds the cap; after the
     tracker first enters the safe zone, at every sample with aspect <= 1/2
     the gap stays within (2c+2)*arcsin(aspect) plus one step of slack; and
     the box and strip ratios stay bounded.
     """
+    params = ChaseParams()
     gap_factor = 2.0 * params.safe_zone_factor + 2.0
     step_cap = params.max_turn_rate * dt
 
@@ -412,7 +398,6 @@ class SuiteOptions:
     walks: int = 20
     trig_samples: int = 100_000
     fast_flip_rate: float = 100.0
-    chase_params: ChaseParams = ChaseParams()
 
 
 class SuiteRun:
@@ -461,7 +446,7 @@ class SuiteRun:
     def chased(self) -> ChaseSuiteResult:
         """The chase guarantees on the normalized corpus, without the axis scenario."""
         trajs = [t for name, t in self.normalized if name != "pc-flip"]
-        return chase_suite(trajs, self.opts.chase_params, self.opts.dt)
+        return chase_suite(trajs, self.opts.dt)
 
 
 @dataclass(frozen=True)
@@ -490,6 +475,7 @@ class Claim:
 
 
 FIVE_QUARTERS = 1.25 + 1e-3  # the 5/4 box-sweep bound plus grid and sampling slack
+CHASE_RATIO_CAP = 4.0 * ChaseParams().safe_zone_factor + 6.0  # 4c+6 = 18
 PROGRAM_BUDGET = Budget("the sweep program", 60.0)
 BOX_FLIP_BUDGET = Budget("the box flip scenario and sweep", 30.0)
 CHASE_BUDGET = Budget("the chase guarantees", 120.0)
@@ -560,8 +546,8 @@ def _axis_speed_escape(run: SuiteRun) -> Verdict:
 
 def _chase_ratio_cap(run: SuiteRun) -> Verdict:
     box, strip = run.chased.max_obb_ratio, run.chased.max_strip_ratio
-    cap = 4.0 * run.opts.chase_params.safe_zone_factor + 6.0
-    return f"<= {cap:g}", f"obb {box:.4g}, strip {strip:.4g}", max(box, strip) <= cap, ""
+    return (f"<= {CHASE_RATIO_CAP:g}", f"obb {box:.4g}, strip {strip:.4g}",
+            max(box, strip) <= CHASE_RATIO_CAP, "")
 
 
 def _walk_flip_worst(walk: Trajectory, dt: float) -> float:

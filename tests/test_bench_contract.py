@@ -9,6 +9,7 @@ runs, so this reads the span table itself and resolves each entry.
 import importlib
 import importlib.util
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 SPANS_FILE = Path(__file__).resolve().parent.parent / "kinobench" / "spans.py"
@@ -36,5 +37,6 @@ def test_every_span_resolves():
 def test_names_read_outside_spans():
     from kinostable import verify
 
-    assert callable(verify.thread_count)
+    assert verify.thread_count() == 1
+    assert "fast_flip_rate" in {f.name for f in fields(verify.SuiteOptions)}
     assert "samples" in inspect.signature(verify.forced_orientation_winding).parameters

@@ -83,18 +83,6 @@ def test_descriptor_all_builds_one_hull_per_sample(tmp_path, capsys, monkeypatch
     assert len(hull_builds) == len(traj.sample_times(0.25))
 
 
-def test_track_optimal_mode(tmp_path, capsys):
-    traj_path = tmp_path / "traj.jsonl"
-    main(["scenario", "strip-lower-bound", "--out", str(traj_path)])
-    code, out, _ = run_cli(capsys, [
-        "track", str(traj_path), "--tracker", "optimal", "--kind", "strip", "--dt", "0.05",
-    ])
-    assert code == 0
-    body = out.strip().splitlines()[1:]
-    ratios = [float(ln.split(",")[5]) for ln in body]
-    assert max(ratios) == pytest.approx(1.0)
-
-
 def test_chase_run_csv(tmp_path, capsys):
     traj_path = tmp_path / "walk.jsonl"
     main(["scenario", "random-walk", "--seed", "3", "--steps", "10", "--out", str(traj_path)])

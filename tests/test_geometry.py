@@ -1,8 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from kinostable import geometry
+from kinostable.chasing import chase
+from kinostable.costs import DescriptorKind
 from kinostable.errors import DegenerateInputError
 from kinostable.geometry import (
     DiametricBox,
@@ -12,6 +16,8 @@ from kinostable.geometry import (
     extent,
     frame_diameter,
 )
+from kinostable.tracker import track_topological
+from kinostable.trajectory import Trajectory
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -159,3 +165,21 @@ def test_frame_diameter_matches_box():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-3, 3, (30, 2))
     assert frame_diameter(pts) == diametric_box(pts).diameter
+
+
+@pytest.mark.parametrize("run", [
+    lambda traj: chase(traj, dt=0.5),
+    lambda traj: track_topological(traj, DescriptorKind.OBB, 0.5),
+], ids=["chase", "track-obb"])
+def test_one_hull_build_per_sample(monkeypatch, run):
+    # 300 points is above the brute-force limit, so the diametric pair, the
+    # diameter and the edge candidates all read the hull.
+    phi = np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False)
+    ellipse = np.column_stack([3.0 * np.cos(phi), np.sin(phi)])
+    c, s = math.cos(0.3), math.sin(0.3)
+    traj = Trajectory(np.array([0.0, 1.0]), np.stack([ellipse, ellipse @ [[c, s], [-s, c]]]))
+    real, builds = geometry.convex_hull, []
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kinostable") and getattr(mod, "convex_hull", None) is real:
+            monkeypatch.setattr(mod, "convex_hull", lambda pts: builds.append(1) or real(pts))
+    assert len(run(traj).times) == len(builds) == 3

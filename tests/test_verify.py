@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from kinostable.costs import DescriptorKind
 from kinostable.tracker import track_topological
 from kinostable.trajectory import Trajectory
 from kinostable.verify import (
+    _parallel_map,
     forced_orientation_winding,
-    thread_count,
     verify_bound_empirics,
     verify_obb_program,
     verify_trig_bounds,
@@ -111,13 +112,13 @@ def test_forced_orientation_double_cover_small():
     assert abs(forced_orientation_winding(n=5, samples=512)) == 2
 
 
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("KINOSTABLE_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("KINOSTABLE_THREADS", "")
-    assert thread_count() >= 1
-    monkeypatch.setenv("KINOSTABLE_THREADS", "nope")
-    from kinostable.errors import DomainError
+def test_parallel_map_is_an_ordered_map_on_the_calling_thread():
+    caller = threading.get_ident()
+    seen = []
 
-    with pytest.raises(DomainError):
-        thread_count()
+    def fn(x):
+        seen.append(threading.get_ident())
+        return x * x
+
+    assert _parallel_map(fn, list(range(8))) == [x * x for x in range(8)]
+    assert seen == [caller] * 8
