@@ -13,9 +13,10 @@ allowance ``J`` = (c+2)*arcsin(aspect), and whether the tracker currently
 sits inside the safe zone (gap <= H) or the enclosing interval
 (gap <= H + J).
 
-One chase path is scored against both the box and the strip optimum.  The
-run comes back as one ``TrackerOutput`` per kind, the same run table the
-topological tracker fills (with no flip events), beside the safe-zone
+The chaser is a steering rule over ``tracker.sampled_run``, the same
+per-sample core the topological tracker runs on.  One chase path is scored
+against both the box and the strip optimum, so the run comes back as one
+``TrackerOutput`` per kind (with no flip events) beside the safe-zone
 report.
 """
 
@@ -26,13 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import ORIENTATION_PERIOD, angular_distance, canonical, rotate_toward
-from .costs import DescriptorKind, cost_obb, cost_strip
+from .angles import ORIENTATION_PERIOD, angular_distance, rotate_toward
+from .costs import DescriptorKind
 from .errors import DegenerateInputError, DomainError
 from .geometry import diametric_box, frame_diameter
-from .ratios import ratio
-from .solvers import optimal_box_and_strip
-from .tracker import TrackerOutput
+from .tracker import TrackerOutput, sampled_run
 from .trajectory import Trajectory
 
 
@@ -148,73 +147,35 @@ class ChaseResult:
     runs: dict[DescriptorKind, TrackerOutput]
 
 
-_CHASE_COSTS = ((DescriptorKind.OBB, cost_obb), (DescriptorKind.STRIP, cost_strip))
-
-
 def chase(
     traj: Trajectory,
     params: ChaseParams = ChaseParams(),
     dt: float = 1e-3,
-    beta0: float | None = None,
 ) -> ChaseResult:
     """Run the speed-capped chasing tracker over a (normalized) trajectory.
 
-    The tracker chases the diametric-pair orientation; ``beta0`` defaults to
-    that orientation in the first frame, which starts the run in steady
-    state.
+    The tracker chases the diametric-pair orientation, starting on it in the
+    first frame so that the run begins in steady state.
     """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    times = traj.sample_times(dt)
-    n = len(times)
     c = params.safe_zone_factor
     max_step = params.max_turn_rate * dt
+    zone = []  # per sample: the SafeZoneReport fields, in order
 
-    beta_arr = np.empty(n)
-    aspect = np.empty(n)
-    half_w = np.empty(n)
-    jump_d = np.empty(n)
-    gap_arr = np.empty(n)
-    in_safe = np.zeros(n, dtype=bool)
-    in_interval = np.zeros(n, dtype=bool)
-    # Per kind: optimal orientation, cost of beta, optimal cost, ratio.
-    columns = [tuple(np.empty(n) for _ in range(4)) for _ in _CHASE_COSTS]
-
-    beta = None
-    for i, t in enumerate(times):
-        frame = traj.frame_at(float(t))
+    def toward_pair(t, frame, optima, prev_beta):
         box = diametric_box(frame)
         alpha = box.alpha
-        if beta is None:
-            beta = canonical(beta0) if beta0 is not None else alpha
-        else:
-            beta = rotate_toward(beta, alpha, max_step)
+        beta = alpha if prev_beta is None else rotate_toward(prev_beta, alpha, max_step)
         gap = angular_distance(beta, alpha)
         h = safe_zone_half_width(box.aspect, c)
         j = jump_distance(box.aspect, c)
-        beta_arr[i] = beta
-        aspect[i] = box.aspect
-        half_w[i] = h
-        jump_d[i] = j
-        gap_arr[i] = gap
-        in_safe[i] = gap <= h
-        in_interval[i] = gap <= h + j
-        optima = optimal_box_and_strip(frame)
-        for (_, cost_fn), opt, (opt_a, out_c, opt_c, r) in zip(_CHASE_COSTS, optima, columns):
-            opt_a[i] = opt.alpha
-            out_c[i] = cost_fn(frame.points, beta)
-            opt_c[i] = opt.cost
-            r[i] = ratio(out_c[i], opt_c[i])
+        zone.append((box.aspect, h, j, gap, gap <= h, gap <= h + j))
+        return beta
 
-    report = SafeZoneReport(
-        aspect=aspect, safe_half_width=half_w, jump_allowance=jump_d,
-        ang_gap=gap_arr, in_safe_zone=in_safe, in_interval=in_interval,
+    runs = sampled_run(
+        traj, dt, (DescriptorKind.OBB, DescriptorKind.STRIP), ORIENTATION_PERIOD, toward_pair,
     )
-    runs = {
-        kind: TrackerOutput(
-            kind=kind, period=ORIENTATION_PERIOD, times=times, beta=beta_arr,
-            opt_alpha=opt_a, cost=out_c, opt_cost=opt_c, ratio=r,
-        )
-        for (kind, _), (opt_a, out_c, opt_c, r) in zip(_CHASE_COSTS, columns)
-    }
-    return ChaseResult(params=params, times=times, beta=beta_arr, safe_zone=report, runs=runs)
+    report = SafeZoneReport(*(np.array(col) for col in zip(*zone)))
+    box_run = runs[DescriptorKind.OBB]
+    return ChaseResult(
+        params=params, times=box_run.times, beta=box_run.beta, safe_zone=report, runs=runs,
+    )

@@ -126,7 +126,7 @@ def _cmd_scenario(args) -> int:
 def _cmd_descriptor(args) -> int:
     with _open_in(args.input) as fp:
         traj = read_trajectory(fp)
-    times = traj.sample_times(args.dt) if traj.horizon > 0 else np.array([0.0])
+    times = traj.sample_times(args.dt)
     with _open_out(args.out) as fp:
         fp.write("time,kind,alpha,cost,degenerate\n")
         for t in times:

@@ -90,10 +90,11 @@ def read_trajectory(fp: IO[str]) -> Trajectory:
             fail(i, "keyframe missing field 'xy'")
         t = row["t"]
         xy = row["xy"]
-        if not isinstance(t, (int, float)):
+        # exact types: a JSON boolean loads as bool, an int subclass
+        if type(t) not in (int, float):
             fail(i, "field 't' must be a number")
         if not isinstance(xy, list) or len(xy) != 2 * n or not all(
-            isinstance(v, (int, float)) for v in xy
+            type(v) in (int, float) for v in xy
         ):
             fail(i, f"field 'xy' must be a flat list of {2 * n} numbers")
         times.append(float(t))

@@ -1,12 +1,17 @@
-"""State-aware tracking with continuous output and unbounded rotation speed.
+"""State-aware tracking: the sampled-run core and the flip-sweeping tracker.
 
-The tracker outputs the optimal orientation at every sample.  When the
-optimum jumps between samples, the jump is first localized in time by
-bisection to the instant where the departing and arriving optima cost the
-same.  At that instant the output conceptually sweeps the arc between them;
-the sweep direction is the one whose worst intermediate cost is smaller,
-and that worst swept cost/ratio is recorded as a flip event of zero
-simulated duration.
+Both trackers are steering rules over ``sampled_run``, each mapping (time,
+frame, optima, previous orientation) to the next orientation:
+``track_topological`` steers to the optimum, ``chasing.chase`` toward the
+diametric pair at a capped speed.
+
+The topological tracker outputs the optimal orientation at every sample.
+When the optimum jumps between samples, the jump is first localized in time
+by bisection to the instant where the departing and arriving optima cost
+the same.  At that instant the output conceptually sweeps the arc between
+them; the sweep direction is the one whose worst intermediate cost is
+smaller, and that worst swept cost/ratio is recorded as a flip event of
+zero simulated duration.
 
 Box orientations are tracked modulo pi/2 (the box cost is pi/2-periodic,
 so a quarter-turn relabeling of the axes is not a real flip); axis and
@@ -25,7 +30,7 @@ from .costs import DescriptorKind, cost, costs_at
 from .errors import DomainError
 from .geometry import frame_diameter
 from .ratios import ratio
-from .solvers import optimal
+from .solvers import optimal, optimal_box_and_strip
 from .trajectory import Trajectory
 
 # A jump larger than this many dt-steps' worth of plausible optimum drift
@@ -57,10 +62,10 @@ class FlipEvent:
 
 @dataclass
 class TrackerOutput:
-    """The run table of either tracker: per-sample arrays plus recorded flip sweeps.
+    """The run table ``sampled_run`` fills: per-sample arrays plus recorded flip sweeps.
 
     ``track_topological`` fills one table; ``chase`` fills one per extent
-    kind, with no flips.
+    kind, with no flips.  ``beta`` is always canonical modulo ``period``.
     """
 
     kind: DescriptorKind
@@ -75,10 +80,56 @@ class TrackerOutput:
 
     def step_distances(self) -> np.ndarray:
         """Orientation change between consecutive samples, modulo the period."""
-        out = np.empty(max(len(self.beta) - 1, 0))
-        for i in range(len(out)):
-            out[i] = angular_distance(self.beta[i], self.beta[i + 1], self.period)
-        return out
+        d = np.abs(np.diff(self.beta))
+        return np.minimum(d, self.period - d)
+
+
+_BOX_AND_STRIP = (DescriptorKind.OBB, DescriptorKind.STRIP)
+
+
+def sampled_run(
+    traj: Trajectory,
+    dt: float,
+    kinds: tuple[DescriptorKind, ...],
+    period: float,
+    steer,
+) -> dict[DescriptorKind, TrackerOutput]:
+    """Run one steering rule over the samples ``traj.sample_times(dt)``.
+
+    Each frame is built once and its optima for ``kinds`` solved (box and
+    strip together from one hull); ``steer(t, frame, optima, prev_beta)``,
+    with ``prev_beta`` None at the first sample, returns the output
+    orientation, which is scored against each kind's optimum.  Only the
+    current frame is held.  Every returned table shares ``times`` and ``beta``.
+    """
+    times = traj.sample_times(dt)
+    n = len(times)
+    beta = np.empty(n)
+    # Per kind: optimal orientation, cost of beta, optimal cost, ratio.
+    columns = {kind: tuple(np.empty(n) for _ in range(4)) for kind in kinds}
+
+    b = None
+    for i, t in enumerate(times):
+        frame = traj.frame_at(float(t))
+        if kinds == _BOX_AND_STRIP:
+            optima = optimal_box_and_strip(frame)
+        else:
+            optima = [optimal(frame, kind) for kind in kinds]
+        b = steer(float(t), frame, optima, b)
+        beta[i] = b
+        for opt, (opt_a, out_c, opt_c, r) in zip(optima, columns.values()):
+            opt_a[i] = opt.alpha
+            out_c[i] = cost(frame.points, opt.kind, b)
+            opt_c[i] = opt.cost
+            r[i] = ratio(out_c[i], opt_c[i])
+
+    return {
+        kind: TrackerOutput(
+            kind=kind, period=period, times=times, beta=beta,
+            opt_alpha=opt_a, cost=out_c, opt_cost=opt_c, ratio=r,
+        )
+        for kind, (opt_a, out_c, opt_c, r) in columns.items()
+    }
 
 
 def _refine_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
@@ -169,49 +220,30 @@ def track_topological(
     dt: float,
 ) -> TrackerOutput:
     """Run the continuous, unbounded-speed tracker over a sampled trajectory."""
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
     kind = DescriptorKind(kind)
     period = tracking_period(kind)
-    times = traj.sample_times(dt)
     v_max = traj.max_point_speed()
-
-    n = len(times)
-    beta = np.empty(n)
-    opt_alpha = np.empty(n)
-    opt_cost = np.empty(n)
-    out_cost = np.empty(n)
-    ratios = np.empty(n)
     flips: list[FlipEvent] = []
+    prev_t = 0.0
 
-    prev_t: float | None = None
-    for i, t in enumerate(times):
-        frame = traj.frame_at(float(t))
-        opt = optimal(frame, kind)
-        b = canonical(opt.alpha, period)
-        if prev_t is not None:
-            jump = angular_distance(beta[i - 1], b, period)
+    def to_optimum(t, frame, optima, prev_beta):
+        nonlocal prev_t
+        b = canonical(optima[0].alpha, period)
+        if prev_beta is not None:
+            jump = angular_distance(prev_beta, b, period)
             if jump > 1e-9:
                 threshold = _FLIP_SPEED_FACTOR * dt * v_max / frame_diameter(frame)
                 threshold = min(threshold, period / 4.0)
                 if jump > threshold:
-                    flip = _locate_flip(
-                        traj, kind, period, prev_t, beta[i - 1], float(t), b, threshold,
-                    )
+                    flip = _locate_flip(traj, kind, period, prev_t, prev_beta, t, b, threshold)
                     if flip is not None:
                         flips.append(flip)
-        beta[i] = b
-        opt_alpha[i] = opt.alpha
-        opt_cost[i] = opt.cost
-        out_cost[i] = cost(frame.points, kind, b)
-        ratios[i] = ratio(out_cost[i], opt_cost[i])
-        prev_t = float(t)
+        prev_t = t
+        return b
 
-    return TrackerOutput(
-        kind=kind, period=period, times=times, beta=beta,
-        opt_alpha=opt_alpha, cost=out_cost, opt_cost=opt_cost, ratio=ratios,
-        flips=flips,
-    )
+    output = sampled_run(traj, dt, (kind,), period, to_optimum)[kind]
+    output.flips = flips
+    return output
 
 
 def intermediate_box_area(a: float, b: float, alpha: float, theta: float) -> float:

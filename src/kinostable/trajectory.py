@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, DomainError
 from .geometry import Frame
 
 
@@ -78,9 +78,11 @@ class Trajectory:
         return float(speeds.max())
 
     def sample_times(self, dt: float) -> np.ndarray:
-        """Uniform sample grid 0, dt, 2dt, ... including the horizon."""
-        if dt <= 0.0:
-            raise DegenerateInputError("dt must be positive")
+        """Uniform sample grid 0, dt, 2dt, ... including the horizon; [0.0] at horizon 0."""
+        if not dt > 0.0:  # NaN included
+            raise DomainError("dt must be positive")
+        if dt == np.inf:  # the grid below would be [0 * inf] = [nan]
+            raise DomainError("dt must be finite")
         horizon = self.horizon
         n = int(np.floor(horizon / dt + 1e-9))
         grid = np.arange(n + 1, dtype=float) * dt

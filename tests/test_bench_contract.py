@@ -36,6 +36,12 @@ def test_every_span_resolves():
 
 def test_names_read_outside_spans():
     from kinostable import verify
+    from kinostable.chasing import ChaseResult
+    from kinostable.tracker import TrackerOutput
+
+    # the span counters read these fields off the returned runs
+    assert "times" in {f.name for f in fields(ChaseResult)}
+    assert {"times", "flips"} <= {f.name for f in fields(TrackerOutput)}
 
     assert verify.thread_count() == 1
     assert "fast_flip_rate" in {f.name for f in fields(verify.SuiteOptions)}

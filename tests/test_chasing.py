@@ -122,19 +122,28 @@ class TestChase:
             assert np.all(res.runs[DescriptorKind.OBB].ratio <= 2.0 + 1e-9)
 
     def test_rotation_law_is_exact_from_perpendicular_start(self):
-        pts = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 0.1)])
-        traj = normalize_trajectory(static_trajectory(pts, duration=0.1))[0]
+        # A rhombus whose diagonals swap lengths, then holds still: the
+        # diametric pair jumps a quarter turn, from horizontal to vertical,
+        # and the chaser starts that turn a perpendicular distance away.
+        def rhombus(a, b):
+            return [(a, 0.0), (0.0, b), (-a, 0.0), (0.0, -b)]
+
+        keyframes = np.array([rhombus(1.0, 0.5), rhombus(0.5, 1.0), rhombus(0.5, 1.0)])
+        traj = normalize_trajectory(Trajectory(np.array([0.0, 0.1, 0.2]), keyframes))[0]
         params = ChaseParams(max_turn_rate=43.0)
         dt = 1e-3
-        res = chase(traj, params, dt, beta0=math.pi / 2)
+        res = chase(traj, params, dt)
         gaps = res.safe_zone.ang_gap
         step = params.max_turn_rate * dt
-        assert gaps[0] == pytest.approx(math.pi / 2)
-        for i in range(len(gaps) - 1):
+        jump = int(np.argmax(gaps > 0.0))
+        assert jump > 0 and np.all(gaps[:jump] == 0.0)
+        assert gaps[jump] + step == pytest.approx(math.pi / 2)
+        for i in range(jump, len(gaps) - 1):
             if gaps[i] > step:
                 assert gaps[i] - gaps[i + 1] == pytest.approx(step, abs=1e-12)
             else:
                 assert gaps[i + 1] == pytest.approx(0.0, abs=1e-12)
+        assert gaps[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_per_step_rotation_never_exceeds_cap(self):
         traj = normalize_trajectory(random_walk(seed=9, steps=25))[0]

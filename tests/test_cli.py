@@ -1,14 +1,18 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from kinostable import solvers
+from kinostable.chasing import chase
 from kinostable.cli import main
 from kinostable.costs import DescriptorKind
-from kinostable.runio import write_trajectory
+from kinostable.errors import DomainError
+from kinostable.runio import read_trajectory, write_trajectory
 from kinostable.solvers import optimal
+from kinostable.tracker import track_topological
 from kinostable.trajectory import Trajectory
 from kinostable.verify import CLAIMS
 
@@ -58,6 +62,29 @@ def test_descriptor_reports_all_kinds(capsys, monkeypatch):
     assert float(rows["obb"][3]) == pytest.approx(1.0)
     assert float(rows["strip"][3]) == pytest.approx(1.0)
     assert rows["pc"][4] == "1"  # isotropic square: degenerate principal axis
+
+
+@pytest.mark.parametrize("dt, message", [
+    (0.0, "dt must be positive"),
+    (-1.0, "dt must be positive"),
+    (math.nan, "dt must be positive"),
+    (math.inf, "dt must be finite"),
+])
+@pytest.mark.parametrize("entry", ["track_topological", "chase", "descriptor"])
+def test_bad_dt_is_rejected_on_a_single_keyframe(capsys, monkeypatch, entry, dt, message):
+    # Trajectory.sample_times is the one dt check, horizon 0 included.
+    if entry == "descriptor":
+        code, out, err = run_cli(capsys, ["descriptor", "--dt", repr(dt)],
+                                 stdin_text=UNIT_SQUARE_FILE, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        return
+    traj = read_trajectory(io.StringIO(UNIT_SQUARE_FILE))
+    run = {
+        "track_topological": lambda: track_topological(traj, DescriptorKind.OBB, dt),
+        "chase": lambda: chase(traj, dt=dt),
+    }[entry]
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        run()
 
 
 def test_descriptor_all_builds_one_hull_per_sample(tmp_path, capsys, monkeypatch):

@@ -50,6 +50,18 @@ class TestTrajectoryFile:
         with pytest.raises(FileFormatError, match="line 2.*'xy'"):
             read_trajectory(buf)
 
+    @pytest.mark.parametrize("row, field", [
+        ('{"t": false, "xy": [0, 0, 1, 0]}', "'t'"),
+        ('{"t": 0.0, "xy": [true, 0.0, 1, 0]}', "'xy'"),
+    ], ids=["t", "xy"])
+    def test_json_booleans_are_not_numbers(self, row, field):
+        buf = io.StringIO(
+            '{"format": "kinostable-trajectory", "version": 1, "points": 2, "horizon": 0.0}\n'
+            + row + "\n"
+        )
+        with pytest.raises(FileFormatError, match=f"line 2.*{field}"):
+            read_trajectory(buf)
+
     def test_bad_header(self):
         with pytest.raises(FileFormatError, match="line 1"):
             read_trajectory(io.StringIO('{"format": "something-else"}\n'))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kinostable.angles import BOX_PERIOD
+from kinostable.angles import BOX_PERIOD, angular_distance
+from kinostable.chasing import chase, normalize_trajectory
 from kinostable.costs import DescriptorKind, costs_at
 from kinostable.errors import DomainError
 from kinostable.ratios import max_ratio
@@ -130,3 +131,15 @@ def test_box_tracking_ignores_axis_relabeling():
     assert len(out.flips) == 0
     assert np.all(out.step_distances() < 0.1)
     assert max_ratio(out) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("run", [
+    lambda walk: track_topological(walk, DescriptorKind.OBB, 2e-3),
+    lambda walk: track_topological(walk, DescriptorKind.STRIP, 2e-3),
+    lambda walk: track_topological(walk, DescriptorKind.PC, 2e-3),
+    lambda walk: chase(normalize_trajectory(walk)[0], dt=2e-3).runs[DescriptorKind.OBB],
+], ids=["track-obb", "track-strip", "track-pc", "chase"])
+def test_step_distances_match_the_pairwise_reference(run):
+    out = run(random_walk(seed=6, steps=20, duration=0.4))
+    reference = [angular_distance(a, b, out.period) for a, b in zip(out.beta, out.beta[1:])]
+    assert np.array_equal(out.step_distances(), reference)
