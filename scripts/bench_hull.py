@@ -1,0 +1,215 @@
+"""Hull-scale geometry benchmark: per-call time and memory, and kinobench pairs.
+
+Two subcommands, both merging their results into one JSON file (one entry
+per label or workload, the rest of the file kept):
+
+    # per-call layers of one source tree, from the repository root
+    python3 scripts/bench_hull.py layers --label change --out BENCH_hull.json
+    python3 scripts/bench_hull.py layers --label parent --src ../parent/src \\
+        --skip-above 3000 --out BENCH_hull.json
+
+    # alternating parent/change runs of kinobench/run.py, with medians
+    python3 scripts/bench_hull.py kinobench --parent ../parent --workload big-hull \\
+        --seed 11 --pairs 10 --out BENCH_hull.json
+
+``layers`` times ``convex_hull`` and, on a frame whose hull is already
+built, ``diametric_box``, ``frame_diameter`` and ``optimal_box_and_strip``:
+the median of repeated calls, and the tracemalloc peak of one more call.
+Inputs come from a fixed seed: uniform clouds of 8 and 64 points, and
+ellipses with 10^3 to 10^5 hull vertices plus half as many interior
+points.  Sizes above ``--skip-above`` are recorded as not run, with the
+bytes the O(h^2) path would allocate for them.  ``--normalize-hull`` also
+times one default ``normalize_trajectory`` (1025 diameters) at that hull
+size.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 20260
+SIZES = (8, 64, 1000, 3000, 10_000, 100_000)  # point counts up to 64, hull sizes above
+MIN_SECONDS = 0.2  # repeat each call for at least this long ...
+MAX_CALLS = 200  # ... or this many times, whichever comes first
+END_TO_END = ("setup_s", "wall_s", "samples_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
+
+
+def machine() -> dict:
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "platform": platform.platform()}
+
+
+def git_commit(path: Path) -> str | None:
+    """The checked-out commit, suffixed -dirty when the work tree differs from it."""
+    try:
+        return subprocess.run(["git", "-C", str(path), "describe", "--always", "--dirty", "--abbrev=40"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def ellipse(rng: np.random.Generator, hull: int) -> np.ndarray:
+    """``hull`` boundary points at jittered angles and hull/2 points inside."""
+    theta = (np.arange(hull) + rng.uniform(0.2, 0.8, hull)) * (2.0 * math.pi / hull)
+    inner = hull // 2
+    radius = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, inner))
+    phi = rng.uniform(0.0, 2.0 * math.pi, inner)
+    unit = np.vstack([np.column_stack([np.cos(theta), np.sin(theta)]),
+                      np.column_stack([radius * np.cos(phi), radius * np.sin(phi)])])
+    return unit * [2.5, 1.0]
+
+
+def size_input(size: int) -> np.ndarray:
+    rng = np.random.default_rng([SEED, size])
+    return rng.uniform(-1.0, 1.0, (size, 2)) if size <= 64 else ellipse(rng, size)
+
+
+def quadratic_bytes(n: int, h: int) -> dict:
+    """What the O(h^2) hull path allocated: the (h, h, 2) difference array and
+    the (h, h) distance matrix, and the two (n, h) candidate projections."""
+    return {"diametric_box": 24 * h * h, "optimal_box_and_strip": 16 * n * h}
+
+
+def per_call(fn) -> dict:
+    seconds = []
+    start = time.perf_counter()
+    while len(seconds) < MAX_CALLS and (len(seconds) < 3 or time.perf_counter() - start < MIN_SECONDS):
+        t0 = time.perf_counter()
+        fn()
+        seconds.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"median_s": statistics.median(seconds), "calls": len(seconds), "peak_bytes": peak}
+
+
+def run_layers(args) -> dict:
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from kinostable.chasing import normalize_trajectory
+    from kinostable.geometry import Frame, convex_hull, diametric_box, frame_diameter
+    from kinostable.solvers import optimal_box_and_strip
+    from kinostable.trajectory import Trajectory
+
+    rows = []
+    for size in args.sizes:
+        pts = size_input(size)
+        frame = Frame(pts)
+        hull = len(frame.hull)
+        row = {"points": len(pts), "hull": hull}
+        if size > 64:
+            row["quadratic_bytes"] = quadratic_bytes(len(pts), hull)
+        if size > args.skip_above:
+            row["not_run"] = "the O(h^2) path would allocate quadratic_bytes"
+        else:
+            row["layers"] = {
+                "convex_hull": per_call(lambda: convex_hull(pts)),
+                "diametric_box": per_call(lambda: diametric_box(frame)),
+                "frame_diameter": per_call(lambda: frame_diameter(frame)),
+                "optimal_box_and_strip": per_call(lambda: optimal_box_and_strip(frame)),
+            }
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    out = {"git_commit": git_commit(Path(args.src)), "sizes": rows}
+    if args.normalize_hull:
+        rng = np.random.default_rng([SEED, args.normalize_hull, 1])
+        turn = np.array([[0.8, -0.6], [0.6, 0.8]])
+        base = ellipse(rng, args.normalize_hull)
+        traj = Trajectory(np.array([0.0, 1.0]), np.stack([base, base @ turn.T]))
+        t0 = time.perf_counter()
+        normalize_trajectory(traj)
+        out["normalize_trajectory"] = {"hull": args.normalize_hull,
+                                       "seconds": time.perf_counter() - t0}
+        print(json.dumps(out["normalize_trajectory"]), flush=True)
+    return out
+
+
+def kinobench_once(checkout: Path, args) -> dict:
+    cmd = [sys.executable, "kinobench/run.py", "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics = {name: result["metrics"][name]["value"] for name in END_TO_END}
+    return {"failed": result["failed"], "attempted": result["attempted"], **metrics}
+
+
+def summary(runs: list[dict]) -> dict:
+    out = {}
+    for name in END_TO_END:
+        values = [r[name] for r in runs]
+        q1, q2, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+        out[name] = {"median": q2, "q1": q1, "q3": q3}
+    return out
+
+
+def run_kinobench(args) -> dict:
+    checkouts = {"parent": Path(args.parent).resolve(), "change": ROOT}
+    runs = {"parent": [], "change": []}
+    for k in range(args.pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for label in order:
+            runs[label].append(kinobench_once(checkouts[label], args))
+            print(label, json.dumps(runs[label][-1]), flush=True)
+    better = sum(c["wall_s"] < p["wall_s"] for p, c in zip(runs["parent"], runs["change"]))
+    return {
+        "command": f"python3 kinobench/run.py --workload {args.workload} --seed {args.seed} "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "pairs": args.pairs,
+        "order": "alternating, parent first in even pairs",
+        "git_commits": {label: git_commit(path) for label, path in checkouts.items()},
+        "wall_s_better_pairs": better,
+        "median": {label: summary(r) for label, r in runs.items()},
+        "runs": runs,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("layers", help="per-call time and memory of one source tree")
+    p.add_argument("--label", default="change")
+    p.add_argument("--src", default=str(ROOT / "src"))
+    p.add_argument("--sizes", type=lambda s: [int(v) for v in s.split(",")], default=list(SIZES))
+    p.add_argument("--skip-above", type=int, default=max(SIZES))
+    p.add_argument("--normalize-hull", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p = sub.add_parser("kinobench", help="alternating parent/change kinobench runs")
+    p.add_argument("--parent", required=True, help="checkout of the parent commit")
+    p.add_argument("--workload", required=True, choices=["walks", "big-hull", "verify"])
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    path = Path(args.out)
+    data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    data["machine"] = machine()
+    if args.command == "layers":
+        data.setdefault("layers", {})[args.label] = run_layers(args)
+    else:
+        key = f"{args.workload}-seed{args.seed}"
+        data.setdefault("kinobench", {})[key] = run_kinobench(args)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,10 +43,11 @@ class ChaseParams:
     safe_zone_factor: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.max_turn_rate <= 0.0:
+        # written so that NaN fails every test: NaN compares false
+        if not self.max_turn_rate > 0.0:
             raise DomainError("max_turn_rate must be positive")
-        if self.safe_zone_factor < 1.0:
-            raise DomainError("safe_zone_factor must be at least 1")
+        if not 1.0 <= self.safe_zone_factor < math.inf:
+            raise DomainError("safe_zone_factor must be finite and at least 1")
 
 
 def safe_zone_half_width(aspect: float, factor: float = 3.0) -> float:

@@ -167,9 +167,11 @@ def _cmd_ratio(args) -> int:
     with _open_in(args.input) as fp:
         cols = read_run_csv(fp)
     ratios = cols["ratio"]
-    ratios = ratios[~np.isnan(ratios)]
     if len(ratios) == 0:
         raise KinostableError("run file has no ratio values")
+    missing = int(np.isnan(ratios).sum())
+    if missing:
+        raise KinostableError(f"run file has {missing} empty or NaN ratio cells")
     worst = float(ratios.max())
     print(f"{worst:.12g}" if math.isfinite(worst) else "inf")
     return 0

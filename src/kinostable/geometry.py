@@ -1,4 +1,17 @@
-"""Planar primitives: point-set frames, convex hulls, extents, diametric boxes."""
+"""Planar primitives: point-set frames, convex hulls, extents, diametric boxes.
+
+Two paths compute the hull-only quantities, chosen here and nowhere else by
+frame size:
+
+* at most ``_BRUTE_FORCE_LIMIT`` points: the full matrix of pairwise
+  squared distances gives the diameter, and the box and strip candidate
+  costs project every point (``costs.costs_at``);
+* above it: one rotating-calipers pass over the convex hull (Toussaint,
+  1983) gives the antipodal vertex pairs, the only pairs that can be
+  diametral, and the extreme hull vertices give every candidate's extents
+  (``hull_extents``).  Both are O(h) in time and memory for h hull
+  vertices.
+"""
 
 from __future__ import annotations
 
@@ -11,9 +24,14 @@ import numpy as np
 from .angles import canonical
 from .errors import DegenerateInputError
 
-# Brute-force pairwise search is exact and fast at this size; larger frames
-# go through the hull first (the farthest pair is always a pair of hull
-# vertices, and the per-pair arithmetic is identical).
+# At most this many points, the diameter comes from every pairwise distance
+# and the candidate extents from projecting every point: no hull is needed,
+# and at n = 8 that measured faster than building one.  Larger frames use
+# only the hull's antipodal pairs and extreme vertices, with the same
+# per-pair and per-vertex arithmetic: the diameter and the diametric box
+# are exactly those of all hull pairs, and a candidate's extents differ
+# from projecting every point only where a non-vertex point rounds past
+# the extreme vertex (a few ulp of the coordinates).
 _BRUTE_FORCE_LIMIT = 64
 
 
@@ -117,12 +135,96 @@ class DiametricBox:
     aspect: float = field(default=0.0)
 
 
-def _pair_distances(points) -> tuple[np.ndarray, np.ndarray]:
-    """Farthest-pair candidates (the hull above the brute-force limit) and their squared distances."""
+def _edge_angles(hull: np.ndarray) -> np.ndarray:
+    """Direction angles of the hull edges, nondecreasing along the hull.
+
+    Edge k runs from vertex k to vertex k+1.  Vertex k is extreme for the
+    outward normals from ``theta[k-1] - pi/2`` to ``theta[k] - pi/2``.  The
+    running maximum only absorbs last-bit disorder of ``np.arctan2`` between
+    nearly parallel edges; callers allow one vertex of slack either way.
+    """
+    edges = np.roll(hull, -1, axis=0) - hull
+    return np.maximum.accumulate(np.unwrap(np.arctan2(edges[:, 1], edges[:, 0])))
+
+
+def _extreme_vertices(theta: np.ndarray, phi) -> np.ndarray:
+    """Index of a hull vertex extreme in each direction ``phi``, exact up to
+    one vertex either way."""
+    x = theta[0] + np.mod(np.asarray(phi) + 0.5 * math.pi - theta[0], 2.0 * math.pi)
+    return np.searchsorted(theta, x) % len(theta)
+
+
+def _antipodal_pairs(hull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i <= j) of hull vertices that can be antipodal.
+
+    One rotating-calipers pass: vertex i is antipodal to the vertices from
+    the one farthest from edge i-1 to the one farthest from edge i.  Every
+    range is widened by one vertex each side (the pointers are exact only up
+    to one vertex) and capped at the whole hull, so the pairs are a superset
+    of the diametral ones, O(h) of them.
+    """
+    h = len(hull)
+    theta = _edge_angles(hull)
+    far = _extreme_vertices(theta, theta + 0.5 * math.pi)  # farthest from edge k
+    first = np.roll(far, 1) - 1
+    count = np.minimum((far - np.roll(far, 1)) % h + 3, h)
+    owner = np.repeat(np.arange(h), count)
+    step = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    other = (np.repeat(first, count) + step) % h
+    return np.minimum(owner, other), np.maximum(owner, other)
+
+
+def _pair_distances(points) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None, np.ndarray]:
+    """Farthest-pair candidates, their index pairs and squared distances.
+
+    At most ``_BRUTE_FORCE_LIMIT`` points: every point, no index pairs and
+    the full matrix.  Above it: the hull vertices, the antipodal index pairs
+    ``(i, j)`` and one squared distance per pair.
+    """
     pts = as_points(points)
-    cand = pts if len(pts) <= _BRUTE_FORCE_LIMIT else hull_of(points)
-    diff = cand[:, None, :] - cand[None, :, :]
-    return cand, np.einsum("ijk,ijk->ij", diff, diff)
+    if len(pts) <= _BRUTE_FORCE_LIMIT:
+        diff = pts[:, None, :] - pts[None, :, :]
+        return pts, None, np.einsum("ijk,ijk->ij", diff, diff)
+    hull = hull_of(points)
+    i, j = _antipodal_pairs(hull)
+    diff = hull[i] - hull[j]
+    return hull, (i, j), np.einsum("ij,ij->i", diff, diff)
+
+
+def hull_extents(points, alphas) -> tuple[np.ndarray, np.ndarray] | None:
+    """Extents along each orientation in ``alphas`` and perpendicular to it.
+
+    Above ``_BRUTE_FORCE_LIMIT`` points, each extent is read off the hull
+    vertices extreme in the two opposite directions (a window of three
+    vertices around each pointer), in O(h) time and memory.  At or below
+    the limit it returns None: the caller projects every point instead.
+    """
+    pts = as_points(points)
+    if len(pts) <= _BRUTE_FORCE_LIMIT:
+        return None
+    hull = hull_of(points)
+    theta = _edge_angles(hull)
+    alphas = np.asarray(alphas, dtype=float)
+    c, s = np.cos(alphas), np.sin(alphas)
+
+    def spread(direction: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """max - min of the hull projected onto ``direction[k]``, at angle ``phi[k]``.
+
+        Each projection is a 1x2 by 2x1 product, the arithmetic of the
+        point-by-direction matrix product in ``costs.costs_at``, so tied
+        candidates compare the same way on both paths.
+        """
+
+        def proj(k: np.ndarray) -> np.ndarray:
+            return (hull[k % len(hull)][:, None, :] @ direction[:, :, None])[:, 0, 0]
+
+        top = _extreme_vertices(theta, phi)
+        bottom = _extreme_vertices(theta, phi + math.pi)
+        return (np.maximum.reduce([proj(top + d) for d in (-1, 0, 1)])
+                - np.minimum.reduce([proj(bottom + d) for d in (-1, 0, 1)]))
+
+    return (spread(np.column_stack([c, s]), alphas),
+            spread(np.column_stack([-s, c]), alphas + 0.5 * math.pi))
 
 
 def diametric_box(points) -> DiametricBox:
@@ -135,11 +237,12 @@ def diametric_box(points) -> DiametricBox:
     pts = as_points(points)
     if len(pts) < 2:
         raise DegenerateInputError("need at least 2 points")
-    cand, d2 = _pair_distances(points)
+    cand, pairs, d2 = _pair_distances(points)
     dmax2 = float(d2.max())
     if dmax2 == 0.0:
         raise DegenerateInputError("all points coincide; diametric box is undefined")
-    ii, jj = np.nonzero(d2 == dmax2)
+    hits = np.nonzero(d2 == dmax2)
+    ii, jj = hits if pairs is None else (pairs[0][hits], pairs[1][hits])
     best_alpha = None
     best_pair = None
     for i, j in zip(ii.tolist(), jj.tolist()):
@@ -160,5 +263,5 @@ def diametric_box(points) -> DiametricBox:
 
 def frame_diameter(points) -> float:
     """Largest pairwise distance in the frame."""
-    _, d2 = _pair_distances(points)
+    _, _, d2 = _pair_distances(points)
     return float(math.sqrt(float(d2.max())))

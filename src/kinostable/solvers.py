@@ -2,7 +2,11 @@
 
 The box and strip optima are found among convex hull edge orientations: in
 the plane, a minimum-area box has a side flush with a hull edge, and a
-thinnest strip has a boundary containing one.  The principal axis comes from
+thinnest strip has a boundary containing one.  Each candidate's extents come
+from projecting every point on frames of at most 64 points, and from the
+extreme hull vertices above that (``geometry.hull_extents``, O(h) for h hull
+vertices); one extent array perpendicular to the candidate serves both the
+strip width and the box area.  The principal axis comes from
 the 2x2 scatter matrix in closed form.  ``oracle_argmin`` is an independent
 dense-angle-grid search used as ground truth in tests, never inside a
 tracker.
@@ -18,7 +22,7 @@ import numpy as np
 from .angles import canonical
 from .costs import DescriptorKind, costs_at
 from .errors import DegenerateInputError, DomainError
-from .geometry import as_points, hull_of
+from .geometry import as_points, hull_extents, hull_of
 
 _EIGEN_TIE_REL = 1e-9
 _COST_TIE_REL = 1e-9
@@ -61,11 +65,16 @@ def _argmin_with_ties(angles: np.ndarray, values: np.ndarray) -> tuple[float, fl
 
 def _hull_optima(frame, kinds: tuple[DescriptorKind, ...]) -> list[OptimalDescriptor]:
     """Box and/or strip optima among one set of hull edge candidates."""
-    pts = as_points(frame)
     angles = hull_edge_orientations(frame)
+    extents = hull_extents(frame, angles)
     out = []
     for kind in kinds:
-        alpha, cmin, ties = _argmin_with_ties(angles, costs_at(pts, kind, angles))
+        if extents is None:
+            values = costs_at(as_points(frame), kind, angles)
+        else:
+            ext_u, ext_v = extents
+            values = ext_v if kind is DescriptorKind.STRIP else ext_u * ext_v
+        alpha, cmin, ties = _argmin_with_ties(angles, values)
         out.append(OptimalDescriptor(kind, alpha, cmin, ties))
     return out
 

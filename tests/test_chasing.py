@@ -172,3 +172,14 @@ class TestChase:
         with pytest.raises(DomainError):
             ChaseParams(safe_zone_factor=0.5)
 
+    @pytest.mark.parametrize("params", [
+        {"max_turn_rate": math.nan},
+        {"safe_zone_factor": math.nan},
+        {"safe_zone_factor": math.inf},  # H = inf * arcsin(0) is NaN at aspect 0
+    ])
+    def test_rejects_nan_and_infinite_params(self, params):
+        with pytest.raises(DomainError):
+            ChaseParams(**params)
+
+    def test_unbounded_turn_rate_is_allowed(self):
+        assert ChaseParams(max_turn_rate=math.inf).max_turn_rate == math.inf

@@ -136,6 +136,27 @@ def test_ratio_requires_rows(capsys, monkeypatch):
     assert "no ratio" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--K", "nan"), ("--c", "nan"), ("--c", "inf")])
+def test_chase_rejects_nan_and_infinite_params(tmp_path, capsys, flag, value):
+    traj = tmp_path / "walk.jsonl"
+    assert main(["scenario", "random-walk", "--seed", "7", "--steps", "4", "--out", str(traj)]) == 0
+    out = tmp_path / "run.csv"
+    code, _, err = run_cli(capsys, ["chase", str(traj), flag, value, "--out", str(out)])
+    assert code == 2
+    assert "safe_zone_factor" in err or "max_turn_rate" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", ""])
+def test_ratio_rejects_nan_cells(capsys, monkeypatch, cell):
+    header = "time,beta,optAlpha,cost,optCost,ratio,z,H,J,angGap,inSafeZone\n"
+    rows = "0.0,0.1,0.1,2.0,2.0,1.0,,,,,\n" f"0.1,0.1,0.1,2.0,1.0,{cell},,,,,\n"
+    code, out, err = run_cli(capsys, ["ratio"], stdin_text=header + rows, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "1 empty or NaN ratio cells" in err
+
+
 def test_deterministic_outputs(tmp_path):
     args = ["scenario", "random-walk", "--seed", "11", "--steps", "6"]
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
