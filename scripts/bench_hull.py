@@ -1,12 +1,16 @@
-"""Hull-scale geometry benchmark: per-call time and memory, and kinobench pairs.
+"""Geometry and tracker benchmarks: per-call and per-sample time, kinobench pairs.
 
-Two subcommands, both merging their results into one JSON file (one entry
+Three subcommands, each merging its results into one JSON file (one entry
 per label or workload, the rest of the file kept):
 
     # per-call layers of one source tree, from the repository root
     python3 scripts/bench_hull.py layers --label change --out BENCH_hull.json
     python3 scripts/bench_hull.py layers --label parent --src ../parent/src \\
         --skip-above 3000 --out BENCH_hull.json
+
+    # per-sample tracker time of one source tree
+    python3 scripts/bench_hull.py core --label change --out BENCH_core.json
+    python3 scripts/bench_hull.py core --label parent --src ../parent/src --out BENCH_core.json
 
     # alternating parent/change runs of kinobench/run.py, with medians
     python3 scripts/bench_hull.py kinobench --parent ../parent --workload big-hull \\
@@ -21,6 +25,12 @@ points.  Sizes above ``--skip-above`` are recorded as not run, with the
 bytes the O(h^2) path would allocate for them.  ``--normalize-hull`` also
 times one default ``normalize_trajectory`` (1025 diameters) at that hull
 size.
+
+``core`` times ``track_topological`` (obb, strip, pc) and ``chase`` per
+sample, on the walks of the kinobench ``walks`` workload (20 steps over
+0.4 time units, dt = 1e-3) at n = 8 and 64 for fixed seeds; the chase runs
+on the normalized walk, as ``kinostable chase`` does.  Each entry is the
+best of ``--repeats`` runs per seed, and the median over seeds.
 """
 
 from __future__ import annotations
@@ -44,6 +54,9 @@ SEED = 20260
 SIZES = (8, 64, 1000, 3000, 10_000, 100_000)  # point counts up to 64, hull sizes above
 MIN_SECONDS = 0.2  # repeat each call for at least this long ...
 MAX_CALLS = 200  # ... or this many times, whichever comes first
+CORE_SIZES = (8, 64)
+CORE_SEEDS = (0, 1, 2, 3)
+CORE_DT = 1e-3
 END_TO_END = ("setup_s", "wall_s", "samples_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
 
 
@@ -139,6 +152,38 @@ def run_layers(args) -> dict:
     return out
 
 
+def run_core(args) -> dict:
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from kinostable.chasing import chase, normalize_trajectory
+    from kinostable.scenarios import random_walk
+    from kinostable.tracker import track_topological
+
+    rows = []
+    for n in args.sizes:
+        walks = [random_walk(n=n, seed=seed, steps=20, duration=0.4) for seed in args.seeds]
+        normalized = [normalize_trajectory(traj)[0] for traj in walks]
+        ops = {f"track-{kind}": [lambda t=traj, k=kind: track_topological(t, k, CORE_DT)
+                                 for traj in walks]
+               for kind in ("obb", "strip", "pc")}
+        ops["chase"] = [lambda t=traj: chase(t, dt=CORE_DT) for traj in normalized]
+        for op, runs in ops.items():
+            per_seed = []
+            for run in runs:
+                samples = len(run().times)
+                best = math.inf
+                for _ in range(args.repeats):
+                    t0 = time.perf_counter()
+                    run()
+                    best = min(best, time.perf_counter() - t0)
+                per_seed.append(1e6 * best / samples)
+            row = {"n": n, "op": op, "per_sample_us": statistics.median(per_seed),
+                   "per_seed_us": per_seed}
+            rows.append(row)
+            print(json.dumps(row), flush=True)
+    return {"git_commit": git_commit(Path(args.src)), "dt": CORE_DT, "seeds": args.seeds,
+            "repeats": args.repeats, "rows": rows}
+
+
 def kinobench_once(checkout: Path, args) -> dict:
     cmd = [sys.executable, "kinobench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
@@ -190,6 +235,15 @@ def main(argv=None) -> int:
     p.add_argument("--skip-above", type=int, default=max(SIZES))
     p.add_argument("--normalize-hull", type=int, default=0)
     p.add_argument("--out", required=True)
+    p = sub.add_parser("core", help="per-sample tracker time of one source tree")
+    p.add_argument("--label", default="change")
+    p.add_argument("--src", default=str(ROOT / "src"))
+    p.add_argument("--sizes", type=lambda s: [int(v) for v in s.split(",")],
+                   default=list(CORE_SIZES))
+    p.add_argument("--seeds", type=lambda s: [int(v) for v in s.split(",")],
+                   default=list(CORE_SEEDS))
+    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--out", required=True)
     p = sub.add_parser("kinobench", help="alternating parent/change kinobench runs")
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
     p.add_argument("--workload", required=True, choices=["walks", "big-hull", "verify"])
@@ -204,6 +258,8 @@ def main(argv=None) -> int:
     data["machine"] = machine()
     if args.command == "layers":
         data.setdefault("layers", {})[args.label] = run_layers(args)
+    elif args.command == "core":
+        data.setdefault("core", {})[args.label] = run_core(args)
     else:
         key = f"{args.workload}-seed{args.seed}"
         data.setdefault("kinobench", {})[key] = run_kinobench(args)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 ORIENTATION_PERIOD = math.pi
 BOX_PERIOD = math.pi / 2.0
 
@@ -25,10 +27,24 @@ def canonical(theta: float, period: float = ORIENTATION_PERIOD) -> float:
     return t
 
 
+def canonical_array(theta: np.ndarray, period: float = ORIENTATION_PERIOD) -> np.ndarray:
+    """``canonical`` of every angle of an array, with the same rounding."""
+    t = np.fmod(theta, period)
+    t = np.where(t < 0.0, t + period, t)
+    return np.where(t >= period, t - period, t)
+
+
 def angular_distance(a: float, b: float, period: float = ORIENTATION_PERIOD) -> float:
     """Shortest separation between two orientations, in [0, period/2]."""
     d = abs(canonical(a, period) - canonical(b, period))
     return min(d, period - d)
+
+
+def angular_distances(a: np.ndarray, b: np.ndarray,
+                      period: float = ORIENTATION_PERIOD) -> np.ndarray:
+    """``angular_distance`` of every pair of two arrays, with the same rounding."""
+    d = np.abs(canonical_array(a, period) - canonical_array(b, period))
+    return np.where(period - d < d, period - d, d)
 
 
 def signed_gap(start: float, target: float, period: float = ORIENTATION_PERIOD) -> float:

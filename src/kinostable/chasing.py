@@ -14,10 +14,11 @@ sits inside the safe zone (gap <= H) or the enclosing interval
 (gap <= H + J).
 
 The chaser is a steering rule over ``tracker.sampled_run``, the same
-per-sample core the topological tracker runs on.  One chase path is scored
-against both the box and the strip optimum, so the run comes back as one
-``TrackerOutput`` per kind (with no flip events) beside the safe-zone
-report.
+block-by-block core the topological tracker runs on: per block of frames,
+the diametric boxes are solved at once and the capped rotation runs as a
+loop on floats.  One chase path is scored against both the box and the
+strip optimum, so the run comes back as one ``TrackerOutput`` per kind
+(with no flip events) beside the safe-zone report.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .angles import ORIENTATION_PERIOD, angular_distance, rotate_toward
 from .costs import DescriptorKind
 from .errors import DegenerateInputError, DomainError
-from .geometry import diametric_box, frame_diameter
+from .geometry import diametric_boxes, frame_diameters
 from .tracker import TrackerOutput, sampled_run
 from .trajectory import Trajectory
 
@@ -110,7 +111,8 @@ def normalize_trajectory(
     temporal one.
     """
     grid = np.union1d(traj.times, np.linspace(0.0, traj.horizon, sample_count))
-    min_diam = min(frame_diameter(traj.positions_at(float(t))) for t in grid)
+    min_diam = min(float(frame_diameters(frames).min())
+                   for frames in traj.frame_blocks(grid, check=False))
     if min_diam <= 0.0:
         raise DegenerateInputError("trajectory collapses to a single point")
     scale = 1.0 / min_diam
@@ -160,22 +162,24 @@ def chase(
     """
     c = params.safe_zone_factor
     max_step = params.max_turn_rate * dt
-    zone = []  # per sample: the SafeZoneReport fields, in order
+    zone = []  # per block: the SafeZoneReport fields, in order
 
-    def toward_pair(t, frame, optima, prev_beta):
-        box = diametric_box(frame)
-        alpha = box.alpha
-        beta = alpha if prev_beta is None else rotate_toward(prev_beta, alpha, max_step)
-        gap = angular_distance(beta, alpha)
-        h = safe_zone_half_width(box.aspect, c)
-        j = jump_distance(box.aspect, c)
+    def toward_pair(frames, times, optima, prev_beta):
+        box = diametric_boxes(frames)
+        beta = []
+        for alpha in box.alpha.tolist():
+            prev_beta = alpha if prev_beta is None else rotate_toward(prev_beta, alpha, max_step)
+            beta.append(prev_beta)
+        gap = np.array([angular_distance(b, a) for b, a in zip(beta, box.alpha.tolist())])
+        h = np.array([safe_zone_half_width(z, c) for z in box.aspect.tolist()])
+        j = np.array([jump_distance(z, c) for z in box.aspect.tolist()])
         zone.append((box.aspect, h, j, gap, gap <= h, gap <= h + j))
-        return beta
+        return np.array(beta)
 
     runs = sampled_run(
         traj, dt, (DescriptorKind.OBB, DescriptorKind.STRIP), ORIENTATION_PERIOD, toward_pair,
     )
-    report = SafeZoneReport(*(np.array(col) for col in zip(*zone)))
+    report = SafeZoneReport(*(np.concatenate(col) for col in zip(*zone)))
     box_run = runs[DescriptorKind.OBB]
     return ChaseResult(
         params=params, times=box_run.times, beta=box_run.beta, safe_zone=report, runs=runs,

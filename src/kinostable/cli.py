@@ -33,7 +33,7 @@ from .runio import (
     write_trajectory,
 )
 from .scenarios import SCENARIO_NAMES, build_scenario
-from .solvers import optimal, optimal_box_and_strip, optimal_pc
+from .solvers import block_optima
 from .tracker import track_topological
 from .verify import SuiteOptions, run_claim_suite
 
@@ -127,19 +127,18 @@ def _cmd_descriptor(args) -> int:
     with _open_in(args.input) as fp:
         traj = read_trajectory(fp)
     times = traj.sample_times(args.dt)
+    kinds = list(DescriptorKind) if args.kind == "all" else [DescriptorKind(args.kind)]
     with _open_out(args.out) as fp:
         fp.write("time,kind,alpha,cost,degenerate\n")
-        for t in times:
-            frame = traj.frame_at(float(t))
-            if args.kind == "all":  # box and strip from one hull build
-                optima = [optimal_pc(frame), *optimal_box_and_strip(frame)]
-            else:
-                optima = [optimal(frame, args.kind)]
-            for opt in optima:
-                fp.write(
-                    f"{float(t)!r},{opt.kind.value},{opt.alpha!r},{opt.cost!r},"
-                    f"{1 if opt.isotropic else 0}\n"
-                )
+        start = 0
+        for frames in traj.frame_blocks(times):  # box and strip from one hull per frame
+            optima = block_optima(frames, kinds)
+            columns = [(opt.kind.value, opt.alpha.tolist(), opt.cost.tolist(),
+                        opt.isotropic.tolist()) for opt in optima]
+            for i, t in enumerate(times[start:start + len(frames)].tolist()):
+                for kind, alpha, cost, isotropic in columns:
+                    fp.write(f"{t!r},{kind},{alpha[i]!r},{cost[i]!r},{1 if isotropic[i] else 0}\n")
+            start += len(frames)
     return 0
 
 

@@ -5,12 +5,19 @@ frame size:
 
 * at most ``_BRUTE_FORCE_LIMIT`` points: the full matrix of pairwise
   squared distances gives the diameter, and the box and strip candidate
-  costs project every point (``costs.costs_at``);
+  costs project every point (``costs.candidate_costs``);
 * above it: one rotating-calipers pass over the convex hull (Toussaint,
   1983) gives the antipodal vertex pairs, the only pairs that can be
   diametral, and the extreme hull vertices give every candidate's extents
-  (``hull_extents``).  Both are O(h) in time and memory for h hull
+  (``extents_on_hull``).  Both are O(h) in time and memory for h hull
   vertices.
+
+Every quantity is computed for a block of frames at once (``Frames``, a
+(B, n, 2) array): the trackers, the descriptor command and the
+normalization walk a run block by block, and the per-frame functions
+(``diametric_box``, ``frame_diameter``) are the one-frame call of the same
+block code.  ``block_size`` caps a block so that no per-block temporary
+exceeds ``_BLOCK_BYTES``; only O(B) arrays outlive a block.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import canonical
+from .angles import canonical_array
 from .errors import DegenerateInputError
 
 # At most this many points, the diameter comes from every pairwise distance
@@ -33,6 +40,28 @@ from .errors import DegenerateInputError
 # from projecting every point only where a non-vertex point rounds past
 # the extreme vertex (a few ulp of the coordinates).
 _BRUTE_FORCE_LIMIT = 64
+
+# Largest per-block temporary, in bytes: the two (B, n, n) arrays of pair
+# coordinate differences up to the limit, the (B, n, 2) positions above it.
+_BLOCK_BYTES = 1 << 20
+
+_NON_FINITE = "frame contains non-finite coordinates"
+_COINCIDENT = "all points coincide; every descriptor is undefined"
+
+
+def block_size(n: int) -> int:
+    """How many frames of ``n`` points one block holds."""
+    per_frame = 16 * n * (n if n <= _BRUTE_FORCE_LIMIT else 1)
+    return max(1, _BLOCK_BYTES // per_frame)
+
+
+def frame_faults(points: np.ndarray) -> dict[int, str]:
+    """Index and message of every frame of a (B, n, 2) block that ``Frame``
+    rejects (a frame with a non-finite coordinate reports that first)."""
+    finite = np.isfinite(points).all(axis=(1, 2))
+    coincide = (points == points[:, :1]).all(axis=(1, 2))
+    return {int(i): _COINCIDENT if finite[i] else _NON_FINITE
+            for i in np.flatnonzero(coincide | ~finite)}
 
 
 def as_points(obj) -> np.ndarray:
@@ -58,10 +87,9 @@ class Frame:
             raise DegenerateInputError(f"frame needs an (n, 2) point array, got shape {pts.shape}")
         if len(pts) < 2:
             raise DegenerateInputError("frame needs at least 2 points")
-        if not np.isfinite(pts).all():
-            raise DegenerateInputError("frame contains non-finite coordinates")
-        if bool((pts == pts[0]).all()):
-            raise DegenerateInputError("all points coincide; every descriptor is undefined")
+        fault = frame_faults(pts[None]).get(0)
+        if fault is not None:
+            raise DegenerateInputError(fault)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -78,9 +106,52 @@ class Frame:
         return convex_hull(self.points)
 
 
-def hull_of(points) -> np.ndarray:
-    """Convex hull of a point set; a Frame's own hull is built at most once."""
-    return points.hull if isinstance(points, Frame) else convex_hull(points)
+class Frames:
+    """A block of B frames of n points each: ``points`` has shape (B, n, 2).
+
+    Each frame's hull is built on first use, once.  A block is not checked:
+    ``Trajectory.frame_blocks`` checks the frames it makes as ``Frame`` does.
+    """
+
+    def __init__(self, points: np.ndarray, frame: Frame | None = None):
+        self.points = points
+        self._frame = frame  # a one-frame block of a Frame shares its hull
+        self._hulls: list[np.ndarray | None] = [None] * len(points)
+
+    @classmethod
+    def of(cls, points) -> Frames:
+        """The one-frame block of a Frame or an (n, 2) point array."""
+        return cls(as_points(points)[None], points if isinstance(points, Frame) else None)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    @property
+    def n_points(self) -> int:
+        return self.points.shape[1]
+
+    def hull(self, b: int) -> np.ndarray:
+        if self._frame is not None:
+            return self._frame.hull
+        hull = self._hulls[b]
+        if hull is None:
+            hull = self._hulls[b] = convex_hull(self.points[b])
+        return hull
+
+
+def _chain(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """One monotone chain: the points kept with a strict left turn at each."""
+    out: list[tuple[float, float]] = []
+    for p in points:
+        px, py = p
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return out
 
 
 def convex_hull(points) -> np.ndarray:
@@ -90,26 +161,12 @@ def convex_hull(points) -> np.ndarray:
     Collinear input yields the degenerate 2-vertex hull (segment endpoints).
     """
     pts = as_points(points)
-    uniq = sorted({(float(x), float(y)) for x, y in pts})
+    uniq = sorted(set(map(tuple, pts.tolist())))
     if len(uniq) == 1:
         raise DegenerateInputError("all points coincide; hull is undefined")
     if len(uniq) == 2:
         return np.array(uniq, dtype=float)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in uniq:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(uniq):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1], dtype=float)
+    return np.array(_chain(uniq)[:-1] + _chain(uniq[::-1])[:-1], dtype=float)
 
 
 def extent(points, theta: float) -> float:
@@ -174,35 +231,32 @@ def _antipodal_pairs(hull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(owner, other), np.maximum(owner, other)
 
 
-def _pair_distances(points) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None, np.ndarray]:
-    """Farthest-pair candidates, their index pairs and squared distances.
+def _brute_distances(points: np.ndarray) -> np.ndarray:
+    """Squared distance of every point pair of every frame: (B, n, n).
 
-    At most ``_BRUTE_FORCE_LIMIT`` points: every point, no index pairs and
-    the full matrix.  Above it: the hull vertices, the antipodal index pairs
-    ``(i, j)`` and one squared distance per pair.
+    dx*dx + dy*dy, two products and one sum, rounded as the per-pair
+    ``einsum`` over the (dx, dy) axis rounds them, five times faster.
     """
-    pts = as_points(points)
-    if len(pts) <= _BRUTE_FORCE_LIMIT:
-        diff = pts[:, None, :] - pts[None, :, :]
-        return pts, None, np.einsum("ijk,ijk->ij", diff, diff)
-    hull = hull_of(points)
+    x, y = points[:, :, 0], points[:, :, 1]
+    dx = x[:, :, None] - x[:, None, :]
+    dy = y[:, :, None] - y[:, None, :]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _hull_distances(hull: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The antipodal index pairs ``(i, j)`` of a hull and their squared distances."""
     i, j = _antipodal_pairs(hull)
     diff = hull[i] - hull[j]
-    return hull, (i, j), np.einsum("ij,ij->i", diff, diff)
+    return i, j, np.einsum("ij,ij->i", diff, diff)
 
 
-def hull_extents(points, alphas) -> tuple[np.ndarray, np.ndarray] | None:
-    """Extents along each orientation in ``alphas`` and perpendicular to it.
-
-    Above ``_BRUTE_FORCE_LIMIT`` points, each extent is read off the hull
-    vertices extreme in the two opposite directions (a window of three
-    vertices around each pointer), in O(h) time and memory.  At or below
-    the limit it returns None: the caller projects every point instead.
-    """
-    pts = as_points(points)
-    if len(pts) <= _BRUTE_FORCE_LIMIT:
-        return None
-    hull = hull_of(points)
+def extents_on_hull(hull: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Extents of a hull along each orientation in ``alphas`` and perpendicular
+    to it, from a window of three vertices around each extreme-vertex pointer:
+    O(h) time and memory."""
     theta = _edge_angles(hull)
     alphas = np.asarray(alphas, dtype=float)
     c, s = np.cos(alphas), np.sin(alphas)
@@ -211,8 +265,8 @@ def hull_extents(points, alphas) -> tuple[np.ndarray, np.ndarray] | None:
         """max - min of the hull projected onto ``direction[k]``, at angle ``phi[k]``.
 
         Each projection is a 1x2 by 2x1 product, the arithmetic of the
-        point-by-direction matrix product in ``costs.costs_at``, so tied
-        candidates compare the same way on both paths.
+        point-by-direction matrix product in ``costs.candidate_costs``, so
+        tied candidates compare the same way on both paths.
         """
 
         def proj(k: np.ndarray) -> np.ndarray:
@@ -227,41 +281,76 @@ def hull_extents(points, alphas) -> tuple[np.ndarray, np.ndarray] | None:
             spread(np.column_stack([-s, c]), alphas + 0.5 * math.pi))
 
 
-def diametric_box(points) -> DiametricBox:
-    """Diametric box of a frame.
+def _diametral_hits(frames: Frames):
+    """Every farthest pair ``i < j`` of every frame: (frame index, i, j,
+    pair vector from i to j), and the squared diameter of each frame.
+
+    At most ``_BRUTE_FORCE_LIMIT`` points the pairs index the frame's
+    points, above it the frame's hull vertices.
+    """
+    if frames.n_points <= _BRUTE_FORCE_LIMIT:
+        pts = frames.points
+        d2 = _brute_distances(pts)
+        dmax2 = d2.max(axis=(1, 2))
+        if (dmax2 == 0.0).any():
+            raise DegenerateInputError("all points coincide; diametric box is undefined")
+        t, i, j = np.nonzero(d2 == dmax2[:, None, None])
+        keep = i < j
+        t, i, j = t[keep], i[keep], j[keep]
+        return t, i, j, pts[t, j] - pts[t, i], dmax2
+    rows = []
+    for b in range(len(frames)):
+        hull = frames.hull(b)
+        i, j, d2 = _hull_distances(hull)
+        dmax2 = d2.max()
+        hits = np.flatnonzero(d2 == dmax2)
+        i, j = i[hits], j[hits]
+        keep = i < j
+        i, j = i[keep], j[keep]
+        rows.append((np.full(len(i), b), i, j, hull[j] - hull[i], dmax2))
+    t, i, j, vec, dmax2 = zip(*rows)
+    return (np.concatenate(t), np.concatenate(i), np.concatenate(j),
+            np.concatenate(vec), np.array(dmax2))
+
+
+def diametric_boxes(frames: Frames) -> DiametricBox:
+    """Diametric box of every frame of a block, as one DiametricBox whose
+    fields are (B,) arrays.
 
     Ties between equally far pairs break to the smallest canonical
     orientation, then the lexicographically smallest candidate index pair,
     so replays are deterministic.
     """
-    pts = as_points(points)
-    if len(pts) < 2:
+    if frames.n_points < 2:
         raise DegenerateInputError("need at least 2 points")
-    cand, pairs, d2 = _pair_distances(points)
-    dmax2 = float(d2.max())
-    if dmax2 == 0.0:
-        raise DegenerateInputError("all points coincide; diametric box is undefined")
-    hits = np.nonzero(d2 == dmax2)
-    ii, jj = hits if pairs is None else (pairs[0][hits], pairs[1][hits])
-    best_alpha = None
-    best_pair = None
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i >= j:
-            continue
-        a = canonical(math.atan2(cand[j, 1] - cand[i, 1], cand[j, 0] - cand[i, 0]))
-        if best_alpha is None or a < best_alpha or (a == best_alpha and (i, j) < best_pair):
-            best_alpha = a
-            best_pair = (i, j)
-    assert best_alpha is not None
-    diameter = math.sqrt(dmax2)
-    perp = np.array([-math.sin(best_alpha), math.cos(best_alpha)])
-    proj = pts @ perp
-    width = float(proj.max() - proj.min())
-    aspect = min(width / diameter, 1.0)
-    return DiametricBox(alpha=best_alpha, diameter=diameter, width=width, aspect=aspect)
+    t, i, j, vec, dmax2 = _diametral_hits(frames)
+    a = canonical_array(np.array([math.atan2(y, x) for x, y in vec.tolist()]))
+    order = np.lexsort((j, i, a, t))
+    first = order[np.r_[True, t[order][1:] != t[order][:-1]]]
+    alpha = a[first]
+    diameter = np.sqrt(dmax2)
+    perp = np.array([[-math.sin(v), math.cos(v)] for v in alpha.tolist()])
+    proj = frames.points @ perp[:, :, None]
+    width = proj.max(axis=(1, 2)) - proj.min(axis=(1, 2))
+    aspect = width / diameter
+    return DiametricBox(alpha=alpha, diameter=diameter, width=width,
+                        aspect=np.where(1.0 < aspect, 1.0, aspect))
+
+
+def diametric_box(points) -> DiametricBox:
+    """Diametric box of a frame: the one-frame call of ``diametric_boxes``."""
+    box = diametric_boxes(Frames.of(points))
+    return DiametricBox(float(box.alpha[0]), float(box.diameter[0]),
+                        float(box.width[0]), float(box.aspect[0]))
+
+
+def frame_diameters(frames: Frames) -> np.ndarray:
+    """Largest pairwise distance of every frame of a block."""
+    if frames.n_points <= _BRUTE_FORCE_LIMIT:
+        return np.sqrt(_brute_distances(frames.points).max(axis=(1, 2)))
+    return np.sqrt([_hull_distances(frames.hull(b))[2].max() for b in range(len(frames))])
 
 
 def frame_diameter(points) -> float:
     """Largest pairwise distance in the frame."""
-    _, _, d2 = _pair_distances(points)
-    return float(math.sqrt(float(d2.max())))
+    return float(frame_diameters(Frames.of(points))[0])

@@ -9,15 +9,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _EPS_ZERO = 1e-12  # costs at or below this are treated as exactly zero
 
 
+def ratios(out_cost: np.ndarray, opt_cost: np.ndarray) -> np.ndarray:
+    """The ratio of every pair of two cost arrays."""
+    positive = opt_cost > _EPS_ZERO
+    quotient = np.divide(out_cost, opt_cost, out=np.zeros(len(out_cost)), where=positive)
+    return np.where(positive, quotient, np.where(out_cost <= _EPS_ZERO, 1.0, math.inf))
+
+
 def ratio(out_cost: float, opt_cost: float) -> float:
-    if opt_cost > _EPS_ZERO:
-        return out_cost / opt_cost
-    if out_cost <= _EPS_ZERO:
-        return 1.0
-    return math.inf
+    """The ratio of one pair of costs: the one-pair call of ``ratios``."""
+    return float(ratios(np.array([out_cost]), np.array([opt_cost]))[0])
 
 
 def max_ratio(output) -> float:

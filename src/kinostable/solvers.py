@@ -1,15 +1,17 @@
-"""Globally optimal per-frame descriptors.
+"""Globally optimal per-frame descriptors, solved for a block of frames at once.
 
 The box and strip optima are found among convex hull edge orientations: in
 the plane, a minimum-area box has a side flush with a hull edge, and a
 thinnest strip has a boundary containing one.  Each candidate's extents come
 from projecting every point on frames of at most 64 points, and from the
-extreme hull vertices above that (``geometry.hull_extents``, O(h) for h hull
-vertices); one extent array perpendicular to the candidate serves both the
-strip width and the box area.  The principal axis comes from
-the 2x2 scatter matrix in closed form.  ``oracle_argmin`` is an independent
-dense-angle-grid search used as ground truth in tests, never inside a
-tracker.
+extreme hull vertices above that (``geometry.extents_on_hull``, O(h) for h
+hull vertices); one extent array perpendicular to the candidate serves both
+the strip width and the box area.  The principal axis comes from the 2x2
+scatter matrix in closed form.  ``block_optima`` solves every frame of a
+``geometry.Frames`` block (the candidate rows padded to the longest);
+``optimal``, ``optimal_pc`` and ``optimal_box_and_strip`` are its one-frame
+call.  ``oracle_argmin`` is an independent dense-angle-grid search used as
+ground truth in tests, never inside a tracker.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import canonical
-from .costs import DescriptorKind, costs_at
+from .angles import canonical_array
+from .costs import DescriptorKind, candidate_costs, costs_at
 from .errors import DegenerateInputError, DomainError
-from .geometry import as_points, hull_extents, hull_of
+from .geometry import _BRUTE_FORCE_LIMIT, Frames, as_points, extents_on_hull
 
 _EIGEN_TIE_REL = 1e-9
 _COST_TIE_REL = 1e-9
@@ -43,15 +45,162 @@ class OptimalDescriptor:
     isotropic: bool = False
 
 
+def _edge_candidates(frames: Frames) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical hull-edge orientations of every frame of a block, sorted
+    and deduplicated: (angles, counts), one row of ``angles`` per frame,
+    padded after its ``counts[b]`` candidates with zeros.
+
+    A 2-vertex (collinear) hull has the one orientation of its segment.
+    """
+    hulls = [frames.hull(b) for b in range(len(frames))]
+    sizes = np.array([len(h) for h in hulls])
+    edges = np.where(sizes == 2, 1, sizes)
+    vertices = np.concatenate(hulls)
+    start = np.repeat(np.cumsum(sizes) - sizes, edges)
+    k = np.arange(len(start)) - np.repeat(np.cumsum(edges) - edges, edges)
+    vec = vertices[start + (k + 1) % np.repeat(sizes, edges)] - vertices[start + k]
+    flat = canonical_array(np.array([math.atan2(y, x) for x, y in vec.tolist()]))
+    row = np.repeat(np.arange(len(hulls)), edges)
+    padded = np.full((len(hulls), edges.max()), np.inf)
+    padded[row, k] = flat
+    padded.sort(axis=1)
+    padded[:, 1:][padded[:, 1:] == padded[:, :-1]] = np.inf
+    padded.sort(axis=1)
+    # np.unique keeps whichever of 0.0 and -0.0 its own sort puts first
+    for b in np.unique(row[flat == 0.0]).tolist():
+        uniq = np.unique(flat[row == b])
+        padded[b] = np.inf
+        padded[b, :len(uniq)] = uniq
+    counts = np.isfinite(padded).sum(axis=1)
+    angles = padded[:, :counts.max()]
+    angles[np.isinf(angles)] = 0.0
+    return angles, counts
+
+
 def hull_edge_orientations(points) -> np.ndarray:
     """Canonical orientations of the hull edges, sorted and deduplicated."""
-    hull = hull_of(points)
-    if len(hull) == 2:
-        e = hull[1] - hull[0]
-        return np.array([canonical(math.atan2(e[1], e[0]))])
-    edges = np.roll(hull, -1, axis=0) - hull
-    angles = np.array([canonical(math.atan2(e[1], e[0])) for e in edges])
-    return np.unique(angles)
+    angles, counts = _edge_candidates(Frames.of(points))
+    return angles[0, :counts[0]]
+
+
+@dataclass(frozen=True)
+class BlockOptima:
+    """One kind's optimum at every frame of a block: (B,) arrays.
+
+    A box or strip solve also keeps its candidate table: the padded
+    ``candidates``, their ``values`` and the per-frame ``counts``, from which
+    ``descriptor`` reads one frame's tied co-optima.
+    """
+
+    kind: DescriptorKind
+    alpha: np.ndarray
+    cost: np.ndarray
+    isotropic: np.ndarray
+    candidates: np.ndarray | None = None
+    values: np.ndarray | None = None
+    counts: np.ndarray | None = None
+
+    def descriptor(self, b: int) -> OptimalDescriptor:
+        """Frame ``b``'s optimum with its tied co-optima."""
+        alpha, cmin = float(self.alpha[b]), float(self.cost[b])
+        if self.values is None:
+            return OptimalDescriptor(self.kind, alpha, cmin, (alpha,), bool(self.isotropic[b]))
+        m = self.counts[b]
+        tol = _COST_TIE_REL * (abs(cmin) + 1e-300)
+        tied = self.candidates[b, :m][self.values[b, :m] <= cmin + tol]
+        return OptimalDescriptor(self.kind, alpha, cmin, tuple(tied.tolist()))
+
+
+def _hull_optima(frames: Frames, kinds: tuple[DescriptorKind, ...]) -> list[BlockOptima]:
+    """Box and/or strip optima of every frame among one set of hull edge candidates.
+
+    The candidates of a frame ascend, so the first minimum of a row is the
+    smallest orientation among the tied minima.
+    """
+    angles, counts = _edge_candidates(frames)
+    pad = np.arange(angles.shape[1]) >= counts[:, None]
+    if frames.n_points <= _BRUTE_FORCE_LIMIT:
+        table = {kind: candidate_costs(frames.points, kind, angles) for kind in kinds}
+        # A one-column product rounds unlike one column of a wider product
+        # (matrix-vector against matrix-matrix kernels), so a frame with a
+        # single candidate is projected on its own column, as alone.
+        single = np.flatnonzero(counts == 1)
+        if len(single) and angles.shape[1] > 1:
+            for kind, values in table.items():
+                values[single, :1] = candidate_costs(frames.points[single], kind,
+                                                     angles[single, :1])
+    else:
+        table = {kind: np.zeros(angles.shape) for kind in kinds}
+        for b in range(len(frames)):
+            m = counts[b]
+            ext_u, ext_v = extents_on_hull(frames.hull(b), angles[b, :m])
+            for kind, values in table.items():
+                values[b, :m] = ext_v if kind is DescriptorKind.STRIP else ext_u * ext_v
+    rows = np.arange(len(frames))
+    out = []
+    for kind in kinds:
+        values = table[kind]
+        values[pad] = np.inf
+        best = np.argmin(values, axis=1)
+        out.append(BlockOptima(kind, angles[rows, best], values[rows, best],
+                               np.zeros(len(frames), dtype=bool), angles, values, counts))
+    return out
+
+
+def _pc_optima(frames: Frames) -> BlockOptima:
+    """First principal axis of every frame from its 2x2 scatter matrix of
+    centered coordinates.
+
+    When the two eigenvalues agree within a relative tie tolerance the frame
+    is isotropic: every orientation is optimal, and alpha defaults to 0.
+    """
+    pts = frames.points
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    sq = np.swapaxes(centered, 1, 2) @ centered
+    sxx, sxy, syy = sq[:, 0, 0], sq[:, 0, 1], sq[:, 1, 1]
+    mean = 0.5 * (sxx + syy)
+    half_gap = np.array([math.hypot(x, y)
+                         for x, y in zip((0.5 * (sxx - syy)).tolist(), sxy.tolist())])
+    lam_min = mean - half_gap
+    lam_min = np.where(0.0 > lam_min, 0.0, lam_min)
+    isotropic = 2.0 * half_gap <= _EIGEN_TIE_REL * (sxx + syy + 1e-300)
+    turn = np.array([math.atan2(y, x)
+                     for y, x in zip((2.0 * sxy).tolist(), (sxx - syy).tolist())])
+    alpha = np.where(isotropic, 0.0, canonical_array(0.5 * turn))
+    return BlockOptima(DescriptorKind.PC, alpha, lam_min, isotropic)
+
+
+def block_optima(frames: Frames, kinds) -> list[BlockOptima]:
+    """The optimum of every frame of a block for each kind in ``kinds``, in
+    that order; box and strip come from one set of hull edge candidates."""
+    kinds = tuple(DescriptorKind(k) for k in kinds)
+    hull_kinds = tuple(k for k in kinds if k is not DescriptorKind.PC)
+    solved = dict(zip(hull_kinds, _hull_optima(frames, hull_kinds))) if hull_kinds else {}
+    if DescriptorKind.PC in kinds:
+        solved[DescriptorKind.PC] = _pc_optima(frames)
+    return [solved[k] for k in kinds]
+
+
+def optimal_box_and_strip(frame) -> tuple[OptimalDescriptor, OptimalDescriptor]:
+    """Both hull-edge optima from a single hull computation."""
+    box, strip = block_optima(Frames.of(frame), (DescriptorKind.OBB, DescriptorKind.STRIP))
+    return box.descriptor(0), strip.descriptor(0)
+
+
+def optimal_pc(frame) -> OptimalDescriptor:
+    """First principal axis of one frame (see ``_pc_optima``)."""
+    if len(as_points(frame)) < 2:
+        raise DegenerateInputError("need at least 2 points")
+    return _pc_optima(Frames.of(frame)).descriptor(0)
+
+
+def optimal(frame, kind: DescriptorKind) -> OptimalDescriptor:
+    """The optimal orientation of ``frame`` for one descriptor kind: the
+    one-frame call of ``block_optima``."""
+    kind = DescriptorKind(kind)
+    if kind is DescriptorKind.PC:
+        return optimal_pc(frame)
+    return block_optima(Frames.of(frame), (kind,))[0].descriptor(0)
 
 
 def _argmin_with_ties(angles: np.ndarray, values: np.ndarray) -> tuple[float, float, tuple[float, ...]]:
@@ -61,57 +210,6 @@ def _argmin_with_ties(angles: np.ndarray, values: np.ndarray) -> tuple[float, fl
     tol = _COST_TIE_REL * (abs(cmin) + 1e-300)
     tied = angles[values <= cmin + tol]
     return float(angles[best]), cmin, tuple(float(a) for a in np.sort(tied))
-
-
-def _hull_optima(frame, kinds: tuple[DescriptorKind, ...]) -> list[OptimalDescriptor]:
-    """Box and/or strip optima among one set of hull edge candidates."""
-    angles = hull_edge_orientations(frame)
-    extents = hull_extents(frame, angles)
-    out = []
-    for kind in kinds:
-        if extents is None:
-            values = costs_at(as_points(frame), kind, angles)
-        else:
-            ext_u, ext_v = extents
-            values = ext_v if kind is DescriptorKind.STRIP else ext_u * ext_v
-        alpha, cmin, ties = _argmin_with_ties(angles, values)
-        out.append(OptimalDescriptor(kind, alpha, cmin, ties))
-    return out
-
-
-def optimal_box_and_strip(frame) -> tuple[OptimalDescriptor, OptimalDescriptor]:
-    """Both hull-edge optima from a single hull computation."""
-    box, strip = _hull_optima(frame, (DescriptorKind.OBB, DescriptorKind.STRIP))
-    return box, strip
-
-
-def optimal_pc(frame) -> OptimalDescriptor:
-    """First principal axis from the 2x2 scatter matrix of centered coordinates.
-
-    When the two eigenvalues agree within a relative tie tolerance the frame
-    is isotropic: every orientation is optimal, and alpha defaults to 0.
-    """
-    pts = as_points(frame)
-    if len(pts) < 2:
-        raise DegenerateInputError("need at least 2 points")
-    centered = pts - pts.mean(axis=0)
-    sq = centered.T @ centered
-    sxx, sxy, syy = float(sq[0, 0]), float(sq[0, 1]), float(sq[1, 1])
-    mean = 0.5 * (sxx + syy)
-    half_gap = math.hypot(0.5 * (sxx - syy), sxy)
-    lam_min = max(mean - half_gap, 0.0)
-    if 2.0 * half_gap <= _EIGEN_TIE_REL * (sxx + syy + 1e-300):
-        return OptimalDescriptor(DescriptorKind.PC, 0.0, lam_min, (0.0,), isotropic=True)
-    alpha = canonical(0.5 * math.atan2(2.0 * sxy, sxx - syy))
-    return OptimalDescriptor(DescriptorKind.PC, alpha, lam_min, (alpha,))
-
-
-def optimal(frame, kind: DescriptorKind) -> OptimalDescriptor:
-    """The optimal orientation of ``frame`` for one descriptor kind."""
-    kind = DescriptorKind(kind)
-    if kind is DescriptorKind.PC:
-        return optimal_pc(frame)
-    return _hull_optima(frame, (kind,))[0]
 
 
 def oracle_argmin(frame, kind: DescriptorKind, grid_size: int = 8192) -> OptimalDescriptor:

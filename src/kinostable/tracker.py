@@ -1,17 +1,20 @@
 """State-aware tracking: the sampled-run core and the flip-sweeping tracker.
 
-Both trackers are steering rules over ``sampled_run``, each mapping (time,
-frame, optima, previous orientation) to the next orientation:
-``track_topological`` steers to the optimum, ``chasing.chase`` toward the
-diametric pair at a capped speed.
+Both trackers are steering rules over ``sampled_run``.  The run walks the
+samples in blocks of frames (``Trajectory.frame_blocks``): it solves each
+block's optima at once, lets the steering rule map the block to output
+orientations, and scores them at once.  ``track_topological`` steers to the
+optimum with array arithmetic, ``chasing.chase`` toward the diametric pair
+at a capped speed, in a loop on floats.
 
 The topological tracker outputs the optimal orientation at every sample.
 When the optimum jumps between samples, the jump is first localized in time
 by bisection to the instant where the departing and arriving optima cost
-the same.  At that instant the output conceptually sweeps the arc between
-them; the sweep direction is the one whose worst intermediate cost is
-smaller, and that worst swept cost/ratio is recorded as a flip event of
-zero simulated duration.
+the same.  All jumps of a run are bisected in lockstep: each round solves
+every pending midpoint as one block.  At the located instant the output
+conceptually sweeps the arc between the two optima; the sweep direction is
+the one whose worst intermediate cost is smaller, and that worst swept
+cost/ratio is recorded as a flip event of zero simulated duration.
 
 Box orientations are tracked modulo pi/2 (the box cost is pi/2-periodic,
 so a quarter-turn relabeling of the axes is not a real flip); axis and
@@ -25,12 +28,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import BOX_PERIOD, ORIENTATION_PERIOD, angular_distance, canonical
-from .costs import DescriptorKind, cost, costs_at
-from .errors import DomainError
-from .geometry import frame_diameter
-from .ratios import ratio
-from .solvers import optimal, optimal_box_and_strip
+from .angles import (
+    BOX_PERIOD,
+    ORIENTATION_PERIOD,
+    angular_distances,
+    canonical,
+    canonical_array,
+)
+from .costs import DescriptorKind, costs_at, frame_costs
+from .errors import DegenerateInputError, DomainError
+from .geometry import Frames, block_size, frame_diameters, frame_faults
+from .ratios import ratio, ratios
+from .solvers import block_optima
 from .trajectory import Trajectory
 
 # A jump larger than this many dt-steps' worth of plausible optimum drift
@@ -84,9 +93,6 @@ class TrackerOutput:
         return np.minimum(d, self.period - d)
 
 
-_BOX_AND_STRIP = (DescriptorKind.OBB, DescriptorKind.STRIP)
-
-
 def sampled_run(
     traj: Trajectory,
     dt: float,
@@ -96,11 +102,12 @@ def sampled_run(
 ) -> dict[DescriptorKind, TrackerOutput]:
     """Run one steering rule over the samples ``traj.sample_times(dt)``.
 
-    Each frame is built once and its optima for ``kinds`` solved (box and
-    strip together from one hull); ``steer(t, frame, optima, prev_beta)``,
-    with ``prev_beta`` None at the first sample, returns the output
-    orientation, which is scored against each kind's optimum.  Only the
-    current frame is held.  Every returned table shares ``times`` and ``beta``.
+    Block by block, the frames' optima for ``kinds`` are solved (box and
+    strip together from one hull per frame); ``steer(frames, times, optima,
+    prev_beta)``, with ``prev_beta`` the last orientation of the previous
+    block (None before the first), returns the block's output orientations,
+    which are scored against each kind's optimum.  Only the current block of
+    frames is held.  Every returned table shares ``times`` and ``beta``.
     """
     times = traj.sample_times(dt)
     n = len(times)
@@ -109,19 +116,20 @@ def sampled_run(
     columns = {kind: tuple(np.empty(n) for _ in range(4)) for kind in kinds}
 
     b = None
-    for i, t in enumerate(times):
-        frame = traj.frame_at(float(t))
-        if kinds == _BOX_AND_STRIP:
-            optima = optimal_box_and_strip(frame)
-        else:
-            optima = [optimal(frame, kind) for kind in kinds]
-        b = steer(float(t), frame, optima, b)
-        beta[i] = b
-        for opt, (opt_a, out_c, opt_c, r) in zip(optima, columns.values()):
-            opt_a[i] = opt.alpha
-            out_c[i] = cost(frame.points, opt.kind, b)
-            opt_c[i] = opt.cost
-            r[i] = ratio(out_c[i], opt_c[i])
+    start = 0
+    for frames in traj.frame_blocks(times):
+        block = slice(start, start + len(frames))
+        optima = block_optima(frames, kinds)
+        out = steer(frames, times[block], optima, b)
+        beta[block] = out
+        scored = frame_costs(frames.points, kinds, out)
+        for opt, c, (opt_a, out_c, opt_c, r) in zip(optima, scored, columns.values()):
+            opt_a[block] = opt.alpha
+            out_c[block] = c
+            opt_c[block] = opt.cost
+            r[block] = ratios(c, opt.cost)
+        b = float(out[-1])
+        start = block.stop
 
     return {
         kind: TrackerOutput(
@@ -132,22 +140,28 @@ def sampled_run(
     }
 
 
-def _refine_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] for a locally unimodal f."""
+def _refine_max(points: np.ndarray, kind, origin: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray, iters: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization of each frame's cost at ``origin + x`` over
+    x in [lo, hi], for every frame of a (F, n, 2) block in lockstep; each
+    cost is locally unimodal there.  Returns the maximizing x and its cost.
+    """
+    def f(x):
+        return frame_costs(points, (kind,), origin + x)[0]
+
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
+        # where fc >= fd keep [a, d] and probe a new c, else keep [c, b] and probe a new d
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        fx = f(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -160,58 +174,105 @@ def _arc_worst(pts, kind, start: float, signed_len: float, grid: int) -> tuple[f
     return float(offsets[i]), float(values[i])
 
 
-def _sweep(pts, kind, period, a_from: float, a_to: float, opt_cost: float,
-           time: float) -> FlipEvent:
-    gap_up = (canonical(a_to, period) - canonical(a_from, period)) % period
-    gap_down = period - gap_up
-    _, worst_up = _arc_worst(pts, kind, a_from, gap_up, _DIRECTION_GRID)
-    _, worst_down = _arc_worst(pts, kind, a_from, -gap_down, _DIRECTION_GRID)
-    signed_len = gap_up if worst_up <= worst_down else -gap_down
-    off, worst = _arc_worst(pts, kind, a_from, signed_len, _SWEEP_GRID)
-    # Local refinement around the sampled maximum.
-    step = abs(signed_len) / _SWEEP_GRID
-    lo = max(off - step, min(0.0, signed_len))
-    hi = min(off + step, max(0.0, signed_len))
-    if hi > lo:
-        off_ref, worst_ref = _refine_max(lambda o: cost(pts, kind, a_from + o), lo, hi)
-        if worst_ref > worst:
-            off, worst = off_ref, worst_ref
-    return FlipEvent(
-        time=time,
-        start=canonical(a_from, period),
-        end=canonical(a_to, period),
-        direction=1 if signed_len >= 0.0 else -1,
-        arc_length=abs(signed_len),
-        worst_orientation=canonical(a_from + off, period),
-        worst_cost=worst,
-        opt_cost=opt_cost,
-        worst_ratio=ratio(worst, opt_cost),
-    )
+def _sweeps(points: np.ndarray, kind, period, a_from: np.ndarray, a_to: np.ndarray,
+            opt_cost: np.ndarray, times: np.ndarray) -> list[FlipEvent]:
+    """The flip sweep of each frame of a (F, n, 2) block from ``a_from`` to
+    ``a_to``: the direction with the smaller sampled worst cost, then the
+    worst cost along it, refined around the sampled maximum."""
+    rows = []
+    for pts, start, end in zip(points, a_from.tolist(), a_to.tolist()):
+        gap_up = (canonical(end, period) - canonical(start, period)) % period
+        gap_down = period - gap_up
+        _, worst_up = _arc_worst(pts, kind, start, gap_up, _DIRECTION_GRID)
+        _, worst_down = _arc_worst(pts, kind, start, -gap_down, _DIRECTION_GRID)
+        signed_len = gap_up if worst_up <= worst_down else -gap_down
+        off, worst = _arc_worst(pts, kind, start, signed_len, _SWEEP_GRID)
+        step = abs(signed_len) / _SWEEP_GRID
+        lo = max(off - step, min(0.0, signed_len))
+        hi = min(off + step, max(0.0, signed_len))
+        rows.append((signed_len, off, worst, lo, hi))
+    signed_len, off, worst, lo, hi = (np.array(col) for col in zip(*rows))
+    refine = np.flatnonzero(hi > lo)
+    if len(refine):
+        off_ref, worst_ref = _refine_max(points[refine], kind, a_from[refine],
+                                         lo[refine], hi[refine])
+        better = worst_ref > worst[refine]
+        off[refine[better]], worst[refine[better]] = off_ref[better], worst_ref[better]
+    return [
+        FlipEvent(
+            time=t,
+            start=canonical(start, period),
+            end=canonical(end, period),
+            direction=1 if length >= 0.0 else -1,
+            arc_length=abs(length),
+            worst_orientation=canonical(start + o, period),
+            worst_cost=w,
+            opt_cost=best,
+            worst_ratio=ratio(w, best),
+        )
+        for t, start, end, length, o, w, best in zip(
+            times.tolist(), a_from.tolist(), a_to.tolist(), signed_len.tolist(), off.tolist(),
+            worst.tolist(), opt_cost.tolist())
+    ]
 
 
-def _locate_flip(traj: Trajectory, kind, period, t_lo, a_lo, t_hi, a_hi,
-                 threshold: float) -> FlipEvent | None:
-    """Bisect to the instant where the optimum switches sides, then sweep there.
+def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[FlipEvent]:
+    """Bisect every jump to the instant where the optimum switches sides,
+    then sweep there.
 
-    If the refined endpoints collapse below the flip threshold the jump was
-    fast continuous drift, not a flip, and nothing is recorded.
+    ``jumps`` holds (t_lo, a_lo, t_hi, a_hi, threshold) per jump, in time
+    order.  The bisections run in lockstep: each round solves the pending
+    midpoints of all jumps as blocks of frames, with the arithmetic of one
+    bisection per jump.  A jump whose refined endpoints collapse below its
+    flip threshold was fast continuous drift, not a flip, and records
+    nothing.  The located flips are swept in blocks too.  A rejected
+    midpoint or flip frame raises its error where a one-jump-at-a-time
+    bisection would have: after every earlier jump's sweep.
     """
+    if not jumps:
+        return []
+    t_lo, a_lo, t_hi, a_hi, threshold = (np.array(col) for col in zip(*jumps))
+    pending = np.ones(len(jumps), dtype=bool)
+    faults: dict[int, str] = {}
+    size = block_size(traj.n_points)
     for _ in range(_BISECT_ITERS):
         t_mid = 0.5 * (t_lo + t_hi)
-        if not (t_lo < t_mid < t_hi):
-            break
-        a_mid = canonical(optimal(traj.frame_at(t_mid), kind).alpha, period)
-        if angular_distance(a_mid, a_lo, period) <= angular_distance(a_mid, a_hi, period):
-            t_lo, a_lo = t_mid, a_mid
-        else:
-            t_hi, a_hi = t_mid, a_mid
-    gap = angular_distance(a_lo, a_hi, period)
-    if gap <= max(threshold, 1e-9):
-        return None
+        pending &= (t_lo < t_mid) & (t_mid < t_hi)
+        active = np.flatnonzero(pending)
+        for start in range(0, len(active), size):
+            idx = active[start:start + size]
+            points = traj.positions_at_times(t_mid[idx])
+            bad = frame_faults(points)
+            for i, message in bad.items():
+                faults[int(idx[i])] = message
+            if bad:
+                keep = np.array([i not in bad for i in range(len(idx))])
+                idx, points = idx[keep], points[keep]
+            if not len(idx):
+                continue
+            a_mid = canonical_array(block_optima(Frames(points), (kind,))[0].alpha, period)
+            lower = (angular_distances(a_mid, a_lo[idx], period)
+                     <= angular_distances(a_mid, a_hi[idx], period))
+            t_lo[idx[lower]], a_lo[idx[lower]] = t_mid[idx[lower]], a_mid[lower]
+            t_hi[idx[~lower]], a_hi[idx[~lower]] = t_mid[idx[~lower]], a_mid[~lower]
+        pending[list(faults)] = False
+    gap = angular_distances(a_lo, a_hi, period)
+    limit = np.where(1e-9 > threshold, 1e-9, threshold)
     t_flip = 0.5 * (t_lo + t_hi)
-    frame = traj.frame_at(t_flip)
-    opt = optimal(frame, kind)
-    return _sweep(frame.points, kind, period, a_lo, a_hi, opt.cost, t_flip)
+    stop = min(faults, default=len(jumps))
+    located = np.flatnonzero(~(gap[:stop] <= limit[:stop]))
+    flips = []
+    for start in range(0, len(located), size):
+        idx = located[start:start + size]
+        points = traj.positions_at_times(t_flip[idx])
+        bad = frame_faults(points)
+        if bad:
+            raise DegenerateInputError(bad[min(bad)])
+        opt = block_optima(Frames(points), (kind,))[0]
+        flips += _sweeps(points, kind, period, a_lo[idx], a_hi[idx], opt.cost, t_flip[idx])
+    if faults:
+        raise DegenerateInputError(faults[stop])
+    return flips
 
 
 def track_topological(
@@ -222,27 +283,34 @@ def track_topological(
     """Run the continuous, unbounded-speed tracker over a sampled trajectory."""
     kind = DescriptorKind(kind)
     period = tracking_period(kind)
-    v_max = traj.max_point_speed()
-    flips: list[FlipEvent] = []
+    # plausible optimum drift over one step, times the frame diameter
+    drift = _FLIP_SPEED_FACTOR * dt * traj.max_point_speed()
+    jumps: list[tuple] = []
     prev_t = 0.0
 
-    def to_optimum(t, frame, optima, prev_beta):
+    def to_optimum(frames, times, optima, prev_beta):
         nonlocal prev_t
-        b = canonical(optima[0].alpha, period)
-        if prev_beta is not None:
-            jump = angular_distance(prev_beta, b, period)
-            if jump > 1e-9:
-                threshold = _FLIP_SPEED_FACTOR * dt * v_max / frame_diameter(frame)
-                threshold = min(threshold, period / 4.0)
-                if jump > threshold:
-                    flip = _locate_flip(traj, kind, period, prev_t, prev_beta, t, b, threshold)
-                    if flip is not None:
-                        flips.append(flip)
-        prev_t = t
+        b = canonical_array(optima[0].alpha, period)
+        before = np.concatenate(([b[0] if prev_beta is None else prev_beta], b[:-1]))
+        jump = angular_distances(before, b, period)
+        moved = np.flatnonzero(jump > 1e-9)
+        if len(moved):
+            threshold = drift / frame_diameters(frames)[moved]
+            threshold = np.where(period / 4.0 < threshold, period / 4.0, threshold)
+            flip = jump[moved] > threshold
+            t_before = np.concatenate(([prev_t], times[:-1]))
+            for i, th in zip(moved[flip].tolist(), threshold[flip].tolist()):
+                jumps.append((float(t_before[i]), float(before[i]), float(times[i]),
+                              float(b[i]), th))
+        prev_t = float(times[-1])
         return b
 
-    output = sampled_run(traj, dt, (kind,), period, to_optimum)[kind]
-    output.flips = flips
+    try:
+        output = sampled_run(traj, dt, (kind,), period, to_optimum)[kind]
+    except DegenerateInputError:
+        _locate_flips(traj, kind, period, jumps)  # an earlier jump's error comes first
+        raise
+    output.flips = _locate_flips(traj, kind, period, jumps)
     return output
 
 

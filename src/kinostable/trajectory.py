@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .geometry import Frame
+from .geometry import Frame, Frames, block_size, frame_faults
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,46 @@ class Trajectory:
 
     def positions_at(self, t: float) -> np.ndarray:
         """Interpolated (n, 2) point positions at time t, clamped to [0, horizon]."""
-        times = self.times
-        if len(times) == 1 or t <= times[0]:
-            return self.positions[0].copy()
-        if t >= times[-1]:
-            return self.positions[-1].copy()
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        s = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - s) * self.positions[k] + s * self.positions[k + 1]
+        return self.positions_at_times(np.array([t], dtype=float))[0]
+
+    def positions_at_times(self, times: np.ndarray) -> np.ndarray:
+        """Interpolated (B, n, 2) point positions at each of ``times``, clamped
+        to [0, horizon]: (1 - s) * P[k] + s * P[k+1] on the keyframe segment k."""
+        key, pos = self.times, self.positions
+        if len(key) == 1:
+            return np.repeat(pos[:1], len(times), axis=0)
+        k = np.clip(np.searchsorted(key, times, side="right") - 1, 0, len(key) - 2)
+        s = ((times - key[k]) / (key[k + 1] - key[k]))[:, None, None]
+        out = pos[k]
+        out *= 1.0 - s
+        later = pos[k + 1]
+        later *= s
+        out += later
+        first = times <= key[0]
+        out[first] = pos[0]
+        out[~first & (times >= key[-1])] = pos[-1]
+        return out
 
     def frame_at(self, t: float) -> Frame:
         return Frame(self.positions_at(t), time=float(t))
+
+    def frame_blocks(self, times: np.ndarray, check: bool = True) -> Iterator[Frames]:
+        """The frames at ``times``, in consecutive blocks of ``block_size`` frames.
+
+        With ``check``, every frame is checked as ``Frame`` checks it: at the
+        first frame it rejects, the frames before it come as one last block
+        and the next step raises the same DegenerateInputError.
+        """
+        size = block_size(self.n_points)
+        for start in range(0, len(times), size):
+            points = self.positions_at_times(times[start:start + size])
+            faults = frame_faults(points) if check else {}
+            if faults:
+                first = min(faults)
+                if first:
+                    yield Frames(points[:first])
+                raise DegenerateInputError(faults[first])
+            yield Frames(points)
 
     def max_point_speed(self) -> float:
         """Largest per-point speed over all keyframe segments (exact for linear motion)."""

@@ -25,7 +25,7 @@ from .angles import angular_distance, winding_number
 from .chasing import ChaseParams, chase, normalize_trajectory
 from .costs import DescriptorKind
 from .errors import DomainError
-from .geometry import diametric_box
+from .geometry import Frames, block_size, diametric_boxes
 from .ratios import max_ratio
 from .scenarios import (
     obb_lower_bound,
@@ -35,7 +35,7 @@ from .scenarios import (
     stateless_disk,
     strip_lower_bound,
 )
-from .solvers import optimal, optimal_pc
+from .solvers import block_optima
 from .tracker import track_topological
 from .trajectory import Trajectory
 
@@ -254,9 +254,9 @@ def verify_bound_empirics(
 
     for name, traj in named_trajectories:
         times = traj.sample_times(dt)
-        boxes = [diametric_box(traj.frame_at(float(t))) for t in times]
-        alphas = np.array([b.alpha for b in boxes])
-        aspects = np.array([b.aspect for b in boxes])
+        boxes = [diametric_boxes(frames) for frames in traj.frame_blocks(times)]
+        alphas = np.concatenate([b.alpha for b in boxes])
+        aspects = np.concatenate([b.aspect for b in boxes])
         for k in window_steps:
             if k >= len(times):
                 continue
@@ -298,7 +298,8 @@ def verify_bound_empirics(
 def measured_axis_speed(traj: Trajectory, dt: float = 1e-3) -> float:
     """Max finite-difference rotation speed of the optimal principal axis."""
     times = traj.sample_times(dt)
-    alphas = [optimal_pc(traj.frame_at(float(t))).alpha for t in times]
+    alphas = np.concatenate([block_optima(frames, (DescriptorKind.PC,))[0].alpha
+                             for frames in traj.frame_blocks(times)]).tolist()
     worst = 0.0
     for i in range(len(alphas) - 1):
         step = angular_distance(alphas[i], alphas[i + 1])
@@ -315,19 +316,21 @@ def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3, anchor: int = 0) -> 
     """
     times = traj.sample_times(dt)
     worst = math.inf
-    for t in times:
-        pts = traj.positions_at(float(t))
-        d = np.sqrt(((pts - pts[anchor]) ** 2).sum(axis=1)).max()
-        worst = min(worst, float(d))
+    for frames in traj.frame_blocks(times, check=False):
+        pts = frames.points
+        d = np.sqrt(((pts - pts[:, anchor:anchor + 1]) ** 2).sum(axis=2)).max(axis=1)
+        worst = min(worst, float(d.min()))
     return worst
 
 
 def forced_orientation_winding(n: int = 5, samples: int = 4096) -> int:
     """Winding number of the forced optimal strip orientation over one sweep."""
-    angles = [
-        optimal(stateless_disk(n, 1.0, 2.0 * math.pi * k / samples), DescriptorKind.STRIP).alpha
-        for k in range(samples)
-    ]
+    size = block_size(n)
+    angles = []
+    for start in range(0, samples, size):
+        points = np.stack([stateless_disk(n, 1.0, 2.0 * math.pi * k / samples).points
+                           for k in range(start, min(start + size, samples))])
+        angles += block_optima(Frames(points), (DescriptorKind.STRIP,))[0].alpha.tolist()
     return winding_number(angles)
 
 

@@ -1,0 +1,466 @@
+"""The block core: every sample solved, steered and scored in bounded blocks.
+
+``tracker.sampled_run``, ``cli descriptor``, ``normalize_trajectory`` and
+the verify sampling stages read their frames through
+``Trajectory.frame_blocks``.  These tests hold the block code to the
+one-frame calls at every sample (blocks split mid-run and padded candidate
+rows included), the lockstep flip bisection to a one-jump-at-a-time
+reference kept here, the degenerate inputs to pinned outputs, and the
+block budget to a memory bound.
+"""
+
+import hashlib
+import io
+import math
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+from kinostable import geometry
+from kinostable.angles import angular_distance, canonical
+from kinostable.chasing import chase
+from kinostable.cli import main
+from kinostable.costs import DescriptorKind, cost, costs_at, frame_costs
+from kinostable.errors import DegenerateInputError
+from kinostable.geometry import (
+    convex_hull,
+    diametric_box,
+    diametric_boxes,
+    frame_diameter,
+    frame_diameters,
+)
+from kinostable.runio import write_trajectory
+from kinostable.scenarios import obb_lower_bound, random_walk, strip_lower_bound
+from kinostable.solvers import block_optima, optimal
+from kinostable.ratios import ratio
+from kinostable.tracker import (
+    _FLIP_SPEED_FACTOR,
+    FlipEvent,
+    _locate_flips,
+    track_topological,
+    tracking_period,
+)
+from kinostable.trajectory import Trajectory
+
+KINDS = tuple(DescriptorKind)
+
+
+# ---------------------------------------------------------------------------
+# The monotone chain against a frozen copy of the one it replaced.
+
+
+def frozen_convex_hull(pts: np.ndarray) -> np.ndarray:
+    """The monotone chain as it was written before the faster one."""
+    uniq = sorted({(float(x), float(y)) for x, y in pts})
+    if len(uniq) == 2:
+        return np.array(uniq, dtype=float)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[tuple[float, float]] = []
+    for p in uniq:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper: list[tuple[float, float]] = []
+    for p in reversed(uniq):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1], dtype=float)
+
+
+def hull_inputs(rng, count):
+    """Random, integer-lattice, near-collinear, duplicate-point and -0.0 clouds."""
+    for k in range(count):
+        n = int(rng.integers(3, 80))
+        style = k % 5
+        if style == 0:
+            pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0)
+        elif style == 1:
+            pts = rng.integers(-3, 4, size=(n, 2)).astype(float)
+        elif style == 2:
+            t = rng.uniform(-1.0, 1.0, n)
+            pts = np.column_stack([t, 0.5 * t + rng.normal(scale=1e-17, size=n)])
+        elif style == 3:
+            base = rng.normal(size=(max(2, n // 3), 2))
+            pts = base[rng.integers(0, len(base), n)]
+        else:
+            pts = rng.integers(-1, 2, size=(n, 2)).astype(float)
+            pts[rng.uniform(size=(n, 2)) < 0.5] *= -1.0  # -0.0 where zero
+        if len(np.unique(pts, axis=0)) >= 2:
+            yield pts
+
+
+def test_convex_hull_matches_frozen_chain():
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for pts in hull_inputs(rng, 3000):
+        got, ref = convex_hull(pts), frozen_convex_hull(pts)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()  # bitwise, -0.0 included
+        checked += 1
+    assert checked > 2900
+
+
+# ---------------------------------------------------------------------------
+# Block results against one-frame calls at every sample.
+
+
+def ellipse_walk(n: int) -> Trajectory:
+    """A turning, stretching ellipse cloud of ``n`` points (above the limit
+    when n > 64)."""
+    rng = np.random.default_rng(n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    base = np.column_stack([2.0 * np.cos(phi), np.sin(phi)]) * rng.uniform(0.5, 1.0, (n, 1))
+    c, s = math.cos(0.7), math.sin(0.7)
+    turned = base @ np.array([[c, s], [-s, 1.3 * c]])
+    return Trajectory(np.array([0.0, 0.5, 1.0]), np.stack([base, turned, base[::-1] * 0.8]))
+
+
+def collinear_mix() -> Trajectory:
+    """Frames that are collinear (one candidate) next to frames that are not,
+    so blocks pad single-candidate rows."""
+    line = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+    bent = np.array([(0.0, 0.0), (1.0, 1.3), (2.0, 2.0), (3.0, 2.1)])
+    return Trajectory(np.array([0.0, 0.3, 0.6]), np.stack([line, bent, line]))
+
+
+BLOCK_TRAJECTORIES = {
+    "walk-n8": lambda: random_walk(n=8, seed=6, steps=10),
+    "walk-n64": lambda: random_walk(n=64, seed=15, steps=10),
+    "ellipse-n150": lambda: ellipse_walk(150),
+    "collinear-mix": collinear_mix,
+}
+
+
+def seven_frame_blocks(monkeypatch, n: int) -> None:
+    """Shrink the block budget to 7 frames of ``n`` points, so runs split mid-run."""
+    per_frame = 16 * n * (n if n <= geometry._BRUTE_FORCE_LIMIT else 1)
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 7 * per_frame)
+    assert geometry.block_size(n) == 7
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_TRAJECTORIES))
+def test_block_results_equal_one_frame_calls(monkeypatch, name):
+    traj = BLOCK_TRAJECTORIES[name]()
+    seven_frame_blocks(monkeypatch, traj.n_points)
+    times = traj.sample_times(0.01)
+    blocks = list(traj.frame_blocks(times))
+    assert len(blocks) > 1 and sum(len(f) for f in blocks) == len(times)
+    padded = False
+    i = 0
+    for frames in blocks:
+        optima = block_optima(frames, KINDS)
+        boxes = diametric_boxes(frames)
+        diameters = frame_diameters(frames)
+        betas = np.linspace(0.1, 3.0, len(frames))
+        scored = frame_costs(frames.points, KINDS, betas)
+        counts = optima[1].counts
+        padded |= bool((counts < counts.max()).any())
+        for b in range(len(frames)):
+            frame = traj.frame_at(float(times[i]))
+            assert frame.points.tobytes() == frames.points[b].tobytes()
+            for kind, opt, costs in zip(KINDS, optima, scored):
+                one = optimal(frame, kind)
+                assert (float(opt.alpha[b]), float(opt.cost[b])) == (one.alpha, one.cost)
+                assert opt.descriptor(b) == one
+                assert float(costs[b]) == cost(frame.points, kind, float(betas[b]))
+            box = diametric_box(frame)
+            assert (box.alpha, box.diameter, box.width, box.aspect) == (
+                float(boxes.alpha[b]), float(boxes.diameter[b]),
+                float(boxes.width[b]), float(boxes.aspect[b]))
+            assert float(diameters[b]) == frame_diameter(frame)
+            i += 1
+    assert padded
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_TRAJECTORIES))
+def test_runs_do_not_depend_on_the_block_size(monkeypatch, name):
+    traj = BLOCK_TRAJECTORIES[name]()
+
+    def runs():
+        out = [track_topological(traj, kind, 0.01) for kind in KINDS]
+        res = chase(traj, dt=0.01)
+        return [(o.beta.tobytes(), o.cost.tobytes(), o.ratio.tobytes(), o.flips) for o in out] + [
+            (r.beta.tobytes(), r.cost.tobytes(), r.ratio.tobytes()) for r in res.runs.values()
+        ] + [res.safe_zone.ang_gap.tobytes(), res.safe_zone.in_interval.tobytes()]
+
+    whole = runs()
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 1)  # one frame per block
+    assert runs() == whole
+
+
+# ---------------------------------------------------------------------------
+# Lockstep flip bisection against one bisection per jump.
+
+
+def sequential_flips(traj: Trajectory, kind, dt: float):
+    """The flips of a run found one jump at a time, each bisected and swept
+    on its own with one-frame solves, as the tracker did before it bisected
+    and swept in lockstep."""
+    period = tracking_period(kind)
+    v_max = traj.max_point_speed()
+    flips = []
+    prev_t, prev_b = None, None
+    for t in traj.sample_times(dt).tolist():
+        frame = traj.frame_at(t)
+        b = canonical(optimal(frame, kind).alpha, period)
+        if prev_b is not None:
+            jump = angular_distance(prev_b, b, period)
+            if jump > 1e-9:
+                threshold = min(_FLIP_SPEED_FACTOR * dt * v_max / frame_diameter(frame),
+                                period / 4.0)
+                if jump > threshold:
+                    flip = locate_one(traj, kind, period, prev_t, prev_b, t, b, threshold)
+                    if flip is not None:
+                        flips.append(flip)
+        prev_t, prev_b = t, b
+    return flips
+
+
+def refine_one(f, lo, hi, iters=60):
+    """Golden-section maximization of one locally unimodal f on [lo, hi]."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def arc_worst(pts, kind, start, signed_len, grid):
+    offsets = np.linspace(0.0, signed_len, grid + 1)
+    values = costs_at(pts, kind, start + offsets)
+    i = int(np.argmax(values))
+    return float(offsets[i]), float(values[i])
+
+
+def sweep_one(pts, kind, period, a_from, a_to, opt_cost, time):
+    """One flip's sweep, refined with one-frame cost calls."""
+    gap_up = (canonical(a_to, period) - canonical(a_from, period)) % period
+    gap_down = period - gap_up
+    _, worst_up = arc_worst(pts, kind, a_from, gap_up, 64)
+    _, worst_down = arc_worst(pts, kind, a_from, -gap_down, 64)
+    signed_len = gap_up if worst_up <= worst_down else -gap_down
+    off, worst = arc_worst(pts, kind, a_from, signed_len, 512)
+    step = abs(signed_len) / 512
+    lo = max(off - step, min(0.0, signed_len))
+    hi = min(off + step, max(0.0, signed_len))
+    if hi > lo:
+        off_ref, worst_ref = refine_one(lambda o: cost(pts, kind, a_from + o), lo, hi)
+        if worst_ref > worst:
+            off, worst = off_ref, worst_ref
+    return FlipEvent(
+        time=time, start=canonical(a_from, period), end=canonical(a_to, period),
+        direction=1 if signed_len >= 0.0 else -1, arc_length=abs(signed_len),
+        worst_orientation=canonical(a_from + off, period), worst_cost=worst,
+        opt_cost=opt_cost, worst_ratio=ratio(worst, opt_cost),
+    )
+
+
+def locate_one(traj, kind, period, t_lo, a_lo, t_hi, a_hi, threshold):
+    for _ in range(80):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if not (t_lo < t_mid < t_hi):
+            break
+        a_mid = canonical(optimal(traj.frame_at(t_mid), kind).alpha, period)
+        if angular_distance(a_mid, a_lo, period) <= angular_distance(a_mid, a_hi, period):
+            t_lo, a_lo = t_mid, a_mid
+        else:
+            t_hi, a_hi = t_mid, a_mid
+    if angular_distance(a_lo, a_hi, period) <= max(threshold, 1e-9):
+        return None
+    t_flip = 0.5 * (t_lo + t_hi)
+    frame = traj.frame_at(t_flip)
+    return sweep_one(frame.points, kind, period, a_lo, a_hi, optimal(frame, kind).cost, t_flip)
+
+
+@pytest.mark.parametrize("traj, kind, dt", [
+    (random_walk(seed=6), DescriptorKind.OBB, 1e-3),
+    (random_walk(seed=6), DescriptorKind.STRIP, 1e-3),
+    (random_walk(seed=15), DescriptorKind.OBB, 1e-3),
+    (random_walk(seed=15, n=64, steps=20, duration=0.4), DescriptorKind.STRIP, 1e-3),
+    (obb_lower_bound(), DescriptorKind.OBB, 1e-3),
+    (strip_lower_bound(), DescriptorKind.STRIP, 1e-2),
+], ids=["walk6-obb", "walk6-strip", "walk15-obb", "walk15-n64-strip", "obb-lower-bound",
+        "strip-lower-bound"])
+def test_lockstep_flips_equal_sequential_bisection(traj, kind, dt):
+    flips = track_topological(traj, kind, dt).flips
+    assert flips == sequential_flips(traj, kind, dt)
+    assert flips  # every input here flips
+
+
+def test_lockstep_raises_the_earliest_jumps_midpoint_fault():
+    # Two jumps; the second one's first midpoint is a coincident frame.
+    tri = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    traj = Trajectory(np.array([0.0, 1.0]), np.stack([tri, -tri]))
+    jumps = [(0.0, 0.0, 0.25, 1.0, 0.1), (0.25, 0.0, 0.75, 1.0, 0.1)]
+    with pytest.raises(DegenerateInputError, match="^all points coincide"):
+        _locate_flips(traj, DescriptorKind.OBB, math.pi / 2, jumps)
+
+
+# ---------------------------------------------------------------------------
+# Degenerate inputs through the CLI.
+
+
+def cli_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def write(tmp_path, name, traj):
+    path = tmp_path / f"{name}.jsonl"
+    with open(path, "w", encoding="utf-8") as fp:
+        write_trajectory(fp, traj)
+    return str(path)
+
+
+TRIANGLE = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+COLLAPSE = Trajectory(np.array([0.0, 1.0]), np.stack([TRIANGLE, -TRIANGLE]))  # a point at t=0.5
+COINCIDE = "error: all points coincide; every descriptor is undefined\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["track", "--kind", "obb"], COINCIDE),
+    (["track", "--kind", "strip"], COINCIDE),
+    (["track", "--kind", "pc"], COINCIDE),
+    (["descriptor"], COINCIDE),
+    (["chase", "--no-normalize"], COINCIDE),
+    (["chase"], "error: trajectory collapses to a single point\n"),
+])
+def test_interpolated_collapse_exits_two(tmp_path, argv, message):
+    path = write(tmp_path, "collapse", COLLAPSE)
+    code, out, err = cli_run([argv[0], path, "--dt", "0.01", *argv[1:]])
+    assert (code, err) == (2, message)
+    if argv[0] == "descriptor":  # the rows before the collapse are written first
+        lines = out.splitlines()
+        assert lines[-1].startswith("0.49,strip,") and len(lines) == 1 + 3 * 50
+    else:
+        assert out == ""
+
+
+DEGENERATE = {
+    "two-points": Trajectory(np.array([0.0, 1.0]), np.array(
+        [[(0.0, 0.0), (1.0, 0.5)], [(0.3, 1.0), (-0.7, 0.2)]])),
+    "collinear3": Trajectory(np.array([0.0, 0.5, 1.0]), np.array(
+        [[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],
+         [(0.0, 0.0), (1.0, -1.0), (2.0, -2.0)],
+         [(0.0, 1.0), (1.0, 1.0), (3.0, 1.0)]])),
+    "duplicates": Trajectory(np.array([0.0, 1.0]), np.array(
+        [[(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.5, 2.0)],
+         [(0.0, 0.0), (0.0, 0.0), (-1.0, 1.0), (-1.0, 1.0), (2.0, 0.5)]])),
+    "single-keyframe": Trajectory(np.array([0.0]), np.array(
+        [[(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0), (1.0, 1.5)]])),
+}
+
+OPERATIONS = {
+    "track-obb": ["track", "--kind", "obb"],
+    "track-strip": ["track", "--kind", "strip"],
+    "track-pc": ["track", "--kind", "pc"],
+    "descriptor": ["descriptor"],
+    "chase-obb": ["chase", "--kind", "obb"],
+    "chase-strip": ["chase", "--kind", "strip"],
+    "chase-nonorm-obb": ["chase", "--no-normalize", "--kind", "obb"],
+    "chase-nonorm-strip": ["chase", "--no-normalize", "--kind", "strip"],
+}
+
+# sha256 of stdout at --dt 0.01, pinned from the per-frame implementation
+PINNED = {
+    "collinear3": {
+        "chase-nonorm-obb": "76231f84d6803f0bb2c1643ad0663a050324ad7d6d368add85783d3bcfd38865",
+        "chase-nonorm-strip": "76de63a20f65846c013305d82c95224acd3e4eda06c27ccfa573f39c4f80c12b",
+        "chase-obb": "06b2844b2b151279805e1185a99a7fce5784e25d7d11c64e9a6122d291e9cd97",
+        "chase-strip": "ff97c958ba0057f5a958a9319ba5e7a3dc8a1361a1782b8a5907c3d331d86583",
+        "descriptor": "3d4fe9fcc2f1fbef28ff594afe50c0b16dcdaf71793c9f39e1719057b9eefae5",
+        "track-obb": "7d5ad97c4a2242fcd76d40f2813bac57c17f88eaa493c6ec9dae1f812f43277a",
+        "track-pc": "8ce2258aede365ab774e856d2277bf28465b75e6ecb8c19755d026d409d37aa5",
+        "track-strip": "a02981a56573ea18be30b2966d1be7bfc92a3f35d1caae79f2bea21aa7c2af61",
+    },
+    "duplicates": {
+        "chase-nonorm-obb": "7d3a684a64d58135954e96f7c9fc4d28edd5c1bb45107f4c51bcfeb03a29841e",
+        "chase-nonorm-strip": "6c4fe15bd50295a2c26f70c40665f0f19efe1ec23c348529922ed43a4c1548f2",
+        "chase-obb": "39c17c8797a5a86ffbb5dbf03ae7d8d66693283e5fb86902d2c0705ff0aa4519",
+        "chase-strip": "589dc51f5b504c6099244732c7b1c3de5c21da1dc3d7db4557236486f3eabf36",
+        "descriptor": "6113c50080b8e8dbe3c1b73d970ff8796d5fca182ff4e189f7da96a20f14729f",
+        "track-obb": "daffd507f9d3329c7dd22a926c3cdd67fda4effb7c662d2d58424a73d8aabd4b",
+        "track-pc": "155b93b8c9e2035ff30f2d851dd3a57439df4d28e8c50452ff220ae4821c078a",
+        "track-strip": "2d37c53ca4382a0aa019109834975d987871491a3b94e87e2cc8a83889abb5b6",
+    },
+    "single-keyframe": {
+        "chase-nonorm-obb": "05fbff6f0bc6f6b351ab2f42eadf50ef349b646afce2afea1ff8082bc8744fec",
+        "chase-nonorm-strip": "00939b15b2eeb1fc3ffb316912eee716912b1af04b4365812fd363564cab4a16",
+        "chase-obb": "b2437b6740576c9feda5444b09f952c19e94f1424d25ec3d5e675783885f5da1",
+        "chase-strip": "ac116646f88167e861dfee29b17b242231b63e14be1f6f87c628e8a009b8243c",
+        "descriptor": "b216233cc688e22c2c95c52295ac341107d34082e83e9abbd9d902f238f9ce48",
+        "track-obb": "107cc2130a230adab1dd284679e2774da1cddaec9c0bcae52546f1d64471f4ee",
+        "track-pc": "e5a663e69b2034d93dcbbfc81f949c7cd278af2caa7993effa6372dbe7bd2b59",
+        "track-strip": "a6276bad99446f6400fa8aad7a82e2342d044361b557a615eb58281e5773f42f",
+    },
+    "two-points": {
+        "chase-nonorm-obb": "0c5750ed6af18d3a7527e87b322a52994cebf027c8c213e7dbf0f913253e072e",
+        "chase-nonorm-strip": "b52cce59380f6a9e7dabcce835dd5c184b2fdca70b5c07194025e56dc944155d",
+        "chase-obb": "0837a52e6b4bf6384e71be54256d0c981b3cbd42c5a420bf3e6d5f4256b70f39",
+        "chase-strip": "42a00624c967edbeddb1ae43b176036702b4e67f182441f7b5f7edeed2562fbf",
+        "descriptor": "fba924d0990b03fb7db7d3dc204cbff5c2d58de0dca9b75abe50083d8aa1d47d",
+        "track-obb": "8709ef6721009100aeca49c31b037d0521fb2adfcc7ddd23604e2d8b5b8cb18d",
+        "track-pc": "3572bf7ec32cd002d4a2709d2a200005de51ad2520b030cc55ab1cc2306b1077",
+        "track-strip": "6efa7f529b4aa9a1ef779561029eb8bff02f95269c8b88331475c7e6eb89c2c8",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_outputs_are_pinned(tmp_path, name):
+    path = write(tmp_path, name, DEGENERATE[name])
+    for op, argv in OPERATIONS.items():
+        code, out, err = cli_run([argv[0], path, "--dt", "0.01", *argv[1:]])
+        assert (code, err) == (0, ""), op
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED[name][op], op
+
+
+# ---------------------------------------------------------------------------
+# The block budget bounds memory on large frames.
+
+
+def test_block_budget_bounds_run_memory(monkeypatch):
+    # 4000 points above the brute-force limit, 300 samples: all positions of
+    # the run would take 4000 * 300 * 16 bytes = 19.2 MB at once.
+    rng = np.random.default_rng(11)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 4000)
+    base = np.column_stack([3.0 * np.cos(phi), np.sin(phi)]) * np.sqrt(rng.uniform(0, 1, (4000, 1)))
+    c, s = math.cos(0.4), math.sin(0.4)
+    traj = Trajectory(np.array([0.0, 1.0]), np.stack([base, base @ [[c, s], [-s, c]]]))
+    dt = 1.0 / 299
+    assert len(traj.sample_times(dt)) == 300
+    whole_run = 300 * 4000 * 2 * 8
+    # Every frame is a similarity image of the first, so its hull is the same
+    # vertices.  Reading them off keeps the test to seconds under tracing,
+    # which the monotone chain's per-point tuples would slow tenfold; the
+    # chain's own transient memory is O(n) per frame either way.
+    vertices = [np.flatnonzero((base == v).all(axis=1))[0] for v in convex_hull(base)]
+    monkeypatch.setattr(geometry, "convex_hull", lambda pts: np.asarray(pts)[vertices])
+    for run in (lambda: track_topological(traj, DescriptorKind.OBB, dt),
+                lambda: chase(traj, dt=dt)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_run / 3

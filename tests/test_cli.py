@@ -1,11 +1,12 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from kinostable import solvers
+from kinostable import geometry
 from kinostable.chasing import chase
 from kinostable.cli import main
 from kinostable.costs import DescriptorKind
@@ -100,10 +101,13 @@ def test_descriptor_all_builds_one_hull_per_sample(tmp_path, capsys, monkeypatch
         for kind in DescriptorKind
         for opt in [optimal(traj.frame_at(float(t)), kind)]
     ]
+    # 200 points is above the brute-force limit: box, strip and their edge
+    # candidates all read the hull, which each sample builds once
     hull_builds = []
-    real = solvers.hull_edge_orientations
-    monkeypatch.setattr(solvers, "hull_edge_orientations",
-                        lambda pts: hull_builds.append(1) or real(pts))
+    real = geometry.convex_hull
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kinostable") and getattr(mod, "convex_hull", None) is real:
+            monkeypatch.setattr(mod, "convex_hull", lambda pts: hull_builds.append(1) or real(pts))
     code, out, _ = run_cli(capsys, ["descriptor", str(traj_path), "--dt", "0.25"])
     assert code == 0
     assert out.splitlines()[1:] == expected

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kinostable import solvers
 from kinostable.angles import canonical
 from kinostable.costs import DescriptorKind, costs_at
 from kinostable.geometry import (
@@ -20,8 +21,8 @@ from kinostable.geometry import (
     Frame,
     convex_hull,
     diametric_box,
+    extents_on_hull,
     frame_diameter,
-    hull_extents,
 )
 from kinostable.solvers import (
     _argmin_with_ties,
@@ -154,7 +155,7 @@ def test_candidate_costs_and_optimum_match_projecting_every_point(points, kind):
     frame = Frame(points)
     angles = hull_edge_orientations(frame)
     reference = costs_at(points, kind, angles)
-    ext_u, ext_v = hull_extents(frame, angles)
+    ext_u, ext_v = extents_on_hull(frame.hull, angles)
     got = ext_v if kind is DescriptorKind.STRIP else ext_u * ext_v
     tol = _cost_tolerance(points, kind, ext_u, reference)
     assert np.all(np.abs(got - reference) <= tol)
@@ -167,9 +168,15 @@ def test_candidate_costs_and_optimum_match_projecting_every_point(points, kind):
     assert both[0 if kind is DescriptorKind.OBB else 1] == opt
 
 
-def test_brute_force_sizes_keep_projecting_every_point():
-    pts = np.random.default_rng(8).uniform(-1.0, 1.0, (64, 2))
-    assert hull_extents(pts, np.array([0.0, 1.0])) is None
+def test_brute_force_sizes_keep_projecting_every_point(monkeypatch):
+    calls = []
+    real = solvers.extents_on_hull
+    monkeypatch.setattr(solvers, "extents_on_hull", lambda *a: calls.append(1) or real(*a))
+    rng = np.random.default_rng(8)
+    optimal_box_and_strip(rng.uniform(-1.0, 1.0, (64, 2)))
+    assert not calls
+    optimal_box_and_strip(rng.uniform(-1.0, 1.0, (65, 2)))
+    assert calls
 
 
 @pytest.mark.parametrize("kind", [DescriptorKind.OBB, DescriptorKind.STRIP])
