@@ -10,9 +10,14 @@ safe zone +-H around it, where H = c*arcsin(aspect) and aspect is the
 width-over-diameter of the diametric box.
 
 With turn-rate cap 43 and c = 3 the gap between tracker and target stays
-within 8*arcsin(aspect), which keeps the box and strip costs within a
-factor 18 of optimal.  On ordinary motions the observed ratios are far
-smaller.
+within H + J = (2c+2)*arcsin(aspect), which keeps the box and strip costs
+within a factor 4c+6 = 18 of optimal.  On ordinary motions the observed
+ratios are far smaller.
+
+Every bound here is read from the library, where each is written once:
+the safe zone, the gap envelope (``SafeZoneReport.interval_half_width``)
+and the ratio cap (``ChaseParams.ratio_cap``) in ``kinostable.chasing``,
+beside the pair-turn and aspect-drop bounds this demo prints last.
 """
 
 import numpy as np
@@ -38,11 +43,11 @@ for name, raw in (
     print(f"    max per-step turn: {box.step_distances().max():.6f} "
           f"(cap {params.max_turn_rate * dt:.3f})")
     if narrow.any():
-        gap_bound = 8.0 * np.arcsin(sz.aspect[narrow]) + params.max_turn_rate * dt
+        gap_bound = sz.interval_half_width[narrow] + params.max_turn_rate * dt
         print(f"    narrow samples in safe corridor: "
               f"{int((sz.ang_gap[narrow] <= gap_bound).sum())}/{int(narrow.sum())}")
     print(f"    worst ratios: box {np.max(box.ratio):.3f}, "
-          f"strip {np.max(strip.ratio):.3f}  (guarantee: 18)")
+          f"strip {np.max(strip.ratio):.3f}  (guarantee: {params.ratio_cap:g})")
     print()
 
 # Why the aspect ratio controls everything: a thin diametric box pins the

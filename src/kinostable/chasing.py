@@ -11,7 +11,7 @@ The safe-zone instrumentation reports, per sample, the aspect ratio of the
 diametric box, the safe half-width ``H`` = c*arcsin(aspect), the jump
 allowance ``J`` = (c+2)*arcsin(aspect), and whether the tracker currently
 sits inside the safe zone (gap <= H) or the enclosing interval
-(gap <= H + J).
+(gap <= H + J).  Every bound here takes floats or same-shape arrays.
 
 The chaser is a steering rule over ``tracker.sampled_run``, the same
 block-by-block core the topological tracker runs on: per block of frames,
@@ -24,11 +24,11 @@ strip optimum, so the run comes back as one ``TrackerOutput`` per kind
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import ORIENTATION_PERIOD, angular_distance, rotate_toward
+from .angles import ORIENTATION_PERIOD, angular_distances, rotate_toward
 from .costs import DescriptorKind
 from .errors import DegenerateInputError, DomainError
 from .geometry import diametric_boxes, frame_diameters
@@ -50,54 +50,76 @@ class ChaseParams:
         if not 1.0 <= self.safe_zone_factor < math.inf:
             raise DomainError("safe_zone_factor must be finite and at least 1")
 
+    @property
+    def ratio_cap(self) -> float:
+        """The guaranteed bound 4c+6 on the box and strip chase ratios."""
+        return 4.0 * self.safe_zone_factor + 6.0
 
-def safe_zone_half_width(aspect: float, factor: float = 3.0) -> float:
-    """Half-width of the interval around the target the tracker aims to stay in."""
-    if not 0.0 <= aspect <= 1.0:
+
+def _each(fn):
+    """``fn`` on a float or on every entry of an array, with math's rounding
+    (on SIMD builds np.arcsin differs from math.asin in the last bit)."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: fn(x) if np.ndim(x) == 0 else ufunc(x).astype(float)
+
+
+_asin, _sin = _each(math.asin), _each(math.sin)
+
+
+def _check(aspect, elapsed=0.0, window=None, formula=""):
+    """Check a bound's inputs; return its validity window ``window(aspect)``."""
+    if not np.all((0.0 <= aspect) & (aspect <= 1.0)):  # NaN fails
         raise DomainError("aspect ratio must lie in [0, 1]")
-    return factor * math.asin(aspect)
+    if np.any(elapsed < 0.0):
+        raise DomainError("elapsed time must be nonnegative")
+    limit = window(aspect) if window else math.inf
+    if np.any(elapsed > limit):
+        raise DomainError(f"elapsed={elapsed} exceeds the valid window {formula}")
+    return limit
 
 
-def jump_distance(aspect: float, factor: float = 3.0) -> float:
-    """Bound on how far the interval endpoint can move instantaneously."""
-    if not 0.0 <= aspect <= 1.0:
-        raise DomainError("aspect ratio must lie in [0, 1]")
-    return (factor + 2.0) * math.asin(aspect)
+def safe_zone_half_width(aspect, factor: float = 3.0):
+    """Half-width H = c*arcsin(aspect) of the interval around the target the
+    tracker aims to stay in."""
+    _check(aspect)
+    return factor * _asin(aspect)
 
 
-def pair_turn_bound(aspect: float, elapsed: float) -> float:
+def jump_distance(aspect, factor: float = 3.0):
+    """Bound J = (c+2)*arcsin(aspect) on how far the interval endpoint can
+    move instantaneously."""
+    return safe_zone_half_width(aspect, factor + 2.0)
+
+
+def pair_turn_window(aspect):
+    """Longest elapsed time (1 - aspect) / (2 + 2*aspect) ``pair_turn_bound`` covers."""
+    return (1.0 - aspect) / (2.0 + 2.0 * aspect)
+
+
+def pair_turn_bound(aspect, elapsed):
     """Bound on the diametric-pair orientation change over ``elapsed`` time.
 
-    Well-defined while elapsed <= (1 - aspect) / (2 + 2*aspect); assumes
-    unit point speed and diameter at least 1.
+    Well-defined within ``pair_turn_window``; assumes unit point speed and
+    diameter at least 1.
     """
-    if not 0.0 <= aspect <= 1.0:
-        raise DomainError("aspect ratio must lie in [0, 1]")
-    if elapsed < 0.0:
-        raise DomainError("elapsed time must be nonnegative")
-    arg = aspect + elapsed * (2.0 + 2.0 * aspect)
-    if arg > 1.0:
-        raise DomainError(
-            f"elapsed={elapsed} exceeds the valid window (1-aspect)/(2+2*aspect)"
-        )
-    return math.asin(arg)
+    _check(aspect, elapsed, pair_turn_window, "(1-aspect)/(2+2*aspect)")
+    # inside the window the argument exceeds 1 by rounding at most
+    return _asin(np.minimum(aspect + elapsed * (2.0 + 2.0 * aspect), 1.0))
 
 
-def aspect_drop_bound(aspect: float, elapsed: float) -> float:
+def aspect_drop_window(aspect):
+    """Longest elapsed time sin(arcsin(aspect)/2) / 2 ``aspect_drop_bound`` covers."""
+    return _sin(0.5 * _asin(aspect)) / 2.0
+
+
+def aspect_drop_bound(aspect, elapsed):
     """Bound on how much the aspect ratio can drop over ``elapsed`` time.
 
-    Well-defined while elapsed <= sin(arcsin(aspect)/2) / 2; same
-    normalization assumptions as ``pair_turn_bound``.
+    Well-defined within ``aspect_drop_window``; same normalization
+    assumptions as ``pair_turn_bound``.
     """
-    if not 0.0 <= aspect <= 1.0:
-        raise DomainError("aspect ratio must lie in [0, 1]")
-    if elapsed < 0.0:
-        raise DomainError("elapsed time must be nonnegative")
-    half = math.sin(0.5 * math.asin(aspect))
-    if elapsed > half / 2.0:
-        raise DomainError(
-            f"elapsed={elapsed} exceeds the valid window sin(arcsin(aspect)/2)/2"
-        )
+    # sin(arcsin(aspect)/2): doubling undoes the window's halving exactly
+    half = 2.0 * _check(aspect, elapsed, aspect_drop_window, "sin(arcsin(aspect)/2)/2")
     return aspect - (half - 2.0 * elapsed) / (1.0 + 2.0 * elapsed)
 
 
@@ -130,8 +152,17 @@ class SafeZoneReport:
     safe_half_width: np.ndarray
     jump_allowance: np.ndarray
     ang_gap: np.ndarray
-    in_safe_zone: np.ndarray
-    in_interval: np.ndarray
+    in_safe_zone: np.ndarray = field(init=False)
+    in_interval: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.in_safe_zone = self.ang_gap <= self.safe_half_width
+        self.in_interval = self.ang_gap <= self.interval_half_width
+
+    @property
+    def interval_half_width(self) -> np.ndarray:
+        """H + J = (2c+2)*arcsin(aspect), the gap the enclosing interval allows."""
+        return self.safe_half_width + self.jump_allowance
 
 
 @dataclass
@@ -150,19 +181,14 @@ class ChaseResult:
     runs: dict[DescriptorKind, TrackerOutput]
 
 
-def chase(
-    traj: Trajectory,
-    params: ChaseParams = ChaseParams(),
-    dt: float = 1e-3,
-) -> ChaseResult:
+def chase(traj: Trajectory, params: ChaseParams = ChaseParams(), dt: float = 1e-3) -> ChaseResult:
     """Run the speed-capped chasing tracker over a (normalized) trajectory.
 
     The tracker chases the diametric-pair orientation, starting on it in the
     first frame so that the run begins in steady state.
     """
-    c = params.safe_zone_factor
     max_step = params.max_turn_rate * dt
-    zone = []  # per block: the SafeZoneReport fields, in order
+    zone = []  # per block: the diametric box's aspect and the tracker's gap to it
 
     def toward_pair(frames, times, optima, prev_beta):
         box = diametric_boxes(frames)
@@ -170,17 +196,15 @@ def chase(
         for alpha in box.alpha.tolist():
             prev_beta = alpha if prev_beta is None else rotate_toward(prev_beta, alpha, max_step)
             beta.append(prev_beta)
-        gap = np.array([angular_distance(b, a) for b, a in zip(beta, box.alpha.tolist())])
-        h = np.array([safe_zone_half_width(z, c) for z in box.aspect.tolist()])
-        j = np.array([jump_distance(z, c) for z in box.aspect.tolist()])
-        zone.append((box.aspect, h, j, gap, gap <= h, gap <= h + j))
-        return np.array(beta)
+        beta = np.array(beta)
+        zone.append((box.aspect, angular_distances(beta, box.alpha)))
+        return beta
 
     runs = sampled_run(
         traj, dt, (DescriptorKind.OBB, DescriptorKind.STRIP), ORIENTATION_PERIOD, toward_pair,
     )
-    report = SafeZoneReport(*(np.concatenate(col) for col in zip(*zone)))
+    aspect, gap = (np.concatenate(col) for col in zip(*zone))
+    c = params.safe_zone_factor
+    report = SafeZoneReport(aspect, safe_zone_half_width(aspect, c), jump_distance(aspect, c), gap)
     box_run = runs[DescriptorKind.OBB]
-    return ChaseResult(
-        params=params, times=box_run.times, beta=box_run.beta, safe_zone=report, runs=runs,
-    )
+    return ChaseResult(params, box_run.times, box_run.beta, report, runs)

@@ -36,7 +36,7 @@ from .angles import (
     canonical_array,
 )
 from .costs import DescriptorKind, costs_at, frame_costs
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError
 from .geometry import Frames, block_size, frame_diameters, frame_faults
 from .ratios import ratio, ratios
 from .solvers import block_optima
@@ -312,24 +312,3 @@ def track_topological(
         raise
     output.flips = _locate_flips(traj, kind, period, jumps)
     return output
-
-
-def intermediate_box_area(a: float, b: float, alpha: float, theta: float) -> float:
-    """Area of the box at angle ``theta`` that still covers the intersection
-    of two unit-area boxes whose major axes are ``a`` and ``b``, ``alpha`` apart.
-
-    Valid for 0 < alpha < pi/2, 0 <= theta <= alpha, positive axis lengths;
-    theta = 0 reproduces the first box (area 1).
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError("axis lengths must be positive")
-    if not (0.0 < alpha < math.pi / 2.0):
-        raise DomainError("alpha must lie strictly between 0 and pi/2")
-    if not (0.0 <= theta <= alpha):
-        raise DomainError("theta must lie in [0, alpha]")
-    sa = math.sin(alpha)
-    return (
-        (b * math.sin(alpha - theta) + a * math.sin(theta))
-        * (a * math.sin(alpha - theta) + b * math.sin(theta))
-        / (a * b * sa * sa)
-    )

@@ -35,6 +35,8 @@ class Trajectory:
             raise DegenerateInputError("trajectory needs at least 2 points")
         if times[0] != 0.0:
             raise DegenerateInputError("first keyframe time must be 0")
+        if not np.isfinite(times).all():
+            raise DegenerateInputError("keyframe times must be finite")
         if len(times) > 1 and not (np.diff(times) > 0.0).all():
             raise DegenerateInputError("keyframe times must be strictly increasing")
         if not np.isfinite(pos).all():

@@ -21,8 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import angular_distance, winding_number
-from .chasing import ChaseParams, chase, normalize_trajectory
+from .angles import angular_distances, winding_number
+from .chasing import (ChaseParams, aspect_drop_bound, aspect_drop_window, chase,
+                      normalize_trajectory, pair_turn_bound, pair_turn_window)
 from .costs import DescriptorKind
 from .errors import DomainError
 from .geometry import Frames, block_size, diametric_boxes
@@ -102,10 +103,33 @@ class VerificationReport:
 # The constrained max-min program bounding the worst intermediate box.
 
 
+def intermediate_box_area(a: float, b: float, alpha: float, theta: float) -> float:
+    """Area of the box at angle ``theta`` that still covers the intersection
+    of two unit-area boxes whose major axes are ``a`` and ``b``, ``alpha`` apart.
+
+    Valid for 0 < alpha < pi/2, 0 <= theta <= alpha, positive axis lengths;
+    theta = 0 reproduces the first box (area 1).
+    """
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError("axis lengths must be positive")
+    if not (0.0 < alpha < math.pi / 2.0):
+        raise DomainError("alpha must lie strictly between 0 and pi/2")
+    if not (0.0 <= theta <= alpha):
+        raise DomainError("theta must lie in [0, alpha]")
+    rest, turned, sa = math.sin(alpha - theta), math.sin(theta), math.sin(alpha)
+    return (b * rest + a * turned) * (a * rest + b * turned) / (a * b * sa * sa)
+
+
+def swept_box_peak(a, b, cos_turn):
+    """Peak of ``intermediate_box_area`` over the sweep, reached at theta = alpha/2:
+    (a+b)^2 / (2ab(1+cos alpha)), given cos alpha (floats or arrays)."""
+    return (a + b) ** 2 / (2.0 * a * b * (1.0 + cos_turn))
+
+
 def _program_objective(a, b, alpha):
-    turn_ccw = (a + b) ** 2 / (2.0 * a * b * (1.0 + np.cos(alpha)))
-    turn_cw = (1.0 + a * b) ** 2 / (2.0 * a * b * (1.0 + np.sin(alpha)))
-    return np.minimum(turn_ccw, turn_cw)
+    # turning by alpha one way, or by pi/2 - alpha (cosine sin alpha) the other
+    return np.minimum(swept_box_peak(a, b, np.cos(alpha)),
+                      swept_box_peak(1.0, a * b, np.sin(alpha)))
 
 
 def _program_grid_max(a_lo, a_hi, b_lo, b_hi, al_lo, al_hi, grid_axis, grid_angle):
@@ -172,7 +196,7 @@ def verify_obb_program(grid_axis: int = 512, grid_angle: int = 512,
     c_grid = np.linspace(1.0, SQRT2, grid_axis)
     al_grid = np.linspace(1e-9, math.pi / 4, grid_angle)
     cc, alal = np.meshgrid(c_grid, al_grid, indexing="ij")
-    small = (1.0 + cc) ** 2 / (2.0 * cc * (1.0 + np.cos(alal)))
+    small = swept_box_peak(1.0, cc, np.cos(alal))
     i = int(np.argmax(small))
     return ProgramResult(
         max_value=val,
@@ -200,6 +224,8 @@ def verify_trig_bounds(samples: int = 100_000, seed: int = 0,
     For 0 <= x <= 1: sin(lam*arcsin x) <= lam*x when lam >= 1 and >= lam*x
     when 0 < lam <= 1; and x <= arcsin(x) <= (arcsin(a)/a)*x for 0 < x <= a <= 1.
     """
+    if samples < 1:
+        raise DomainError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, samples)
     lam_hi = rng.uniform(1.0, 10.0, samples)
@@ -241,54 +267,37 @@ def verify_bound_empirics(
 
     Trajectories must already be normalized (unit speed, diameter >= 1).
     Sampling can miss the exact flip instant by up to dt per endpoint, so
-    the bounds receive a discretization allowance of 4*dt*(2+2*aspect)
-    inside the arcsine argument (turn bound) and 4*dt of extra elapsed time
-    (drop bound).
+    both bounds are evaluated at 4*dt of extra elapsed time, over every
+    (sample, window) pair at once; where that padded time leaves the turn
+    bound's window, the turn bound is pi/2.
     """
-    turn_viol = 0
-    turn_worst = -math.inf
-    turn_witness = None
-    drop_viol = 0
-    drop_worst = -math.inf
-    drop_witness = None
-
+    # per bound: [violations, worst margin, witness]; the witness is the first
+    # maximum in (trajectory, window, sample) order
+    found = {"pair-turn": [0, -math.inf, None], "aspect-drop": [0, -math.inf, None]}
     for name, traj in named_trajectories:
         times = traj.sample_times(dt)
         boxes = [diametric_boxes(frames) for frames in traj.frame_blocks(times)]
         alphas = np.concatenate([b.alpha for b in boxes])
         aspects = np.concatenate([b.aspect for b in boxes])
-        for k in window_steps:
-            if k >= len(times):
-                continue
-            elapsed = k * dt
-            for i in range(len(times) - k):
-                z = float(aspects[i])
-                if elapsed <= (1.0 - z) / (2.0 + 2.0 * z):
-                    measured = angular_distance(float(alphas[i]), float(alphas[i + k]))
-                    arg = z + (elapsed + 4.0 * dt) * (2.0 + 2.0 * z)
-                    bound = math.asin(min(arg, 1.0))
-                    margin = measured - bound
-                    if margin > turn_worst:
-                        turn_worst = margin
-                        turn_witness = (name, float(times[i]), z, elapsed)
-                    if margin > 0.0:
-                        turn_viol += 1
-                half = math.sin(0.5 * math.asin(z))
-                padded = elapsed + 4.0 * dt
-                if padded <= half / 2.0:
-                    drop = z - float(aspects[i + k])
-                    bound = z - (half - 2.0 * padded) / (1.0 + 2.0 * padded)
-                    margin = drop - bound
-                    if margin > drop_worst:
-                        drop_worst = margin
-                        drop_witness = (name, float(times[i]), z, elapsed)
-                    if margin > 0.0:
-                        drop_viol += 1
-
-    return {
-        "pair-turn": SamplingResult(turn_viol, turn_worst, turn_witness),
-        "aspect-drop": SamplingResult(drop_viol, drop_worst, drop_witness),
-    }
+        turn_window, drop_window = pair_turn_window(aspects), aspect_drop_window(aspects)
+        for k in (k for k in window_steps if k < len(times)):
+            elapsed, n = k * dt, len(times) - k
+            padded = elapsed + 4.0 * dt
+            i = np.flatnonzero(elapsed <= turn_window[:n])
+            bound = np.full(len(i), math.pi / 2.0)  # asin 1 where padded leaves the window
+            inside = padded <= turn_window[i]
+            bound[inside] = pair_turn_bound(aspects[i][inside], padded)
+            turn = angular_distances(alphas[i], alphas[i + k]) - bound
+            j = np.flatnonzero(padded <= drop_window[:n])
+            drop = (aspects[j] - aspects[j + k]) - aspect_drop_bound(aspects[j], padded)
+            for key, margins, at in (("pair-turn", turn, i), ("aspect-drop", drop, j)):
+                entry = found[key]
+                if len(at) and margins.max() > entry[1]:
+                    m = at[int(np.argmax(margins))]
+                    entry[1:] = float(margins.max()), (name, float(times[m]),
+                                                       float(aspects[m]), elapsed)
+                entry[0] += int((margins > 0.0).sum())
+    return {key: SamplingResult(*entry) for key, entry in found.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +308,9 @@ def measured_axis_speed(traj: Trajectory, dt: float = 1e-3) -> float:
     """Max finite-difference rotation speed of the optimal principal axis."""
     times = traj.sample_times(dt)
     alphas = np.concatenate([block_optima(frames, (DescriptorKind.PC,))[0].alpha
-                             for frames in traj.frame_blocks(times)]).tolist()
-    worst = 0.0
-    for i in range(len(alphas) - 1):
-        step = angular_distance(alphas[i], alphas[i + 1])
-        worst = max(worst, step / (times[i + 1] - times[i]))
-    return worst
+                             for frames in traj.frame_blocks(times)])
+    speeds = angular_distances(alphas[:-1], alphas[1:]) / np.diff(times)
+    return float(speeds.max(initial=0.0))
 
 
 def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3, anchor: int = 0) -> float:
@@ -353,38 +359,23 @@ def chase_suite(trajectories: list[Trajectory], dt: float = 1e-3) -> ChaseSuiteR
     the box and strip ratios stay bounded.
     """
     params = ChaseParams()
-    gap_factor = 2.0 * params.safe_zone_factor + 2.0
     step_cap = params.max_turn_rate * dt
 
     def run(traj: Trajectory):
         res = chase(traj, params, dt)
         box, strip = res.runs[DescriptorKind.OBB], res.runs[DescriptorKind.STRIP]
-        step_excess = float(box.step_distances().max() - step_cap) if len(res.times) > 1 else -step_cap
+        step_excess = float(box.step_distances().max(initial=0.0) - step_cap)
         sz = res.safe_zone
-        warm = np.nonzero(sz.in_safe_zone)[0]
-        violations = 0
-        worst_excess = -math.inf
-        if len(warm):
-            start = int(warm[0])
-            mask = sz.aspect[start:] <= 0.5
-            if mask.any():
-                bound = gap_factor * np.arcsin(sz.aspect[start:][mask]) + step_cap
-                excess = sz.ang_gap[start:][mask] - bound
-                violations = int((excess > 1e-12).sum())
-                worst_excess = float(excess.max())
+        warm = np.cumsum(sz.in_safe_zone) > 0  # from the first sample in the safe zone on
+        mask = warm & (sz.aspect <= 0.5)
+        excess = sz.ang_gap[mask] - (sz.interval_half_width[mask] + step_cap)
         return (
-            step_excess, violations, worst_excess,
+            step_excess, int((excess > 1e-12).sum()), float(excess.max(initial=-math.inf)),
             float(np.max(box.ratio)), float(np.max(strip.ratio)),
         )
 
-    rows = _parallel_map(run, trajectories)
-    return ChaseSuiteResult(
-        max_step_excess=max(r[0] for r in rows),
-        safe_zone_violations=sum(r[1] for r in rows),
-        worst_gap_excess=max(r[2] for r in rows),
-        max_obb_ratio=max(r[3] for r in rows),
-        max_strip_ratio=max(r[4] for r in rows),
-    )
+    steps, violations, gaps, boxes, strips = zip(*_parallel_map(run, trajectories))
+    return ChaseSuiteResult(max(steps), sum(violations), max(gaps), max(boxes), max(strips))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +469,7 @@ class Claim:
 
 
 FIVE_QUARTERS = 1.25 + 1e-3  # the 5/4 box-sweep bound plus grid and sampling slack
-CHASE_RATIO_CAP = 4.0 * ChaseParams().safe_zone_factor + 6.0  # 4c+6 = 18
+CHASE_RATIO_CAP = ChaseParams().ratio_cap  # 4c+6 = 18
 PROGRAM_BUDGET = Budget("the sweep program", 60.0)
 BOX_FLIP_BUDGET = Budget("the box flip scenario and sweep", 30.0)
 CHASE_BUDGET = Budget("the chase guarantees", 120.0)

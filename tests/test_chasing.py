@@ -69,6 +69,27 @@ class TestChangeBounds:
         for z in np.linspace(0.0, 1.0, 50):
             assert aspect_drop_bound(float(z), 0.0) <= z / 2.0 + 1e-12
 
+    def test_array_calls_match_scalar_calls(self):
+        z = np.linspace(0.0, 1.0, 41)
+        turn_t = 0.5 * (1.0 - z) / (2.0 + 2.0 * z)
+        drop_t = 0.25 * np.sin(0.5 * np.arcsin(z))
+        pairs = [
+            (pair_turn_bound, turn_t), (aspect_drop_bound, drop_t),
+            (lambda a, _: safe_zone_half_width(a, 3.0), z), (lambda a, _: jump_distance(a, 3.0), z),
+        ]
+        for bound, t in pairs:
+            scalar = [bound(float(a), float(e)) for a, e in zip(z, t)]
+            assert bound(z, t).tolist() == scalar
+
+    def test_array_calls_check_every_entry(self):
+        z = np.array([0.25, 0.5])
+        with pytest.raises(DomainError):
+            pair_turn_bound(z, np.array([0.1, 0.2]))
+        with pytest.raises(DomainError):
+            aspect_drop_bound(z, np.array([0.0, -0.1]))
+        with pytest.raises(DomainError):
+            safe_zone_half_width(np.array([0.5, math.nan]))
+
     def test_bounds_nondecreasing_in_elapsed(self):
         for z in (0.1, 0.4, 0.8):
             turn_grid = np.linspace(0.0, (1 - z) / (2 + 2 * z), 200)

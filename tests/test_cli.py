@@ -183,6 +183,28 @@ def test_verify_quick_suite_exits_zero(tmp_path, capsys):
     assert len({c.claim_id for c in CLAIMS}) == len(CLAIMS)
 
 
+def test_scenario_rejects_infinite_duration(capsys):
+    code, out, err = run_cli(capsys, ["scenario", "obb-lower-bound", "--duration", "inf"])
+    assert (code, out, err) == (2, "", "error: keyframe times must be finite\n")
+
+
+@pytest.mark.parametrize("command", ["track", "chase", "descriptor"])
+def test_infinite_keyframe_time_is_rejected(capsys, monkeypatch, command):
+    text = (
+        '{"format": "kinostable-trajectory", "version": 1, "points": 3, "horizon": 1.0}\n'
+        '{"t": 0.0, "xy": [0, 0, 1, 0, 0, 1]}\n'
+        '{"t": Infinity, "xy": [0, 0, 1, 0, 0, 1]}\n'
+    )
+    code, out, err = run_cli(capsys, [command], stdin_text=text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: keyframe times must be finite\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_no_trig_samples(capsys, samples):
+    code, out, err = run_cli(capsys, ["verify", "--grid", "64", "--samples", samples])
+    assert (code, out, err) == (2, "", "error: samples must be at least 1\n")
+
+
 def test_verify_failure_exits_three(capsys, monkeypatch):
     from kinostable.verify import ClaimCheck, VerificationReport
 

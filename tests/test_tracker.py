@@ -9,48 +9,9 @@ from kinostable.costs import DescriptorKind, costs_at
 from kinostable.errors import DomainError
 from kinostable.ratios import max_ratio
 from kinostable.scenarios import obb_lower_bound, pc_flip, random_walk, strip_lower_bound
-from kinostable.tracker import intermediate_box_area, track_topological
+from kinostable.tracker import track_topological
 
 SQRT2 = math.sqrt(2.0)
-
-
-class TestIntermediateBoxArea:
-    def test_zero_turn_reproduces_first_box(self):
-        for a, b, alpha in [(1.0, 1.2, 0.4), (1.3, 1.4, 0.7), (2.0, 2.0, 1.2)]:
-            assert intermediate_box_area(a, b, alpha, 0.0) == pytest.approx(1.0)
-
-    def test_known_halfway_value(self):
-        value = intermediate_box_area(1.0, SQRT2, math.pi / 4, math.pi / 8)
-        assert value == pytest.approx(0.5 + SQRT2 / 2.0)
-        assert value < 1.25
-
-    def test_maximum_sits_at_half_angle(self):
-        # finite differences change sign exactly around theta = alpha/2
-        a, b, alpha = 1.1, 1.3, 0.9
-        h = 1e-6
-        half = alpha / 2.0
-        before = intermediate_box_area(a, b, alpha, half - h)
-        peak = intermediate_box_area(a, b, alpha, half)
-        after = intermediate_box_area(a, b, alpha, half + h)
-        assert peak >= before and peak >= after
-        grid = np.linspace(0.0, alpha, 501)
-        vals = [intermediate_box_area(a, b, alpha, t) for t in grid]
-        assert grid[int(np.argmax(vals))] == pytest.approx(half, abs=alpha / 500)
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            (0.0, 1.0, 0.5, 0.1),
-            (1.0, -1.0, 0.5, 0.1),
-            (1.0, 1.0, 0.0, 0.0),
-            (1.0, 1.0, math.pi / 2, 0.1),
-            (1.0, 1.0, 0.5, 0.6),
-            (1.0, 1.0, 0.5, -0.01),
-        ],
-    )
-    def test_rejects_out_of_domain(self, args):
-        with pytest.raises(DomainError):
-            intermediate_box_area(*args)
 
 
 class TestTopologicalTracker:

@@ -38,6 +38,14 @@ def test_times_strictly_increasing():
         Trajectory(np.array([0.0, 0.7, 0.7]), pos)
 
 
+@pytest.mark.parametrize("last", [np.inf, np.nan])
+def test_times_must_be_finite(last):
+    pos = np.zeros((2, 2, 2))
+    pos[:, 1, 0] = 1.0
+    with pytest.raises(DegenerateInputError, match="keyframe times must be finite"):
+        Trajectory(np.array([0.0, last]), pos)
+
+
 def test_rejects_coincident_keyframe():
     pos = np.zeros((2, 3, 2))
     pos[0, 1, 0] = 1.0  # second keyframe collapses to a point

@@ -4,15 +4,25 @@ import threading
 import numpy as np
 import pytest
 
+from kinostable.angles import angular_distance
 from kinostable.chasing import normalize_trajectory
+from kinostable.errors import DomainError
+from kinostable.geometry import diametric_boxes
 from kinostable.ratios import max_ratio, ratio
-from kinostable.scenarios import obb_lower_bound, random_walk
+from kinostable.scenarios import obb_lower_bound, pc_flip, random_walk
 from kinostable.costs import DescriptorKind
+from kinostable.solvers import block_optima
 from kinostable.tracker import track_topological
 from kinostable.trajectory import Trajectory
 from kinostable.verify import (
+    SuiteOptions,
+    SuiteRun,
     _parallel_map,
+    _program_objective,
     forced_orientation_winding,
+    intermediate_box_area,
+    measured_axis_speed,
+    swept_box_peak,
     verify_bound_empirics,
     verify_obb_program,
     verify_trig_bounds,
@@ -72,12 +82,80 @@ class TestProgram:
             verify_obb_program(grid_axis=8, grid_angle=8)
 
 
+class TestIntermediateBoxArea:
+    def test_zero_turn_reproduces_first_box(self):
+        for a, b, alpha in [(1.0, 1.2, 0.4), (1.3, 1.4, 0.7), (2.0, 2.0, 1.2)]:
+            assert intermediate_box_area(a, b, alpha, 0.0) == pytest.approx(1.0)
+
+    def test_known_halfway_value(self):
+        value = intermediate_box_area(1.0, SQRT2, math.pi / 4, math.pi / 8)
+        assert value == pytest.approx(0.5 + SQRT2 / 2.0)
+        assert value < 1.25
+
+    def test_maximum_sits_at_half_angle(self):
+        # finite differences change sign exactly around theta = alpha/2
+        a, b, alpha = 1.1, 1.3, 0.9
+        h = 1e-6
+        half = alpha / 2.0
+        before = intermediate_box_area(a, b, alpha, half - h)
+        peak = intermediate_box_area(a, b, alpha, half)
+        after = intermediate_box_area(a, b, alpha, half + h)
+        assert peak >= before and peak >= after
+        grid = np.linspace(0.0, alpha, 501)
+        vals = [intermediate_box_area(a, b, alpha, t) for t in grid]
+        assert grid[int(np.argmax(vals))] == pytest.approx(half, abs=alpha / 500)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.0, 1.0, 0.5, 0.1),
+            (1.0, -1.0, 0.5, 0.1),
+            (1.0, 1.0, 0.0, 0.0),
+            (1.0, 1.0, math.pi / 2, 0.1),
+            (1.0, 1.0, 0.5, 0.6),
+            (1.0, 1.0, 0.5, -0.01),
+        ],
+    )
+    def test_rejects_out_of_domain(self, args):
+        with pytest.raises(DomainError):
+            intermediate_box_area(*args)
+
+
+class TestSweptBoxPeak:
+    @pytest.mark.parametrize("a, b, alpha", [
+        (1.1, 1.3, 0.9),
+        (1.0, SQRT2, math.pi / 4),
+        (1.414074, 1.414214, 0.927256),  # near the program's argmax
+        (2.0, 2.0, 1.2),
+    ])
+    def test_peak_is_the_maximum_over_the_sweep(self, a, b, alpha):
+        thetas = np.append(np.linspace(0.0, alpha, 2001), alpha / 2.0)
+        best = max(intermediate_box_area(a, b, alpha, float(t)) for t in thetas)
+        assert swept_box_peak(a, b, math.cos(alpha)) == pytest.approx(best, abs=1e-12)
+
+    def test_program_terms_equal_their_written_out_forms(self):
+        a, b, alpha = np.meshgrid(np.linspace(1.0, 1.6, 37), np.linspace(1.0, 2.2, 41),
+                                  np.linspace(1e-9, math.pi / 2, 43), indexing="ij")
+        turn_ccw = (a + b) ** 2 / (2.0 * a * b * (1.0 + np.cos(alpha)))
+        turn_cw = (1.0 + a * b) ** 2 / (2.0 * a * b * (1.0 + np.sin(alpha)))
+        small = (1.0 + a) ** 2 / (2.0 * a * (1.0 + np.cos(alpha)))
+        assert np.array_equal(swept_box_peak(a, b, np.cos(alpha)), turn_ccw)
+        assert np.array_equal(swept_box_peak(1.0, a * b, np.sin(alpha)), turn_cw)
+        assert np.array_equal(swept_box_peak(1.0, a, np.cos(alpha)), small)
+        assert np.array_equal(_program_objective(a, b, alpha), np.minimum(turn_ccw, turn_cw))
+
+
 class TestTrigBounds:
     def test_no_violations_in_bulk_sample(self):
         results = verify_trig_bounds(samples=20_000, seed=5)
         for name, res in results.items():
             assert res.violations == 0, name
             assert res.worst_margin <= 1e-12
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(DomainError):
+            verify_trig_bounds(samples=samples)
 
     def test_equality_edge_cases(self):
         assert math.sin(1.0 * math.asin(1.0)) == pytest.approx(1.0)
@@ -106,6 +184,61 @@ class TestBoundEmpirics:
         results = verify_bound_empirics(named, dt=2e-3)
         assert results["pair-turn"].violations == 0
         assert results["aspect-drop"].violations == 0
+
+
+def scalar_bound_empirics(named_trajectories, dt=1e-3, window_steps=(1, 2, 5, 10)):
+    """The per-(sample, window) loop verify_bound_empirics replaced, with
+    both bounds written out, kept as the reference for the array version."""
+    found = {"pair-turn": [0, -math.inf, None], "aspect-drop": [0, -math.inf, None]}
+    for name, traj in named_trajectories:
+        times = traj.sample_times(dt)
+        boxes = [diametric_boxes(frames) for frames in traj.frame_blocks(times)]
+        alphas = np.concatenate([b.alpha for b in boxes])
+        aspects = np.concatenate([b.aspect for b in boxes])
+        for k in window_steps:
+            if k >= len(times):
+                continue
+            elapsed = k * dt
+            for i in range(len(times) - k):
+                z = float(aspects[i])
+                margins = {}
+                if elapsed <= (1.0 - z) / (2.0 + 2.0 * z):
+                    measured = angular_distance(float(alphas[i]), float(alphas[i + k]))
+                    arg = z + (elapsed + 4.0 * dt) * (2.0 + 2.0 * z)
+                    margins["pair-turn"] = measured - math.asin(min(arg, 1.0))
+                half = math.sin(0.5 * math.asin(z))
+                padded = elapsed + 4.0 * dt
+                if padded <= half / 2.0:
+                    drop = z - float(aspects[i + k])
+                    margins["aspect-drop"] = drop - (z - (half - 2.0 * padded) / (1.0 + 2.0 * padded))
+                for key, margin in margins.items():
+                    entry = found[key]
+                    if margin > entry[1]:
+                        entry[1:] = margin, (name, float(times[i]), z, elapsed)
+                    if margin > 0.0:
+                        entry[0] += 1
+    return found
+
+
+def test_bound_empirics_match_the_scalar_loop():
+    corpus = SuiteRun(SuiteOptions(walks=4)).normalized
+    results = verify_bound_empirics(corpus)
+    reference = scalar_bound_empirics(corpus)
+    for key, (violations, worst, witness) in reference.items():
+        assert (results[key].violations, results[key].worst_margin, results[key].witness) \
+            == (violations, worst, witness), key
+
+
+def test_measured_axis_speed_matches_the_scalar_loop():
+    traj = pc_flip()
+    times = traj.sample_times(1e-3)
+    alphas = np.concatenate([block_optima(frames, (DescriptorKind.PC,))[0].alpha
+                             for frames in traj.frame_blocks(times)]).tolist()
+    worst = 0.0
+    for i in range(len(alphas) - 1):
+        step = angular_distance(alphas[i], alphas[i + 1])
+        worst = max(worst, step / (times[i + 1] - times[i]))
+    assert measured_axis_speed(traj) == worst
 
 
 def test_forced_orientation_double_cover_small():
