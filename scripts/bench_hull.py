@@ -30,7 +30,10 @@ size.
 sample, on the walks of the kinobench ``walks`` workload (20 steps over
 0.4 time units, dt = 1e-3) at n = 8 and 64 for fixed seeds; the chase runs
 on the normalized walk, as ``kinostable chase`` does.  Each entry is the
-best of ``--repeats`` runs per seed, and the median over seeds.
+best of ``--repeats`` runs per seed, and the median over seeds.  One more
+run per seed counts the frames whose hull was built and the monotone-chain
+runs among them; the rest replayed a chain trace (a tree without traces
+runs the chain for every hull).
 """
 
 from __future__ import annotations
@@ -152,6 +155,40 @@ def run_layers(args) -> dict:
     return out
 
 
+def hull_counts(run) -> dict:
+    """Frames whose hull ``run()`` built, and the monotone-chain runs among them."""
+    from kinostable import geometry
+
+    counts = {"hull_frames": 0, "chain_runs": 0}
+
+    def counting(name, key, frames):
+        real = getattr(geometry, name)
+
+        def wrapper(*args):
+            counts[key] += frames(args)
+            return real(*args)
+        return real, wrapper
+
+    if hasattr(geometry, "_monotone_chain"):
+        patches = {"_monotone_chain": counting("_monotone_chain", "chain_runs", lambda a: 1),
+                   "_consecutive_hulls": counting("_consecutive_hulls", "hull_frames",
+                                                  lambda a: len(a[0])),
+                   "_traced_hulls": counting("_traced_hulls", "hull_frames", lambda a: len(a[0]))}
+    else:  # every hull is one convex_hull call
+        patches = {"convex_hull": counting("convex_hull", "chain_runs", lambda a: 1)}
+    for name, (_, wrapper) in patches.items():
+        setattr(geometry, name, wrapper)
+    try:
+        run()
+    finally:
+        for name, (real, _) in patches.items():
+            setattr(geometry, name, real)
+    if "convex_hull" in patches:
+        counts["hull_frames"] = counts["chain_runs"]
+    counts["replayed"] = counts["hull_frames"] - counts["chain_runs"]
+    return counts
+
+
 def run_core(args) -> dict:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from kinostable.chasing import chase, normalize_trajectory
@@ -167,7 +204,7 @@ def run_core(args) -> dict:
                for kind in ("obb", "strip", "pc")}
         ops["chase"] = [lambda t=traj: chase(t, dt=CORE_DT) for traj in normalized]
         for op, runs in ops.items():
-            per_seed = []
+            per_seed, counts = [], []
             for run in runs:
                 samples = len(run().times)
                 best = math.inf
@@ -176,8 +213,9 @@ def run_core(args) -> dict:
                     run()
                     best = min(best, time.perf_counter() - t0)
                 per_seed.append(1e6 * best / samples)
+                counts.append({"samples": samples, **hull_counts(run)})
             row = {"n": n, "op": op, "per_sample_us": statistics.median(per_seed),
-                   "per_seed_us": per_seed}
+                   "per_seed_us": per_seed, "per_seed_counts": counts}
             rows.append(row)
             print(json.dumps(row), flush=True)
     return {"git_commit": git_commit(Path(args.src)), "dt": CORE_DT, "seeds": args.seeds,

@@ -17,6 +17,20 @@ ORIENTATION_PERIOD = math.pi
 BOX_PERIOD = math.pi / 2.0
 
 
+def elementwise(fn, nin: int = 1):
+    """``fn`` of ``nin`` floats, applied to floats or to every entry of
+    same-shape arrays, with math's rounding: on SIMD builds numpy's own
+    arcsin and arctan2 differ from math's in the last bit."""
+    ufunc = np.frompyfunc(fn, nin, 1)
+
+    def apply(*args):
+        if all(np.ndim(x) == 0 for x in args):
+            return fn(*args)
+        return ufunc(*args).astype(float)
+
+    return apply
+
+
 def canonical(theta: float, period: float = ORIENTATION_PERIOD) -> float:
     """Fold an angle into the canonical range [0, period)."""
     t = math.fmod(theta, period)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import ORIENTATION_PERIOD, angular_distances, rotate_toward
+from .angles import ORIENTATION_PERIOD, angular_distances, elementwise, rotate_toward
 from .costs import DescriptorKind
 from .errors import DegenerateInputError, DomainError
 from .geometry import diametric_boxes, frame_diameters
@@ -56,14 +56,7 @@ class ChaseParams:
         return 4.0 * self.safe_zone_factor + 6.0
 
 
-def _each(fn):
-    """``fn`` on a float or on every entry of an array, with math's rounding
-    (on SIMD builds np.arcsin differs from math.asin in the last bit)."""
-    ufunc = np.frompyfunc(fn, 1, 1)
-    return lambda x: fn(x) if np.ndim(x) == 0 else ufunc(x).astype(float)
-
-
-_asin, _sin = _each(math.asin), _each(math.sin)
+_asin, _sin = elementwise(math.asin), elementwise(math.sin)
 
 
 def _check(aspect, elapsed=0.0, window=None, formula=""):

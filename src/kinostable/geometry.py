@@ -15,9 +15,30 @@ frame size:
 Every quantity is computed for a block of frames at once (``Frames``, a
 (B, n, 2) array): the trackers, the descriptor command and the
 normalization walk a run block by block, and the per-frame functions
-(``diametric_box``, ``frame_diameter``) are the one-frame call of the same
-block code.  ``block_size`` caps a block so that no per-block temporary
-exceeds ``_BLOCK_BYTES``; only O(B) arrays outlive a block.
+(``diametric_box``, ``frame_diameter``, ``convex_hull``) are the one-frame
+call of the same block code.  ``block_size`` caps a block so that no
+per-block temporary exceeds ``_BLOCK_BYTES``; only O(B) arrays outlive a
+block.
+
+Hulls are kinetic in the sense of Basch, Guibas and Hershberger (1997):
+the certificates are the monotone chain's own comparisons (Andrew, 1979).
+A chain run on a frame whose n points are all distinct records a trace
+(``HullTrace``): the lexicographic order of the points and every turn test
+(o, a, p) of its lower and upper chains with its outcome.  A nearby frame
+replays the trace, taking its hull indices, when
+
+* its points sort in the same order with strictly increasing keys, so the
+  chain walks the same sequence of points, with none dropped as equal; and
+* every recorded ``(ax-ox)*(py-oy) - (ay-oy)*(px-ox) <= 0.0`` evaluates the
+  same, computed with the same float expression (numpy rounds each product
+  and difference on its own, as Python does; it fuses none).
+
+The chain would then take exactly the same steps, so the hull indices, and
+the vertices ``points[b, idx]``, are bitwise the chain's, -0.0 included.  A
+frame that cannot replay runs the chain, index by index, on a block-wide
+stable lexicographic presort that keeps the first of equal points, as the
+Python ``set`` of coordinate tuples the chain was first written with does.
+Both checks are array code over many frames at once.
 """
 
 from __future__ import annotations
@@ -28,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import canonical_array
+from .angles import canonical_array, elementwise
 from .errors import DegenerateInputError
 
 # At most this many points, the diameter comes from every pairwise distance
@@ -42,8 +63,19 @@ from .errors import DegenerateInputError
 _BRUTE_FORCE_LIMIT = 64
 
 # Largest per-block temporary, in bytes: the two (B, n, n) arrays of pair
-# coordinate differences up to the limit, the (B, n, 2) positions above it.
+# coordinate differences up to the limit, the (B, n, 2) positions and the
+# (B, 2n) hull index matrix above it.
 _BLOCK_BYTES = 1 << 20
+
+# Consecutive frames try to replay a chain trace only in runs of at least
+# this many frames that sort the same way.  Recording a trace and checking
+# the next frame against it costs about one chain run on a 64-point frame,
+# and only the frames left in the run can pay it back: on random walks
+# sampled at dt = 1e-3, runs average about 60 frames at 8 points, where
+# nearly every frame replays, and about 2 at 64, where most replays fail.
+_REPLAY_RUN = 8
+
+_atan2, _sin, _cos = elementwise(math.atan2, 2), elementwise(math.sin), elementwise(math.cos)
 
 _NON_FINITE = "frame contains non-finite coordinates"
 _COINCIDENT = "all points coincide; every descriptor is undefined"
@@ -101,27 +133,37 @@ class Frame:
         return self.points.mean(axis=0)
 
     @cached_property
+    def block(self) -> Frames:
+        """The one-frame block of this frame; it holds the hull once built."""
+        return Frames(self.points[None])
+
+    @cached_property
     def hull(self) -> np.ndarray:
         """The frame's convex hull, built once on first use."""
-        return convex_hull(self.points)
+        return self.block.hull(0)
 
 
 class Frames:
     """A block of B frames of n points each: ``points`` has shape (B, n, 2).
 
-    Each frame's hull is built on first use, once.  A block is not checked:
+    The hulls of all frames are built together on first use, once, each
+    frame replaying a nearby frame's chain trace where the trace certifies
+    it (see the module docstring).  ``traces`` holds a ``HullTrace`` or None
+    per frame.  Given, it is the trace each frame tries first (a flip
+    bisection passes each jump's previous midpoint's); once the hulls are
+    built, it is each frame's own.  Without it, a frame tries the trace of
+    the last frame before it that ran the chain.  A block is not checked:
     ``Trajectory.frame_blocks`` checks the frames it makes as ``Frame`` does.
     """
 
-    def __init__(self, points: np.ndarray, frame: Frame | None = None):
+    def __init__(self, points: np.ndarray, traces: list[HullTrace | None] | None = None):
         self.points = points
-        self._frame = frame  # a one-frame block of a Frame shares its hull
-        self._hulls: list[np.ndarray | None] = [None] * len(points)
+        self.traces = traces
 
     @classmethod
     def of(cls, points) -> Frames:
         """The one-frame block of a Frame or an (n, 2) point array."""
-        return cls(as_points(points)[None], points if isinstance(points, Frame) else None)
+        return points.block if isinstance(points, Frame) else cls(as_points(points)[None])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -130,28 +172,192 @@ class Frames:
     def n_points(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def hull_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every frame's hull as point indices: a (B, hmax) matrix whose row
+        b holds frame b's ``counts[b]`` vertices counterclockwise, then
+        zeros, and the (B,) ``counts``."""
+        if self.traces is None:
+            return _consecutive_hulls(self.points)
+        return _traced_hulls(self.points, self.traces)
+
     def hull(self, b: int) -> np.ndarray:
-        if self._frame is not None:
-            return self._frame.hull
-        hull = self._hulls[b]
-        if hull is None:
-            hull = self._hulls[b] = convex_hull(self.points[b])
-        return hull
+        """Frame ``b``'s hull vertices, counterclockwise."""
+        idx, counts = self.hull_indices
+        return self.points[b, idx[b, :counts[b]]]
 
 
-def _chain(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """One monotone chain: the points kept with a strict left turn at each."""
-    out: list[tuple[float, float]] = []
-    for p in points:
-        px, py = p
-        while len(out) >= 2:
-            (ox, oy), (ax, ay) = out[-2], out[-1]
+class HullTrace:
+    """One chain run on a frame of n distinct points: their lexicographic
+    ``order``, the ``hull`` indices, and every comparison of the lower and
+    upper chains.
+
+    Column k of ``oap`` holds the point indices (o, a, p) of a turn test
+    that pops a from the chain before pushing p, and ``popped[k]`` its
+    outcome.  The columns come from each chain's links, one per point: the
+    point it was pushed onto (``below``), the one under that (``under``)
+    and the point that popped it (``popper``).  A popped point a was tested
+    by (below, a, popper); a push of p tested (under, below, p) and kept
+    below.  Where no test was made the links read (o, a, a) or (a, a, p):
+    a cross of two equal products, or of zeros, is exactly zero, so
+    popped.
+    """
+
+    def __init__(self, order: np.ndarray, hull: np.ndarray, links: list[list[int]]):
+        self.order, self.hull = order, hull
+        n = len(order)
+        # each (2n,): the lower chain's links, then the upper chain's
+        below, under, popper = np.array(links, dtype=np.intp).reshape(3, 2 * n)
+        own = np.arange(n)
+        self.oap = np.stack([np.concatenate([below, under]),  # pop tests, then push tests
+                             np.concatenate([own, own, below]),
+                             np.concatenate([popper, own, own])])
+        self.popped = np.concatenate([np.ones(2 * n, dtype=bool), under == below])
+
+
+def _half_chain(seq: list[int], xs: list[float], ys: list[float],
+                below: list[int], under: list[int], popper: list[int]) -> list[int]:
+    """One monotone chain over the points ``seq``: the points kept with a
+    strict left turn at each.  The chain is a linked stack, ``below[a]``
+    the point under a, and records its links in ``HullTrace``'s terms."""
+    a = seq[0]
+    ax, ay = xs[a], ys[a]
+    for p in seq[1:]:
+        px, py = xs[p], ys[p]
+        o = below[a]
+        while o >= 0:
+            ox, oy = xs[o], ys[o]
             if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
-                out.pop()
+                popper[a] = p
+                a, ax, ay = o, ox, oy
+                o = below[o]
             else:
                 break
-        out.append(p)
-    return out
+        below[p], under[p] = a, o if o >= 0 else a
+        a, ax, ay = p, px, py
+    out = []
+    while a >= 0:
+        out.append(a)
+        a = below[a]
+    return out[::-1]
+
+
+def _monotone_chain(points: np.ndarray, order: np.ndarray,
+                    record: bool) -> tuple[np.ndarray, HullTrace | None]:
+    """Andrew's monotone chain on one (n, 2) frame: its hull indices, and
+    with ``record`` the trace of the run.
+
+    ``order`` holds the frame's distinct points (the first of equal points)
+    in lexicographic order.  Only a frame whose n points are all distinct
+    gets a trace, so a frame sorting the same way has the same sequence.
+    """
+    if len(order) == 1:
+        raise DegenerateInputError("all points coincide; hull is undefined")
+    if len(order) <= 2:
+        return order, None
+    xs, ys = points[:, 0].tolist(), points[:, 1].tolist()
+    seq = order.tolist()
+    n = len(xs)
+    # below and under of the lower and upper chain, then their poppers
+    links = [[-1] * n for _ in range(4)] + [list(range(n)) for _ in range(2)]
+    lower = _half_chain(seq, xs, ys, links[0], links[2], links[4])
+    upper = _half_chain(seq[::-1], xs, ys, links[1], links[3], links[5])
+    hull = np.array(lower[:-1] + upper[:-1], dtype=np.intp)
+    if record and len(seq) == n:
+        return hull, HullTrace(order, hull, links)
+    return hull, None
+
+
+def _presort(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of each frame's points, (B, n), and which
+    of them differ from the one before: equal points keep the first, as a
+    Python ``set`` of their coordinate tuples does."""
+    x, y = points[..., 0], points[..., 1]
+    order = np.lexsort((y, x))
+    xs, ys = np.take_along_axis(x, order, axis=1), np.take_along_axis(y, order, axis=1)
+    fresh = np.ones(order.shape, dtype=bool)
+    fresh[:, 1:] = (xs[:, 1:] != xs[:, :-1]) | (ys[:, 1:] != ys[:, :-1])
+    return order, fresh
+
+
+def _agree(points: np.ndarray, oap: np.ndarray, popped: np.ndarray) -> np.ndarray:
+    """Whether each frame of a (w, n, 2) block decides every comparison of a
+    trace (``oap`` (1 or w, 3, m), ``popped`` (1 or w, m)) as recorded,
+    with the chain's float expression: (w,) bool."""
+    rows = np.arange(len(points))[:, None, None]
+    x, y = points[..., 0][rows, oap], points[..., 1][rows, oap]  # (w, (o, a, p), m)
+    dx, dy = x[:, 1:] - x[:, :1], y[:, 1:] - y[:, :1]  # a - o, p - o
+    cross = dx[:, 0] * dy[:, 1] - dy[:, 0] * dx[:, 1]
+    return ((cross <= 0.0) == popped).all(axis=1)
+
+
+def _hull_table(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An empty index matrix and counts for ``size`` hulls of ``n`` points.
+
+    Near-collinear points can round to a chain of up to 2n - 2 vertices,
+    some repeated, as they always have; the matrix leaves room for it.
+    """
+    return np.zeros((size, 2 * n), dtype=np.intp), np.zeros(size, dtype=np.intp)
+
+
+def _consecutive_hulls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hull indices of consecutive frames: a frame replays the trace of the
+    last frame before it that ran the chain, while all frames in between
+    sort the same way and agree with the trace.
+
+    A chain run records a trace only when at least ``_REPLAY_RUN`` frames,
+    its own included, sort the same way.  The frames after it are checked
+    in windows that double while they agree.
+    """
+    order, fresh = _presort(points)
+    size, n = order.shape
+    distinct = fresh.all(axis=1)
+    same = distinct[1:] & distinct[:-1] & (order[1:] == order[:-1]).all(axis=1)
+    ends = np.append(np.flatnonzero(~same) + 1, size).tolist()
+    idx, counts = _hull_table(size, n)
+    b = 0
+    for end in ends:  # frames b .. end - 1 sort the same way
+        while b < end:
+            hull, trace = _monotone_chain(points[b], order[b][fresh[b]], end - b >= _REPLAY_RUN)
+            idx[b, :len(hull)], counts[b] = hull, len(hull)
+            b += 1
+            width = 1
+            while trace is not None and b < end:
+                stop = min(end, b + width)
+                agree = _agree(points[b:stop], trace.oap[None], trace.popped[None])
+                k = len(agree) if agree.all() else int(np.argmin(agree))
+                idx[b:b + k, :len(hull)], counts[b:b + k] = hull, len(hull)
+                b += k
+                if b < stop:
+                    break
+                width *= 2
+    return idx[:, :counts.max(initial=0)], counts
+
+
+def _traced_hulls(points: np.ndarray, traces: list) -> tuple[np.ndarray, np.ndarray]:
+    """Hull indices of frames that each carry a trace to try (or None); a
+    frame that cannot replay it runs the chain, and ``traces`` is updated
+    in place to each frame's own trace."""
+    order, fresh = _presort(points)
+    size, n = order.shape
+    replay = np.zeros(size, dtype=bool)
+    tried = np.array([b for b, t in enumerate(traces) if t is not None], dtype=np.intp)
+    if len(tried):
+        same = fresh[tried].all(axis=1) & (
+            order[tried] == np.stack([traces[b].order for b in tried.tolist()])).all(axis=1)
+        tried = tried[same]
+    if len(tried):
+        oap = np.stack([traces[b].oap for b in tried.tolist()])
+        popped = np.stack([traces[b].popped for b in tried.tolist()])
+        replay[tried[_agree(points[tried], oap, popped)]] = True
+    idx, counts = _hull_table(size, n)
+    for b in range(size):
+        if replay[b]:
+            hull = traces[b].hull
+        else:
+            hull, traces[b] = _monotone_chain(points[b], order[b][fresh[b]], True)
+        idx[b, :len(hull)], counts[b] = hull, len(hull)
+    return idx[:, :counts.max(initial=0)], counts
 
 
 def convex_hull(points) -> np.ndarray:
@@ -160,13 +366,7 @@ def convex_hull(points) -> np.ndarray:
     Monotone chain on exactly compared, lexicographically sorted coordinates.
     Collinear input yields the degenerate 2-vertex hull (segment endpoints).
     """
-    pts = as_points(points)
-    uniq = sorted(set(map(tuple, pts.tolist())))
-    if len(uniq) == 1:
-        raise DegenerateInputError("all points coincide; hull is undefined")
-    if len(uniq) == 2:
-        return np.array(uniq, dtype=float)
-    return np.array(_chain(uniq)[:-1] + _chain(uniq[::-1])[:-1], dtype=float)
+    return Frames.of(points).hull(0)
 
 
 def extent(points, theta: float) -> float:
@@ -324,12 +524,12 @@ def diametric_boxes(frames: Frames) -> DiametricBox:
     if frames.n_points < 2:
         raise DegenerateInputError("need at least 2 points")
     t, i, j, vec, dmax2 = _diametral_hits(frames)
-    a = canonical_array(np.array([math.atan2(y, x) for x, y in vec.tolist()]))
+    a = canonical_array(_atan2(vec[:, 1], vec[:, 0]))
     order = np.lexsort((j, i, a, t))
     first = order[np.r_[True, t[order][1:] != t[order][:-1]]]
     alpha = a[first]
     diameter = np.sqrt(dmax2)
-    perp = np.array([[-math.sin(v), math.cos(v)] for v in alpha.tolist()])
+    perp = np.column_stack([-_sin(alpha), _cos(alpha)])
     proj = frames.points @ perp[:, :, None]
     width = proj.max(axis=(1, 2)) - proj.min(axis=(1, 2))
     aspect = width / diameter

@@ -101,22 +101,24 @@ def read_trajectory(fp: IO[str]) -> Trajectory:
         frames.append(np.array(xy, dtype=float).reshape(n, 2))
     if not times:
         raise FileFormatError("line 2: no keyframes")
-    return Trajectory(np.array(times), np.stack(frames))
+    traj = Trajectory(np.array(times), np.stack(frames))
+    if "horizon" in header:
+        horizon = header["horizon"]
+        if type(horizon) not in (int, float) or horizon != traj.horizon:
+            fail(1, f"header 'horizon' {horizon!r} is not the last keyframe time {traj.horizon!r}")
+    return traj
 
 
 def _csv_row(values: Iterable[object]) -> str:
-    out = []
-    for v in values:
-        if v is None:
-            out.append("")
-        elif isinstance(v, (bool, np.bool_)):
-            out.append("1" if v else "0")
-        else:
-            out.append(_f(v))
-    return ",".join(out)
+    return ",".join("" if v is None else _f(v) for v in values)
 
 
 _NO_ZONE = [None] * 5
+
+
+def _column(values) -> list[str]:
+    """``_f`` of every entry of an array."""
+    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
 def _write_run(fp: IO[str], run: TrackerOutput, zone: SafeZoneReport | None) -> None:
@@ -124,31 +126,28 @@ def _write_run(fp: IO[str], run: TrackerOutput, zone: SafeZoneReport | None) -> 
 
     A flip row sits before the sample rows at or after its time.  With a
     safe-zone report, sample rows also fill the five chase-only cells.
+    Sample rows are formatted column by column.
     """
-    fp.write(",".join(CSV_COLUMNS) + "\n")
+    columns = [_column(c) for c in (run.times, run.beta, run.opt_alpha, run.cost,
+                                    run.opt_cost, run.ratio)]
+    if zone is None:
+        columns.append([",,,,"] * len(run.times))
+    else:
+        columns += [_column(c) for c in (zone.aspect, zone.safe_half_width,
+                                         zone.jump_allowance, zone.ang_gap)]
+        columns.append(["1" if v else "0" for v in zone.in_safe_zone.tolist()])
+    rows = [",".join(cells) for cells in zip(*columns)]
     flips = sorted(run.flips, key=lambda f: f.time)
-    fi = 0
-    n = len(run.times)
-    for i in range(n + 1):
-        t = float(run.times[i]) if i < n else math.inf
-        while fi < len(flips) and flips[fi].time <= t:
-            f = flips[fi]
-            fp.write(_csv_row([
-                f.time, f.worst_orientation, f.end, f.worst_cost, f.opt_cost,
-                f.worst_ratio, *_NO_ZONE,
-            ]) + "\n")
-            fi += 1
-        if i == n:
-            break
-        cells = [t, run.beta[i], run.opt_alpha[i], run.cost[i], run.opt_cost[i], run.ratio[i]]
-        if zone is None:
-            cells += _NO_ZONE
-        else:
-            cells += [
-                zone.aspect[i], zone.safe_half_width[i], zone.jump_allowance[i],
-                zone.ang_gap[i], bool(zone.in_safe_zone[i]),
-            ]
-        fp.write(_csv_row(cells) + "\n")
+    at = np.searchsorted(run.times, [f.time for f in flips]).tolist()
+    lines = [",".join(CSV_COLUMNS)]
+    done = 0
+    for f, i in zip(flips, at):
+        lines += rows[done:i]
+        lines.append(_csv_row([f.time, f.worst_orientation, f.end, f.worst_cost, f.opt_cost,
+                               f.worst_ratio, *_NO_ZONE]))
+        done = i
+    lines += rows[done:]
+    fp.write("\n".join(lines) + "\n")
 
 
 def write_tracker_csv(fp: IO[str], output: TrackerOutput) -> None:

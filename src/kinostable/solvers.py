@@ -21,13 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import canonical_array
+from .angles import canonical_array, elementwise
 from .costs import DescriptorKind, candidate_costs, costs_at
 from .errors import DegenerateInputError, DomainError
 from .geometry import _BRUTE_FORCE_LIMIT, Frames, as_points, extents_on_hull
 
 _EIGEN_TIE_REL = 1e-9
 _COST_TIE_REL = 1e-9
+
+_atan2, _hypot = elementwise(math.atan2, 2), elementwise(math.hypot, 2)
 
 
 @dataclass(frozen=True)
@@ -52,16 +54,14 @@ def _edge_candidates(frames: Frames) -> tuple[np.ndarray, np.ndarray]:
 
     A 2-vertex (collinear) hull has the one orientation of its segment.
     """
-    hulls = [frames.hull(b) for b in range(len(frames))]
-    sizes = np.array([len(h) for h in hulls])
+    hulls, sizes = frames.hull_indices
     edges = np.where(sizes == 2, 1, sizes)
-    vertices = np.concatenate(hulls)
-    start = np.repeat(np.cumsum(sizes) - sizes, edges)
-    k = np.arange(len(start)) - np.repeat(np.cumsum(edges) - edges, edges)
-    vec = vertices[start + (k + 1) % np.repeat(sizes, edges)] - vertices[start + k]
-    flat = canonical_array(np.array([math.atan2(y, x) for x, y in vec.tolist()]))
-    row = np.repeat(np.arange(len(hulls)), edges)
-    padded = np.full((len(hulls), edges.max()), np.inf)
+    row = np.repeat(np.arange(len(frames)), edges)
+    k = np.arange(len(row)) - np.repeat(np.cumsum(edges) - edges, edges)
+    head = hulls[row, (k + 1) % sizes[row]]
+    vec = frames.points[row, head] - frames.points[row, hulls[row, k]]
+    flat = canonical_array(_atan2(vec[:, 1], vec[:, 0]))
+    padded = np.full((len(frames), edges.max()), np.inf)
     padded[row, k] = flat
     padded.sort(axis=1)
     padded[:, 1:][padded[:, 1:] == padded[:, :-1]] = np.inf
@@ -159,13 +159,11 @@ def _pc_optima(frames: Frames) -> BlockOptima:
     sq = np.swapaxes(centered, 1, 2) @ centered
     sxx, sxy, syy = sq[:, 0, 0], sq[:, 0, 1], sq[:, 1, 1]
     mean = 0.5 * (sxx + syy)
-    half_gap = np.array([math.hypot(x, y)
-                         for x, y in zip((0.5 * (sxx - syy)).tolist(), sxy.tolist())])
+    half_gap = _hypot(0.5 * (sxx - syy), sxy)
     lam_min = mean - half_gap
     lam_min = np.where(0.0 > lam_min, 0.0, lam_min)
     isotropic = 2.0 * half_gap <= _EIGEN_TIE_REL * (sxx + syy + 1e-300)
-    turn = np.array([math.atan2(y, x)
-                     for y, x in zip((2.0 * sxy).tolist(), (sxx - syy).tolist())])
+    turn = _atan2(2.0 * sxy, sxx - syy)
     alpha = np.where(isotropic, 0.0, canonical_array(0.5 * turn))
     return BlockOptima(DescriptorKind.PC, alpha, lam_min, isotropic)
 

@@ -223,9 +223,10 @@ def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[Fl
     ``jumps`` holds (t_lo, a_lo, t_hi, a_hi, threshold) per jump, in time
     order.  The bisections run in lockstep: each round solves the pending
     midpoints of all jumps as blocks of frames, with the arithmetic of one
-    bisection per jump.  A jump whose refined endpoints collapse below its
-    flip threshold was fast continuous drift, not a flip, and records
-    nothing.  The located flips are swept in blocks too.  A rejected
+    bisection per jump; each jump carries its last midpoint's hull trace
+    into the next round, and on to its flip frame.  A jump whose refined
+    endpoints collapse below its flip threshold was fast continuous drift,
+    not a flip, and records nothing.  The located flips are swept in blocks too.  A rejected
     midpoint or flip frame raises its error where a one-jump-at-a-time
     bisection would have: after every earlier jump's sweep.
     """
@@ -233,6 +234,7 @@ def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[Fl
         return []
     t_lo, a_lo, t_hi, a_hi, threshold = (np.array(col) for col in zip(*jumps))
     pending = np.ones(len(jumps), dtype=bool)
+    traces: list = [None] * len(jumps)
     faults: dict[int, str] = {}
     size = block_size(traj.n_points)
     for _ in range(_BISECT_ITERS):
@@ -250,7 +252,10 @@ def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[Fl
                 idx, points = idx[keep], points[keep]
             if not len(idx):
                 continue
-            a_mid = canonical_array(block_optima(Frames(points), (kind,))[0].alpha, period)
+            frames = Frames(points, [traces[i] for i in idx.tolist()])
+            a_mid = canonical_array(block_optima(frames, (kind,))[0].alpha, period)
+            for i, trace in zip(idx.tolist(), frames.traces):
+                traces[i] = trace
             lower = (angular_distances(a_mid, a_lo[idx], period)
                      <= angular_distances(a_mid, a_hi[idx], period))
             t_lo[idx[lower]], a_lo[idx[lower]] = t_mid[idx[lower]], a_mid[lower]
@@ -268,7 +273,7 @@ def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[Fl
         bad = frame_faults(points)
         if bad:
             raise DegenerateInputError(bad[min(bad)])
-        opt = block_optima(Frames(points), (kind,))[0]
+        opt = block_optima(Frames(points, [traces[i] for i in idx.tolist()]), (kind,))[0]
         flips += _sweeps(points, kind, period, a_lo[idx], a_hi[idx], opt.cost, t_flip[idx])
     if faults:
         raise DegenerateInputError(faults[stop])

@@ -318,14 +318,20 @@ def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3, anchor: int = 0) -> 
 
     This is a lower bound on the true diameter at every sample (the
     diameter is the max over all pairs, this is the max over pairs through
-    ``anchor``), cheap enough for very large clusters.
+    ``anchor``), cheap enough for very large clusters.  The square root is
+    taken of each frame's largest dx*dx + dy*dy only: it is correctly
+    rounded and monotone, so that is the largest root.
     """
     times = traj.sample_times(dt)
     worst = math.inf
     for frames in traj.frame_blocks(times, check=False):
         pts = frames.points
-        d = np.sqrt(((pts - pts[:, anchor:anchor + 1]) ** 2).sum(axis=2)).max(axis=1)
-        worst = min(worst, float(d.min()))
+        dx = pts[:, :, 0] - pts[:, anchor:anchor + 1, 0]
+        dy = pts[:, :, 1] - pts[:, anchor:anchor + 1, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        worst = min(worst, float(np.sqrt(dx.max(axis=1)).min()))
     return worst
 
 

@@ -451,10 +451,10 @@ def test_block_budget_bounds_run_memory(monkeypatch):
     whole_run = 300 * 4000 * 2 * 8
     # Every frame is a similarity image of the first, so its hull is the same
     # vertices.  Reading them off keeps the test to seconds under tracing,
-    # which the monotone chain's per-point tuples would slow tenfold; the
-    # chain's own transient memory is O(n) per frame either way.
-    vertices = [np.flatnonzero((base == v).all(axis=1))[0] for v in convex_hull(base)]
-    monkeypatch.setattr(geometry, "convex_hull", lambda pts: np.asarray(pts)[vertices])
+    # which the monotone chain's per-point Python objects would slow tenfold;
+    # the chain's own transient memory is O(n) per frame either way.
+    vertices = np.array([np.flatnonzero((base == v).all(axis=1))[0] for v in convex_hull(base)])
+    monkeypatch.setattr(geometry, "_monotone_chain", lambda points, order, record: (vertices, None))
     for run in (lambda: track_topological(traj, DescriptorKind.OBB, dt),
                 lambda: chase(traj, dt=dt)):
         tracemalloc.start()

@@ -15,8 +15,39 @@ from kinostable.runio import (
     write_tracker_csv,
     write_trajectory,
 )
-from kinostable.scenarios import obb_lower_bound, random_walk
+from kinostable.scenarios import obb_lower_bound, random_walk, strip_lower_bound
 from kinostable.tracker import track_topological
+
+
+def cell_by_cell_csv(run, zone) -> str:
+    """The run CSV as it was written before, one cell at a time."""
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        return repr(float(v))
+
+    lines = [",".join(CSV_COLUMNS)]
+    flips = sorted(run.flips, key=lambda f: f.time)
+    fi = 0
+    n = len(run.times)
+    for i in range(n + 1):
+        t = float(run.times[i]) if i < n else math.inf
+        while fi < len(flips) and flips[fi].time <= t:
+            f = flips[fi]
+            lines.append(",".join(cell(v) for v in [f.time, f.worst_orientation, f.end,
+                                                    f.worst_cost, f.opt_cost, f.worst_ratio]
+                                  + [None] * 5))
+            fi += 1
+        if i == n:
+            break
+        cells = [t, run.beta[i], run.opt_alpha[i], run.cost[i], run.opt_cost[i], run.ratio[i]]
+        cells += [None] * 5 if zone is None else [
+            zone.aspect[i], zone.safe_half_width[i], zone.jump_allowance[i],
+            zone.ang_gap[i], bool(zone.in_safe_zone[i])]
+        lines.append(",".join(cell(v) for v in cells))
+    return "\n".join(lines) + "\n"
 
 
 def roundtrip(traj):
@@ -61,6 +92,19 @@ class TestTrajectoryFile:
         )
         with pytest.raises(FileFormatError, match=f"line 2.*{field}"):
             read_trajectory(buf)
+
+    def test_header_horizon_must_be_the_last_keyframe_time(self):
+        rows = ('{"t": 0.0, "xy": [0, 0, 1, 0]}\n'
+                '{"t": 2.0, "xy": [0, 0, 1, 1]}\n')
+        for horizon in ("1.0", "true", '"2.0"', "NaN"):
+            header = ('{"format": "kinostable-trajectory", "version": 1, "points": 2, '
+                      f'"horizon": {horizon}}}\n')
+            with pytest.raises(FileFormatError, match="line 1.*'horizon'"):
+                read_trajectory(io.StringIO(header + rows))
+        for header in ('{"format": "kinostable-trajectory", "version": 1, "points": 2, '
+                       '"horizon": 2}\n',
+                       '{"format": "kinostable-trajectory", "version": 1, "points": 2}\n'):
+            assert read_trajectory(io.StringIO(header + rows)).horizon == 2.0
 
     def test_bad_header(self):
         with pytest.raises(FileFormatError, match="line 1"):
@@ -107,6 +151,21 @@ class TestRunCsv:
             assert np.array_equal(by_kind[DescriptorKind.OBB][name], cols[name])
         # The chased orientation is taken modulo pi for both kinds.
         assert {run.period for run in res.runs.values()} == {math.pi}
+
+    @pytest.mark.parametrize("run", ["track", "chase"])
+    def test_rows_equal_the_cell_by_cell_writer(self, run):
+        if run == "track":
+            out, zone = track_topological(obb_lower_bound(), DescriptorKind.OBB, 5e-3), None
+            assert out.flips
+        else:
+            # a slow chaser leaves the safe zone, so both booleans are written
+            res = chase(strip_lower_bound(), ChaseParams(0.05, 1.0), dt=1e-2)
+            out, zone = res.runs[DescriptorKind.STRIP], res.safe_zone
+            assert zone.in_safe_zone.any() and not zone.in_safe_zone.all()
+        buf = io.StringIO()
+        (write_tracker_csv(buf, out) if zone is None
+         else write_chase_csv(buf, res, DescriptorKind.STRIP))
+        assert buf.getvalue() == cell_by_cell_csv(out, zone)
 
     def test_write_is_deterministic(self):
         traj = obb_lower_bound()

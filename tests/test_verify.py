@@ -9,7 +9,7 @@ from kinostable.chasing import normalize_trajectory
 from kinostable.errors import DomainError
 from kinostable.geometry import diametric_boxes
 from kinostable.ratios import max_ratio, ratio
-from kinostable.scenarios import obb_lower_bound, pc_flip, random_walk
+from kinostable.scenarios import obb_lower_bound, pc_fast_flip, pc_flip, random_walk
 from kinostable.costs import DescriptorKind
 from kinostable.solvers import block_optima
 from kinostable.tracker import track_topological
@@ -22,6 +22,7 @@ from kinostable.verify import (
     forced_orientation_winding,
     intermediate_box_area,
     measured_axis_speed,
+    min_anchor_diameter,
     swept_box_peak,
     verify_bound_empirics,
     verify_obb_program,
@@ -239,6 +240,25 @@ def test_measured_axis_speed_matches_the_scalar_loop():
         step = angular_distance(alphas[i], alphas[i + 1])
         worst = max(worst, step / (times[i + 1] - times[i]))
     assert measured_axis_speed(traj) == worst
+
+
+def anchor_diameter_by_point_roots(traj, dt=1e-3, anchor=0):
+    """``min_anchor_diameter`` as it was written before: the root of every
+    point's squared distance, summed over the (dx, dy) axis."""
+    worst = math.inf
+    for frames in traj.frame_blocks(traj.sample_times(dt), check=False):
+        pts = frames.points
+        d = np.sqrt(((pts - pts[:, anchor:anchor + 1]) ** 2).sum(axis=2)).max(axis=1)
+        worst = min(worst, float(d.min()))
+    return worst
+
+
+@pytest.mark.parametrize("traj, dt", [(pc_fast_flip(100.0), 1e-2)]
+                         + [(random_walk(seed=seed), 1e-3) for seed in range(5)],
+                         ids=["pc-fast-flip"] + [f"walk{seed}" for seed in range(5)])
+def test_min_anchor_diameter_equals_point_roots(traj, dt):
+    assert min_anchor_diameter(traj, dt) == anchor_diameter_by_point_roots(traj, dt)
+    assert min_anchor_diameter(traj, dt, anchor=3) == anchor_diameter_by_point_roots(traj, dt, 3)
 
 
 def test_forced_orientation_double_cover_small():
