@@ -8,9 +8,8 @@ per label or workload, the rest of the file kept):
     python3 scripts/bench_hull.py layers --label parent --src ../parent/src \\
         --skip-above 3000 --out BENCH_hull.json
 
-    # per-sample tracker time of one source tree
-    python3 scripts/bench_hull.py core --label change --out BENCH_core.json
-    python3 scripts/bench_hull.py core --label parent --src ../parent/src --out BENCH_core.json
+    # per-sample tracker time of one source tree with the block hull
+    python3 scripts/bench_hull.py core --label change --out BENCH_kinetic.json
 
     # alternating parent/change runs of kinobench/run.py, with medians
     python3 scripts/bench_hull.py kinobench --parent ../parent --workload big-hull \\
@@ -32,8 +31,9 @@ sample, on the walks of the kinobench ``walks`` workload (20 steps over
 on the normalized walk, as ``kinostable chase`` does.  Each entry is the
 best of ``--repeats`` runs per seed, and the median over seeds.  One more
 run per seed counts the frames whose hull was built and the monotone-chain
-runs among them; the rest replayed a chain trace (a tree without traces
-runs the chain for every hull).
+runs among them; the rest replayed a chain trace.  The counts read
+``geometry.Frames.hull_indices`` and ``geometry._monotone_chain``, so
+``core`` runs on trees that build hulls in blocks.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -156,35 +157,29 @@ def run_layers(args) -> dict:
 
 
 def hull_counts(run) -> dict:
-    """Frames whose hull ``run()`` built, and the monotone-chain runs among them."""
+    """Frames whose hull ``run()`` built (``Frames.hull_indices``), and the
+    monotone-chain runs among them; the rest replayed a chain trace."""
     from kinostable import geometry
 
     counts = {"hull_frames": 0, "chain_runs": 0}
+    real_chain = geometry._monotone_chain
+    real_hulls = geometry.Frames.__dict__["hull_indices"]
 
-    def counting(name, key, frames):
-        real = getattr(geometry, name)
+    def chain(*args):
+        counts["chain_runs"] += 1
+        return real_chain(*args)
 
-        def wrapper(*args):
-            counts[key] += frames(args)
-            return real(*args)
-        return real, wrapper
+    def hulls(frames):
+        counts["hull_frames"] += len(frames)
+        return real_hulls.func(frames)
 
-    if hasattr(geometry, "_monotone_chain"):
-        patches = {"_monotone_chain": counting("_monotone_chain", "chain_runs", lambda a: 1),
-                   "_consecutive_hulls": counting("_consecutive_hulls", "hull_frames",
-                                                  lambda a: len(a[0])),
-                   "_traced_hulls": counting("_traced_hulls", "hull_frames", lambda a: len(a[0]))}
-    else:  # every hull is one convex_hull call
-        patches = {"convex_hull": counting("convex_hull", "chain_runs", lambda a: 1)}
-    for name, (_, wrapper) in patches.items():
-        setattr(geometry, name, wrapper)
+    counting = cached_property(hulls)
+    counting.__set_name__(geometry.Frames, "hull_indices")
+    geometry._monotone_chain, geometry.Frames.hull_indices = chain, counting
     try:
         run()
     finally:
-        for name, (real, _) in patches.items():
-            setattr(geometry, name, real)
-    if "convex_hull" in patches:
-        counts["hull_frames"] = counts["chain_runs"]
+        geometry._monotone_chain, geometry.Frames.hull_indices = real_chain, real_hulls
     counts["replayed"] = counts["hull_frames"] - counts["chain_runs"]
     return counts
 

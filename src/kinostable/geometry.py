@@ -18,7 +18,8 @@ normalization walk a run block by block, and the per-frame functions
 (``diametric_box``, ``frame_diameter``, ``convex_hull``) are the one-frame
 call of the same block code.  ``block_size`` caps a block so that no
 per-block temporary exceeds ``_BLOCK_BYTES``; only O(B) arrays outlive a
-block.
+block.  ``trace_block`` caps, by the same budget, how many frames hold or
+check chain traces (below) at once.
 
 Hulls are kinetic in the sense of Basch, Guibas and Hershberger (1997):
 the certificates are the monotone chain's own comparisons (Andrew, 1979).
@@ -85,6 +86,14 @@ def block_size(n: int) -> int:
     """How many frames of ``n`` points one block holds."""
     per_frame = 16 * n * (n if n <= _BRUTE_FORCE_LIMIT else 1)
     return max(1, _BLOCK_BYTES // per_frame)
+
+
+def trace_block(n: int) -> int:
+    """How many frames of ``n`` points may hold or check chain traces at
+    once: a ``HullTrace`` takes about 128n bytes (12n point indices in
+    ``oap``, the order, the hull and the outcomes), and checking it gathers
+    12n coordinates per axis, 96n bytes."""
+    return max(1, _BLOCK_BYTES // (128 * n))
 
 
 def frame_faults(points: np.ndarray) -> dict[int, str]:
@@ -284,10 +293,12 @@ def _agree(points: np.ndarray, oap: np.ndarray, popped: np.ndarray) -> np.ndarra
     """Whether each frame of a (w, n, 2) block decides every comparison of a
     trace (``oap`` (1 or w, 3, m), ``popped`` (1 or w, m)) as recorded,
     with the chain's float expression: (w,) bool."""
-    rows = np.arange(len(points))[:, None, None]
-    x, y = points[..., 0][rows, oap], points[..., 1][rows, oap]  # (w, (o, a, p), m)
-    dx, dy = x[:, 1:] - x[:, :1], y[:, 1:] - y[:, :1]  # a - o, p - o
-    cross = dx[:, 0] * dy[:, 1] - dy[:, 0] * dx[:, 1]
+    rows = np.arange(len(points))[:, None]
+    x, y = points[..., 0], points[..., 1]
+    o, a, p = oap[:, 0], oap[:, 1], oap[:, 2]
+    ox, oy = x[rows, o], y[rows, o]  # (w, m) each, as are the differences
+    cross = (x[rows, a] - ox) * (y[rows, p] - oy)
+    cross -= (y[rows, a] - oy) * (x[rows, p] - ox)
     return ((cross <= 0.0) == popped).all(axis=1)
 
 
@@ -307,10 +318,11 @@ def _consecutive_hulls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A chain run records a trace only when at least ``_REPLAY_RUN`` frames,
     its own included, sort the same way.  The frames after it are checked
-    in windows that double while they agree.
+    in windows that double while they agree, up to ``trace_block`` frames.
     """
     order, fresh = _presort(points)
     size, n = order.shape
+    cap = trace_block(n)
     distinct = fresh.all(axis=1)
     same = distinct[1:] & distinct[:-1] & (order[1:] == order[:-1]).all(axis=1)
     ends = np.append(np.flatnonzero(~same) + 1, size).tolist()
@@ -330,14 +342,15 @@ def _consecutive_hulls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 b += k
                 if b < stop:
                     break
-                width *= 2
+                width = min(2 * width, cap)
     return idx[:, :counts.max(initial=0)], counts
 
 
 def _traced_hulls(points: np.ndarray, traces: list) -> tuple[np.ndarray, np.ndarray]:
     """Hull indices of frames that each carry a trace to try (or None); a
     frame that cannot replay it runs the chain, and ``traces`` is updated
-    in place to each frame's own trace."""
+    in place to each frame's own trace.  The traces are checked
+    ``trace_block`` frames at a time."""
     order, fresh = _presort(points)
     size, n = order.shape
     replay = np.zeros(size, dtype=bool)
@@ -346,10 +359,11 @@ def _traced_hulls(points: np.ndarray, traces: list) -> tuple[np.ndarray, np.ndar
         same = fresh[tried].all(axis=1) & (
             order[tried] == np.stack([traces[b].order for b in tried.tolist()])).all(axis=1)
         tried = tried[same]
-    if len(tried):
-        oap = np.stack([traces[b].oap for b in tried.tolist()])
-        popped = np.stack([traces[b].popped for b in tried.tolist()])
-        replay[tried[_agree(points[tried], oap, popped)]] = True
+    cap = trace_block(n)
+    for part in (tried[k:k + cap] for k in range(0, len(tried), cap)):
+        oap = np.stack([traces[b].oap for b in part.tolist()])
+        popped = np.stack([traces[b].popped for b in part.tolist()])
+        replay[part[_agree(points[part], oap, popped)]] = True
     idx, counts = _hull_table(size, n)
     for b in range(size):
         if replay[b]:

@@ -37,7 +37,7 @@ from .angles import (
 )
 from .costs import DescriptorKind, costs_at, frame_costs
 from .errors import DegenerateInputError
-from .geometry import Frames, block_size, frame_diameters, frame_faults
+from .geometry import Frames, block_size, frame_diameters, frame_faults, trace_block
 from .ratios import ratio, ratios
 from .solvers import block_optima
 from .trajectory import Trajectory
@@ -221,60 +221,72 @@ def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[Fl
     then sweep there.
 
     ``jumps`` holds (t_lo, a_lo, t_hi, a_hi, threshold) per jump, in time
-    order.  The bisections run in lockstep: each round solves the pending
-    midpoints of all jumps as blocks of frames, with the arithmetic of one
+    order.  The jumps are located in consecutive groups of at most one
+    block, and at most ``trace_block`` jumps, so that the hull traces they
+    carry stay within the block budget.  A rejected midpoint or flip frame
+    raises its error where a one-jump-at-a-time bisection would have: after
+    every earlier jump's sweep.
+    """
+    n = traj.n_points
+    group = min(block_size(n), trace_block(n))
+    flips = []
+    for start in range(0, len(jumps), group):
+        flips += _locate_group(traj, kind, period, jumps[start:start + group])
+    return flips
+
+
+def _locate_group(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[FlipEvent]:
+    """``_locate_flips`` on one block of jumps.
+
+    The bisections run in lockstep: each round solves the pending midpoints
+    of all jumps as one block of frames, with the arithmetic of one
     bisection per jump; each jump carries its last midpoint's hull trace
     into the next round, and on to its flip frame.  A jump whose refined
     endpoints collapse below its flip threshold was fast continuous drift,
-    not a flip, and records nothing.  The located flips are swept in blocks too.  A rejected
-    midpoint or flip frame raises its error where a one-jump-at-a-time
-    bisection would have: after every earlier jump's sweep.
+    not a flip, and records nothing.  The located flips are swept as one
+    block too.
     """
-    if not jumps:
-        return []
     t_lo, a_lo, t_hi, a_hi, threshold = (np.array(col) for col in zip(*jumps))
     pending = np.ones(len(jumps), dtype=bool)
     traces: list = [None] * len(jumps)
     faults: dict[int, str] = {}
-    size = block_size(traj.n_points)
     for _ in range(_BISECT_ITERS):
         t_mid = 0.5 * (t_lo + t_hi)
         pending &= (t_lo < t_mid) & (t_mid < t_hi)
-        active = np.flatnonzero(pending)
-        for start in range(0, len(active), size):
-            idx = active[start:start + size]
-            points = traj.positions_at_times(t_mid[idx])
-            bad = frame_faults(points)
-            for i, message in bad.items():
-                faults[int(idx[i])] = message
-            if bad:
-                keep = np.array([i not in bad for i in range(len(idx))])
-                idx, points = idx[keep], points[keep]
-            if not len(idx):
-                continue
-            frames = Frames(points, [traces[i] for i in idx.tolist()])
-            a_mid = canonical_array(block_optima(frames, (kind,))[0].alpha, period)
-            for i, trace in zip(idx.tolist(), frames.traces):
-                traces[i] = trace
-            lower = (angular_distances(a_mid, a_lo[idx], period)
-                     <= angular_distances(a_mid, a_hi[idx], period))
-            t_lo[idx[lower]], a_lo[idx[lower]] = t_mid[idx[lower]], a_mid[lower]
-            t_hi[idx[~lower]], a_hi[idx[~lower]] = t_mid[idx[~lower]], a_mid[~lower]
-        pending[list(faults)] = False
+        idx = np.flatnonzero(pending)
+        if not len(idx):
+            break
+        points = traj.positions_at_times(t_mid[idx])
+        bad = frame_faults(points)
+        for i, message in bad.items():
+            faults[int(idx[i])] = message
+        if bad:
+            keep = np.array([i not in bad for i in range(len(idx))])
+            idx, points = idx[keep], points[keep]
+            pending[list(faults)] = False
+        if not len(idx):
+            continue
+        frames = Frames(points, [traces[i] for i in idx.tolist()])
+        a_mid = canonical_array(block_optima(frames, (kind,))[0].alpha, period)
+        for i, trace in zip(idx.tolist(), frames.traces):
+            traces[i] = trace
+        lower = (angular_distances(a_mid, a_lo[idx], period)
+                 <= angular_distances(a_mid, a_hi[idx], period))
+        t_lo[idx[lower]], a_lo[idx[lower]] = t_mid[idx[lower]], a_mid[lower]
+        t_hi[idx[~lower]], a_hi[idx[~lower]] = t_mid[idx[~lower]], a_mid[~lower]
     gap = angular_distances(a_lo, a_hi, period)
     limit = np.where(1e-9 > threshold, 1e-9, threshold)
     t_flip = 0.5 * (t_lo + t_hi)
     stop = min(faults, default=len(jumps))
-    located = np.flatnonzero(~(gap[:stop] <= limit[:stop]))
+    idx = np.flatnonzero(~(gap[:stop] <= limit[:stop]))
     flips = []
-    for start in range(0, len(located), size):
-        idx = located[start:start + size]
+    if len(idx):
         points = traj.positions_at_times(t_flip[idx])
         bad = frame_faults(points)
         if bad:
             raise DegenerateInputError(bad[min(bad)])
         opt = block_optima(Frames(points, [traces[i] for i in idx.tolist()]), (kind,))[0]
-        flips += _sweeps(points, kind, period, a_lo[idx], a_hi[idx], opt.cost, t_flip[idx])
+        flips = _sweeps(points, kind, period, a_lo[idx], a_hi[idx], opt.cost, t_flip[idx])
     if faults:
         raise DegenerateInputError(faults[stop])
     return flips

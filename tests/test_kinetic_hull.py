@@ -10,16 +10,19 @@ hull must equal ``frozen_convex_hull`` bit for bit, whichever way it was
 built.
 """
 
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kinostable import geometry
+from kinostable.chasing import chase
 from kinostable.costs import DescriptorKind
 from kinostable.geometry import Frames
 from kinostable.scenarios import random_walk
-from kinostable.tracker import track_topological
+from kinostable.tracker import _locate_flips, track_topological
 from kinostable.trajectory import Trajectory
 
 from test_blocks import frozen_convex_hull
@@ -189,3 +192,67 @@ def test_one_frame_hull_is_the_chain():
     assert hull.tobytes() == frozen_convex_hull(pts).tobytes()
     with pytest.raises(geometry.DegenerateInputError):
         geometry.convex_hull([(1.0, math.pi)] * 3)
+
+
+def drifting_cloud(n: int = 4000) -> tuple[np.ndarray, Trajectory]:
+    """An n-point cloud in an ellipse, and its trajectory over one time unit
+    under a small translation: every frame sorts its points the same way."""
+    rng = np.random.default_rng(11)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    base = np.column_stack([3.0 * np.cos(phi), np.sin(phi)]) * np.sqrt(rng.uniform(0, 1, (n, 1)))
+    return base, Trajectory(np.array([0.0, 1.0]), np.stack([base, base + [0.01, 0.002]]))
+
+
+def recorded_chain(monkeypatch, base: np.ndarray) -> list:
+    """Replace the chain by a copy of its run on ``base``, counted: a frame
+    of the drifting cloud then checks and replays that real trace, without
+    the chain's per-point Python objects, which would slow tracing tenfold."""
+    order, fresh = geometry._presort(base[None])
+    hull, trace = geometry._monotone_chain(base, order[0][fresh[0]], True)
+    assert trace is not None
+    runs = []
+    monkeypatch.setattr(geometry, "_monotone_chain", lambda points, order, record:
+                        runs.append(1) or (hull.copy(), copy.deepcopy(trace) if record else None))
+    return runs
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_replayed_runs_stay_within_the_block_budget(monkeypatch):
+    # 4000 points, 300 samples: all positions of the run would take
+    # 300 * 4000 * 16 bytes = 19.2 MB at once.  Each block's frames check
+    # one trace of 12 * 4000 point indices, trace_block frames at a time.
+    base, traj = drifting_cloud()
+    dt = 1.0 / 299
+    assert len(traj.sample_times(dt)) == 300
+    blocks = math.ceil(300 / geometry.block_size(4000))
+    runs = recorded_chain(monkeypatch, base)
+    for run in (lambda: track_topological(traj, DescriptorKind.OBB, dt),
+                lambda: chase(traj, dt=dt)):
+        runs.clear()
+        assert traced_peak(run) < 300 * 4000 * 16 / 3
+        assert 0 < len(runs) <= blocks  # every other frame replayed
+
+
+def test_flip_bisections_hold_one_group_of_traces(monkeypatch):
+    # Eight jumps, each carrying a 4000-point trace from round to round:
+    # bisected together, their traces alone take 8 * 128 * 4000 bytes.  The
+    # threshold exceeds every gap, so no flip is located or swept.
+    base, traj = drifting_cloud()
+    runs = recorded_chain(monkeypatch, base)
+    jumps = [(k / 8, 0.0, (k + 1) / 8, 1.0, 10.0) for k in range(8)]
+    _locate_flips(traj, DescriptorKind.OBB, math.pi / 2, jumps[:1])  # first-call set-up
+    runs.clear()
+    flips = []
+    peak = traced_peak(lambda: flips.extend(_locate_flips(traj, DescriptorKind.OBB,
+                                                          math.pi / 2, jumps)))
+    assert flips == []
+    assert len(runs) == len(jumps)  # each jump's first midpoint; later ones replay
+    assert peak < 4 * geometry._BLOCK_BYTES
