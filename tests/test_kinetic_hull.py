@@ -205,8 +205,9 @@ def drifting_cloud(n: int = 4000) -> tuple[np.ndarray, Trajectory]:
 
 def recorded_chain(monkeypatch, base: np.ndarray) -> list:
     """Replace the chain by a copy of its run on ``base``, counted: a frame
-    of the drifting cloud then checks and replays that real trace, without
-    the chain's per-point Python objects, which would slow tracing tenfold."""
+    of the drifting cloud then checks and replays that real trace, and each
+    run makes a trace of its own, as the chain does, without the chain's
+    per-point Python loop under tracing."""
     order, fresh = geometry._presort(base[None])
     hull, trace = geometry._monotone_chain(base, order[0][fresh[0]], True)
     assert trace is not None
