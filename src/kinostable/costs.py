@@ -105,8 +105,7 @@ def costs_at(points, kind: DescriptorKind, alphas: np.ndarray) -> np.ndarray:
     one-frame call of ``candidate_costs``.
 
     Equal to ``cost`` per angle up to the last bit of the cosines and sines
-    (and, for ``pc``, the scatter-matrix form); used by the grid oracle and
-    flip sweeps.
+    (and, for ``pc``, the scatter-matrix form); used by the grid oracle.
     """
     alphas = np.asarray(alphas, dtype=float)
     return candidate_costs(as_points(points)[None], kind, alphas[None])[0]

@@ -18,8 +18,8 @@ normalization walk a run block by block, and the per-frame functions
 (``diametric_box``, ``frame_diameter``, ``convex_hull``) are the one-frame
 call of the same block code.  ``block_size`` caps a block so that no
 per-block temporary exceeds ``_BLOCK_BYTES``; only O(B) arrays outlive a
-block.  ``trace_block`` caps, by the same budget, how many frames hold or
-check chain traces (below) at once.
+block.  By the same budget, ``trace_block`` caps how many frames hold or
+check chain traces (below) at once, ``table_block`` how many are scored.
 
 Hulls are kinetic in the sense of Basch, Guibas and Hershberger (1997):
 the certificates are the monotone chain's own comparisons (Andrew, 1979).
@@ -94,6 +94,12 @@ def trace_block(n: int) -> int:
     ``oap``, the order, the hull and the outcomes), and checking it gathers
     12n coordinates per axis, 96n bytes."""
     return max(1, _BLOCK_BYTES // (128 * n))
+
+
+def table_block(n: int, m: int) -> int:
+    """How many frames of ``n`` points ``orientation_costs`` may score at ``m``
+    orientations at once: ten (F, m) tables, plus (F, n, m) projections up to the limit."""
+    return max(1, _BLOCK_BYTES // (8 * m * (10 + (n if n <= _BRUTE_FORCE_LIMIT else 0))))
 
 
 def frame_faults(points: np.ndarray) -> dict[int, str]:
@@ -318,7 +324,9 @@ def _consecutive_hulls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A chain run records a trace only when at least ``_REPLAY_RUN`` frames,
     its own included, sort the same way.  The frames after it are checked
-    in windows that double while they agree, up to ``trace_block`` frames.
+    in windows that double while they agree, up to ``trace_block`` frames,
+    so a trace that the next frame breaks costs one frame's check: the
+    collinear frames of the stateless-disk sweep break nearly every trace.
     """
     order, fresh = _presort(points)
     size, n = order.shape

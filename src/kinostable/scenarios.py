@@ -89,13 +89,7 @@ def stateless_disk(n: int, r: float, phi: float) -> Frame:
     return Frame(line + (1.0 - r) * anchor)
 
 
-def pc_fast_flip(
-    target_rate: float = 100.0,
-    duration: float = 1.0,
-    margin: float = 1.1,
-    dominance: float = 2.0,
-    orbit_segments: int = 24,
-) -> Trajectory:
+def pc_fast_flip(target_rate: float = 100.0, duration: float = 1.0) -> Trajectory:
     """Diameter stays >= 1 and points move below unit speed, yet the
     principal axis rotates faster than ``target_rate`` radians per time unit.
 
@@ -109,9 +103,9 @@ def pc_fast_flip(
         rho = dominance / ((dominance + 1) * target_rate * margin),
         m  >= dominance * L**2 / rho**2   (padded for chord shrinkage).
     """
-    if target_rate <= 0.0:
-        raise DomainError("target_rate must be positive")
-    spacing = 1.05
+    if not 0.0 < target_rate < math.inf:
+        raise DomainError("target_rate must be positive and finite")
+    spacing, dominance, margin, orbit_segments = 1.05, 2.0, 1.1, 24
     rho = dominance / ((dominance + 1.0) * target_rate * margin)
     window = math.pi * rho
     if window > 0.5 * duration:
@@ -140,15 +134,9 @@ def pc_fast_flip(
     return Trajectory(np.array(times), keyframes)
 
 
-def random_walk(
-    n: int = 8,
-    steps: int = 50,
-    seed: int = 0,
-    duration: float = 1.0,
-    min_diameter: float = 1.05,
-) -> Trajectory:
+def random_walk(n: int = 8, steps: int = 50, seed: int = 0, duration: float = 1.0) -> Trajectory:
     """Seeded fuzz trajectory: bounded-speed piecewise-linear motion,
-    rejection-resampled so every keyframe keeps diameter >= ``min_diameter``.
+    rejection-resampled so every keyframe keeps diameter >= 1.05.
 
     The initial cloud's thickness varies with the seed so the corpus covers
     both thin (small aspect) and round configurations.
@@ -157,6 +145,9 @@ def random_walk(
         raise DomainError("need at least 3 points")
     if steps < 1:
         raise DomainError("need at least 1 step")
+    if not 0.0 < duration < math.inf:
+        raise DomainError("duration must be positive and finite")
+    min_diameter = 1.05
     rng = np.random.default_rng(seed)
     thickness = rng.uniform(0.05, 1.5)
     start = np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-thickness, thickness, n)])

@@ -6,12 +6,14 @@ thinnest strip has a boundary containing one.  Each candidate's extents come
 from projecting every point on frames of at most 64 points, and from the
 extreme hull vertices above that (``geometry.extents_on_hull``, O(h) for h
 hull vertices); one extent array perpendicular to the candidate serves both
-the strip width and the box area.  The principal axis comes from the 2x2
-scatter matrix in closed form.  ``block_optima`` solves every frame of a
-``geometry.Frames`` block (the candidate rows padded to the longest);
-``optimal``, ``optimal_pc`` and ``optimal_box_and_strip`` are its one-frame
-call.  ``oracle_argmin`` is an independent dense-angle-grid search used as
-ground truth in tests, never inside a tracker.
+the strip width and the box area.  ``orientation_costs`` holds this size
+switch for the solves and for the tracker's flip sweeps.  The principal
+axis comes from the 2x2 scatter matrix in closed form.  ``block_optima``
+solves every frame of a ``geometry.Frames`` block (the candidate rows
+padded to the longest); ``optimal``, ``optimal_pc`` and
+``optimal_box_and_strip`` are its one-frame call.  ``oracle_argmin`` is an
+independent dense-angle-grid search used as ground truth in tests, never
+inside a tracker.
 """
 
 from __future__ import annotations
@@ -111,6 +113,44 @@ class BlockOptima:
         return OptimalDescriptor(self.kind, alpha, cmin, tuple(tied.tolist()))
 
 
+def orientation_costs(frames: Frames, kinds: tuple[DescriptorKind, ...], angles: np.ndarray,
+                      counts: np.ndarray) -> list[np.ndarray]:
+    """The cost of every frame of a block at the first ``counts[b]``
+    orientations of its own row of ``angles`` (B, m): one (B, m) table per
+    kind in ``kinds``, padded with inf.
+
+    Up to ``_BRUTE_FORCE_LIMIT`` points, box and strip project every point,
+    a (B, n, m) array that the callers' blocks keep within the block budget
+    (``block_size``, ``table_block``); above it they read their extents off
+    the extreme hull vertices.  ``pc`` takes the scatter form on all points
+    at every size: it is not a hull quantity.
+    """
+    size, m = angles.shape
+    pts = frames.points
+    brute = frames.n_points <= _BRUTE_FORCE_LIMIT
+    extent_kinds = [kind for kind in kinds if kind is not DescriptorKind.PC]
+    table = {kind: candidate_costs(pts, kind, angles) if brute or kind is DescriptorKind.PC
+             else np.empty(angles.shape) for kind in kinds}
+    if brute:
+        # A one-column product rounds unlike one column of a wider product
+        # (matrix-vector against matrix-matrix kernels), so a frame with a
+        # single candidate is projected on its own column, as alone.
+        single = np.flatnonzero(counts == 1)
+        if len(single) and m > 1:
+            for kind in extent_kinds:
+                table[kind][single, :1] = candidate_costs(pts[single], kind, angles[single, :1])
+    else:
+        for b in range(size):
+            k = counts[b]
+            ext_u, ext_v = extents_on_hull(frames.hull(b), angles[b, :k])
+            for kind in extent_kinds:
+                table[kind][b, :k] = ext_v if kind is DescriptorKind.STRIP else ext_u * ext_v
+    pad = np.arange(m) >= counts[:, None]
+    for values in table.values():
+        values[pad] = np.inf
+    return [table[kind] for kind in kinds]
+
+
 def _hull_optima(frames: Frames, kinds: tuple[DescriptorKind, ...]) -> list[BlockOptima]:
     """Box and/or strip optima of every frame among one set of hull edge candidates.
 
@@ -118,29 +158,9 @@ def _hull_optima(frames: Frames, kinds: tuple[DescriptorKind, ...]) -> list[Bloc
     smallest orientation among the tied minima.
     """
     angles, counts = _edge_candidates(frames)
-    pad = np.arange(angles.shape[1]) >= counts[:, None]
-    if frames.n_points <= _BRUTE_FORCE_LIMIT:
-        table = {kind: candidate_costs(frames.points, kind, angles) for kind in kinds}
-        # A one-column product rounds unlike one column of a wider product
-        # (matrix-vector against matrix-matrix kernels), so a frame with a
-        # single candidate is projected on its own column, as alone.
-        single = np.flatnonzero(counts == 1)
-        if len(single) and angles.shape[1] > 1:
-            for kind, values in table.items():
-                values[single, :1] = candidate_costs(frames.points[single], kind,
-                                                     angles[single, :1])
-    else:
-        table = {kind: np.zeros(angles.shape) for kind in kinds}
-        for b in range(len(frames)):
-            m = counts[b]
-            ext_u, ext_v = extents_on_hull(frames.hull(b), angles[b, :m])
-            for kind, values in table.items():
-                values[b, :m] = ext_v if kind is DescriptorKind.STRIP else ext_u * ext_v
     rows = np.arange(len(frames))
     out = []
-    for kind in kinds:
-        values = table[kind]
-        values[pad] = np.inf
+    for kind, values in zip(kinds, orientation_costs(frames, kinds, angles, counts)):
         best = np.argmin(values, axis=1)
         out.append(BlockOptima(kind, angles[rows, best], values[rows, best],
                                np.zeros(len(frames), dtype=bool), angles, values, counts))

@@ -14,7 +14,8 @@ the same.  All jumps of a run are bisected in lockstep: each round solves
 every pending midpoint as one block.  At the located instant the output
 conceptually sweeps the arc between the two optima; the sweep direction is
 the one whose worst intermediate cost is smaller, and that worst swept
-cost/ratio is recorded as a flip event of zero simulated duration.
+cost/ratio is recorded as a flip event of zero simulated duration.  The
+located flips are swept in lockstep too, scored as the solves are scored.
 
 Box orientations are tracked modulo pi/2 (the box cost is pi/2-periodic,
 so a quarter-turn relabeling of the axes is not a real flip); axis and
@@ -28,18 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import (
-    BOX_PERIOD,
-    ORIENTATION_PERIOD,
-    angular_distances,
-    canonical,
-    canonical_array,
-)
-from .costs import DescriptorKind, costs_at, frame_costs
+from .angles import BOX_PERIOD, ORIENTATION_PERIOD, angular_distances, canonical_array
+from .costs import DescriptorKind, frame_costs
 from .errors import DegenerateInputError
-from .geometry import Frames, block_size, frame_diameters, frame_faults, trace_block
-from .ratios import ratio, ratios
-from .solvers import block_optima
+from .geometry import Frames, block_size, frame_diameters, frame_faults, table_block, trace_block
+from .ratios import ratios
+from .solvers import block_optima, orientation_costs
 from .trajectory import Trajectory
 
 # A jump larger than this many dt-steps' worth of plausible optimum drift
@@ -48,6 +43,7 @@ _FLIP_SPEED_FACTOR = 10.0
 _DIRECTION_GRID = 64
 _SWEEP_GRID = 512
 _BISECT_ITERS = 80
+_REFINE_ITERS = 60
 
 
 def tracking_period(kind: DescriptorKind) -> float:
@@ -141,7 +137,7 @@ def sampled_run(
 
 
 def _refine_max(points: np.ndarray, kind, origin: np.ndarray, lo: np.ndarray,
-                hi: np.ndarray, iters: int = 60) -> tuple[np.ndarray, np.ndarray]:
+                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section maximization of each frame's cost at ``origin + x`` over
     x in [lo, hi], for every frame of a (F, n, 2) block in lockstep; each
     cost is locally unimodal there.  Returns the maximizing x and its cost.
@@ -154,7 +150,7 @@ def _refine_max(points: np.ndarray, kind, origin: np.ndarray, lo: np.ndarray,
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_REFINE_ITERS):
         # where fc >= fd keep [a, d] and probe a new c, else keep [c, b] and probe a new d
         left = fc >= fd
         a, b = np.where(left, a, c), np.where(left, d, b)
@@ -166,54 +162,41 @@ def _refine_max(points: np.ndarray, kind, origin: np.ndarray, lo: np.ndarray,
     return x, f(x)
 
 
-def _arc_worst(pts, kind, start: float, signed_len: float, grid: int) -> tuple[float, float]:
-    """Worst cost along the arc start .. start+signed_len, endpoints included."""
-    offsets = np.linspace(0.0, signed_len, grid + 1)
-    values = costs_at(pts, kind, start + offsets)
-    i = int(np.argmax(values))
-    return float(offsets[i]), float(values[i])
+def _arc_worst(frames: Frames, kind, start: np.ndarray, signed_len: np.ndarray,
+               grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first maximum of each frame's cost along its arc from ``start`` to
+    ``start + signed_len``, sampled at ``grid + 1`` orientations: (offsets, costs)."""
+    offsets = np.linspace(0.0, signed_len, grid + 1, axis=1)
+    values = orientation_costs(frames, (kind,), start[:, None] + offsets,
+                               np.full(len(frames), grid + 1))[0]
+    rows, best = np.arange(len(frames)), np.argmax(values, axis=1)
+    return offsets[rows, best], values[rows, best]
 
 
-def _sweeps(points: np.ndarray, kind, period, a_from: np.ndarray, a_to: np.ndarray,
+def _sweeps(frames: Frames, kind, period, a_from: np.ndarray, a_to: np.ndarray,
             opt_cost: np.ndarray, times: np.ndarray) -> list[FlipEvent]:
-    """The flip sweep of each frame of a (F, n, 2) block from ``a_from`` to
-    ``a_to``: the direction with the smaller sampled worst cost, then the
-    worst cost along it, refined around the sampled maximum."""
-    rows = []
-    for pts, start, end in zip(points, a_from.tolist(), a_to.tolist()):
-        gap_up = (canonical(end, period) - canonical(start, period)) % period
-        gap_down = period - gap_up
-        _, worst_up = _arc_worst(pts, kind, start, gap_up, _DIRECTION_GRID)
-        _, worst_down = _arc_worst(pts, kind, start, -gap_down, _DIRECTION_GRID)
-        signed_len = gap_up if worst_up <= worst_down else -gap_down
-        off, worst = _arc_worst(pts, kind, start, signed_len, _SWEEP_GRID)
-        step = abs(signed_len) / _SWEEP_GRID
-        lo = max(off - step, min(0.0, signed_len))
-        hi = min(off + step, max(0.0, signed_len))
-        rows.append((signed_len, off, worst, lo, hi))
-    signed_len, off, worst, lo, hi = (np.array(col) for col in zip(*rows))
+    """The flip sweep of each frame of a block from ``a_from`` to ``a_to``:
+    the direction with the smaller sampled worst cost, then the worst cost
+    along it, refined around the sampled maximum."""
+    start, end = canonical_array(a_from, period), canonical_array(a_to, period)
+    gap_up = (end - start) % period
+    gap_down = period - gap_up
+    _, worst_up = _arc_worst(frames, kind, a_from, gap_up, _DIRECTION_GRID)
+    _, worst_down = _arc_worst(frames, kind, a_from, -gap_down, _DIRECTION_GRID)
+    signed_len = np.where(worst_up <= worst_down, gap_up, -gap_down)
+    off, worst = _arc_worst(frames, kind, a_from, signed_len, _SWEEP_GRID)
+    step = np.abs(signed_len) / _SWEEP_GRID
+    lo = np.maximum(off - step, np.minimum(0.0, signed_len))
+    hi = np.minimum(off + step, np.maximum(0.0, signed_len))
     refine = np.flatnonzero(hi > lo)
     if len(refine):
-        off_ref, worst_ref = _refine_max(points[refine], kind, a_from[refine],
+        off_ref, worst_ref = _refine_max(frames.points[refine], kind, a_from[refine],
                                          lo[refine], hi[refine])
         better = worst_ref > worst[refine]
         off[refine[better]], worst[refine[better]] = off_ref[better], worst_ref[better]
-    return [
-        FlipEvent(
-            time=t,
-            start=canonical(start, period),
-            end=canonical(end, period),
-            direction=1 if length >= 0.0 else -1,
-            arc_length=abs(length),
-            worst_orientation=canonical(start + o, period),
-            worst_cost=w,
-            opt_cost=best,
-            worst_ratio=ratio(w, best),
-        )
-        for t, start, end, length, o, w, best in zip(
-            times.tolist(), a_from.tolist(), a_to.tolist(), signed_len.tolist(), off.tolist(),
-            worst.tolist(), opt_cost.tolist())
-    ]
+    columns = (times, start, end, np.where(signed_len >= 0.0, 1, -1), np.abs(signed_len),
+               canonical_array(a_from + off, period), worst, opt_cost, ratios(worst, opt_cost))
+    return [FlipEvent(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[FlipEvent]:
@@ -243,8 +226,8 @@ def _locate_group(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[Fl
     bisection per jump; each jump carries its last midpoint's hull trace
     into the next round, and on to its flip frame.  A jump whose refined
     endpoints collapse below its flip threshold was fast continuous drift,
-    not a flip, and records nothing.  The located flips are swept as one
-    block too.
+    not a flip, and records nothing.  The located flips are swept in
+    lockstep too, ``table_block`` of them at a time.
     """
     t_lo, a_lo, t_hi, a_hi, threshold = (np.array(col) for col in zip(*jumps))
     pending = np.ones(len(jumps), dtype=bool)
@@ -279,14 +262,16 @@ def _locate_group(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[Fl
     t_flip = 0.5 * (t_lo + t_hi)
     stop = min(faults, default=len(jumps))
     idx = np.flatnonzero(~(gap[:stop] <= limit[:stop]))
-    flips = []
-    if len(idx):
-        points = traj.positions_at_times(t_flip[idx])
-        bad = frame_faults(points)
-        if bad:
-            raise DegenerateInputError(bad[min(bad)])
-        opt = block_optima(Frames(points, [traces[i] for i in idx.tolist()]), (kind,))[0]
-        flips = _sweeps(points, kind, period, a_lo[idx], a_hi[idx], opt.cost, t_flip[idx])
+    points = traj.positions_at_times(t_flip[idx])
+    bad = frame_faults(points)
+    if bad:
+        raise DegenerateInputError(bad[min(bad)])
+    size, flips = table_block(traj.n_points, _SWEEP_GRID + 1), []
+    for lo in range(0, len(idx), size):
+        part = idx[lo:lo + size]
+        frames = Frames(points[lo:lo + size], [traces[i] for i in part.tolist()])
+        opt = block_optima(frames, (kind,))[0]
+        flips += _sweeps(frames, kind, period, a_lo[part], a_hi[part], opt.cost, t_flip[part])
     if faults:
         raise DegenerateInputError(faults[stop])
     return flips

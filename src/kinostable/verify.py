@@ -41,6 +41,8 @@ from .tracker import track_topological
 from .trajectory import Trajectory
 
 SQRT2 = math.sqrt(2.0)
+_TRIG_TOL = 1e-12  # a sampled inequality may miss by this much rounding
+_WINDOW_STEPS = (1, 2, 5, 10)  # sample spacings the empirical bounds are checked over
 
 
 def thread_count() -> int:
@@ -132,13 +134,13 @@ def _program_objective(a, b, alpha):
                       swept_box_peak(1.0, a * b, np.sin(alpha)))
 
 
-def _program_grid_max(a_lo, a_hi, b_lo, b_hi, al_lo, al_hi, grid_axis, grid_angle):
+def _program_grid_max(a_lo, a_hi, b_lo, b_hi, al_lo, al_hi, grid):
     best_val = -math.inf
     best_arg = (math.nan,) * 3
-    a_grid = np.linspace(a_lo, a_hi, grid_axis)
-    b_grid = np.linspace(b_lo, b_hi, grid_axis)
+    a_grid = np.linspace(a_lo, a_hi, grid)
+    b_grid = np.linspace(b_lo, b_hi, grid)
     aa, bb = np.meshgrid(a_grid, b_grid, indexing="ij")
-    for alpha in np.linspace(al_lo, al_hi, grid_angle):
+    for alpha in np.linspace(al_lo, al_hi, grid):
         feasible = (bb >= aa) & (bb <= aa * math.cos(alpha) + math.sin(alpha) / aa)
         if not feasible.any():
             continue
@@ -159,9 +161,9 @@ class ProgramResult:
     small_angle_argmax: tuple[float, float]
 
 
-def verify_obb_program(grid_axis: int = 512, grid_angle: int = 512,
-                       refine_rounds: int = 8) -> ProgramResult:
-    """Dense grid plus local refinement over the feasible (a, b, alpha) box.
+def verify_obb_program(grid: int = 512, refine_rounds: int = 8) -> ProgramResult:
+    """Dense grid plus local refinement over the feasible (a, b, alpha) box,
+    ``grid`` points along each axis.
 
     The large-angle branch maximizes
     min((a+b)^2 / (2ab(1+cos alpha)), (1+ab)^2 / (2ab(1+sin alpha))) subject
@@ -169,23 +171,20 @@ def verify_obb_program(grid_axis: int = 512, grid_angle: int = 512,
     The small-angle branch reduces to (1+c)^2 / (2c(1+cos alpha)) over
     1 <= c <= sqrt(2), 0 < alpha <= pi/4, maximized at the corner.
     """
-    if grid_axis < 64 or grid_angle < 64:
-        raise DomainError("grids must be at least 64")
+    if grid < 64:
+        raise DomainError("grid must be at least 64")
     # Feasibility forces a <= sqrt(cot(alpha/2)) <= sqrt(1 + sqrt(2)) and
     # b <= a cos(alpha) + sin(alpha)/a < 2.2 on the angle range.
     a_hi = math.sqrt(1.0 + SQRT2) + 1e-9
-    val, (a0, b0, al0) = _program_grid_max(
-        1.0, a_hi, 1.0, 2.2, math.pi / 4, math.pi / 2, grid_axis, grid_angle
-    )
-    span_a = (a_hi - 1.0) / (grid_axis - 1)
-    span_b = 1.2 / (grid_axis - 1)
-    span_al = (math.pi / 4) / (grid_angle - 1)
+    val, (a0, b0, al0) = _program_grid_max(1.0, a_hi, 1.0, 2.2, math.pi / 4, math.pi / 2, grid)
+    span_a = (a_hi - 1.0) / (grid - 1)
+    span_b = 1.2 / (grid - 1)
+    span_al = (math.pi / 4) / (grid - 1)
     for _ in range(refine_rounds):
         v, arg = _program_grid_max(
             max(1.0, a0 - span_a), a0 + span_a,
             max(1.0, b0 - span_b), b0 + span_b,
-            max(math.pi / 4, al0 - span_al), min(math.pi / 2, al0 + span_al),
-            48, 48,
+            max(math.pi / 4, al0 - span_al), min(math.pi / 2, al0 + span_al), 48,
         )
         if v > val:
             val, (a0, b0, al0) = v, arg
@@ -193,8 +192,8 @@ def verify_obb_program(grid_axis: int = 512, grid_angle: int = 512,
         span_b /= 12.0
         span_al /= 12.0
 
-    c_grid = np.linspace(1.0, SQRT2, grid_axis)
-    al_grid = np.linspace(1e-9, math.pi / 4, grid_angle)
+    c_grid = np.linspace(1.0, SQRT2, grid)
+    al_grid = np.linspace(1e-9, math.pi / 4, grid)
     cc, alal = np.meshgrid(c_grid, al_grid, indexing="ij")
     small = swept_box_peak(1.0, cc, np.cos(alal))
     i = int(np.argmax(small))
@@ -217,8 +216,7 @@ class SamplingResult:
     witness: tuple[float, ...] | None = None
 
 
-def verify_trig_bounds(samples: int = 100_000, seed: int = 0,
-                       tol: float = 1e-12) -> dict[str, SamplingResult]:
+def verify_trig_bounds(samples: int = 100_000, seed: int = 0) -> dict[str, SamplingResult]:
     """Sampled checks of sin(lam*arcsin(x)) <=/>= lam*x and the arcsine envelope.
 
     For 0 <= x <= 1: sin(lam*arcsin x) <= lam*x when lam >= 1 and >= lam*x
@@ -235,7 +233,7 @@ def verify_trig_bounds(samples: int = 100_000, seed: int = 0,
 
     def summarize(margins: np.ndarray, xs, ls) -> SamplingResult:
         worst = float(margins.max())
-        bad = margins > tol
+        bad = margins > _TRIG_TOL
         witness = None
         if bad.any():
             i = int(np.argmax(margins))
@@ -258,11 +256,8 @@ def verify_trig_bounds(samples: int = 100_000, seed: int = 0,
 # Empirical orientation-change / aspect-drop bounds on sampled trajectories.
 
 
-def verify_bound_empirics(
-    named_trajectories: list[tuple[str, Trajectory]],
-    dt: float = 1e-3,
-    window_steps: tuple[int, ...] = (1, 2, 5, 10),
-) -> dict[str, SamplingResult]:
+def verify_bound_empirics(named_trajectories: list[tuple[str, Trajectory]],
+                          dt: float = 1e-3) -> dict[str, SamplingResult]:
     """Check the sampled diametric pair against the turn and drop bounds.
 
     Trajectories must already be normalized (unit speed, diameter >= 1).
@@ -280,7 +275,7 @@ def verify_bound_empirics(
         alphas = np.concatenate([b.alpha for b in boxes])
         aspects = np.concatenate([b.aspect for b in boxes])
         turn_window, drop_window = pair_turn_window(aspects), aspect_drop_window(aspects)
-        for k in (k for k in window_steps if k < len(times)):
+        for k in (k for k in _WINDOW_STEPS if k < len(times)):
             elapsed, n = k * dt, len(times) - k
             padded = elapsed + 4.0 * dt
             i = np.flatnonzero(elapsed <= turn_window[:n])
@@ -409,11 +404,13 @@ class SuiteRun:
     """
 
     def __init__(self, opts: SuiteOptions):
+        if opts.walks < 1:
+            raise DomainError("walks must be at least 1")
         self.opts = opts
 
     @cached_property
     def program(self) -> ProgramResult:
-        return verify_obb_program(self.opts.grid, self.opts.grid)
+        return verify_obb_program(self.opts.grid)
 
     @cached_property
     def trig(self) -> dict[str, SamplingResult]:

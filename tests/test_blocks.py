@@ -289,6 +289,18 @@ def locate_one(traj, kind, period, t_lo, a_lo, t_hi, a_hi, threshold):
     return sweep_one(frame.points, kind, period, a_lo, a_hi, optimal(frame, kind).cost, t_flip)
 
 
+def symmetric_pc_flip(quarter: int = 62) -> Trajectory:
+    """A cloud of 4 * ``quarter`` points, symmetric in both axes, that narrows
+    through isotropy as ``pc_flip`` does, above the brute-force limit."""
+    u, v = np.random.default_rng(4).uniform(0.1, 1.0, (2, quarter))
+
+    def cloud(w: float) -> np.ndarray:
+        return np.concatenate([np.column_stack([sx * w / 2.0 * u, sy * 0.5 * v])
+                               for sx in (1.0, -1.0) for sy in (1.0, -1.0)])
+
+    return Trajectory(np.array([0.0, 1.0]), np.stack([cloud(2.0), cloud(0.5)]))
+
+
 @pytest.mark.parametrize("traj, kind, dt", [
     (random_walk(seed=6), DescriptorKind.OBB, 1e-3),
     (random_walk(seed=6), DescriptorKind.STRIP, 1e-3),
@@ -296,8 +308,9 @@ def locate_one(traj, kind, period, t_lo, a_lo, t_hi, a_hi, threshold):
     (random_walk(seed=15, n=64, steps=20, duration=0.4), DescriptorKind.STRIP, 1e-3),
     (obb_lower_bound(), DescriptorKind.OBB, 1e-3),
     (strip_lower_bound(), DescriptorKind.STRIP, 1e-2),
+    (symmetric_pc_flip(), DescriptorKind.PC, 1e-3),
 ], ids=["walk6-obb", "walk6-strip", "walk15-obb", "walk15-n64-strip", "obb-lower-bound",
-        "strip-lower-bound"])
+        "strip-lower-bound", "pc-n248"])
 def test_lockstep_flips_equal_sequential_bisection(traj, kind, dt):
     flips = track_topological(traj, kind, dt).flips
     assert flips == sequential_flips(traj, kind, dt)
@@ -464,3 +477,25 @@ def test_block_budget_bounds_run_memory(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < whole_run / 3
+
+
+def test_flip_sweeps_stay_within_the_block_budget():
+    # obb_lower_bound's box flip with 4000 static points added inside the
+    # triangle (0, 0), (0.75, 0), (0.75, 1), where no turn test of the moving
+    # point changes outcome: most frames replay a chain trace.  Sweeping
+    # the flip's 513 orientations by projecting all 4005 points would take
+    # 4005 * 513 * 8 bytes = 16.4 MB at once.
+    flip = obb_lower_bound()
+    u, v = np.random.default_rng(3).uniform(0.02, 0.98, (2, 4000))
+    inner = np.column_stack([0.02 + 0.71 * np.maximum(u, v), 0.96 * np.minimum(u, v)])
+    traj = Trajectory(flip.times, np.concatenate(
+        [flip.positions, np.broadcast_to(inner, (2, 4000, 2))], axis=1))
+    tracemalloc.start()
+    try:
+        out = track_topological(traj, DescriptorKind.OBB, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.flips) == 1
+    assert abs(out.flips[0].worst_ratio - 1.25) <= 1e-3
+    assert peak < 8 * geometry._BLOCK_BYTES

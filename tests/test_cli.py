@@ -186,6 +186,16 @@ def test_scenario_rejects_infinite_duration(capsys):
     assert (code, out, err) == (2, "", "error: keyframe times must be finite\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pc-fast-flip", "--target-rate", "nan"], "target_rate must be positive and finite"),
+    (["pc-fast-flip", "--target-rate", "inf"], "target_rate must be positive and finite"),
+    (["random-walk", "--duration", "inf"], "duration must be positive and finite"),
+])
+def test_scenario_rejects_non_finite_parameters(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["scenario", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["track", "chase", "descriptor"])
 def test_infinite_keyframe_time_is_rejected(capsys, monkeypatch, command):
     text = (
@@ -213,6 +223,12 @@ def test_track_rejects_a_horizon_past_the_keyframes(capsys, monkeypatch):
 def test_verify_rejects_no_trig_samples(capsys, samples):
     code, out, err = run_cli(capsys, ["verify", "--grid", "64", "--samples", samples])
     assert (code, out, err) == (2, "", "error: samples must be at least 1\n")
+
+
+@pytest.mark.parametrize("walks", ["0", "-3"])
+def test_verify_rejects_no_walks(capsys, walks):
+    code, out, err = run_cli(capsys, ["verify", "--grid", "64", "--walks", walks])
+    assert (code, out, err) == (2, "", "error: walks must be at least 1\n")
 
 
 def test_verify_failure_exits_three(capsys, monkeypatch):

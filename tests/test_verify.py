@@ -53,34 +53,34 @@ class TestRatioPolicy:
 
 class TestProgram:
     def test_global_max_stays_at_five_quarters(self):
-        res = verify_obb_program(grid_axis=96, grid_angle=96)
+        res = verify_obb_program(grid=96)
         assert res.max_value <= 1.25 + 1e-3
         assert res.max_value >= 1.2  # the grid does find the ridge
 
     def test_small_angle_branch_corner(self):
-        res = verify_obb_program(grid_axis=64, grid_angle=64, refine_rounds=0)
+        res = verify_obb_program(grid=64, refine_rounds=0)
         assert res.small_angle_max == pytest.approx(0.5 + SQRT2 / 2.0, abs=1e-9)
         c, alpha = res.small_angle_argmax
         assert c == pytest.approx(SQRT2)
         assert alpha == pytest.approx(math.pi / 4)
 
     def test_argmax_is_feasible(self):
-        res = verify_obb_program(grid_axis=96, grid_angle=96)
+        res = verify_obb_program(grid=96)
         a, b, alpha = res.argmax
         assert 1.0 <= a <= b
         assert math.pi / 4 < alpha < math.pi / 2
         assert b <= a * math.cos(alpha) + math.sin(alpha) / a + 1e-9
 
     def test_nested_grids_are_monotone(self):
-        coarse = verify_obb_program(grid_axis=65, grid_angle=65, refine_rounds=0)
-        fine = verify_obb_program(grid_axis=129, grid_angle=129, refine_rounds=0)
+        coarse = verify_obb_program(grid=65, refine_rounds=0)
+        fine = verify_obb_program(grid=129, refine_rounds=0)
         assert coarse.max_value <= fine.max_value + 1e-12
 
     def test_rejects_tiny_grids(self):
         from kinostable.errors import DomainError
 
         with pytest.raises(DomainError):
-            verify_obb_program(grid_axis=8, grid_angle=8)
+            verify_obb_program(grid=8)
 
 
 class TestIntermediateBoxArea:
