@@ -1,6 +1,7 @@
-"""Geometry and tracker benchmarks: per-call and per-sample time, kinobench pairs.
+"""Geometry and tracker benchmarks: per-call and per-sample time, flip
+location, kinobench pairs.
 
-Three subcommands, each merging its results into one JSON file (one entry
+Four subcommands, each merging its results into one JSON file (one entry
 per label or workload, the rest of the file kept):
 
     # per-call layers of one source tree, from the repository root
@@ -10,6 +11,11 @@ per label or workload, the rest of the file kept):
 
     # per-sample tracker time of one source tree with the block hull
     python3 scripts/bench_hull.py core --label change --out BENCH_kinetic.json
+
+    # flip location on the walks corpora of one source tree
+    python3 scripts/bench_hull.py flips --label change --out BENCH_flips.json
+    python3 scripts/bench_hull.py flips --label parent --src ../parent/src \\
+        --out BENCH_flips.json
 
     # alternating parent/change runs of kinobench/run.py, with medians
     python3 scripts/bench_hull.py kinobench --parent ../parent --workload big-hull \\
@@ -34,6 +40,17 @@ run per seed counts the frames whose hull was built and the monotone-chain
 runs among them; the rest replayed a chain trace.  The counts read
 ``geometry.Frames.hull_indices`` and ``geometry._monotone_chain``, so
 ``core`` runs on trees that build hulls in blocks.
+
+``flips`` runs ``track_topological`` (obb, strip, pc) at dt = 1e-3 on the
+48 walks of the kinobench ``walks`` corpus of each seed (``--seeds``,
+default 1 and 9) and records per kind: the jumps handed to flip location,
+the tie jumps among them (two co-optima at a bounding sample lie within
+``TIE_ANGLE`` of the jump's two ends), the
+located and the dismissed flips, the location rounds of each group of
+jumps (lockstep rounds, root-finding and bisection together; on a tree
+that only bisects, its solves less one per sweep chunk), and the seconds
+spent locating and sweeping.  A tree that root-finds also records the
+jumps root-found and bisected.
 """
 
 from __future__ import annotations
@@ -61,6 +78,7 @@ MAX_CALLS = 200  # ... or this many times, whichever comes first
 CORE_SIZES = (8, 64)
 CORE_SEEDS = (0, 1, 2, 3)
 CORE_DT = 1e-3
+TIE_ANGLE = 0.02  # rad: more than a hull edge of these walks turns in one sample step
 END_TO_END = ("setup_s", "wall_s", "samples_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
 
 
@@ -217,6 +235,117 @@ def run_core(args) -> dict:
             "repeats": args.repeats, "rows": rows}
 
 
+def walks_corpus(seed: int, random_walk) -> list:
+    """The 48 walks of the kinobench ``walks`` workload at ``seed``."""
+    return [random_walk(n=64 if i % 4 == 3 else 8, seed=48 * seed + i, steps=20, duration=0.4)
+            for i in range(48)]
+
+
+def run_flips(args) -> dict:
+    """Flip location on the walks corpora, per seed and kind: see the module docstring."""
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from kinostable import tracker
+    from kinostable.angles import angular_distance
+    from kinostable.scenarios import random_walk
+    from kinostable.solvers import optimal
+
+    stats: dict = {}
+    real = {name: getattr(tracker, name) for name in
+            ("_locate_flips", "_locate_group", "_sweeps", "block_optima", "_edge_crossings",
+             "_bisect") if hasattr(tracker, name)}
+
+    def timed(name, key):
+        def run(*a):
+            t0 = time.perf_counter()
+            try:
+                return real[name](*a)
+            finally:
+                stats[key] += time.perf_counter() - t0
+        return run
+
+    def group(traj, kind, period, jumps):
+        stats["groups"] += 1
+        stats["solves"] = 0
+        rounds = []
+        stats["rounds_now"] = rounds
+        flips = real["_locate_group"](traj, kind, period, jumps)
+        if "_edge_crossings" not in real:  # one solve per bisection round, one per sweep chunk
+            size = tracker.table_block(traj.n_points, tracker._SWEEP_GRID + 1)
+            rounds.append(stats["solves"] - math.ceil(len(flips) / size))
+        stats["rounds"].append(sum(rounds))
+        return flips
+
+    def solve(frames, kinds):
+        stats["solves"] += 1
+        return real["block_optima"](frames, kinds)
+
+    def crossings(*a):
+        out = real["_edge_crossings"](*a)
+        stats["rounds_now"].append(out[4])
+        stats["root_found"] += int(out[3].sum())
+        return out
+
+    def bisect(*a):
+        out = real["_bisect"](*a)
+        stats["rounds_now"].append(out[5])
+        stats["bisected"] += len(out[0])
+        return out
+
+    def tie_jump(traj, kind, period, jump) -> bool:
+        """Both ends of the jump are co-optima at one of its bounding samples:
+        two tied candidates there lie within ``TIE_ANGLE`` of its two ends."""
+        for t in (jump[0], jump[2]):
+            tied = optimal(traj.frame_at(t), kind).all_optima
+            near = [[angular_distance(a, c, period) <= TIE_ANGLE for c in tied]
+                    for a in (jump[1], jump[3])]
+            if any(p and q for k, p in enumerate(near[0]) for m, q in enumerate(near[1])
+                   if k != m):
+                return True
+        return False
+
+    out = {}
+    patched = {"_locate_flips": timed("_locate_flips", "locate_s"),
+               "_sweeps": timed("_sweeps", "sweep_s"), "_locate_group": group,
+               "block_optima": solve}
+    if "_edge_crossings" in real:
+        patched.update(_edge_crossings=crossings, _bisect=bisect)
+    for name, fn in patched.items():
+        setattr(tracker, name, fn)
+    try:
+        for seed in args.seeds:
+            walks = walks_corpus(seed, random_walk)
+            per_kind = {}
+            for kind in ("obb", "strip", "pc"):
+                stats.update(groups=0, rounds=[], locate_s=0.0, sweep_s=0.0, root_found=0,
+                             bisected=0, solves=0)
+                jumps = tie = flips = 0
+                for traj in walks:
+                    found = []
+                    setattr(tracker, "_locate_flips", lambda tr, k, p, j, found=found:
+                            found.extend(j) or patched["_locate_flips"](tr, k, p, j))
+                    flips += len(tracker.track_topological(traj, kind, CORE_DT).flips)
+                    jumps += len(found)
+                    period = tracker.tracking_period(kind)
+                    tie += sum(tie_jump(traj, kind, period, j) for j in found)
+                row = {"jumps": jumps, "tie_jumps": tie, "located_flips": flips,
+                       "dismissed": jumps - flips, "groups": stats["groups"],
+                       "rounds_per_group": stats["rounds"],
+                       "median_rounds_per_group": (statistics.median(stats["rounds"])
+                                                   if stats["rounds"] else 0),
+                       "locate_s": stats["locate_s"] - stats["sweep_s"],
+                       "sweep_s": stats["sweep_s"]}
+                if "_edge_crossings" in real:
+                    row.update(root_found=stats["root_found"], bisected=stats["bisected"])
+                per_kind[kind] = row
+                print(seed, kind, json.dumps({k: v for k, v in row.items()
+                                              if k != "rounds_per_group"}), flush=True)
+            out[str(seed)] = per_kind
+    finally:
+        for name, fn in real.items():
+            setattr(tracker, name, fn)
+    return {"git_commit": git_commit(Path(args.src)), "dt": CORE_DT, "seeds": out}
+
+
 def kinobench_once(checkout: Path, args) -> dict:
     cmd = [sys.executable, "kinobench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
@@ -277,6 +406,11 @@ def main(argv=None) -> int:
                    default=list(CORE_SEEDS))
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", required=True)
+    p = sub.add_parser("flips", help="flip location on the walks corpora of one source tree")
+    p.add_argument("--label", default="change")
+    p.add_argument("--src", default=str(ROOT / "src"))
+    p.add_argument("--seeds", type=lambda s: [int(v) for v in s.split(",")], default=[1, 9])
+    p.add_argument("--out", required=True)
     p = sub.add_parser("kinobench", help="alternating parent/change kinobench runs")
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
     p.add_argument("--workload", required=True, choices=["walks", "big-hull", "verify"])
@@ -293,6 +427,8 @@ def main(argv=None) -> int:
         data.setdefault("layers", {})[args.label] = run_layers(args)
     elif args.command == "core":
         data.setdefault("core", {})[args.label] = run_core(args)
+    elif args.command == "flips":
+        data.setdefault("flips", {})[args.label] = run_flips(args)
     else:
         key = f"{args.workload}-seed{args.seed}"
         data.setdefault("kinobench", {})[key] = run_kinobench(args)

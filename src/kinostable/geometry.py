@@ -566,11 +566,12 @@ def diametric_box(points) -> DiametricBox:
                         float(box.width[0]), float(box.aspect[0]))
 
 
-def frame_diameters(frames: Frames) -> np.ndarray:
-    """Largest pairwise distance of every frame of a block."""
+def frame_diameters(frames: Frames, rows: np.ndarray | None = None) -> np.ndarray:
+    """Largest pairwise distance of every frame of a block, or of its frames ``rows``."""
+    rows = np.arange(len(frames)) if rows is None else rows
     if frames.n_points <= _BRUTE_FORCE_LIMIT:
-        return np.sqrt(_brute_distances(frames.points).max(axis=(1, 2)))
-    return np.sqrt([_hull_distances(frames.hull(b))[2].max() for b in range(len(frames))])
+        return np.sqrt(_brute_distances(frames.points[rows]).max(axis=(1, 2)))
+    return np.sqrt([_hull_distances(frames.hull(b))[2].max() for b in rows.tolist()])
 
 
 def frame_diameter(points) -> float:

@@ -21,6 +21,10 @@ from .trajectory import Trajectory
 #: Fixed non-collinear anchor set blended into the collinear sweep frames.
 _ANCHOR = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
+#: Largest keyframe array ``pc_fast_flip`` builds (its cluster grows as the
+#: square of the target rate): 0.27 GB, reached near target rate 317.
+_MAX_KEYFRAME_BYTES = 1 << 28
+
 
 def obb_lower_bound(duration: float = 1.0) -> Trajectory:
     """Four static points admitting two minimum boxes of area 2, plus a fifth
@@ -113,6 +117,11 @@ def pc_fast_flip(target_rate: float = 100.0, duration: float = 1.0) -> Trajector
     chord_dip = math.cos(math.pi / (2 * orbit_segments)) ** 2
     m = int(math.ceil(1.02 * dominance * spacing**2 / (rho**2 * chord_dip)))
     m += m % 2
+    keyframe_bytes = (orbit_segments + 3) * (m + 2) * 2 * 8
+    if keyframe_bytes > _MAX_KEYFRAME_BYTES:
+        raise DomainError(f"target_rate {target_rate:g} needs {m} cluster points per keyframe, "
+                          f"{keyframe_bytes / 1e9:.2g} GB of keyframes; at most "
+                          f"{_MAX_KEYFRAME_BYTES / 1e9:.2g} GB are built")
 
     t0 = 0.45 * duration
     times = [0.0, t0] + [t0 + window * k / orbit_segments for k in range(1, orbit_segments + 1)]
@@ -174,6 +183,8 @@ def random_walk(n: int = 8, steps: int = 50, seed: int = 0, duration: float = 1.
 
 def _stateless_disk_trajectory(n: int = 5, samples: int = 256, duration: float = 1.0) -> Trajectory:
     """The fully collinear sweep expressed as a keyframed trajectory."""
+    if not 0.0 < duration < math.inf:
+        raise DomainError("duration must be positive and finite")
     phis = np.linspace(0.0, 2.0 * math.pi, samples + 1)
     keyframes = np.stack([stateless_disk(n, 1.0, float(p)).points for p in phis])
     times = np.linspace(0.0, duration, samples + 1)

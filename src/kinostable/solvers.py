@@ -49,39 +49,44 @@ class OptimalDescriptor:
     isotropic: bool = False
 
 
-def _edge_candidates(frames: Frames) -> tuple[np.ndarray, np.ndarray]:
+def _edge_candidates(frames: Frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The canonical hull-edge orientations of every frame of a block, sorted
-    and deduplicated: (angles, counts), one row of ``angles`` per frame,
-    padded after its ``counts[b]`` candidates with zeros.
+    and deduplicated: (angles, pairs, counts), one row of ``angles`` per
+    frame, padded after its ``counts[b]`` candidates with zeros.
 
-    A 2-vertex (collinear) hull has the one orientation of its segment.
+    ``pairs[b, c]`` holds the point indices (tail, head) of the edge that
+    candidate c of frame b comes from: of parallel edges, the first in hull
+    order.  A 2-vertex (collinear) hull has the one orientation of its
+    segment.
     """
     hulls, sizes = frames.hull_indices
     edges = np.where(sizes == 2, 1, sizes)
     row = np.repeat(np.arange(len(frames)), edges)
     k = np.arange(len(row)) - np.repeat(np.cumsum(edges) - edges, edges)
-    head = hulls[row, (k + 1) % sizes[row]]
-    vec = frames.points[row, head] - frames.points[row, hulls[row, k]]
+    ends = np.column_stack([hulls[row, k], hulls[row, (k + 1) % sizes[row]]])
+    vec = frames.points[row, ends[:, 1]] - frames.points[row, ends[:, 0]]
     flat = canonical_array(_atan2(vec[:, 1], vec[:, 0]))
-    padded = np.full((len(frames), edges.max()), np.inf)
-    padded[row, k] = flat
-    padded.sort(axis=1)
-    padded[:, 1:][padded[:, 1:] == padded[:, :-1]] = np.inf
-    padded.sort(axis=1)
-    # np.unique keeps whichever of 0.0 and -0.0 its own sort puts first
+    # by frame, then orientation, then hull order; the first of equal ones kept
+    order = np.lexsort((flat, row))
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = (flat[order[1:]] != flat[order[:-1]]) | (row[order[1:]] != row[order[:-1]])
+    kept = order[keep]
+    counts = np.bincount(row[kept], minlength=len(frames))
+    at = np.arange(len(kept)) - np.repeat(np.cumsum(counts) - counts, counts)
+    angles = np.zeros((len(frames), counts.max()))
+    angles[row[kept], at] = flat[kept]
+    pairs = np.zeros(angles.shape + (2,), dtype=np.intp)
+    pairs[row[kept], at] = ends[kept]
+    # a frame's orientation 0 comes first; of 0.0 and -0.0 it keeps the one
+    # np.unique's own sort puts first, as the candidates always have
     for b in np.unique(row[flat == 0.0]).tolist():
-        uniq = np.unique(flat[row == b])
-        padded[b] = np.inf
-        padded[b, :len(uniq)] = uniq
-    counts = np.isfinite(padded).sum(axis=1)
-    angles = padded[:, :counts.max()]
-    angles[np.isinf(angles)] = 0.0
-    return angles, counts
+        angles[b, 0] = np.unique(flat[row == b])[0]
+    return angles, pairs, counts
 
 
 def hull_edge_orientations(points) -> np.ndarray:
     """Canonical orientations of the hull edges, sorted and deduplicated."""
-    angles, counts = _edge_candidates(Frames.of(points))
+    angles, _, counts = _edge_candidates(Frames.of(points))
     return angles[0, :counts[0]]
 
 
@@ -90,8 +95,10 @@ class BlockOptima:
     """One kind's optimum at every frame of a block: (B,) arrays.
 
     A box or strip solve also keeps its candidate table: the padded
-    ``candidates``, their ``values`` and the per-frame ``counts``, from which
-    ``descriptor`` reads one frame's tied co-optima.
+    ``candidates``, their ``values``, the per-frame ``counts`` and each
+    candidate's hull edge as a vertex pair (``pairs``, (B, m, 2) point
+    indices), from which ``descriptor`` reads one frame's tied co-optima and
+    the topological tracker its steering among them.
     """
 
     kind: DescriptorKind
@@ -101,15 +108,20 @@ class BlockOptima:
     candidates: np.ndarray | None = None
     values: np.ndarray | None = None
     counts: np.ndarray | None = None
+    pairs: np.ndarray | None = None
+
+    def tied(self) -> np.ndarray:
+        """(B, m) mask of every frame's candidates that tie with its optimum
+        within the relative tolerance ``_COST_TIE_REL``."""
+        tol = _COST_TIE_REL * (np.abs(self.cost) + 1e-300)
+        return self.values <= (self.cost + tol)[:, None]
 
     def descriptor(self, b: int) -> OptimalDescriptor:
         """Frame ``b``'s optimum with its tied co-optima."""
         alpha, cmin = float(self.alpha[b]), float(self.cost[b])
         if self.values is None:
             return OptimalDescriptor(self.kind, alpha, cmin, (alpha,), bool(self.isotropic[b]))
-        m = self.counts[b]
-        tol = _COST_TIE_REL * (abs(cmin) + 1e-300)
-        tied = self.candidates[b, :m][self.values[b, :m] <= cmin + tol]
+        tied = self.candidates[b][self.tied()[b]]
         return OptimalDescriptor(self.kind, alpha, cmin, tuple(tied.tolist()))
 
 
@@ -157,13 +169,14 @@ def _hull_optima(frames: Frames, kinds: tuple[DescriptorKind, ...]) -> list[Bloc
     The candidates of a frame ascend, so the first minimum of a row is the
     smallest orientation among the tied minima.
     """
-    angles, counts = _edge_candidates(frames)
+    angles, pairs, counts = _edge_candidates(frames)
     rows = np.arange(len(frames))
     out = []
     for kind, values in zip(kinds, orientation_costs(frames, kinds, angles, counts)):
         best = np.argmin(values, axis=1)
         out.append(BlockOptima(kind, angles[rows, best], values[rows, best],
-                               np.zeros(len(frames), dtype=bool), angles, values, counts))
+                               np.zeros(len(frames), dtype=bool), angles, values, counts,
+                               pairs))
     return out
 
 

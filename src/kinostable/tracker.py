@@ -7,11 +7,24 @@ orientations, and scores them at once.  ``track_topological`` steers to the
 optimum with array arithmetic, ``chasing.chase`` toward the diametric pair
 at a capped speed, in a loop on floats.
 
-The topological tracker outputs the optimal orientation at every sample.
-When the optimum jumps between samples, the jump is first localized in time
-by bisection to the instant where the departing and arriving optima cost
-the same.  All jumps of a run are bisected in lockstep: each round solves
-every pending midpoint as one block.  At the located instant the output
+The topological tracker outputs an optimal orientation at every sample.
+Box and strip optima lie on hull edge orientations (Freeman and Shapira,
+1975), and the solve keeps each candidate's edge as a vertex pair.  Where
+several candidates tie with the optimum (within ``solvers._COST_TIE_REL``),
+the output is the tied one nearest the previous output: moving among
+co-optima is no flip.  When the output jumps between samples from edge A
+to edge B, the jump is located at the root of cost_A(t) - cost_B(t), each
+cost taken at its own edge's orientation at t, by regula falsi: a round
+scores two orientations per jump, with no hull and no solve.  The solve
+made at the root for the sweep must find A or B among the co-optima.  A
+jump falls back to bisecting the instant where the optimum switches sides
+(each round solves every pending midpoint) for ``pc``, which has no edge
+candidates, and where the steered pair did not change, A and B tie at the
+earlier sample, the costs do not cross, a probed frame is rejected, the
+root-finding takes more than ``_ROOT_ROUNDS`` rounds, or the solve at the
+root finds a third optimum.  All jumps of a run are located in lockstep.
+A jump whose located orientations lie within its drift threshold was fast
+continuous drift, and records nothing.  At the located instant the output
 conceptually sweeps the arc between the two optima; the sweep direction is
 the one whose worst intermediate cost is smaller, and that worst swept
 cost/ratio is recorded as a flip event of zero simulated duration.  The
@@ -26,15 +39,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .angles import BOX_PERIOD, ORIENTATION_PERIOD, angular_distances, canonical_array
+from .angles import (
+    BOX_PERIOD,
+    ORIENTATION_PERIOD,
+    angular_distance,
+    angular_distances,
+    canonical_array,
+    elementwise,
+)
 from .costs import DescriptorKind, frame_costs
 from .errors import DegenerateInputError
 from .geometry import Frames, block_size, frame_diameters, frame_faults, table_block, trace_block
 from .ratios import ratios
-from .solvers import block_optima, orientation_costs
+from .solvers import _COST_TIE_REL, BlockOptima, block_optima, orientation_costs
 from .trajectory import Trajectory
 
 # A jump larger than this many dt-steps' worth of plausible optimum drift
@@ -44,6 +65,12 @@ _DIRECTION_GRID = 64
 _SWEEP_GRID = 512
 _BISECT_ITERS = 80
 _REFINE_ITERS = 60
+# Regula falsi rounds after the endpoint round before a jump falls back to
+# bisection, and the bracket width, relative to its time, that ends them.
+_ROOT_ROUNDS = 12
+_ROOT_XTOL = 1e-13
+
+_atan2 = elementwise(math.atan2, 2)
 
 
 def tracking_period(kind: DescriptorKind) -> float:
@@ -199,46 +226,128 @@ def _sweeps(frames: Frames, kind, period, a_from: np.ndarray, a_to: np.ndarray,
     return [FlipEvent(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
-def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[FlipEvent]:
-    """Bisect every jump to the instant where the optimum switches sides,
-    then sweep there.
+class Jump(NamedTuple):
+    """An output jump between the samples ``t_lo`` and ``t_hi``: the steered
+    orientations at both, the drift threshold its located gap must exceed,
+    and the steered hull-edge pairs at both (None for ``pc``)."""
 
-    ``jumps`` holds (t_lo, a_lo, t_hi, a_hi, threshold) per jump, in time
-    order.  The jumps are located in consecutive groups of at most one
-    block, and at most ``trace_block`` jumps, so that the hull traces they
-    carry stay within the block budget.  A rejected midpoint or flip frame
-    raises its error where a one-jump-at-a-time bisection would have: after
-    every earlier jump's sweep.
+    t_lo: float
+    a_lo: float
+    t_hi: float
+    a_hi: float
+    threshold: float
+    pair_lo: tuple[int, int] | None = None
+    pair_hi: tuple[int, int] | None = None
+
+
+def _edge_angles(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Canonical orientation of each frame's edge ``pairs[b]`` (tail, head),
+    with the arithmetic of ``solvers._edge_candidates``."""
+    rows = np.arange(len(points))
+    vec = points[rows, pairs[:, 1]] - points[rows, pairs[:, 0]]
+    return canonical_array(_atan2(vec[:, 1], vec[:, 0]))
+
+
+def _edge_crossings(traj: Trajectory, kind, period, t_lo: np.ndarray, t_hi: np.ndarray,
+                    pair_lo: np.ndarray, pair_hi: np.ndarray):
+    """Where each jump's departing edge A stops being optimal against its
+    arriving edge B: the root in (t_lo, t_hi) of f(t) = cost_A(t) - cost_B(t),
+    each cost taken at its own edge's orientation at t.
+
+    Regula falsi with the Anderson-Bjorck rule (1973), all jumps in
+    lockstep: a round interpolates each bracket to a new time and replaces
+    the end whose sign the new value shares; where the same end is replaced
+    twice running, the kept end's value is scaled by 1 - f(new) / f(old),
+    or halved where that is not positive (the Illinois rule of Dowell and
+    Jarratt, 1971).  A jump is found when its bracket is at most
+    ``_ROOT_XTOL`` wide, relative to its time, or when its interpolant
+    rounds onto an end.  It is not found (``ok`` False) when f(t_lo) is not
+    below minus the tie tolerance (``_COST_TIE_REL`` of cost_B): A and B
+    tie there, f is flat until A leaves the tie, and regula falsi creeps
+    along the flat part; nor when f(t_hi) is not positive, a probed frame
+    is rejected, or ``_ROOT_ROUNDS`` rounds do not suffice.  Returns (t,
+    start, end, ok, rounds): the end with the smaller |f|, the two edges'
+    orientations there modulo ``period``, and the rounds made, the
+    endpoint round included.
     """
-    n = traj.n_points
-    group = min(block_size(n), trace_block(n))
-    flips = []
-    for start in range(0, len(jumps), group):
-        flips += _locate_group(traj, kind, period, jumps[start:start + group])
-    return flips
+    size = len(t_lo)
+
+    def score(t, rows):
+        """f at each probe, A's and B's orientations there, cost_B, and
+        whether the probe's frame is rejected."""
+        points = np.concatenate([traj.positions_at_times(t)] * 2)
+        ang = _edge_angles(points, np.concatenate([pair_lo[rows], pair_hi[rows]]))
+        cost = frame_costs(points, (kind,), ang)[0]
+        m = len(rows)
+        bad = np.zeros(m, dtype=bool)
+        bad[list(frame_faults(points[:m]))] = True
+        return cost[:m] - cost[m:], ang[:m], ang[m:], cost[m:], bad
+
+    f, ang_a, ang_b, cost_b, _ = score(np.concatenate([t_lo, t_hi]), np.tile(np.arange(size), 2))
+    # row 0 the low end of each bracket, row 1 the high end; ``values`` are
+    # f as the Anderson-Bjorck rule scales it, ``residual`` f as probed
+    ends, residual = np.stack([t_lo, t_hi]), f.reshape(2, size)
+    values = residual.copy()
+    angles = np.stack([ang_a.reshape(2, size), ang_b.reshape(2, size)], axis=1)
+    ok = (values[0] < -_COST_TIE_REL * (np.abs(cost_b[:size]) + 1e-300)) & (0.0 < values[1])
+    side = np.zeros(size, dtype=np.int8)  # the end the last round replaced: -1 low, 1 high
+    rounds = 1
+
+    def open_brackets():
+        return ok & (ends[1] - ends[0] > _ROOT_XTOL * np.maximum(1.0, np.abs(ends[1])))
+
+    for _ in range(_ROOT_ROUNDS):
+        idx = np.flatnonzero(open_brackets())
+        lo, hi = ends[:, idx]
+        c = hi - values[1, idx] * (hi - lo) / (values[1, idx] - values[0, idx])
+        # an interpolant that rounds onto an end has found the root there
+        for end, stuck in ((0, ~(lo < c)), (1, ~(c < hi))):
+            at = idx[stuck]
+            ends[1 - end, at], residual[1 - end, at] = ends[end, at], residual[end, at]
+            angles[1 - end, :, at] = angles[end, :, at]
+        inside = (lo < c) & (c < hi)
+        idx, c = idx[inside], c[inside]
+        if not len(idx):
+            break
+        rounds += 1
+        fc, ang_a, ang_b, _, bad = score(c, idx)
+        ok[idx[bad]] = False
+        up, down = ~bad & (fc > 0.0), ~bad & (fc < 0.0)
+        for end, again in ((1, up & (side[idx] == 1)), (0, down & (side[idx] == -1))):
+            at = idx[again]
+            m = 1.0 - fc[again] / values[end, at]
+            values[1 - end, at] *= np.where(m > 0.0, m, 0.5)
+        for end, keep in ((1, ~bad & (fc >= 0.0)), (0, ~bad & (fc <= 0.0))):
+            at = idx[keep]
+            ends[end, at], values[end, at], residual[end, at] = c[keep], fc[keep], fc[keep]
+            angles[end, 0, at], angles[end, 1, at] = ang_a[keep], ang_b[keep]
+        side[idx[up]], side[idx[down]] = 1, -1
+    ok &= ~open_brackets()
+    pick = (np.abs(residual[1]) < np.abs(residual[0])).astype(np.intp)
+    cols = np.arange(size)
+    return (ends[pick, cols], canonical_array(angles[pick, 0, cols], period),
+            canonical_array(angles[pick, 1, cols], period), ok, rounds)
 
 
-def _locate_group(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[FlipEvent]:
-    """``_locate_flips`` on one block of jumps.
-
-    The bisections run in lockstep: each round solves the pending midpoints
-    of all jumps as one block of frames, with the arithmetic of one
-    bisection per jump; each jump carries its last midpoint's hull trace
-    into the next round, and on to its flip frame.  A jump whose refined
-    endpoints collapse below its flip threshold was fast continuous drift,
-    not a flip, and records nothing.  The located flips are swept in
-    lockstep too, ``table_block`` of them at a time.
+def _bisect(traj: Trajectory, kind, period, t_lo, a_lo, t_hi, a_hi, traces: list):
+    """Bisect each jump to the instant where the optimum switches sides:
+    every round solves the pending midpoints of all jumps as one block of
+    frames, with the arithmetic of one bisection per jump.  Each jump
+    carries its last midpoint's hull trace into the next round; ``traces``
+    is updated in place.  Returns the narrowed (t_lo, a_lo, t_hi, a_hi), the
+    message of every jump whose midpoint was rejected, and the rounds made.
     """
-    t_lo, a_lo, t_hi, a_hi, threshold = (np.array(col) for col in zip(*jumps))
-    pending = np.ones(len(jumps), dtype=bool)
-    traces: list = [None] * len(jumps)
+    t_lo, a_lo, t_hi, a_hi = (np.array(x, dtype=float) for x in (t_lo, a_lo, t_hi, a_hi))
+    pending = np.ones(len(t_lo), dtype=bool)
     faults: dict[int, str] = {}
+    rounds = 0
     for _ in range(_BISECT_ITERS):
         t_mid = 0.5 * (t_lo + t_hi)
         pending &= (t_lo < t_mid) & (t_mid < t_hi)
         idx = np.flatnonzero(pending)
         if not len(idx):
             break
+        rounds += 1
         points = traj.positions_at_times(t_mid[idx])
         bad = frame_faults(points)
         for i, message in bad.items():
@@ -257,24 +366,135 @@ def _locate_group(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[Fl
                  <= angular_distances(a_mid, a_hi[idx], period))
         t_lo[idx[lower]], a_lo[idx[lower]] = t_mid[idx[lower]], a_mid[lower]
         t_hi[idx[~lower]], a_hi[idx[~lower]] = t_mid[idx[~lower]], a_mid[~lower]
-    gap = angular_distances(a_lo, a_hi, period)
+    return t_lo, a_lo, t_hi, a_hi, faults, rounds
+
+
+def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[FlipEvent]:
+    """Locate every jump's flip instant and sweep there.
+
+    ``jumps`` holds a ``Jump`` (or its first five fields) per jump, in time
+    order.  The jumps are located in consecutive groups of at most one
+    block, and at most ``trace_block`` jumps, so that the hull traces they
+    carry stay within the block budget.  A rejected midpoint or flip frame
+    raises its error where a one-jump-at-a-time location would have: after
+    every earlier jump's sweep.
+    """
+    jumps = [Jump(*jump) for jump in jumps]
+    n = traj.n_points
+    group = min(block_size(n), trace_block(n))
+    flips = []
+    for start in range(0, len(jumps), group):
+        flips += _locate_group(traj, kind, period, jumps[start:start + group])
+    return flips
+
+
+def _locate_group(traj: Trajectory, kind, period, jumps: list[Jump]) -> list[FlipEvent]:
+    """``_locate_flips`` on one block of jumps.
+
+    A jump between two different hull-edge pairs A and B is located by
+    root-finding (``_edge_crossings``) and confirmed by the solve made at
+    the found instant for the sweep: A or B must tie with the optimum
+    there.  Every other jump (``pc``, an unchanged pair, a root not found
+    or not confirmed) is bisected (``_bisect``).  A jump whose located
+    orientations are at most its drift threshold apart was fast continuous
+    drift, not a flip, and records nothing.  The located flips are swept in
+    lockstep, ``table_block`` of them at a time.
+    """
+    count = len(jumps)
+    t_lo, a_lo, t_hi, a_hi, threshold = (np.array(col, dtype=float)
+                                         for col in list(zip(*jumps))[:5])
     limit = np.where(1e-9 > threshold, 1e-9, threshold)
-    t_flip = 0.5 * (t_lo + t_hi)
-    stop = min(faults, default=len(jumps))
-    idx = np.flatnonzero(~(gap[:stop] <= limit[:stop]))
-    points = traj.positions_at_times(t_flip[idx])
-    bad = frame_faults(points)
-    if bad:
-        raise DegenerateInputError(bad[min(bad)])
+    t_flip, opt_cost = 0.5 * (t_lo + t_hi), np.empty(count)
+    points = np.empty((count, traj.n_points, 2))
+    traces: list = [None] * count
+    located = np.zeros(count, dtype=bool)
+    bisect = np.ones(count, dtype=bool)
+
+    edge = np.flatnonzero([j.pair_lo is not None and tuple(j.pair_lo) != tuple(j.pair_hi)
+                           for j in jumps])
+    if len(edge):
+        pair_lo = np.array([jumps[i].pair_lo for i in edge.tolist()], dtype=np.intp)
+        pair_hi = np.array([jumps[i].pair_hi for i in edge.tolist()], dtype=np.intp)
+        t, start, end, ok, _ = _edge_crossings(traj, kind, period, t_lo[edge], t_hi[edge],
+                                               pair_lo, pair_hi)
+        edge, t, start, end, pair_lo, pair_hi = (x[ok] for x in (edge, t, start, end,
+                                                                  pair_lo, pair_hi))
+    if len(edge):
+        frames = Frames(traj.positions_at_times(t), [None] * len(edge))
+        opt = block_optima(frames, (kind,))[0]
+        tied = opt.tied()
+        confirmed = np.zeros(len(edge), dtype=bool)
+        for pair in (pair_lo, pair_hi):
+            confirmed |= (tied & (opt.pairs == pair[:, None, :]).all(axis=2)).any(axis=1)
+        rows = np.flatnonzero(confirmed)
+        idx = edge[rows]
+        bisect[idx] = False
+        t_flip[idx], a_lo[idx], a_hi[idx] = t[rows], start[rows], end[rows]
+        opt_cost[idx], points[idx] = opt.cost[rows], frames.points[rows]
+        for i, r in zip(idx.tolist(), rows.tolist()):
+            traces[i] = frames.traces[r]
+        gap = angular_distances(a_lo[idx], a_hi[idx], period)
+        located[idx] = ~(gap <= limit[idx])
+
+    faults: dict[int, str] = {}
+    idx = np.flatnonzero(bisect)
+    if len(idx):
+        own = [traces[i] for i in idx.tolist()]
+        lo, alo, hi, ahi, bad, _ = _bisect(traj, kind, period, t_lo[idx], a_lo[idx],
+                                           t_hi[idx], a_hi[idx], own)
+        faults = {int(idx[i]): message for i, message in bad.items()}
+        a_lo[idx], a_hi[idx], t_flip[idx] = alo, ahi, 0.5 * (lo + hi)
+        gap = angular_distances(alo, ahi, period)
+        stop = min(faults, default=count)
+        keep = (idx < stop) & ~(gap <= limit[idx])
+        idx, own = idx[keep], [own[k] for k in np.flatnonzero(keep).tolist()]
+    if len(idx):
+        at = traj.positions_at_times(t_flip[idx])
+        bad = frame_faults(at)
+        if bad:
+            raise DegenerateInputError(bad[min(bad)])
+        frames = Frames(at, own)
+        opt_cost[idx], points[idx] = block_optima(frames, (kind,))[0].cost, at
+        for i, trace in zip(idx.tolist(), frames.traces):
+            traces[i] = trace
+        located[idx] = True
+
+    stop = min(faults, default=count)
+    idx = np.flatnonzero(located[:stop])
     size, flips = table_block(traj.n_points, _SWEEP_GRID + 1), []
     for lo in range(0, len(idx), size):
         part = idx[lo:lo + size]
-        frames = Frames(points[lo:lo + size], [traces[i] for i in part.tolist()])
-        opt = block_optima(frames, (kind,))[0]
-        flips += _sweeps(frames, kind, period, a_lo[part], a_hi[part], opt.cost, t_flip[part])
+        frames = Frames(points[part], [traces[i] for i in part.tolist()])
+        flips += _sweeps(frames, kind, period, a_lo[part], a_hi[part], opt_cost[part],
+                         t_flip[part])
     if faults:
         raise DegenerateInputError(faults[stop])
     return flips
+
+
+def _steer(opt: BlockOptima, prev_beta, period) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each frame's output orientation and, for box and strip, the hull-edge
+    pair it comes from: the optimum, or, where several candidates tie with
+    it (``BlockOptima.tied``), the tied one nearest the previous output
+    modulo ``period``, the first of equally near ones.  Every output is an
+    optimal orientation, so moving among co-optima is no flip."""
+    b = canonical_array(opt.alpha, period)
+    if opt.pairs is None:
+        return b, None
+    choice = np.argmin(opt.values, axis=1)
+    tied = opt.tied()
+    multi = np.flatnonzero(tied.sum(axis=1) > 1).tolist()
+    if multi:
+        candidates = canonical_array(opt.candidates[multi], period).tolist()
+        for i, row in zip(multi, candidates):
+            ref = prev_beta if i == 0 else float(b[i - 1])
+            if ref is None:
+                continue
+            options = np.flatnonzero(tied[i]).tolist()
+            near = [angular_distance(row[j], ref, period) for j in options]
+            choice[i] = options[near.index(min(near))]
+            b[i] = row[choice[i]]
+    return b, opt.pairs[np.arange(len(b)), choice]
 
 
 def track_topological(
@@ -287,24 +507,33 @@ def track_topological(
     period = tracking_period(kind)
     # plausible optimum drift over one step, times the frame diameter
     drift = _FLIP_SPEED_FACTOR * dt * traj.max_point_speed()
-    jumps: list[tuple] = []
-    prev_t = 0.0
+    jumps: list[Jump] = []
+    prev_t, prev_pair = 0.0, None
 
     def to_optimum(frames, times, optima, prev_beta):
-        nonlocal prev_t
-        b = canonical_array(optima[0].alpha, period)
+        nonlocal prev_t, prev_pair
+        b, pairs = _steer(optima[0], prev_beta, period)
         before = np.concatenate(([b[0] if prev_beta is None else prev_beta], b[:-1]))
         jump = angular_distances(before, b, period)
-        moved = np.flatnonzero(jump > 1e-9)
-        if len(moved):
-            threshold = drift / frame_diameters(frames)[moved]
+        # The bounding-box diagonal is at least the diameter, so drift over
+        # twice the diagonal stays below the threshold, rounding included: a
+        # jump within it is no flip, and only the other jumps need a diameter.
+        span = np.ptp(frames.points, axis=1)
+        loose = drift / (2.0 * np.sqrt(span[:, 0] * span[:, 0] + span[:, 1] * span[:, 1]))
+        loose = np.where(period / 4.0 < loose, period / 4.0, loose)
+        rows = np.flatnonzero((jump > 1e-9) & (jump > loose))
+        if len(rows):
+            threshold = drift / frame_diameters(frames, rows)
             threshold = np.where(period / 4.0 < threshold, period / 4.0, threshold)
-            flip = jump[moved] > threshold
+            flip = jump[rows] > threshold
             t_before = np.concatenate(([prev_t], times[:-1]))
-            for i, th in zip(moved[flip].tolist(), threshold[flip].tolist()):
-                jumps.append((float(t_before[i]), float(before[i]), float(times[i]),
-                              float(b[i]), th))
+            ends = [None] * (len(b) + 1) if pairs is None else [prev_pair] + [
+                tuple(p) for p in pairs.tolist()]
+            for i, th in zip(rows[flip].tolist(), threshold[flip].tolist()):
+                jumps.append(Jump(float(t_before[i]), float(before[i]), float(times[i]),
+                                  float(b[i]), th, ends[i], ends[i + 1]))
         prev_t = float(times[-1])
+        prev_pair = None if pairs is None else tuple(pairs[-1].tolist())
         return b
 
     try:

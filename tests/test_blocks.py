@@ -25,6 +25,7 @@ from kinostable.cli import main
 from kinostable.costs import DescriptorKind, cost, costs_at, frame_costs
 from kinostable.errors import DegenerateInputError
 from kinostable.geometry import (
+    Frames,
     convex_hull,
     diametric_box,
     diametric_boxes,
@@ -37,6 +38,8 @@ from kinostable.solvers import block_optima, optimal
 from kinostable.ratios import ratio
 from kinostable.tracker import (
     _FLIP_SPEED_FACTOR,
+    _ROOT_ROUNDS as ROOT_ROUNDS,
+    _ROOT_XTOL as ROOT_XTOL,
     FlipEvent,
     _locate_flips,
     track_topological,
@@ -195,31 +198,108 @@ def test_runs_do_not_depend_on_the_block_size(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
-# Lockstep flip bisection against one bisection per jump.
+# Lockstep flip location against one jump at a time.
+
+
+def steer_one(points, kind, period, prev):
+    """One frame's output orientation and hull-edge pair (None for pc): the
+    optimum, or, among candidates tied with it, the one nearest ``prev``."""
+    if kind is DescriptorKind.PC:
+        return canonical(optimal(points, kind).alpha, period), None
+    opt = block_optima(Frames.of(points), (kind,))[0]
+    m, cmin = int(opt.counts[0]), float(opt.cost[0])
+    values, angles = opt.values[0, :m].tolist(), opt.candidates[0, :m].tolist()
+    tied = [c for c in range(m) if values[c] <= cmin + 1e-9 * (abs(cmin) + 1e-300)]
+    best = int(np.argmin(opt.values[0]))
+    if len(tied) > 1 and prev is not None:
+        near = [angular_distance(canonical(angles[c], period), prev, period) for c in tied]
+        best = tied[near.index(min(near))]
+    return canonical(angles[best], period), tuple(opt.pairs[0, best].tolist())
 
 
 def sequential_flips(traj: Trajectory, kind, dt: float):
-    """The flips of a run found one jump at a time, each bisected and swept
-    on its own with one-frame solves, as the tracker did before it bisected
-    and swept in lockstep."""
+    """The flips of a run found one jump at a time, with one-frame solves:
+    each jump between two hull-edge pairs root-found (``cross_one``) and
+    confirmed, every other one bisected (``locate_one``), then swept."""
     period = tracking_period(kind)
     v_max = traj.max_point_speed()
     flips = []
-    prev_t, prev_b = None, None
+    prev_t, prev_b, prev_pair = None, None, None
     for t in traj.sample_times(dt).tolist():
         frame = traj.frame_at(t)
-        b = canonical(optimal(frame, kind).alpha, period)
+        b, pair = steer_one(frame.points, kind, period, prev_b)
         if prev_b is not None:
             jump = angular_distance(prev_b, b, period)
             if jump > 1e-9:
                 threshold = min(_FLIP_SPEED_FACTOR * dt * v_max / frame_diameter(frame),
                                 period / 4.0)
                 if jump > threshold:
-                    flip = locate_one(traj, kind, period, prev_t, prev_b, t, b, threshold)
+                    flip = None
+                    found = pair is not None and pair != prev_pair and cross_one(
+                        traj, kind, period, prev_t, t, prev_pair, pair)
+                    if found:
+                        t_flip, start, end = found
+                        if angular_distance(start, end, period) > max(threshold, 1e-9):
+                            pts = traj.positions_at(t_flip)
+                            flip = sweep_one(pts, kind, period, start, end,
+                                             optimal(pts, kind).cost, t_flip)
+                    else:
+                        flip = locate_one(traj, kind, period, prev_t, prev_b, t, b, threshold)
                     if flip is not None:
                         flips.append(flip)
-        prev_t, prev_b = t, b
+        prev_t, prev_b, prev_pair = t, b, pair
     return flips
+
+
+def cross_one(traj, kind, period, t_lo, t_hi, pair_lo, pair_hi):
+    """One jump's regula falsi (Anderson-Bjorck) on cost_A - cost_B,
+    confirmed by a solve at the found time: (time, start, end), or None
+    where the tracker bisects."""
+
+    def score(t):
+        pts = traj.positions_at(t)
+        ang = [canonical(math.atan2(pts[j, 1] - pts[i, 1], pts[j, 0] - pts[i, 0]))
+               for i, j in (pair_lo, pair_hi)]
+        c_a, c_b = (cost(pts, kind, a) for a in ang)
+        return c_a - c_b, ang, c_b, bool(geometry.frame_faults(pts[None]))
+
+    (f_lo, ang_lo, c_b, _), (f_hi, ang_hi, _, _) = score(t_lo), score(t_hi)
+    if not (f_lo < -1e-9 * (abs(c_b) + 1e-300) and 0.0 < f_hi):
+        return None
+    res_lo, res_hi, side = f_lo, f_hi, 0
+    for _ in range(ROOT_ROUNDS):
+        if not t_hi - t_lo > ROOT_XTOL * max(1.0, abs(t_hi)):
+            break
+        c = t_hi - f_hi * (t_hi - t_lo) / (f_hi - f_lo)
+        if not t_lo < c:
+            t_hi, res_hi, ang_hi = t_lo, res_lo, ang_lo
+            break
+        if not c < t_hi:
+            t_lo, res_lo, ang_lo = t_hi, res_hi, ang_hi
+            break
+        fc, ang, _, bad = score(c)
+        if bad:
+            return None
+        if fc > 0.0 and side == 1:
+            m = 1.0 - fc / f_hi
+            f_lo *= m if m > 0.0 else 0.5
+        if fc < 0.0 and side == -1:
+            m = 1.0 - fc / f_lo
+            f_hi *= m if m > 0.0 else 0.5
+        if fc >= 0.0:
+            t_hi, f_hi, res_hi, ang_hi = c, fc, fc, ang
+        if fc <= 0.0:
+            t_lo, f_lo, res_lo, ang_lo = c, fc, fc, ang
+        side = 1 if fc > 0.0 else -1 if fc < 0.0 else side
+    if t_hi - t_lo > ROOT_XTOL * max(1.0, abs(t_hi)):
+        return None
+    t, ang = (t_hi, ang_hi) if abs(res_hi) < abs(res_lo) else (t_lo, ang_lo)
+    opt = block_optima(Frames.of(traj.positions_at(t)), (kind,))[0]
+    tied = opt.tied()[0]
+    ends = [tuple(p) for p, tie_c in zip(opt.pairs[0].tolist(), tied.tolist()) if tie_c]
+    if pair_lo not in ends and pair_hi not in ends:
+        return None
+    return t, canonical(ang[0], period), canonical(ang[1], period)
 
 
 def refine_one(f, lo, hi, iters=60):
@@ -311,10 +391,13 @@ def symmetric_pc_flip(quarter: int = 62) -> Trajectory:
     (symmetric_pc_flip(), DescriptorKind.PC, 1e-3),
 ], ids=["walk6-obb", "walk6-strip", "walk15-obb", "walk15-n64-strip", "obb-lower-bound",
         "strip-lower-bound", "pc-n248"])
-def test_lockstep_flips_equal_sequential_bisection(traj, kind, dt):
+def test_lockstep_flips_equal_sequential_bisection(request, traj, kind, dt):
     flips = track_topological(traj, kind, dt).flips
     assert flips == sequential_flips(traj, kind, dt)
-    assert flips  # every input here flips
+    if request.node.callspec.id == "walk15-obb":
+        assert not flips  # its box jumps are all between tied co-optima, held without flips
+    else:
+        assert flips  # every other input here flips
 
 
 def test_lockstep_raises_the_earliest_jumps_midpoint_fault():
@@ -411,9 +494,13 @@ PINNED = {
         "chase-obb": "39c17c8797a5a86ffbb5dbf03ae7d8d66693283e5fb86902d2c0705ff0aa4519",
         "chase-strip": "589dc51f5b504c6099244732c7b1c3de5c21da1dc3d7db4557236486f3eabf36",
         "descriptor": "6113c50080b8e8dbe3c1b73d970ff8796d5fca182ff4e189f7da96a20f14729f",
-        "track-obb": "daffd507f9d3329c7dd22a926c3cdd67fda4effb7c662d2d58424a73d8aabd4b",
+        # re-pinned when the tracker began holding tied co-optima: the flip
+        # rows between them are gone
+        "track-obb": "e4c4cdbfda590a23a898fa9ca53dcd43a68bc66ec3870fb43db3c61aa167cb93",
         "track-pc": "155b93b8c9e2035ff30f2d851dd3a57439df4d28e8c50452ff220ae4821c078a",
-        "track-strip": "2d37c53ca4382a0aa019109834975d987871491a3b94e87e2cc8a83889abb5b6",
+        # re-pinned when flips between hull edges began to be root-found: the
+        # flip at t = 0.642857 moved in the last bits
+        "track-strip": "fff9c64a101ffd0072b1856b6d1b135ec0e50cbd3a40c0f376645e28c40b85be",
     },
     "single-keyframe": {
         "chase-nonorm-obb": "05fbff6f0bc6f6b351ab2f42eadf50ef349b646afce2afea1ff8082bc8744fec",

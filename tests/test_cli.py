@@ -7,10 +7,11 @@ import pytest
 
 from kinostable import geometry
 from kinostable.chasing import chase
-from kinostable.cli import main
+from kinostable.cli import build_parser, main
 from kinostable.costs import DescriptorKind
 from kinostable.errors import DomainError
-from kinostable.runio import read_trajectory, write_trajectory
+from kinostable.runio import read_trajectory, write_tracker_csv, write_trajectory
+from kinostable.scenarios import obb_lower_bound
 from kinostable.solvers import optimal
 from kinostable.tracker import track_topological
 from kinostable.trajectory import Trajectory
@@ -194,6 +195,47 @@ def test_scenario_rejects_infinite_duration(capsys):
 def test_scenario_rejects_non_finite_parameters(capsys, argv, message):
     code, out, err = run_cli(capsys, ["scenario", *argv])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "0", "-1"])
+def test_stateless_disk_rejects_a_bad_duration(capsys, duration):
+    code, out, err = run_cli(capsys, ["scenario", "stateless-disk", "--duration", duration])
+    assert (code, out, err) == (2, "", "error: duration must be positive and finite\n")
+
+
+def test_fast_flip_rejects_a_cluster_too_large_to_hold(capsys, monkeypatch):
+    # 1000 rad per time unit would need 6.1 M points per keyframe, 2.7 GB
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("keyframes allocated")
+
+    monkeypatch.setattr("kinostable.scenarios.np.empty", no_allocation)
+    code, out, err = run_cli(capsys, ["scenario", "pc-fast-flip", "--target-rate", "1000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: target_rate 1000 needs 6149480 cluster points per keyframe")
+
+
+def test_one_process_runs_different_subcommands(capsys, tmp_path):
+    # main shares one parser between calls; each call parses its own argv
+    path = tmp_path / "flip.jsonl"
+    assert run_cli(capsys, ["scenario", "obb-lower-bound", "--out", str(path)]) == (0, "", "")
+    code, out, err = run_cli(capsys, ["track", str(path), "--kind", "strip", "--dt", "0.01"])
+    assert (code, err) == (0, "")
+    expected = io.StringIO()
+    write_tracker_csv(expected, track_topological(obb_lower_bound(), DescriptorKind.STRIP, 0.01))
+    assert out == expected.getvalue()
+    code, out, err = run_cli(capsys, ["descriptor", str(path), "--kind", "obb", "--dt", "0.5"])
+    assert (code, err) == (0, "") and len(out.splitlines()) == 4
+    with pytest.raises(SystemExit) as exit_info:
+        main(["track", "--kind", "box"])
+    assert exit_info.value.code == 2
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["track", "--kind", "box"])
+    assert capsys.readouterr() == first
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
 
 
 @pytest.mark.parametrize("command", ["track", "chase", "descriptor"])
