@@ -18,15 +18,15 @@ normalization walk a run block by block, and the per-frame functions
 (``diametric_box``, ``frame_diameter``, ``convex_hull``) are the one-frame
 call of the same block code.  ``block_size`` caps a block so that no
 per-block temporary exceeds ``_BLOCK_BYTES``; only O(B) arrays outlive a
-block.  By the same budget, ``trace_block`` caps how many frames hold or
-check chain traces (below) at once, ``table_block`` how many are scored.
+block.  By the same budget, ``trace_block`` caps how many frames check a
+chain trace (below) at once, ``table_block`` how many are scored.
 
 Hulls are kinetic in the sense of Basch, Guibas and Hershberger (1997):
 the certificates are the monotone chain's own comparisons (Andrew, 1979).
 A chain run on a frame whose n points are all distinct records a trace
-(``HullTrace``): the lexicographic order of the points and every turn test
-(o, a, p) of its lower and upper chains with its outcome.  A nearby frame
-replays the trace, taking its hull indices, when
+(``HullTrace``): every turn test (o, a, p) of its lower and upper chains
+with its outcome.  The frames after it in its block replay the trace,
+taking its hull indices, for as long as each of them satisfies both:
 
 * its points sort in the same order with strictly increasing keys, so the
   chain walks the same sequence of points, with none dropped as equal; and
@@ -89,10 +89,9 @@ def block_size(n: int) -> int:
 
 
 def trace_block(n: int) -> int:
-    """How many frames of ``n`` points may hold or check chain traces at
-    once: a ``HullTrace`` takes about 128n bytes (12n point indices in
-    ``oap``, the order, the hull and the outcomes), and checking it gathers
-    12n coordinates per axis, 96n bytes."""
+    """How many frames of ``n`` points check a chain trace at once: the
+    check gathers the coordinates of the trace's 12n turn-test points, 96n
+    bytes per axis and frame, budgeted at 128n."""
     return max(1, _BLOCK_BYTES // (128 * n))
 
 
@@ -143,10 +142,6 @@ class Frame:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.points.mean(axis=0)
-
     @cached_property
     def block(self) -> Frames:
         """The one-frame block of this frame; it holds the hull once built."""
@@ -162,18 +157,14 @@ class Frames:
     """A block of B frames of n points each: ``points`` has shape (B, n, 2).
 
     The hulls of all frames are built together on first use, once, each
-    frame replaying a nearby frame's chain trace where the trace certifies
-    it (see the module docstring).  ``traces`` holds a ``HullTrace`` or None
-    per frame.  Given, it is the trace each frame tries first (a flip
-    bisection passes each jump's previous midpoint's); once the hulls are
-    built, it is each frame's own.  Without it, a frame tries the trace of
-    the last frame before it that ran the chain.  A block is not checked:
-    ``Trajectory.frame_blocks`` checks the frames it makes as ``Frame`` does.
+    frame replaying the chain trace of the last frame before it that ran
+    the chain, where the trace certifies it (see the module docstring).  A
+    block is not checked: ``Trajectory.frame_blocks`` checks the frames it
+    makes as ``Frame`` does.
     """
 
-    def __init__(self, points: np.ndarray, traces: list[HullTrace | None] | None = None):
+    def __init__(self, points: np.ndarray):
         self.points = points
-        self.traces = traces
 
     @classmethod
     def of(cls, points) -> Frames:
@@ -192,9 +183,7 @@ class Frames:
         """Every frame's hull as point indices: a (B, hmax) matrix whose row
         b holds frame b's ``counts[b]`` vertices counterclockwise, then
         zeros, and the (B,) ``counts``."""
-        if self.traces is None:
-            return _consecutive_hulls(self.points)
-        return _traced_hulls(self.points, self.traces)
+        return _consecutive_hulls(self.points)
 
     def hull(self, b: int) -> np.ndarray:
         """Frame ``b``'s hull vertices, counterclockwise."""
@@ -203,9 +192,8 @@ class Frames:
 
 
 class HullTrace:
-    """One chain run on a frame of n distinct points: their lexicographic
-    ``order``, the ``hull`` indices, and every comparison of the lower and
-    upper chains.
+    """Every comparison of the lower and upper chains of one chain run on a
+    frame of n distinct points.
 
     Column k of ``oap`` holds the point indices (o, a, p) of a turn test
     that pops a from the chain before pushing p, and ``popped[k]`` its
@@ -218,9 +206,8 @@ class HullTrace:
     popped.
     """
 
-    def __init__(self, order: np.ndarray, hull: np.ndarray, links: list[list[int]]):
-        self.order, self.hull = order, hull
-        n = len(order)
+    def __init__(self, links: list[list[int]]):
+        n = len(links[0])
         # each (2n,): the lower chain's links, then the upper chain's
         below, under, popper = np.array(links, dtype=np.intp).reshape(3, 2 * n)
         own = np.arange(n)
@@ -279,7 +266,7 @@ def _monotone_chain(points: np.ndarray, order: np.ndarray,
     upper = _half_chain(seq[::-1], xs, ys, links[1], links[3], links[5])
     hull = np.array(lower[:-1] + upper[:-1], dtype=np.intp)
     if record and len(seq) == n:
-        return hull, HullTrace(order, hull, links)
+        return hull, HullTrace(links)
     return hull, None
 
 
@@ -351,34 +338,6 @@ def _consecutive_hulls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 if b < stop:
                     break
                 width = min(2 * width, cap)
-    return idx[:, :counts.max(initial=0)], counts
-
-
-def _traced_hulls(points: np.ndarray, traces: list) -> tuple[np.ndarray, np.ndarray]:
-    """Hull indices of frames that each carry a trace to try (or None); a
-    frame that cannot replay it runs the chain, and ``traces`` is updated
-    in place to each frame's own trace.  The traces are checked
-    ``trace_block`` frames at a time."""
-    order, fresh = _presort(points)
-    size, n = order.shape
-    replay = np.zeros(size, dtype=bool)
-    tried = np.array([b for b, t in enumerate(traces) if t is not None], dtype=np.intp)
-    if len(tried):
-        same = fresh[tried].all(axis=1) & (
-            order[tried] == np.stack([traces[b].order for b in tried.tolist()])).all(axis=1)
-        tried = tried[same]
-    cap = trace_block(n)
-    for part in (tried[k:k + cap] for k in range(0, len(tried), cap)):
-        oap = np.stack([traces[b].oap for b in part.tolist()])
-        popped = np.stack([traces[b].popped for b in part.tolist()])
-        replay[part[_agree(points[part], oap, popped)]] = True
-    idx, counts = _hull_table(size, n)
-    for b in range(size):
-        if replay[b]:
-            hull = traces[b].hull
-        else:
-            hull, traces[b] = _monotone_chain(points[b], order[b][fresh[b]], True)
-        idx[b, :len(hull)], counts[b] = hull, len(hull)
     return idx[:, :counts.max(initial=0)], counts
 
 

@@ -183,6 +183,8 @@ def random_walk(n: int = 8, steps: int = 50, seed: int = 0, duration: float = 1.
 
 def _stateless_disk_trajectory(n: int = 5, samples: int = 256, duration: float = 1.0) -> Trajectory:
     """The fully collinear sweep expressed as a keyframed trajectory."""
+    if samples < 1:
+        raise DomainError("need at least 1 step")
     if not 0.0 < duration < math.inf:
         raise DomainError("duration must be positive and finite")
     phis = np.linspace(0.0, 2.0 * math.pi, samples + 1)

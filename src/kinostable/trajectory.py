@@ -10,6 +10,11 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 from .geometry import Frame, Frames, block_size, frame_faults
 
+# Most samples a sample grid may have: 2^25 float64 times are 256 MiB, and
+# a run keeps several more per-sample columns of that size (orientations,
+# costs, ratios), so a larger grid cannot be run in memory.
+_MAX_SAMPLES = 1 << 25
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -116,8 +121,11 @@ class Trajectory:
         if dt == np.inf:  # the grid below would be [0 * inf] = [nan]
             raise DomainError("dt must be finite")
         horizon = self.horizon
-        n = int(np.floor(horizon / dt + 1e-9))
-        grid = np.arange(n + 1, dtype=float) * dt
+        steps = np.floor(horizon / dt + 1e-9)  # inf where dt is subnormal
+        if steps >= _MAX_SAMPLES:
+            raise DomainError(f"dt {dt!r} needs {steps + 1:.3g} samples over the horizon "
+                              f"{horizon!r}; at most {_MAX_SAMPLES} are run")
+        grid = np.arange(int(steps) + 1, dtype=float) * dt
         if horizon - grid[-1] > dt * 1e-9:
             grid = np.append(grid, horizon)
         return grid

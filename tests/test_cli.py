@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kinostable import geometry
+from kinostable import geometry, trajectory
 from kinostable.chasing import chase
 from kinostable.cli import build_parser, main
 from kinostable.costs import DescriptorKind
@@ -201,6 +201,32 @@ def test_scenario_rejects_non_finite_parameters(capsys, argv, message):
 def test_stateless_disk_rejects_a_bad_duration(capsys, duration):
     code, out, err = run_cli(capsys, ["scenario", "stateless-disk", "--duration", duration])
     assert (code, out, err) == (2, "", "error: duration must be positive and finite\n")
+
+
+@pytest.mark.parametrize("steps", ["0", "-1", "-3"])
+def test_stateless_disk_rejects_too_few_steps(capsys, steps):
+    code, out, err = run_cli(capsys, ["scenario", "stateless-disk", "--steps", steps])
+    assert (code, out, err) == (2, "", "error: need at least 1 step\n")
+
+
+@pytest.mark.parametrize("dt", ["1e-15", "5e-324"])
+@pytest.mark.parametrize("command", ["track", "descriptor", "chase"])
+def test_a_sample_grid_too_large_to_hold_is_rejected(capsys, tmp_path, monkeypatch, command, dt):
+    # a horizon-1 walk at dt = 1e-15 would need 8 PB of sample times
+    path = tmp_path / "walk.jsonl"
+    assert main(["scenario", "random-walk", "--steps", "3", "--out", str(path)]) == 0
+    real = np.arange
+
+    def no_grid(stop, *args, **kwargs):
+        if stop > trajectory._MAX_SAMPLES:
+            raise AssertionError("sample grid allocated")
+        return real(stop, *args, **kwargs)
+
+    monkeypatch.setattr("kinostable.trajectory.np.arange", no_grid)
+    code, out, err = run_cli(capsys, [command, str(path), "--dt", dt])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: dt {dt} needs ")
+    assert err.endswith("; at most 33554432 are run\n")
 
 
 def test_fast_flip_rejects_a_cluster_too_large_to_hold(capsys, monkeypatch):

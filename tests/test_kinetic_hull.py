@@ -125,29 +125,18 @@ def test_consecutive_frames_match_frozen_chain(monkeypatch, name):
     assert len(runs) < len(frames)  # some frames replayed
 
 
-@pytest.mark.parametrize("name", sorted(SEQUENCES))
-def test_carried_traces_match_frozen_chain(monkeypatch, name):
-    # each frame tries the trace of the frame before it, as a bisection
-    # round tries the previous round's midpoint trace
-    pts = SEQUENCES[name]()
-    first = Frames(pts[:-1], [None] * (len(pts) - 1))
-    assert_frozen(first)
-    runs = count_chain_runs(monkeypatch)
-    then = Frames(pts[1:], list(first.traces))
-    assert_frozen(then)
-    assert len(runs) < len(then)
-    replayed = [b for b in range(len(then)) if then.traces[b] is first.traces[b]]
-    assert len(replayed) + len(runs) == len(then)
+def recorded_run(points: np.ndarray):
+    """The trace of the chain's run on one (n, 2) frame with ``record``."""
+    order, fresh = geometry._presort(points[None])
+    hull, trace = geometry._monotone_chain(points, order[0][fresh[0]], True)
+    assert points[hull].tobytes() == frozen_convex_hull(points).tobytes()
+    return trace
 
 
 def test_duplicate_and_two_point_frames_store_no_trace():
     for pts in (becoming_duplicates()[16], two_distinct_between()[16]):
-        frames = Frames(pts[None], [None])
-        assert_frozen(frames)
-        assert frames.traces == [None]
-    frames = Frames(x_order_swap()[:1], [None])
-    frames.hull(0)
-    assert isinstance(frames.traces[0], geometry.HullTrace)
+        assert recorded_run(pts) is None
+    assert isinstance(recorded_run(x_order_swap()[0]), geometry.HullTrace)
 
 
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
@@ -242,18 +231,18 @@ def test_replayed_runs_stay_within_the_block_budget(monkeypatch):
         assert 0 < len(runs) <= blocks  # every other frame replayed
 
 
-def test_flip_bisections_hold_one_group_of_traces(monkeypatch):
-    # Eight jumps, each carrying a 4000-point trace from round to round:
-    # bisected together, their traces alone take 8 * 128 * 4000 bytes.  The
-    # threshold exceeds every gap, so no flip is located or swept.
+def test_flip_bisections_stay_within_the_block_budget(monkeypatch):
+    # Jumps of a 4000-point cloud, bisected in groups whose midpoints are
+    # one block of frames each.  Groups of block_size(4000) = 16 midpoints
+    # would peak above the bound at 32 jumps; trace_block(4000) = 2 do not.
+    # The threshold exceeds every gap, so no flip is located or swept.
     base, traj = drifting_cloud()
-    runs = recorded_chain(monkeypatch, base)
-    jumps = [(k / 8, 0.0, (k + 1) / 8, 1.0, 10.0) for k in range(8)]
-    _locate_flips(traj, DescriptorKind.OBB, math.pi / 2, jumps[:1])  # first-call set-up
-    runs.clear()
-    flips = []
-    peak = traced_peak(lambda: flips.extend(_locate_flips(traj, DescriptorKind.OBB,
-                                                          math.pi / 2, jumps)))
-    assert flips == []
-    assert len(runs) == len(jumps)  # each jump's first midpoint; later ones replay
-    assert peak < 4 * geometry._BLOCK_BYTES
+    recorded_chain(monkeypatch, base)
+    box = DescriptorKind.OBB
+    _locate_flips(traj, box, math.pi / 2, [(0.0, 0.0, 0.5, 1.0, 10.0)])  # first-call set-up
+    for count in (8, 32):
+        jumps = [(k / count, 0.0, (k + 1) / count, 1.0, 10.0) for k in range(count)]
+        flips = []
+        peak = traced_peak(lambda: flips.extend(_locate_flips(traj, box, math.pi / 2, jumps)))
+        assert flips == []
+        assert peak < 4 * geometry._BLOCK_BYTES, count
