@@ -1,7 +1,7 @@
 """Geometry and tracker benchmarks: per-call and per-sample time, flip
 location, kinobench pairs.
 
-Four subcommands, each merging its results into one JSON file (one entry
+Five subcommands, each merging its results into one JSON file (one entry
 per label or workload, the rest of the file kept):
 
     # per-call layers of one source tree, from the repository root
@@ -16,6 +16,11 @@ per label or workload, the rest of the file kept):
     python3 scripts/bench_hull.py flips --label change --out BENCH_flips.json
     python3 scripts/bench_hull.py flips --label parent --src ../parent/src \\
         --out BENCH_flips.json
+
+    # wall time of each verify claim of one source tree
+    python3 scripts/bench_hull.py claims --label change --out BENCH_claims.json
+    python3 scripts/bench_hull.py claims --label parent --src ../parent/src \\
+        --out BENCH_claims.json
 
     # alternating parent/change runs of kinobench/run.py, with medians
     python3 scripts/bench_hull.py kinobench --parent ../parent --workload big-hull \\
@@ -51,6 +56,13 @@ jumps (lockstep rounds, root-finding and bisection together; on a tree
 that only bisects, its solves less one per sweep chunk), and the seconds
 spent locating and sweeping.  A tree that root-finds also records the
 jumps root-found and bisected.
+
+``claims`` evaluates every entry of ``verify.CLAIMS`` with the suite
+options ``--seed``, ``--grid``, ``--walks`` and ``--samples`` (the
+``kinostable verify`` defaults unless given), each claim on its own
+``SuiteRun``, so a claim's wall time includes building the inputs it
+shares with others in a suite run.  It records each claim's wall time,
+computed value and verdict.
 """
 
 from __future__ import annotations
@@ -346,6 +358,26 @@ def run_flips(args) -> dict:
     return {"git_commit": git_commit(Path(args.src)), "dt": CORE_DT, "seeds": out}
 
 
+def run_claims(args) -> dict:
+    """Wall time of each claim of ``verify.CLAIMS``: see the module docstring."""
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from kinostable.verify import CLAIMS, SuiteOptions, SuiteRun
+
+    opts = SuiteOptions(grid=args.grid, seed=args.seed, walks=args.walks,
+                        trig_samples=args.samples)
+    rows = []
+    for claim in CLAIMS:
+        t0 = time.perf_counter()
+        check = claim.evaluate(SuiteRun(opts))
+        rows.append({"claim": claim.claim_id, "wall_s": time.perf_counter() - t0,
+                     "computed": check.computed, "passed": check.passed})
+        print(json.dumps(rows[-1]), flush=True)
+    return {"git_commit": git_commit(Path(args.src)),
+            "options": {"seed": args.seed, "grid": args.grid, "walks": args.walks,
+                        "samples": args.samples},
+            "total_s": sum(row["wall_s"] for row in rows), "claims": rows}
+
+
 def kinobench_once(checkout: Path, args) -> dict:
     cmd = [sys.executable, "kinobench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
@@ -411,6 +443,14 @@ def main(argv=None) -> int:
     p.add_argument("--src", default=str(ROOT / "src"))
     p.add_argument("--seeds", type=lambda s: [int(v) for v in s.split(",")], default=[1, 9])
     p.add_argument("--out", required=True)
+    p = sub.add_parser("claims", help="wall time of each verify claim of one source tree")
+    p.add_argument("--label", default="change")
+    p.add_argument("--src", default=str(ROOT / "src"))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--walks", type=int, default=20)
+    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--out", required=True)
     p = sub.add_parser("kinobench", help="alternating parent/change kinobench runs")
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
     p.add_argument("--workload", required=True, choices=["walks", "big-hull", "verify"])
@@ -429,6 +469,8 @@ def main(argv=None) -> int:
         data.setdefault("core", {})[args.label] = run_core(args)
     elif args.command == "flips":
         data.setdefault("flips", {})[args.label] = run_flips(args)
+    elif args.command == "claims":
+        data.setdefault("claims", {})[args.label] = run_claims(args)
     else:
         key = f"{args.workload}-seed{args.seed}"
         data.setdefault("kinobench", {})[key] = run_kinobench(args)

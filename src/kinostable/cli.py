@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -39,12 +39,20 @@ from .tracker import track_topological
 from .verify import SuiteOptions, run_claim_suite
 
 
+def _open(path: str, mode: str):
+    """``path`` opened as UTF-8 text; a file that cannot be opened is an input error."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise KinostableError(str(exc)) from exc
+
+
 @contextmanager
 def _open_in(path: str):
     if path == "-":
         yield sys.stdin
     else:
-        with open(path, "r", encoding="utf-8") as fp:
+        with _open(path, "r") as fp:
             yield fp
 
 
@@ -53,7 +61,7 @@ def _open_out(path: str):
     if path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fp:
+        with _open(path, "w") as fp:
             yield fp
 
 
@@ -182,12 +190,13 @@ def _cmd_verify(args) -> int:
         grid=args.grid, dt=args.dt, seed=args.seed,
         walks=args.walks, trig_samples=args.samples,
     )
-    report = run_claim_suite(opts)
-    for line in report.table_lines():
-        print(line)
-    print(f"{'ALL CLAIMS PASS' if report.passed else 'CLAIM FAILURES PRESENT'}")
-    if args.out:
-        with _open_out(args.out) as fp:
+    # the report file is opened before the suite runs, so a bad path fails first
+    with _open_out(args.out) if args.out else nullcontext() as fp:
+        report = run_claim_suite(opts)
+        for line in report.table_lines():
+            print(line)
+        print(f"{'ALL CLAIMS PASS' if report.passed else 'CLAIM FAILURES PRESENT'}")
+        if fp is not None:
             json.dump(report.to_json_dict(), fp, indent=2)
             fp.write("\n")
     return 0 if report.passed else 3

@@ -156,6 +156,8 @@ def random_walk(n: int = 8, steps: int = 50, seed: int = 0, duration: float = 1.
         raise DomainError("need at least 1 step")
     if not 0.0 < duration < math.inf:
         raise DomainError("duration must be positive and finite")
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
     min_diameter = 1.05
     rng = np.random.default_rng(seed)
     thickness = rng.uniform(0.05, 1.5)

@@ -8,12 +8,22 @@ extreme hull vertices above that (``geometry.extents_on_hull``, O(h) for h
 hull vertices); one extent array perpendicular to the candidate serves both
 the strip width and the box area.  ``orientation_costs`` holds this size
 switch for the solves and for the tracker's flip sweeps.  The principal
-axis comes from the 2x2 scatter matrix in closed form.  ``block_optima``
-solves every frame of a ``geometry.Frames`` block (the candidate rows
-padded to the longest); ``optimal``, ``optimal_pc`` and
-``optimal_box_and_strip`` are its one-frame call.  ``oracle_argmin`` is an
-independent dense-angle-grid search used as ground truth in tests, never
-inside a tracker.
+axis comes from the 2x2 scatter matrix in closed form (``_scatter_axes``).
+``block_optima`` solves every frame of a ``geometry.Frames`` block (the
+candidate rows padded to the longest); ``optimal``, ``optimal_pc`` and
+``optimal_box_and_strip`` are its one-frame call.
+
+``principal_axes`` solves the principal axis of a trajectory at many
+samples without building their frames: along a keyframe segment the
+scatter matrix is a quadratic in the segment parameter, formed once per
+segment in O(n).  A sample keeps that axis when its eigenvalue gap is at
+least ``_SEGMENT_GAP_REL`` (1e-3) of the segment's moment scale, which
+bounds its error by about 1e3 rounding units of the angle (a few 1e-13
+rad); samples nearer isotropy are solved frame by frame by
+``block_optima``.
+
+``oracle_argmin`` is an independent dense-angle-grid search used as ground
+truth in tests, never inside a tracker.
 """
 
 from __future__ import annotations
@@ -30,6 +40,9 @@ from .geometry import _BRUTE_FORCE_LIMIT, Frames, as_points, extents_on_hull
 
 _EIGEN_TIE_REL = 1e-9
 _COST_TIE_REL = 1e-9
+# A segment-moment axis is kept where its eigenvalue gap is at least this
+# share of its segment's moment scale (``principal_axes``).
+_SEGMENT_GAP_REL = 1e-3
 
 _atan2, _hypot = elementwise(math.atan2, 2), elementwise(math.hypot, 2)
 
@@ -180,17 +193,15 @@ def _hull_optima(frames: Frames, kinds: tuple[DescriptorKind, ...]) -> list[Bloc
     return out
 
 
-def _pc_optima(frames: Frames) -> BlockOptima:
-    """First principal axis of every frame from its 2x2 scatter matrix of
-    centered coordinates.
+def _scatter_axes(sxx: np.ndarray, sxy: np.ndarray, syy: np.ndarray):
+    """The closed-form principal axis of 2x2 scatter matrices given by their
+    entries: (half_gap, lam_min, isotropic, alpha), where 2 * half_gap is the
+    eigenvalue gap and lam_min the smaller eigenvalue (the cost).
 
-    When the two eigenvalues agree within a relative tie tolerance the frame
-    is isotropic: every orientation is optimal, and alpha defaults to 0.
+    When the two eigenvalues agree within the relative tie tolerance
+    ``_EIGEN_TIE_REL`` the matrix is isotropic: every orientation is optimal,
+    and alpha defaults to 0.
     """
-    pts = frames.points
-    centered = pts - pts.mean(axis=1, keepdims=True)
-    sq = np.swapaxes(centered, 1, 2) @ centered
-    sxx, sxy, syy = sq[:, 0, 0], sq[:, 0, 1], sq[:, 1, 1]
     mean = 0.5 * (sxx + syy)
     half_gap = _hypot(0.5 * (sxx - syy), sxy)
     lam_min = mean - half_gap
@@ -198,6 +209,16 @@ def _pc_optima(frames: Frames) -> BlockOptima:
     isotropic = 2.0 * half_gap <= _EIGEN_TIE_REL * (sxx + syy + 1e-300)
     turn = _atan2(2.0 * sxy, sxx - syy)
     alpha = np.where(isotropic, 0.0, canonical_array(0.5 * turn))
+    return half_gap, lam_min, isotropic, alpha
+
+
+def _pc_optima(frames: Frames) -> BlockOptima:
+    """First principal axis of every frame from its 2x2 scatter matrix of
+    centered coordinates (``_scatter_axes``)."""
+    pts = frames.points
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    sq = np.swapaxes(centered, 1, 2) @ centered
+    _, lam_min, isotropic, alpha = _scatter_axes(sq[:, 0, 0], sq[:, 0, 1], sq[:, 1, 1])
     return BlockOptima(DescriptorKind.PC, alpha, lam_min, isotropic)
 
 
@@ -210,6 +231,80 @@ def block_optima(frames: Frames, kinds) -> list[BlockOptima]:
     if DescriptorKind.PC in kinds:
         solved[DescriptorKind.PC] = _pc_optima(frames)
     return [solved[k] for k in kinds]
+
+
+def _segment_moments(traj, segments: np.ndarray) -> np.ndarray:
+    """The scatter coefficients of the keyframe segments of a trajectory: a
+    (K - 1, 3, 2, 2) table whose row j holds Caa = A^T A, Cab + Cab^T and
+    Cbb = B^T B for the centered keyframes A of j and B of j + 1, for each j
+    in ``segments`` (ascending), and zeros elsewhere.
+
+    At most two centered keyframes are held at a time: B serves as the next
+    segment's A."""
+    pos = traj.positions
+    table = np.zeros((len(pos) - 1, 3, 2, 2))
+    held = (None, None)
+    for j in segments.tolist():
+        a = held[1] if held[0] == j else pos[j] - pos[j].mean(axis=0)
+        b = pos[j + 1] - pos[j + 1].mean(axis=0)
+        cab = a.T @ b
+        table[j] = a.T @ a, cab + cab.T, b.T @ b
+        held = (j + 1, b)
+    return table
+
+
+def principal_axes(traj, times: np.ndarray) -> tuple[BlockOptima, np.ndarray]:
+    """The first principal axis of a trajectory at each of ``times``
+    (clamped to [0, horizon]), with the indices of the samples solved frame
+    by frame.
+
+    Motion is linear along a keyframe segment, so the centered frame at
+    segment parameter s is (1 - s) A + s B for the centered keyframes A and
+    B, and its scatter matrix is the quadratic
+    S(s) = (1 - s)^2 Caa + s (1 - s) (Cab + Cab^T) + s^2 Cbb
+    (``_segment_moments``): O(n) work per keyframe segment, not per sample.
+    Each sample's axis comes from S(s) through ``_scatter_axes``, the closed
+    form of ``_pc_optima``.
+
+    Evaluating S(s) rounds it by a few ulp of the segment's moment scale
+    (the largest entry of |Caa| + |Cab + Cab^T| + |Cbb|, which bounds every
+    entry of S on the segment), and an axis moves by at most that error over
+    the eigenvalue gap.  So a sample keeps its segment-moment axis only if
+    its gap is at least ``_SEGMENT_GAP_REL`` of its segment's scale, which
+    bounds the axis error by about 1e3 rounding units (a few 1e-13 rad).
+    The per-frame solve rounds each interpolated point by ulps of its
+    coordinates, so the two agree that closely only where the coordinates
+    are of the order of the cloud's spread (a random walk moved 100 spreads
+    from the origin: 5e-14 rad apart; 1e6 spreads: 4e-10 rad).
+
+    Every other sample, and every sample of a one-keyframe trajectory, is
+    re-solved from its interpolated frame through ``frame_blocks`` (which
+    raises ``DegenerateInputError`` at a frame whose points coincide, where
+    S vanishes) and ``block_optima``, so isotropic frames are flagged
+    exactly as there.
+    """
+    times = np.clip(np.asarray(times, dtype=float), 0.0, traj.horizon)
+    if len(traj.times) == 1:
+        fallback = np.arange(len(times))
+        alpha, cost = np.empty(len(times)), np.empty(len(times))
+        isotropic = np.empty(len(times), dtype=bool)
+    else:
+        seg, s = traj.segments_at(times)
+        table = _segment_moments(traj, np.unique(seg))
+        rest = 1.0 - s
+        w0, w1, w2 = rest * rest, s * rest, s * s
+        sxx, sxy, syy = (w0 * table[seg, 0, p, q] + w1 * table[seg, 1, p, q]
+                         + w2 * table[seg, 2, p, q] for p, q in ((0, 0), (0, 1), (1, 1)))
+        half_gap, cost, isotropic, alpha = _scatter_axes(sxx, sxy, syy)
+        scale = np.abs(table).sum(axis=1).max(axis=(1, 2))
+        fallback = np.flatnonzero(~(2.0 * half_gap >= _SEGMENT_GAP_REL * scale[seg]))
+    at = 0
+    for frames in traj.frame_blocks(times[fallback]):
+        pc = block_optima(frames, (DescriptorKind.PC,))[0]
+        rows = fallback[at:at + len(frames)]
+        alpha[rows], cost[rows], isotropic[rows] = pc.alpha, pc.cost, pc.isotropic
+        at += len(frames)
+    return BlockOptima(DescriptorKind.PC, alpha, cost, isotropic), fallback
 
 
 def optimal_box_and_strip(frame) -> tuple[OptimalDescriptor, OptimalDescriptor]:

@@ -66,14 +66,24 @@ class Trajectory:
         """Interpolated (n, 2) point positions at time t, clamped to [0, horizon]."""
         return self.positions_at_times(np.array([t], dtype=float))[0]
 
+    def segments_at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The keyframe segment k and the segment parameter s of each of
+        ``times`` (two or more keyframes): the positions at a time are
+        (1 - s) * P[k] + s * P[k+1].  s lies in [0, 1] for times in
+        [0, horizon]; outside, k is the first or last segment."""
+        key = self.times
+        k = np.clip(np.searchsorted(key, times, side="right") - 1, 0, len(key) - 2)
+        return k, (times - key[k]) / (key[k + 1] - key[k])
+
     def positions_at_times(self, times: np.ndarray) -> np.ndarray:
         """Interpolated (B, n, 2) point positions at each of ``times``, clamped
-        to [0, horizon]: (1 - s) * P[k] + s * P[k+1] on the keyframe segment k."""
+        to [0, horizon]: (1 - s) * P[k] + s * P[k+1] on the keyframe segment k
+        (``segments_at``); times at or beyond either end take that keyframe."""
         key, pos = self.times, self.positions
         if len(key) == 1:
             return np.repeat(pos[:1], len(times), axis=0)
-        k = np.clip(np.searchsorted(key, times, side="right") - 1, 0, len(key) - 2)
-        s = ((times - key[k]) / (key[k + 1] - key[k]))[:, None, None]
+        k, s = self.segments_at(times)
+        s = s[:, None, None]
         out = pos[k]
         out *= 1.0 - s
         later = pos[k + 1]

@@ -309,3 +309,46 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 3
     assert "CLAIM FAILURES PRESENT" in out
+
+
+def test_random_walk_rejects_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, ["scenario", "random-walk", "--seed", "-1"])
+    assert (code, out, err) == (2, "", "error: seed must be non-negative\n")
+
+
+def test_verify_rejects_a_negative_seed_before_any_claim_runs(capsys, monkeypatch):
+    def no_program(*args, **kwargs):
+        raise AssertionError("the sweep program ran")
+
+    monkeypatch.setattr("kinostable.verify.verify_obb_program", no_program)
+    code, out, err = run_cli(capsys, ["verify", "--seed", "-1"])
+    assert (code, out, err) == (2, "", "error: seed must be non-negative\n")
+
+
+@pytest.mark.parametrize("command", ["track", "ratio"])
+def test_a_missing_input_file_is_an_input_error(capsys, tmp_path, command):
+    missing = tmp_path / "missing.jsonl"
+    code, out, err = run_cli(capsys, [command, str(missing)])
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+def test_an_output_in_a_missing_directory_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "flip.jsonl"
+    assert main(["scenario", "obb-lower-bound", "--out", str(path)]) == 0
+    out_path = tmp_path / "missing" / "run.csv"
+    code, out, err = run_cli(capsys, ["track", str(path), "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"
+
+
+def test_verify_checks_its_report_path_before_running_the_suite(capsys, tmp_path, monkeypatch):
+    def no_program(*args, **kwargs):
+        raise AssertionError("the sweep program ran")
+
+    monkeypatch.setattr("kinostable.verify.verify_obb_program", no_program)
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, ["verify", "--grid", "64", "--walks", "1", "--samples", "10",
+                                      "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"

@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from kinostable.angles import angular_distances
 from kinostable.costs import DescriptorKind, cost_pc, cost_strip, costs_at
+from kinostable.errors import DegenerateInputError
 from kinostable.geometry import Frame, diametric_box
+from kinostable.scenarios import pc_fast_flip, pc_flip, random_walk
 from kinostable.solvers import (
+    block_optima,
     hull_edge_orientations,
     optimal,
     optimal_box_and_strip,
     optimal_pc,
     oracle_argmin,
+    principal_axes,
 )
+from kinostable.trajectory import Trajectory
 
 UNIT_SQUARE = Frame([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 BOX_FLIP_STATIC = [(0.0, 0.0), (2.0, 1.0), (0.75, 1.0), (1.25, 0.0)]
@@ -150,3 +156,64 @@ def test_edge_orientations_are_canonical_and_sorted():
     angles = hull_edge_orientations(UNIT_SQUARE)
     assert np.all(angles >= 0.0) and np.all(angles < math.pi)
     assert np.all(np.diff(angles) > 0)
+
+
+def per_frame_axes(traj, times):
+    """The principal axis of every interpolated frame, solved frame by frame."""
+    solved = [block_optima(frames, (DescriptorKind.PC,))[0] for frames in traj.frame_blocks(times)]
+    return (np.concatenate([pc.alpha for pc in solved]),
+            np.concatenate([pc.isotropic for pc in solved]))
+
+
+@pytest.mark.parametrize("traj, dt", [(pc_fast_flip(25.0), 1e-3), (pc_fast_flip(100.0), 1e-2),
+                                      (pc_flip(), 1e-3)]
+                         + [(random_walk(seed=seed), 1e-3) for seed in range(4)],
+                         ids=["fast-flip-25", "fast-flip-100", "pc-flip"]
+                         + [f"walk{seed}" for seed in range(4)])
+def test_segment_moment_axes_match_per_frame_solves(traj, dt):
+    times = traj.sample_times(dt)
+    axes, _ = principal_axes(traj, times)
+    alpha, isotropic = per_frame_axes(traj, times)
+    assert angular_distances(axes.alpha, alpha).max() <= 1e-10
+    assert np.array_equal(axes.isotropic, isotropic)
+
+
+def test_fast_flip_axes_need_no_per_frame_solve():
+    traj = pc_fast_flip(100.0)
+    _, fallback = principal_axes(traj, traj.sample_times(1e-3))
+    assert len(fallback) == 0
+
+
+def test_pc_flip_falls_back_only_next_to_its_isotropic_instant():
+    # the cloud's width 2 - 1.5 t passes its height 1 at t = 2/3
+    traj = pc_flip()
+    times = traj.sample_times(1e-3)
+    axes, fallback = principal_axes(traj, times)
+    assert {666, 667} <= set(fallback.tolist())  # the samples around t = 2/3
+    assert np.abs(times[fallback] - 2.0 / 3.0).max() < 5e-3
+    alpha, isotropic = per_frame_axes(traj, times[fallback])
+    assert np.array_equal(axes.alpha[fallback], alpha)
+    assert np.array_equal(axes.isotropic[fallback], isotropic)
+
+
+def test_points_that_coincide_at_a_sample_are_rejected_as_frame_by_frame():
+    # two points swap places through each other, meeting at t = 0.5
+    start = np.array([(0.0, 0.0), (1.0, 0.0)])
+    traj = Trajectory(np.array([0.0, 1.0]), np.stack([start, start[::-1]]))
+    times = traj.sample_times(0.1)
+    with pytest.raises(DegenerateInputError) as per_frame:
+        per_frame_axes(traj, times)
+    with pytest.raises(DegenerateInputError) as segments:
+        principal_axes(traj, times)
+    assert str(segments.value) == str(per_frame.value)
+
+
+def test_one_keyframe_is_solved_frame_by_frame():
+    points = np.array([(0.0, 0.0), (2.0, 0.5), (0.5, 1.0)])
+    traj = Trajectory(np.array([0.0]), points[None])
+    times = np.array([0.0, 0.5, 1.0])
+    axes, fallback = principal_axes(traj, times)
+    assert fallback.tolist() == [0, 1, 2]
+    alpha, isotropic = per_frame_axes(traj, times)
+    assert np.array_equal(axes.alpha, alpha) and np.array_equal(axes.isotropic, isotropic)
+    assert axes.alpha[0] == optimal_pc(points).alpha
