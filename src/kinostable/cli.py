@@ -39,30 +39,19 @@ from .tracker import track_topological
 from .verify import SuiteOptions, run_claim_suite
 
 
+@contextmanager
 def _open(path: str, mode: str):
-    """``path`` opened as UTF-8 text; a file that cannot be opened is an input error."""
+    """``path`` opened as UTF-8 text, or stdin/stdout for ``-``; a file that
+    cannot be opened is an input error."""
+    if path == "-":
+        yield sys.stdin if mode == "r" else sys.stdout
+        return
     try:
-        return open(path, mode, encoding="utf-8")
+        fp = open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise KinostableError(str(exc)) from exc
-
-
-@contextmanager
-def _open_in(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with _open(path, "r") as fp:
-            yield fp
-
-
-@contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with _open(path, "w") as fp:
-            yield fp
+    with fp:
+        yield fp
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
@@ -127,17 +116,17 @@ def _cmd_scenario(args) -> int:
     if args.steps is not None:
         params["steps"] = args.steps
     traj = build_scenario(args.name, params)
-    with _open_out(args.out) as fp:
+    with _open(args.out, "w") as fp:
         write_trajectory(fp, traj)
     return 0
 
 
 def _cmd_descriptor(args) -> int:
-    with _open_in(args.input) as fp:
+    with _open(args.input, "r") as fp:
         traj = read_trajectory(fp)
     times = traj.sample_times(args.dt)
     kinds = list(DescriptorKind) if args.kind == "all" else [DescriptorKind(args.kind)]
-    with _open_out(args.out) as fp:
+    with _open(args.out, "w") as fp:
         fp.write("time,kind,alpha,cost,degenerate\n")
         start = 0
         for frames in traj.frame_blocks(times):  # box and strip from one hull per frame
@@ -152,27 +141,27 @@ def _cmd_descriptor(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    with _open_in(args.input) as fp:
+    with _open(args.input, "r") as fp:
         traj = read_trajectory(fp)
     output = track_topological(traj, DescriptorKind(args.kind), args.dt)
-    with _open_out(args.out) as fp:
+    with _open(args.out, "w") as fp:
         write_tracker_csv(fp, output)
     return 0
 
 
 def _cmd_chase(args) -> int:
-    with _open_in(args.input) as fp:
+    with _open(args.input, "r") as fp:
         traj = read_trajectory(fp)
     if not args.no_normalize:
         traj, _, _ = normalize_trajectory(traj)
     result = chase(traj, ChaseParams(args.K, args.c), args.dt)
-    with _open_out(args.out) as fp:
+    with _open(args.out, "w") as fp:
         write_chase_csv(fp, result, DescriptorKind(args.kind))
     return 0
 
 
 def _cmd_ratio(args) -> int:
-    with _open_in(args.input) as fp:
+    with _open(args.input, "r") as fp:
         cols = read_run_csv(fp)
     ratios = cols["ratio"]
     if len(ratios) == 0:
@@ -190,8 +179,8 @@ def _cmd_verify(args) -> int:
         grid=args.grid, dt=args.dt, seed=args.seed,
         walks=args.walks, trig_samples=args.samples,
     )
-    # the report file is opened before the suite runs, so a bad path fails first
-    with _open_out(args.out) if args.out else nullcontext() as fp:
+    # the options are checked above and the report path here, before any claim runs
+    with _open(args.out, "w") if args.out else nullcontext() as fp:
         report = run_claim_suite(opts)
         for line in report.table_lines():
             print(line)

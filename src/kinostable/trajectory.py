@@ -16,6 +16,14 @@ from .geometry import Frame, Frames, block_size, frame_faults
 _MAX_SAMPLES = 1 << 25
 
 
+def check_dt(dt: float) -> None:
+    """Reject a sampling step no sample grid can use."""
+    if not dt > 0.0:  # NaN included
+        raise DomainError("dt must be positive")
+    if dt == np.inf:  # the grid would be [0 * inf] = [nan]
+        raise DomainError("dt must be finite")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Keyframed motion: every point moves linearly between keyframes.
@@ -126,10 +134,7 @@ class Trajectory:
 
     def sample_times(self, dt: float) -> np.ndarray:
         """Uniform sample grid 0, dt, 2dt, ... including the horizon; [0.0] at horizon 0."""
-        if not dt > 0.0:  # NaN included
-            raise DomainError("dt must be positive")
-        if dt == np.inf:  # the grid below would be [0 * inf] = [nan]
-            raise DomainError("dt must be finite")
+        check_dt(dt)
         horizon = self.horizon
         steps = np.floor(horizon / dt + 1e-9)  # inf where dt is subnormal
         if steps >= _MAX_SAMPLES:

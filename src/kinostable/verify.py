@@ -46,7 +46,7 @@ from .scenarios import (
 )
 from .solvers import block_optima, principal_axes
 from .tracker import track_topological
-from .trajectory import Trajectory
+from .trajectory import Trajectory, check_dt
 
 SQRT2 = math.sqrt(2.0)
 _TRIG_TOL = 1e-12  # a sampled inequality may miss by this much rounding
@@ -143,21 +143,27 @@ def _program_objective(a, b, alpha):
 
 
 def _program_grid_max(a_lo, a_hi, b_lo, b_hi, al_lo, al_hi, grid):
-    best_val = -math.inf
-    best_arg = (math.nan,) * 3
+    """Max of ``_program_objective`` on a ``grid``^3 mesh and its first argmax in
+    (alpha, a, b) order, or (-inf, nans); a scan visits only the feasible b range
+    of each (alpha, a) row, a <= b <= a cos(alpha) + sin(alpha)/a."""
+    best_val, best_arg = -math.inf, (math.nan,) * 3
     a_grid = np.linspace(a_lo, a_hi, grid)
     b_grid = np.linspace(b_lo, b_hi, grid)
-    aa, bb = np.meshgrid(a_grid, b_grid, indexing="ij")
+    first = np.searchsorted(b_grid, a_grid, "left")
     for alpha in np.linspace(al_lo, al_hi, grid):
-        feasible = (bb >= aa) & (bb <= aa * math.cos(alpha) + math.sin(alpha) / aa)
-        if not feasible.any():
+        b_top = a_grid * math.cos(alpha) + math.sin(alpha) / a_grid
+        ends = np.searchsorted(b_grid, b_top, "right")
+        counts = np.maximum(ends - first, 0)
+        if not counts.any():
             continue
-        vals = np.where(feasible, _program_objective(aa, bb, alpha), -math.inf)
+        starts = np.cumsum(counts) - counts  # row i fills [starts[i], starts[i] + counts[i])
+        aa = np.repeat(a_grid, counts)
+        bb = b_grid[np.arange(len(aa)) + np.repeat(first - starts, counts)]
+        vals = _program_objective(aa, bb, alpha)
         i = int(np.argmax(vals))
-        v = float(vals.flat[i])
-        if v > best_val:
-            best_val = v
-            best_arg = (float(aa.flat[i]), float(bb.flat[i]), float(alpha))
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            best_arg = (float(aa[i]), float(bb[i]), float(alpha))
     return best_val, best_arg
 
 
@@ -170,8 +176,9 @@ class ProgramResult:
 
 
 def verify_obb_program(grid: int = 512, refine_rounds: int = 8) -> ProgramResult:
-    """Dense grid plus local refinement over the feasible (a, b, alpha) box,
-    ``grid`` points along each axis.
+    """Grid scan plus local refinement over the feasible (a, b, alpha) box,
+    ``grid`` points along each axis; a scan visits only the feasible b range
+    of each (alpha, a) row.
 
     The large-angle branch maximizes
     min((a+b)^2 / (2ab(1+cos alpha)), (1+ab)^2 / (2ab(1+sin alpha))) subject
@@ -410,6 +417,18 @@ class SuiteOptions:
     trig_samples: int = 100_000
     fast_flip_rate: float = 100.0
 
+    def __post_init__(self):
+        # checked here, before ``kinostable verify`` opens its report
+        if self.walks < 1:
+            raise DomainError("walks must be at least 1")
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
+        if self.grid < 64:
+            raise DomainError("grid must be at least 64")
+        if self.trig_samples < 1:
+            raise DomainError("samples must be at least 1")
+        check_dt(self.dt)
+
 
 class SuiteRun:
     """The inputs several claims share, each built on first use, once per run.
@@ -420,10 +439,6 @@ class SuiteRun:
     """
 
     def __init__(self, opts: SuiteOptions):
-        if opts.walks < 1:
-            raise DomainError("walks must be at least 1")
-        if opts.seed < 0:
-            raise DomainError("seed must be non-negative")
         self.opts = opts
 
     @cached_property

@@ -342,6 +342,28 @@ def test_an_output_in_a_missing_directory_is_an_input_error(capsys, tmp_path):
     assert err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"
 
 
+@pytest.mark.parametrize("option, message", [
+    pytest.param(["--samples", "0"], "samples must be at least 1", id="samples-0"),
+    pytest.param(["--grid", "63"], "grid must be at least 64", id="grid-63"),
+    pytest.param(["--dt", "0"], "dt must be positive", id="dt-0"),
+    pytest.param(["--dt", "nan"], "dt must be positive", id="dt-nan"),
+    pytest.param(["--dt", "inf"], "dt must be finite", id="dt-inf"),
+    pytest.param(["--walks", "0"], "walks must be at least 1", id="walks-0"),
+    pytest.param(["--seed", "-1"], "seed must be non-negative", id="seed-negative"),
+])
+def test_verify_rejects_a_bad_option_before_touching_its_report(capsys, tmp_path, monkeypatch,
+                                                                option, message):
+    def no_program(*args, **kwargs):
+        raise AssertionError("the sweep program ran")
+
+    monkeypatch.setattr("kinostable.verify.verify_obb_program", no_program)
+    report = tmp_path / "report.json"
+    report.write_bytes(b'{"passed": true, "claims": []}\n')
+    code, out, err = run_cli(capsys, ["verify", *option, "--out", str(report)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert report.read_bytes() == b'{"passed": true, "claims": []}\n'
+
+
 def test_verify_checks_its_report_path_before_running_the_suite(capsys, tmp_path, monkeypatch):
     def no_program(*args, **kwargs):
         raise AssertionError("the sweep program ran")

@@ -18,6 +18,7 @@ from kinostable.verify import (
     SuiteOptions,
     SuiteRun,
     _parallel_map,
+    _program_grid_max,
     _program_objective,
     forced_orientation_winding,
     intermediate_box_area,
@@ -51,7 +52,50 @@ class TestRatioPolicy:
         assert a == pytest.approx(b, rel=1e-9)
 
 
+def dense_program_grid_max(a_lo, a_hi, b_lo, b_hi, al_lo, al_hi, grid):
+    """The masked dense scan ``_program_grid_max`` replaced: the objective on the
+    whole (a, b) mesh at each angle, infeasible points masked to -inf."""
+    best_val, best_arg = -math.inf, (math.nan,) * 3
+    a_grid = np.linspace(a_lo, a_hi, grid)
+    b_grid = np.linspace(b_lo, b_hi, grid)
+    aa, bb = np.meshgrid(a_grid, b_grid, indexing="ij")
+    for alpha in np.linspace(al_lo, al_hi, grid):
+        feasible = (bb >= aa) & (bb <= aa * math.cos(alpha) + math.sin(alpha) / aa)
+        if not feasible.any():
+            continue
+        vals = np.where(feasible, _program_objective(aa, bb, alpha), -math.inf)
+        i = int(np.argmax(vals))
+        v = float(vals.flat[i])
+        if v > best_val:
+            best_val = v
+            best_arg = (float(aa.flat[i]), float(bb.flat[i]), float(alpha))
+    return best_val, best_arg
+
+
+A_HI = math.sqrt(1.0 + SQRT2) + 1e-9
+
+
 class TestProgram:
+    @pytest.mark.parametrize("window", [
+        pytest.param((1.0, A_HI, 1.0, 2.2, math.pi / 4, math.pi / 2, g), id=f"full-{g}")
+        for g in (64, 65, 96, 129)
+    ] + [
+        # the refine window around the ridge a = b = sqrt(2), alpha = atan(4/3)
+        pytest.param((1.41, 1.418, 1.41, 1.418, 0.925, 0.929, 48), id="ridge"),
+        # alpha near pi/2 bounds b by about 1/a < a: the upper angles have no feasible point
+        pytest.param((1.2, 1.6, 1.2, 1.6, 1.2, math.pi / 2, 48), id="empty-angles"),
+    ])
+    def test_feasible_band_scan_equals_the_dense_masked_scan(self, window):
+        val, arg = _program_grid_max(*window)
+        assert val > -math.inf
+        assert (val, arg) == dense_program_grid_max(*window)
+
+    def test_scan_without_a_feasible_point(self):
+        window = (1.5, 1.6, 1.0, 1.4, 0.8, 1.0, 48)  # every b below every a
+        for val, arg in (_program_grid_max(*window), dense_program_grid_max(*window)):
+            assert val == -math.inf
+            assert len(arg) == 3 and all(math.isnan(x) for x in arg)
+
     def test_global_max_stays_at_five_quarters(self):
         res = verify_obb_program(grid=96)
         assert res.max_value <= 1.25 + 1e-3
