@@ -53,8 +53,8 @@ class TestRatioPolicy:
 
 
 def dense_program_grid_max(a_lo, a_hi, b_lo, b_hi, al_lo, al_hi, grid):
-    """The masked dense scan ``_program_grid_max`` replaced: the objective on the
-    whole (a, b) mesh at each angle, infeasible points masked to -inf."""
+    """Reference for ``_program_grid_max``: the objective on the whole (a, b) mesh
+    at each angle, infeasible points masked to -inf, first argmax kept."""
     best_val, best_arg = -math.inf, (math.nan,) * 3
     a_grid = np.linspace(a_lo, a_hi, grid)
     b_grid = np.linspace(b_lo, b_hi, grid)
