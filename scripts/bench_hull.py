@@ -41,10 +41,12 @@ sample, on the walks of the kinobench ``walks`` workload (20 steps over
 0.4 time units, dt = 1e-3) at n = 8 and 64 for fixed seeds; the chase runs
 on the normalized walk, as ``kinostable chase`` does.  Each entry is the
 best of ``--repeats`` runs per seed, and the median over seeds.  One more
-run per seed counts the frames whose hull was built and the monotone-chain
-runs among them; the rest replayed a chain trace.  The counts read
-``geometry.Frames.hull_indices`` and ``geometry._monotone_chain``, so
-``core`` runs on trees that build hulls in blocks.
+run per seed counts the blocks its samples came in, the frames whose hull
+was built and the monotone-chain runs among them; the rest kept a certified
+hull (on a tree that replays chain traces, they replayed one).  The counts
+read ``Trajectory.frame_blocks``, ``geometry.Frames.hull_indices`` and
+``geometry._monotone_chain``, so ``core`` runs on trees that build hulls in
+blocks.
 
 ``flips`` runs ``track_topological`` (obb, strip, pc) at dt = 1e-3 on the
 48 walks of the kinobench ``walks`` corpus of each seed (``--seeds``,
@@ -59,10 +61,11 @@ jumps root-found and bisected.
 
 ``claims`` evaluates every entry of ``verify.CLAIMS`` with the suite
 options ``--seed``, ``--grid``, ``--walks`` and ``--samples`` (the
-``kinostable verify`` defaults unless given), each claim on its own
-``SuiteRun``, so a claim's wall time includes building the inputs it
-shares with others in a suite run.  It records each claim's wall time,
-computed value and verdict.
+``kinostable verify`` defaults unless given), in order on one ``SuiteRun``
+as ``kinostable verify`` does, so an input that claims share is built in
+the row of the first claim that reads it, and ``total_s`` is the claim
+time of one verify run.  It records each claim's wall time, computed value
+and verdict.
 """
 
 from __future__ import annotations
@@ -187,13 +190,21 @@ def run_layers(args) -> dict:
 
 
 def hull_counts(run) -> dict:
-    """Frames whose hull ``run()`` built (``Frames.hull_indices``), and the
-    monotone-chain runs among them; the rest replayed a chain trace."""
+    """The blocks of the samples of ``run()`` (``Trajectory.frame_blocks``),
+    the frames whose hull it built (``Frames.hull_indices``) and the
+    monotone-chain runs among them; the rest kept a certified hull."""
     from kinostable import geometry
+    from kinostable.trajectory import Trajectory
 
-    counts = {"hull_frames": 0, "chain_runs": 0}
+    counts = {"blocks": 0, "hull_frames": 0, "chain_runs": 0}
+    real_blocks = Trajectory.frame_blocks
     real_chain = geometry._monotone_chain
     real_hulls = geometry.Frames.__dict__["hull_indices"]
+
+    def blocks(traj, *args, **kwargs):
+        for frames in real_blocks(traj, *args, **kwargs):
+            counts["blocks"] += 1
+            yield frames
 
     def chain(*args):
         counts["chain_runs"] += 1
@@ -205,12 +216,14 @@ def hull_counts(run) -> dict:
 
     counting = cached_property(hulls)
     counting.__set_name__(geometry.Frames, "hull_indices")
-    geometry._monotone_chain, geometry.Frames.hull_indices = chain, counting
+    Trajectory.frame_blocks, geometry._monotone_chain = blocks, chain
+    geometry.Frames.hull_indices = counting
     try:
         run()
     finally:
-        geometry._monotone_chain, geometry.Frames.hull_indices = real_chain, real_hulls
-    counts["replayed"] = counts["hull_frames"] - counts["chain_runs"]
+        Trajectory.frame_blocks, geometry._monotone_chain = real_blocks, real_chain
+        geometry.Frames.hull_indices = real_hulls
+    counts["certified"] = counts["hull_frames"] - counts["chain_runs"]
     return counts
 
 
@@ -363,12 +376,12 @@ def run_claims(args) -> dict:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from kinostable.verify import CLAIMS, SuiteOptions, SuiteRun
 
-    opts = SuiteOptions(grid=args.grid, seed=args.seed, walks=args.walks,
-                        trig_samples=args.samples)
+    run = SuiteRun(SuiteOptions(grid=args.grid, seed=args.seed, walks=args.walks,
+                                trig_samples=args.samples))
     rows = []
     for claim in CLAIMS:
         t0 = time.perf_counter()
-        check = claim.evaluate(SuiteRun(opts))
+        check = claim.evaluate(run)
         rows.append({"claim": claim.claim_id, "wall_s": time.perf_counter() - t0,
                      "computed": check.computed, "passed": check.passed})
         print(json.dumps(rows[-1]), flush=True)

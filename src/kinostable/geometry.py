@@ -16,30 +16,43 @@ Every quantity is computed for a block of frames at once (``Frames``, a
 (B, n, 2) array): the trackers, the descriptor command and the
 normalization walk a run block by block, and the per-frame functions
 (``diametric_box``, ``frame_diameter``, ``convex_hull``) are the one-frame
-call of the same block code.  ``block_size`` caps a block so that no
-per-block temporary exceeds ``_BLOCK_BYTES``; only O(B) arrays outlive a
-block.  By the same budget, ``trace_block`` caps how many frames check a
-chain trace (below) at once, ``table_block`` how many are scored.
+call of the same block code.  ``block_size`` sizes a block by the arrays
+that live as long as it does, O(n) per frame: the positions and the hull
+index matrix stay within ``_BLOCK_BYTES``.  Larger temporaries are made a
+chunk of frames at a time by the same budget: the (F, n, n) pair matrices
+up to the limit (``pair_block``), the hull certificates (below) and the
+scored orientation tables (``table_block``).  Only O(B) arrays outlive a
+block.
 
-Hulls are kinetic in the sense of Basch, Guibas and Hershberger (1997):
-the certificates are the monotone chain's own comparisons (Andrew, 1979).
-A chain run on a frame whose n points are all distinct records a trace
-(``HullTrace``): every turn test (o, a, p) of its lower and upper chains
-with its outcome.  The frames after it in its block replay the trace,
-taking its hull indices, for as long as each of them satisfies both:
+Hulls are kinetic in the sense of Basch, Guibas and Hershberger (1997).  A
+frame keeps the hull of the last frame before it in its block that ran
+Andrew's monotone chain (1979) while a certificate holds: every point but
+an edge's two ends lies strictly left of every hull edge, by the chain's
+own float expression ``(ax-ox)*(py-oy) - (ay-oy)*(px-ox)``, which must
+exceed Shewchuk's static error bound (1997) ``(3 + 16 eps) eps (|l| +
+|r|)``, ``l`` and ``r`` its two rounded products.  The hull is then
+exactly unchanged, and is rotated to start at the frame's
+lexicographically smallest point, one of its vertices, as the chain
+starts.  The chain's float decisions agree: its pop test of a vertex over
+the vertex before it is a certified test, so no vertex is popped, and its
+test of an interior point pushed directly onto a vertex is a certified
+test negated, so the next vertex pops it.  The frame takes the chain's
+indices, and its vertices ``points[b, idx]`` are bitwise the chain's, -0.0
+included; a duplicate of a vertex, or a point on an edge, fails the
+certificate.  The chain's tests among interior points are the ones left
+uncertified: where two interior points lie within a few ulps of each
+other, such a test can round the wrong way, and a chain run on the whole
+frame then keeps one of them as a vertex, with an ulp-long edge, where the
+certified hull leaves it out.
 
-* its points sort in the same order with strictly increasing keys, so the
-  chain walks the same sequence of points, with none dropped as equal; and
-* every recorded ``(ax-ox)*(py-oy) - (ay-oy)*(px-ox) <= 0.0`` evaluates the
-  same, computed with the same float expression (numpy rounds each product
-  and difference on its own, as Python does; it fuses none).
-
-The chain would then take exactly the same steps, so the hull indices, and
-the vertices ``points[b, idx]``, are bitwise the chain's, -0.0 included.  A
-frame that cannot replay runs the chain, index by index, on a block-wide
-stable lexicographic presort that keeps the first of equal points, as the
-Python ``set`` of coordinate tuples the chain was first written with does.
-Both checks are array code over many frames at once.
+A frame that fails runs the chain, on only the points the failed
+certificate could not place strictly inside the old hull (every vertex
+among them), and its hull certifies the frames after it.  Frames are
+checked in windows that double while they certify, within the budget; a
+frame whose (h, n) test alone exceeds the budget runs the chain.  The
+chain runs on point indices in stable lexicographic order, keeping the
+first of equal points, as the Python ``set`` of coordinate tuples it was
+first written with does.
 """
 
 from __future__ import annotations
@@ -54,27 +67,28 @@ from .angles import canonical_array, elementwise
 from .errors import DegenerateInputError
 
 # At most this many points, the diameter comes from every pairwise distance
-# and the candidate extents from projecting every point: no hull is needed,
-# and at n = 8 that measured faster than building one.  Larger frames use
-# only the hull's antipodal pairs and extreme vertices, with the same
-# per-pair and per-vertex arithmetic: the diameter and the diametric box
-# are exactly those of all hull pairs, and a candidate's extents differ
-# from projecting every point only where a non-vertex point rounds past
-# the extreme vertex (a few ulp of the coordinates).
+# and the candidate extents from projecting every point: no hull is needed
+# for them, and at n = 8 that measured faster than reading the hull.
+# Larger frames use only the hull's antipodal pairs and extreme vertices,
+# with the same per-pair and per-vertex arithmetic: the diameter and the
+# diametric box are exactly those of all hull pairs, and a candidate's
+# extents differ from projecting every point only where a non-vertex point
+# rounds past the extreme vertex (a few ulp of the coordinates).  Box and
+# strip candidates come from the hull at every size.
 _BRUTE_FORCE_LIMIT = 64
 
-# Largest per-block temporary, in bytes: the two (B, n, n) arrays of pair
-# coordinate differences up to the limit, the (B, n, 2) positions and the
-# (B, 2n) hull index matrix above it.
+# The memory budget, in bytes, of a block's (B, n, 2) positions and of each
+# temporary made a chunk of frames at a time.
 _BLOCK_BYTES = 1 << 20
 
-# Consecutive frames try to replay a chain trace only in runs of at least
-# this many frames that sort the same way.  Recording a trace and checking
-# the next frame against it costs about one chain run on a 64-point frame,
-# and only the frames left in the run can pay it back: on random walks
-# sampled at dt = 1e-3, runs average about 60 frames at 8 points, where
-# nearly every frame replays, and about 2 at 64, where most replays fail.
-_REPLAY_RUN = 8
+# Shewchuk's orientation error bound: where the float cross product exceeds
+# this times |l| + |r|, its exact sign is positive (barring underflow).
+_CCW_BOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+
+# The first certificate window after a chain run: a check's fixed cost is
+# that of about four more 64-point frames, and on random walks at dt = 1e-3
+# a hull certifies about 11 frames at n = 64 and 76 at n = 8.
+_FIRST_WINDOW = 8
 
 _atan2, _sin, _cos = elementwise(math.atan2, 2), elementwise(math.sin), elementwise(math.cos)
 
@@ -83,22 +97,27 @@ _COINCIDENT = "all points coincide; every descriptor is undefined"
 
 
 def block_size(n: int) -> int:
-    """How many frames of ``n`` points one block holds."""
-    per_frame = 16 * n * (n if n <= _BRUTE_FORCE_LIMIT else 1)
-    return max(1, _BLOCK_BYTES // per_frame)
+    """How many frames of ``n`` points one block holds: 16n bytes of positions each."""
+    return max(1, _BLOCK_BYTES // (16 * n))
 
 
-def trace_block(n: int) -> int:
-    """How many frames of ``n`` points check a chain trace at once: the
-    check gathers the coordinates of the trace's 12n turn-test points, 96n
-    bytes per axis and frame, budgeted at 128n."""
-    return max(1, _BLOCK_BYTES // (128 * n))
+def pair_block(n: int) -> int:
+    """How many frames of ``n`` points build their (n, n) pair matrices at
+    once: two arrays of 8n² bytes each."""
+    return max(1, _BLOCK_BYTES // (16 * n * n))
 
 
 def table_block(n: int, m: int) -> int:
     """How many frames of ``n`` points ``orientation_costs`` may score at ``m``
     orientations at once: ten (F, m) tables, plus (F, n, m) projections up to the limit."""
     return max(1, _BLOCK_BYTES // (8 * m * (10 + (n if n <= _BRUTE_FORCE_LIMIT else 0))))
+
+
+def certificate_block(h: int, n: int) -> int:
+    """How many frames of ``n`` points check a certificate of ``h`` edges at
+    once: three (h, n) float arrays and a mask each, budgeted at 32hn
+    bytes; 0 where one frame's test exceeds the budget."""
+    return _BLOCK_BYTES // (32 * h * n)
 
 
 def frame_faults(points: np.ndarray) -> dict[int, str]:
@@ -157,10 +176,10 @@ class Frames:
     """A block of B frames of n points each: ``points`` has shape (B, n, 2).
 
     The hulls of all frames are built together on first use, once, each
-    frame replaying the chain trace of the last frame before it that ran
-    the chain, where the trace certifies it (see the module docstring).  A
-    block is not checked: ``Trajectory.frame_blocks`` checks the frames it
-    makes as ``Frame`` does.
+    frame keeping the hull of the last frame before it that ran the chain
+    where the certificate holds (see the module docstring).  A block is not
+    checked: ``Trajectory.frame_blocks`` checks the frames it makes as
+    ``Frame`` does.
     """
 
     def __init__(self, points: np.ndarray):
@@ -191,153 +210,114 @@ class Frames:
         return self.points[b, idx[b, :counts[b]]]
 
 
-class HullTrace:
-    """Every comparison of the lower and upper chains of one chain run on a
-    frame of n distinct points.
-
-    Column k of ``oap`` holds the point indices (o, a, p) of a turn test
-    that pops a from the chain before pushing p, and ``popped[k]`` its
-    outcome.  The columns come from each chain's links, one per point: the
-    point it was pushed onto (``below``), the one under that (``under``)
-    and the point that popped it (``popper``).  A popped point a was tested
-    by (below, a, popper); a push of p tested (under, below, p) and kept
-    below.  Where no test was made the links read (o, a, a) or (a, a, p):
-    a cross of two equal products, or of zeros, is exactly zero, so
-    popped.
-    """
-
-    def __init__(self, links: list[list[int]]):
-        n = len(links[0])
-        # each (2n,): the lower chain's links, then the upper chain's
-        below, under, popper = np.array(links, dtype=np.intp).reshape(3, 2 * n)
-        own = np.arange(n)
-        self.oap = np.stack([np.concatenate([below, under]),  # pop tests, then push tests
-                             np.concatenate([own, own, below]),
-                             np.concatenate([popper, own, own])])
-        self.popped = np.concatenate([np.ones(2 * n, dtype=bool), under == below])
-
-
-def _half_chain(seq: list[int], xs: list[float], ys: list[float],
-                below: list[int], under: list[int], popper: list[int]) -> list[int]:
+def _half_chain(seq: list[int], xs: list[float], ys: list[float]) -> list[int]:
     """One monotone chain over the points ``seq``: the points kept with a
-    strict left turn at each.  The chain is a linked stack, ``below[a]``
-    the point under a, and records its links in ``HullTrace``'s terms."""
-    a = seq[0]
-    ax, ay = xs[a], ys[a]
+    strict left turn at each."""
+    out = [seq[0]]
+    ax, ay = xs[seq[0]], ys[seq[0]]  # the top of the chain
     for p in seq[1:]:
         px, py = xs[p], ys[p]
-        o = below[a]
-        while o >= 0:
+        while len(out) > 1:
+            o = out[-2]
             ox, oy = xs[o], ys[o]
             if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
-                popper[a] = p
-                a, ax, ay = o, ox, oy
-                o = below[o]
+                out.pop()
+                ax, ay = ox, oy
             else:
                 break
-        below[p], under[p] = a, o if o >= 0 else a
-        a, ax, ay = p, px, py
-    out = []
-    while a >= 0:
-        out.append(a)
-        a = below[a]
-    return out[::-1]
+        out.append(p)
+        ax, ay = px, py
+    return out
 
 
-def _monotone_chain(points: np.ndarray, order: np.ndarray,
-                    record: bool) -> tuple[np.ndarray, HullTrace | None]:
-    """Andrew's monotone chain on one (n, 2) frame: its hull indices, and
-    with ``record`` the trace of the run.
-
-    ``order`` holds the frame's distinct points (the first of equal points)
-    in lexicographic order.  Only a frame whose n points are all distinct
-    gets a trace, so a frame sorting the same way has the same sequence.
-    """
+def _monotone_chain(points: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """Andrew's monotone chain on one (n, 2) frame, or on its points
+    ``keep`` (ascending indices): the hull indices, counterclockwise from
+    the lexicographically smallest point, the first of equal points kept."""
+    x, y = points[:, 0], points[:, 1]
+    if keep is not None:
+        x, y = x[keep], y[keep]
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    order = order[fresh]
+    if keep is not None:
+        order = keep[order]
     if len(order) == 1:
         raise DegenerateInputError("all points coincide; hull is undefined")
-    if len(order) <= 2:
-        return order, None
-    xs, ys = points[:, 0].tolist(), points[:, 1].tolist()
-    seq = order.tolist()
-    n = len(xs)
-    # below and under of the lower and upper chain, then their poppers
-    links = [[-1] * n for _ in range(4)] + [list(range(n)) for _ in range(2)]
-    lower = _half_chain(seq, xs, ys, links[0], links[2], links[4])
-    upper = _half_chain(seq[::-1], xs, ys, links[1], links[3], links[5])
-    hull = np.array(lower[:-1] + upper[:-1], dtype=np.intp)
-    if record and len(seq) == n:
-        return hull, HullTrace(links)
-    return hull, None
+    if len(order) == 2:
+        return order
+    seq, xs, ys = order.tolist(), points[:, 0].tolist(), points[:, 1].tolist()
+    lower, upper = _half_chain(seq, xs, ys), _half_chain(seq[::-1], xs, ys)
+    return np.array(lower[:-1] + upper[:-1], dtype=np.intp)
 
 
-def _presort(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable lexicographic order of each frame's points, (B, n), and which
-    of them differ from the one before: equal points keep the first, as a
-    Python ``set`` of their coordinate tuples does."""
+def _certify(points: np.ndarray, hull: np.ndarray, smallest: np.ndarray):
+    """The certificate of ``hull`` (h >= 3 point indices) on each frame of a
+    (w, n, 2) window whose lexicographically smallest points are
+    ``smallest``: whether each frame keeps the hull, the hull position of
+    its smallest point, and which points lie strictly left of which edge,
+    (w, h, n)."""
+    ends = points[:, np.concatenate((hull, hull[:1]))]  # (w, h + 1, 2): the edges' ends
+    ox, oy = ends[:, :-1, 0, None], ends[:, :-1, 1, None]  # (w, h, 1), as are the edges
+    ex, ey = ends[:, 1:, 0, None] - ox, ends[:, 1:, 1, None] - oy
+    left = points[:, None, :, 1] - oy  # (w, h, n) from here on
+    left *= ex
+    right = points[:, None, :, 0] - ox
+    right *= ey
+    cross = left - right
+    np.abs(left, out=left)
+    np.abs(right, out=right)
+    left += right
+    left *= _CCW_BOUND
+    strict = cross > left
+    # an edge's own two ends cross it at exactly 0.0; every other point must be strict
+    keeps = np.count_nonzero(strict.reshape(len(points), -1), axis=1) == len(hull) * (points.shape[1] - 2)
+    return keeps, (hull == smallest[:, None]).argmax(axis=1), strict
+
+
+def _smallest_points(points: np.ndarray) -> np.ndarray:
+    """Index of each frame's lexicographically smallest point, the first
+    of equal ones: where the chain starts its hull."""
     x, y = points[..., 0], points[..., 1]
-    order = np.lexsort((y, x))
-    xs, ys = np.take_along_axis(x, order, axis=1), np.take_along_axis(y, order, axis=1)
-    fresh = np.ones(order.shape, dtype=bool)
-    fresh[:, 1:] = (xs[:, 1:] != xs[:, :-1]) | (ys[:, 1:] != ys[:, :-1])
-    return order, fresh
-
-
-def _agree(points: np.ndarray, oap: np.ndarray, popped: np.ndarray) -> np.ndarray:
-    """Whether each frame of a (w, n, 2) block decides every comparison of a
-    trace (``oap`` (1 or w, 3, m), ``popped`` (1 or w, m)) as recorded,
-    with the chain's float expression: (w,) bool."""
-    rows = np.arange(len(points))[:, None]
-    x, y = points[..., 0], points[..., 1]
-    o, a, p = oap[:, 0], oap[:, 1], oap[:, 2]
-    ox, oy = x[rows, o], y[rows, o]  # (w, m) each, as are the differences
-    cross = (x[rows, a] - ox) * (y[rows, p] - oy)
-    cross -= (y[rows, a] - oy) * (x[rows, p] - ox)
-    return ((cross <= 0.0) == popped).all(axis=1)
-
-
-def _hull_table(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """An empty index matrix and counts for ``size`` hulls of ``n`` points.
-
-    Near-collinear points can round to a chain of up to 2n - 2 vertices,
-    some repeated, as they always have; the matrix leaves room for it.
-    """
-    return np.zeros((size, 2 * n), dtype=np.intp), np.zeros(size, dtype=np.intp)
+    low = x == x.min(axis=1, keepdims=True)
+    return np.argmin(np.where(low, y, np.inf), axis=1)
 
 
 def _consecutive_hulls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hull indices of consecutive frames: a frame replays the trace of the
-    last frame before it that ran the chain, while all frames in between
-    sort the same way and agree with the trace.
+    """Hull indices of consecutive frames: a frame keeps the hull of the
+    last frame before it that ran the chain while its certificate holds
+    (see the module docstring), rotated to start at its smallest point.
 
-    A chain run records a trace only when at least ``_REPLAY_RUN`` frames,
-    its own included, sort the same way.  The frames after it are checked
-    in windows that double while they agree, up to ``trace_block`` frames,
-    so a trace that the next frame breaks costs one frame's check: the
-    collinear frames of the stateless-disk sweep break nearly every trace.
+    A (B, hmax) matrix whose row b holds frame b's ``counts[b]`` vertices,
+    then zeros.  Near-collinear points can round to a chain of up to
+    2n - 2 vertices, some repeated, as they always have; the matrix leaves
+    room for it.
     """
-    order, fresh = _presort(points)
-    size, n = order.shape
-    cap = trace_block(n)
-    distinct = fresh.all(axis=1)
-    same = distinct[1:] & distinct[:-1] & (order[1:] == order[:-1]).all(axis=1)
-    ends = np.append(np.flatnonzero(~same) + 1, size).tolist()
-    idx, counts = _hull_table(size, n)
-    b = 0
-    for end in ends:  # frames b .. end - 1 sort the same way
-        while b < end:
-            hull, trace = _monotone_chain(points[b], order[b][fresh[b]], end - b >= _REPLAY_RUN)
-            idx[b, :len(hull)], counts[b] = hull, len(hull)
-            b += 1
-            width = 1
-            while trace is not None and b < end:
-                stop = min(end, b + width)
-                agree = _agree(points[b:stop], trace.oap[None], trace.popped[None])
-                k = len(agree) if agree.all() else int(np.argmin(agree))
-                idx[b:b + k, :len(hull)], counts[b:b + k] = hull, len(hull)
-                b += k
-                if b < stop:
-                    break
-                width = min(2 * width, cap)
+    size, n = points.shape[:2]
+    idx, counts = np.zeros((size, 2 * n), dtype=np.intp), np.zeros(size, dtype=np.intp)
+    smallest = _smallest_points(points)
+    b, keep = 0, None
+    while b < size:
+        hull = _monotone_chain(points[b], keep)
+        h = len(hull)
+        idx[b, :h], counts[b] = hull, h
+        b += 1
+        keep = None
+        cap = certificate_block(h, n) if h > 2 else 0
+        width = min(_FIRST_WINDOW, cap)
+        while cap and b < size:
+            stop = min(size, b + width)
+            keeps, start, strict = _certify(points[b:stop], hull, smallest[b:stop])
+            k = len(keeps) if keeps.all() else int(np.argmin(keeps))
+            turn = (start[:k, None] + np.arange(h)) % h
+            idx[b:b + k, :h], counts[b:b + k] = hull[turn], h
+            b += k
+            if b < stop:  # the chain runs on the points not strictly inside
+                keep = np.flatnonzero(~strict[k].all(axis=0))
+                break
+            width = min(2 * width, cap)
     return idx[:, :counts.max(initial=0)], counts
 
 
@@ -469,29 +449,30 @@ def _diametral_hits(frames: Frames):
     At most ``_BRUTE_FORCE_LIMIT`` points the pairs index the frame's
     points, above it the frame's hull vertices.
     """
+    rows = []
     if frames.n_points <= _BRUTE_FORCE_LIMIT:
         pts = frames.points
-        d2 = _brute_distances(pts)
-        dmax2 = d2.max(axis=(1, 2))
-        if (dmax2 == 0.0).any():
-            raise DegenerateInputError("all points coincide; diametric box is undefined")
-        t, i, j = np.nonzero(d2 == dmax2[:, None, None])
-        keep = i < j
-        t, i, j = t[keep], i[keep], j[keep]
-        return t, i, j, pts[t, j] - pts[t, i], dmax2
-    rows = []
-    for b in range(len(frames)):
-        hull = frames.hull(b)
-        i, j, d2 = _hull_distances(hull)
-        dmax2 = d2.max()
-        hits = np.flatnonzero(d2 == dmax2)
-        i, j = i[hits], j[hits]
-        keep = i < j
-        i, j = i[keep], j[keep]
-        rows.append((np.full(len(i), b), i, j, hull[j] - hull[i], dmax2))
-    t, i, j, vec, dmax2 = zip(*rows)
-    return (np.concatenate(t), np.concatenate(i), np.concatenate(j),
-            np.concatenate(vec), np.array(dmax2))
+        step = pair_block(frames.n_points)
+        for lo in range(0, len(pts), step):
+            d2 = _brute_distances(pts[lo:lo + step])
+            dmax2 = d2.max(axis=(1, 2))
+            if (dmax2 == 0.0).any():
+                raise DegenerateInputError("all points coincide; diametric box is undefined")
+            t, i, j = np.nonzero(d2 == dmax2[:, None, None])
+            keep = i < j
+            t, i, j = t[keep] + lo, i[keep], j[keep]
+            rows.append((t, i, j, pts[t, j] - pts[t, i], dmax2))
+    else:
+        for b in range(len(frames)):
+            hull = frames.hull(b)
+            i, j, d2 = _hull_distances(hull)
+            dmax2 = d2.max(keepdims=True)
+            hits = np.flatnonzero(d2 == dmax2)
+            i, j = i[hits], j[hits]
+            keep = i < j
+            i, j = i[keep], j[keep]
+            rows.append((np.full(len(i), b), i, j, hull[j] - hull[i], dmax2))
+    return tuple(np.concatenate(col) for col in zip(*rows))
 
 
 def diametric_boxes(frames: Frames) -> DiametricBox:
@@ -529,7 +510,10 @@ def frame_diameters(frames: Frames, rows: np.ndarray | None = None) -> np.ndarra
     """Largest pairwise distance of every frame of a block, or of its frames ``rows``."""
     rows = np.arange(len(frames)) if rows is None else rows
     if frames.n_points <= _BRUTE_FORCE_LIMIT:
-        return np.sqrt(_brute_distances(frames.points[rows]).max(axis=(1, 2)))
+        step = pair_block(frames.n_points)
+        return np.sqrt(np.concatenate([
+            _brute_distances(frames.points[rows[lo:lo + step]]).max(axis=(1, 2))
+            for lo in range(0, len(rows), step)]))
     return np.sqrt([_hull_distances(frames.hull(b))[2].max() for b in rows.tolist()])
 
 

@@ -18,7 +18,6 @@ time carrying the worst swept orientation and ratio.
 from __future__ import annotations
 
 import json
-import math
 from typing import IO, Iterable
 
 import numpy as np
@@ -164,25 +163,32 @@ def write_chase_csv(fp: IO[str], result: ChaseResult, kind: DescriptorKind) -> N
 
 
 def read_run_csv(fp: IO[str]) -> dict[str, np.ndarray]:
-    """Parse a run CSV back into column arrays (empty cells become NaN)."""
+    """Parse a run CSV back into column arrays (empty cells become NaN).
+
+    Each column is parsed by one ``np.array(cells, dtype=float)``, which
+    reads a cell as ``float()`` does; a file with a bad row or cell is read
+    again row by row, to report the first one.
+    """
     header = fp.readline().rstrip("\n")
     if header.split(",") != list(CSV_COLUMNS):
         raise FileFormatError(
             f"line 1: expected header {','.join(CSV_COLUMNS)!r}, got {header!r}"
         )
-    cols: list[list[float]] = [[] for _ in CSV_COLUMNS]
-    for i, raw in enumerate(fp, start=2):
-        if not raw.strip():
-            continue
-        cells = raw.rstrip("\n").split(",")
-        if len(cells) != len(CSV_COLUMNS):
-            raise FileFormatError(f"line {i}: expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
-        for c, cell in zip(cols, cells):
-            if cell == "":
-                c.append(math.nan)
-            else:
+    rows = [(i, raw.rstrip("\n").split(",")) for i, raw in enumerate(fp, start=2) if raw.strip()]
+    try:
+        if any(len(cells) != len(CSV_COLUMNS) for _, cells in rows):
+            raise ValueError("a ragged row")
+        cols = [np.array([cell or "nan" for cell in col], dtype=float)
+                for col in list(zip(*(cells for _, cells in rows))) or [()] * len(CSV_COLUMNS)]
+    except ValueError:
+        for i, cells in rows:
+            if len(cells) != len(CSV_COLUMNS):
+                raise FileFormatError(f"line {i}: expected {len(CSV_COLUMNS)} cells, "
+                                      f"got {len(cells)}") from None
+            for cell in cells:
                 try:
-                    c.append(float(cell))
+                    float(cell or "nan")
                 except ValueError:
                     raise FileFormatError(f"line {i}: {cell!r} is not a number") from None
-    return {name: np.array(col) for name, col in zip(CSV_COLUMNS, cols)}
+        raise
+    return dict(zip(CSV_COLUMNS, cols))

@@ -36,7 +36,7 @@ import numpy as np
 from .angles import canonical_array, elementwise
 from .costs import DescriptorKind, candidate_costs, costs_at
 from .errors import DegenerateInputError, DomainError
-from .geometry import _BRUTE_FORCE_LIMIT, Frames, as_points, extents_on_hull
+from .geometry import _BRUTE_FORCE_LIMIT, Frames, as_points, extents_on_hull, table_block
 
 _EIGEN_TIE_REL = 1e-9
 _COST_TIE_REL = 1e-9
@@ -145,17 +145,22 @@ def orientation_costs(frames: Frames, kinds: tuple[DescriptorKind, ...], angles:
     kind in ``kinds``, padded with inf.
 
     Up to ``_BRUTE_FORCE_LIMIT`` points, box and strip project every point,
-    a (B, n, m) array that the callers' blocks keep within the block budget
-    (``block_size``, ``table_block``); above it they read their extents off
-    the extreme hull vertices.  ``pc`` takes the scatter form on all points
-    at every size: it is not a hull quantity.
+    (F, n, m) arrays made ``table_block`` frames at a time to keep within
+    the block budget; above it they read their extents off the extreme hull
+    vertices.  ``pc`` takes the scatter form on all points at every size:
+    it is not a hull quantity.
     """
     size, m = angles.shape
     pts = frames.points
     brute = frames.n_points <= _BRUTE_FORCE_LIMIT
     extent_kinds = [kind for kind in kinds if kind is not DescriptorKind.PC]
-    table = {kind: candidate_costs(pts, kind, angles) if brute or kind is DescriptorKind.PC
-             else np.empty(angles.shape) for kind in kinds}
+    table = {kind: np.empty(angles.shape) for kind in kinds}
+    step = table_block(frames.n_points, m)
+    for lo in range(0, size, step):
+        part = slice(lo, lo + step)
+        for kind in kinds:
+            if brute or kind is DescriptorKind.PC:
+                table[kind][part] = candidate_costs(pts[part], kind, angles[part])
     if brute:
         # A one-column product rounds unlike one column of a wider product
         # (matrix-vector against matrix-matrix kernels), so a frame with a

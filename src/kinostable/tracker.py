@@ -53,7 +53,7 @@ from .angles import (
 )
 from .costs import DescriptorKind, frame_costs
 from .errors import DegenerateInputError
-from .geometry import Frames, block_size, frame_diameters, frame_faults, table_block, trace_block
+from .geometry import Frames, block_size, frame_diameters, frame_faults, table_block
 from .ratios import ratios
 from .solvers import _COST_TIE_REL, BlockOptima, block_optima, orientation_costs
 from .trajectory import Trajectory
@@ -369,19 +369,18 @@ def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[Fl
     """Locate every jump's flip instant and sweep there.
 
     ``jumps`` holds a ``Jump`` (or its first five fields) per jump, in time
-    order.  The jumps are located in consecutive groups of at most one
-    block, and at most ``trace_block`` jumps, because a group holds several
-    frame-sized arrays per jump at once: its flip frames, both edges'
-    probes in the root-finding, and in each bisection round the midpoints'
-    positions, presort and hull index rows.  Sixteen jumps of a 4000-point
-    cloud, one block, peak at 5.6 MB traced; groups of ``trace_block``'s
-    two stay near 0.56 MB.  A rejected midpoint or flip frame raises its
+    order.  The jumps are located in consecutive groups of a quarter block,
+    because a group holds about four frame-sized arrays per jump at once:
+    its flip frames, both edges' probes in the root-finding, and in each
+    bisection round the midpoints' positions and hull index rows.  Sixteen
+    jumps of a 4000-point cloud, one block, peak at 4.2 MB traced; groups
+    of four stay near 1.7 MB.  A rejected midpoint or flip frame raises its
     error where a one-jump-at-a-time location would have: after every
     earlier jump's sweep.
     """
     jumps = [Jump(*jump) for jump in jumps]
     n = traj.n_points
-    group = min(block_size(n), trace_block(n))
+    group = max(1, block_size(n) // 4)
     flips = []
     for start in range(0, len(jumps), group):
         flips += _locate_group(traj, kind, period, jumps[start:start + group])

@@ -142,8 +142,7 @@ BLOCK_TRAJECTORIES = {
 
 def seven_frame_blocks(monkeypatch, n: int) -> None:
     """Shrink the block budget to 7 frames of ``n`` points, so runs split mid-run."""
-    per_frame = 16 * n * (n if n <= geometry._BRUTE_FORCE_LIMIT else 1)
-    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 7 * per_frame)
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 7 * 16 * n)
     assert geometry.block_size(n) == 7
 
 
@@ -554,7 +553,7 @@ def test_block_budget_bounds_run_memory(monkeypatch):
     # which the monotone chain's per-point Python objects would slow tenfold;
     # the chain's own transient memory is O(n) per frame either way.
     vertices = np.array([np.flatnonzero((base == v).all(axis=1))[0] for v in convex_hull(base)])
-    monkeypatch.setattr(geometry, "_monotone_chain", lambda points, order, record: (vertices, None))
+    monkeypatch.setattr(geometry, "_monotone_chain", lambda points, keep=None: vertices)
     for run in (lambda: track_topological(traj, DescriptorKind.OBB, dt),
                 lambda: chase(traj, dt=dt)):
         tracemalloc.start()

@@ -186,6 +186,20 @@ class TestRunCsv:
         with pytest.raises(FileFormatError, match="line 2"):
             read_run_csv(buf)
 
+    def test_bad_cell_deep_in_a_file_reports_its_line(self):
+        out = track_topological(obb_lower_bound(), DescriptorKind.OBB, 5e-3)
+        buf = io.StringIO()
+        write_tracker_csv(buf, out)
+        lines = buf.getvalue().splitlines()
+        assert len(lines) > 150
+        lines[150] = lines[150].replace(",", ",x", 1)  # the beta cell of line 151
+        with pytest.raises(FileFormatError, match=r"^line 151: 'x\S*' is not a number$"):
+            read_run_csv(io.StringIO("\n".join(lines) + "\n"))
+        # the first bad cell in file order comes first, before a later ragged row
+        lines[170] = "1.0,2.0"
+        with pytest.raises(FileFormatError, match="^line 151: "):
+            read_run_csv(io.StringIO("\n".join(lines) + "\n"))
+
     def test_infinite_ratio_roundtrips(self):
         row = ["0.0", "0.1", "0.1", "1.0", "0.0", "inf", "", "", "", "", ""]
         buf = io.StringIO(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")

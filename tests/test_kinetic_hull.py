@@ -1,18 +1,20 @@
-"""The block hull: replayed chain traces against the frozen monotone chain.
+"""The block hull: certified hulls against the frozen monotone chain.
 
-A frame replays the trace of a nearby frame only when it sorts its points
-the same way, with no two equal, and decides every recorded comparison the
-same way.  The sequences here move points through exactly the events that
-break a trace at a sample: x-order swaps (one that moves the hull's first
-vertex), exact collinearity, duplicate points, -0.0 coordinates and a frame
-of two distinct points.  Every frame's
+A frame keeps the hull of the last frame that ran the chain only when a
+certificate holds: every other point lies strictly left of every hull edge,
+beyond the error bound of the chain's own float expression, and the frame's
+lexicographically smallest point is a hull vertex, where the kept hull is
+rotated to start.  The sequences here move points through the events that
+break a certificate, or must not: x-order swaps of interior points (none),
+a swap of the leftmost hull vertex (a rotation), exact collinearity, duplicate
+points, -0.0 coordinates and a frame of two distinct points.  Every frame's
 hull must equal ``frozen_convex_hull`` bit for bit, whichever way it was
 built.
 """
 
-import copy
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +90,24 @@ SEQUENCES = {
     "two-distinct-between": two_distinct_between,
 }
 
+# The frames of each sequence, as one block, that run the chain: frame 0,
+# then each frame whose certificate fails.
+CHAIN_FRAMES = {
+    # interior points may reorder, and the new leftmost vertex is a rotation
+    "x-order-swap": [0],
+    "leftmost-swap": [0],
+    # point 4 on the edge (0, 0)-(4, 0) at 16 and on (1, 3)-(3, 3) at 28,
+    # then outside it at 29
+    "through-collinear": [0, 16, 28, 29],
+    # a duplicate of an interior point certifies; point 5 on the bottom edge
+    # at 24, outside at 25, and (4, 0) on the edge from it to (4, 4) at 32
+    "becoming-duplicates": [0, 24, 25, 32],
+    # (0, 1) lies on the edge from (0, 2) to (0, 0) in every frame
+    "negative-zeros": list(range(STEPS + 1)),
+    # a two-point hull certifies nothing
+    "two-distinct-between": [0, 16, 17],
+}
+
 
 def assert_frozen(frames: Frames) -> None:
     for b in range(len(frames)):
@@ -97,23 +117,34 @@ def assert_frozen(frames: Frames) -> None:
 
 
 def count_chain_runs(monkeypatch) -> list:
+    """Patch the chain to record the (n, 2) frame of each run."""
     runs = []
     real = geometry._monotone_chain
-    monkeypatch.setattr(geometry, "_monotone_chain", lambda *args: runs.append(1) or real(*args))
+    monkeypatch.setattr(geometry, "_monotone_chain",
+                        lambda points, keep=None: runs.append(points) or real(points, keep))
     return runs
 
 
-def test_sequences_break_replay_where_they_should():
+def chain_frames(frames: Frames, runs: list) -> list[int]:
+    """The block frames that the recorded chain runs were made on."""
+    base, stride = frames.points.ctypes.data, frames.points.strides[0]
+    return [(points.ctypes.data - base) // stride for points in runs]
+
+
+def test_sequences_break_certificates_where_they_should():
     pts = x_order_swap()
     assert pts[15, 4, 0] < pts[15, 5, 0]
     assert pts[16, 4, 0] == pts[16, 5, 0] and pts[17, 4, 0] > pts[17, 5, 0]
     pts = leftmost_swap()
     assert pts[16, 0, 0] == pts[16, 3, 0] and pts[15, 0, 0] < pts[15, 3, 0]
-    assert through_collinear()[16, 4].tolist() == [2.0, 0.0]
+    pts = through_collinear()
+    assert pts[16, 4].tolist() == [2.0, 0.0] and pts[28, 4].tolist() == [2.0, 3.0]
     pts = becoming_duplicates()
     assert (pts[16, 5] == pts[16, 4]).all() and not (pts[15, 5] == pts[15, 4]).all()
+    assert pts[24, 5].tolist() == [3.0, 0.0] and pts[32, 5].tolist() == [4.0, -1.0]
     pts = negative_zeros()
     assert np.signbit(pts[pts == 0.0]).any() and not np.signbit(pts[pts == 0.0]).all()
+    assert (pts[:, 4, 0] == 0.0).all()
     assert len(np.unique(two_distinct_between()[16], axis=0)) == 2
 
 
@@ -122,30 +153,76 @@ def test_consecutive_frames_match_frozen_chain(monkeypatch, name):
     runs = count_chain_runs(monkeypatch)
     frames = Frames(SEQUENCES[name]())
     assert_frozen(frames)
-    assert len(runs) < len(frames)  # some frames replayed
+    assert chain_frames(frames, runs) == CHAIN_FRAMES[name]
 
 
-def recorded_run(points: np.ndarray):
-    """The trace of the chain's run on one (n, 2) frame with ``record``."""
-    order, fresh = geometry._presort(points[None])
-    hull, trace = geometry._monotone_chain(points, order[0][fresh[0]], True)
-    assert points[hull].tobytes() == frozen_convex_hull(points).tobytes()
-    return trace
+def certify(points, hull) -> bool:
+    """Whether the (n, 2) frame ``points`` keeps ``hull``."""
+    points = np.asarray(points, dtype=float)[None]
+    keeps, _, _ = geometry._certify(points, np.asarray(hull), geometry._smallest_points(points))
+    return bool(keeps[0])
 
 
-def test_duplicate_and_two_point_frames_store_no_trace():
-    for pts in (becoming_duplicates()[16], two_distinct_between()[16]):
-        assert recorded_run(pts) is None
-    assert isinstance(recorded_run(x_order_swap()[0]), geometry.HullTrace)
+def test_duplicate_and_edge_points_fail_the_certificate(monkeypatch):
+    square = np.array(SQUARE + [(1.0, 2.0)])
+    assert certify(square, [0, 1, 2, 3])
+    assert certify(np.vstack([square, [(1.0, 2.0)]]), [0, 1, 2, 3])  # interior duplicate
+    runs = count_chain_runs(monkeypatch)
+    for point in [(4.0, 4.0), (-0.0, 4.0), (4.0, 1.5), (5.0, 2.0)]:  # vertex duplicates,
+        frame = np.vstack([square, [point]])  # a point on an edge, one outside
+        assert not certify(frame, [0, 1, 2, 3])
+        runs.clear()
+        frames = Frames(np.stack([np.vstack([square, [(2.0, 2.0)]]), frame]))
+        assert_frozen(frames)
+        assert chain_frames(frames, runs) == [0, 1]
+    runs.clear()
+    frames = Frames(np.array([[(0.0, 0.0), (1.0, 1.0)], [(1.0, 1.0), (0.0, 0.0)]]))
+    assert_frozen(frames)  # a two-point hull certifies nothing
+    assert chain_frames(frames, runs) == [0, 1]
+
+
+def test_point_within_the_error_bound_runs_the_chain(monkeypatch):
+    # (1.5, 0.5 + 2^-53) is exactly left of the edge (0, 0)-(3, 1), by 3 * 2^-53,
+    # but its float cross product does not exceed the error bound
+    hull = [(0.0, 0.0), (3.0, 1.0), (0.0, 3.0)]
+    inner = (1.5, math.nextafter(0.5, 1.0))
+    (ox, oy), (ax, ay), (px, py) = hull[0], hull[1], inner
+    exact = (Fraction(ax) - Fraction(ox)) * (Fraction(py) - Fraction(oy)) \
+        - (Fraction(ay) - Fraction(oy)) * (Fraction(px) - Fraction(ox))
+    left, right = (ax - ox) * (py - oy), (ay - oy) * (px - ox)
+    assert exact > 0 and 0.0 < left - right <= geometry._CCW_BOUND * (abs(left) + abs(right))
+    runs = count_chain_runs(monkeypatch)
+    frames = Frames(np.array([hull + [(1.0, 1.0)], hull + [inner]]))
+    assert_frozen(frames)
+    assert chain_frames(frames, runs) == [0, 1]
+    # a point clear of the bound certifies
+    runs.clear()
+    frames = Frames(np.array([hull + [(1.0, 1.0)], hull + [(1.5, 0.625)]]))
+    assert_frozen(frames)
+    assert chain_frames(frames, runs) == [0]
+
+
+def test_new_smallest_vertex_rotates_the_hull(monkeypatch):
+    # the smallest point moves from vertex 0 to vertex 3 of the same hull
+    first = [(0.0, 1.0), (2.0, 0.0), (3.0, 2.0), (1.0, 3.0), (1.5, 1.5)]
+    second = [(0.5, 1.0), (2.0, 0.0), (3.0, 2.0), (0.25, 3.0), (1.5, 1.5)]
+    runs = count_chain_runs(monkeypatch)
+    frames = Frames(np.array([first, second]))
+    idx, counts = frames.hull_indices
+    assert idx[0, :counts[0]].tolist() == [0, 1, 2, 3]
+    assert idx[1, :counts[1]].tolist() == [3, 0, 1, 2]
+    assert_frozen(frames)
+    assert chain_frames(frames, runs) == [0]
 
 
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
 def test_block_splits_match_frozen_chain(monkeypatch, name):
     pts = SEQUENCES[name]()
     traj = Trajectory(np.arange(len(pts), dtype=float), pts)
-    # shrink the block budget as seven_frame_blocks does, to runs that still replay
-    size = 2 * geometry._REPLAY_RUN
-    monkeypatch.setattr(geometry, "_BLOCK_BYTES", size * 16 * traj.n_points ** 2)
+    # shrink the block budget as seven_frame_blocks does, to 16-frame blocks
+    # whose frames still check a certificate one at a time
+    size = 16
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", size * 16 * traj.n_points)
     assert geometry.block_size(traj.n_points) == size
     runs = count_chain_runs(monkeypatch)
     times = traj.sample_times(0.25)
@@ -153,7 +230,21 @@ def test_block_splits_match_frozen_chain(monkeypatch, name):
     assert len(blocks) > 2
     for frames in blocks:
         assert_frozen(frames)
-    assert len(runs) < len(times)
+    if name == "negative-zeros":  # a point on an edge in every frame
+        assert len(runs) == len(times)
+    else:
+        assert len(runs) < len(times)
+
+
+def test_over_budget_certificates_run_the_chain(monkeypatch):
+    pts = x_order_swap()
+    h, n = 4, pts.shape[1]
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 32 * h * n - 1)
+    assert geometry.certificate_block(h, n) == 0
+    runs = count_chain_runs(monkeypatch)
+    frames = Frames(pts)
+    assert_frozen(frames)
+    assert len(runs) == len(frames)
 
 
 @pytest.mark.parametrize("n, seed", [(8, 6), (64, 15)])
@@ -161,6 +252,18 @@ def test_sampled_walk_hulls_match_frozen_chain(n, seed):
     traj = random_walk(n=n, seed=seed, steps=10)
     for frames in traj.frame_blocks(traj.sample_times(1e-3)[::7]):
         assert_frozen(frames)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("seed", [4, 27])
+def test_walks_workload_hulls_match_frozen_chain(monkeypatch, n, seed):
+    # walks shaped as the benchmark's: 20 steps over 0.4 time units, dt = 1e-3
+    traj = random_walk(n=n, seed=seed, steps=20, duration=0.4)
+    times = traj.sample_times(1e-3)
+    runs = count_chain_runs(monkeypatch)
+    for frames in traj.frame_blocks(times):
+        assert_frozen(frames)
+    assert 0 < len(runs) < 0.2 * len(times)
 
 
 def test_chain_runs_on_few_small_frames(monkeypatch):
@@ -184,25 +287,26 @@ def test_one_frame_hull_is_the_chain():
 
 
 def drifting_cloud(n: int = 4000) -> tuple[np.ndarray, Trajectory]:
-    """An n-point cloud in an ellipse, and its trajectory over one time unit
-    under a small translation: every frame sorts its points the same way."""
+    """An n-point cloud, an ellipse inside the rectangle of its four
+    corners, and its trajectory over one time unit under a small
+    translation: every frame's hull is the four corners."""
     rng = np.random.default_rng(11)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    base = np.column_stack([3.0 * np.cos(phi), np.sin(phi)]) * np.sqrt(rng.uniform(0, 1, (n, 1)))
+    phi = rng.uniform(0.0, 2.0 * math.pi, n - 4)
+    inner = np.column_stack([3.0 * np.cos(phi), np.sin(phi)]) * np.sqrt(rng.uniform(0, 1, (n - 4, 1)))
+    base = np.vstack([inner, [(-3.1, -1.1), (3.1, -1.1), (3.1, 1.1), (-3.1, 1.1)]])
     return base, Trajectory(np.array([0.0, 1.0]), np.stack([base, base + [0.01, 0.002]]))
 
 
 def recorded_chain(monkeypatch, base: np.ndarray) -> list:
-    """Replace the chain by a copy of its run on ``base``, counted: a frame
-    of the drifting cloud then checks and replays that real trace, and each
-    run makes a trace of its own, as the chain does, without the chain's
-    per-point Python loop under tracing."""
-    order, fresh = geometry._presort(base[None])
-    hull, trace = geometry._monotone_chain(base, order[0][fresh[0]], True)
-    assert trace is not None
+    """Replace the chain by a copy of its run on ``base``, counted: every
+    frame of the drifting cloud has that hull, which the other frames of a
+    block then certify, without the chain's per-point Python loop under
+    tracing."""
+    hull = geometry._monotone_chain(base)
+    assert len(hull) == 4
     runs = []
-    monkeypatch.setattr(geometry, "_monotone_chain", lambda points, order, record:
-                        runs.append(1) or (hull.copy(), copy.deepcopy(trace) if record else None))
+    monkeypatch.setattr(geometry, "_monotone_chain",
+                        lambda points, keep=None: runs.append(1) or hull.copy())
     return runs
 
 
@@ -215,26 +319,27 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def test_replayed_runs_stay_within_the_block_budget(monkeypatch):
+def test_certified_runs_stay_within_the_block_budget(monkeypatch):
     # 4000 points, 300 samples: all positions of the run would take
     # 300 * 4000 * 16 bytes = 19.2 MB at once.  Each block's frames check
-    # one trace of 12 * 4000 point indices, trace_block frames at a time.
+    # one 4-edge certificate, certificate_block(4, 4000) = 2 frames at a time.
     base, traj = drifting_cloud()
     dt = 1.0 / 299
     assert len(traj.sample_times(dt)) == 300
+    assert geometry.certificate_block(4, 4000) == 2
     blocks = math.ceil(300 / geometry.block_size(4000))
     runs = recorded_chain(monkeypatch, base)
     for run in (lambda: track_topological(traj, DescriptorKind.OBB, dt),
                 lambda: chase(traj, dt=dt)):
         runs.clear()
         assert traced_peak(run) < 300 * 4000 * 16 / 3
-        assert 0 < len(runs) <= blocks  # every other frame replayed
+        assert 0 < len(runs) <= blocks  # every other frame certified
 
 
 def test_flip_bisections_stay_within_the_block_budget(monkeypatch):
     # Jumps of a 4000-point cloud, bisected in groups whose midpoints are
     # one block of frames each.  Groups of block_size(4000) = 16 midpoints
-    # would peak above the bound at 32 jumps; trace_block(4000) = 2 do not.
+    # would peak above the bound at 32 jumps; the budget's groups do not.
     # The threshold exceeds every gap, so no flip is located or swept.
     base, traj = drifting_cloud()
     recorded_chain(monkeypatch, base)
