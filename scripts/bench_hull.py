@@ -14,8 +14,6 @@ per label or workload, the rest of the file kept):
 
     # flip location on the walks corpora of one source tree
     python3 scripts/bench_hull.py flips --label change --out BENCH_flips.json
-    python3 scripts/bench_hull.py flips --label parent --src ../parent/src \\
-        --out BENCH_flips.json
 
     # wall time of each verify claim of one source tree
     python3 scripts/bench_hull.py claims --label change --out BENCH_claims.json
@@ -50,14 +48,17 @@ blocks.
 
 ``flips`` runs ``track_topological`` (obb, strip, pc) at dt = 1e-3 on the
 48 walks of the kinobench ``walks`` corpus of each seed (``--seeds``,
-default 1 and 9) and records per kind: the jumps handed to flip location,
-the tie jumps among them (two co-optima at a bounding sample lie within
-``TIE_ANGLE`` of the jump's two ends), the
-located and the dismissed flips, the location rounds of each group of
-jumps (lockstep rounds, root-finding and bisection together; on a tree
-that only bisects, its solves less one per sweep chunk), and the seconds
-spent locating and sweeping.  A tree that root-finds also records the
-jumps root-found and bisected.
+default 1 and 9) and records per kind: the jumps (steered hull-edge pair
+changes) and the flips recorded; the jumps that start tied and were
+located where the tie ends (``tie_exits``), the jumps split at a third
+optimum (``splits``) and the jumps and split halves not bracketed
+(``unbracketed``); the located flips dropped at the 1e-9 gap floor
+(``floor_dropped``); the ``pc`` isotropic instants; the root-finding
+rounds of each group of jumps, every pass of a split included; and the
+seconds spent locating and sweeping.  It patches the tracker's flip
+location by name, so it runs on trees that locate flips as changes of
+optimal identity; the parent rows of ``BENCH_flips.json`` from before
+that came from the parent commit's own script.
 
 ``claims`` evaluates every entry of ``verify.CLAIMS`` with the suite
 options ``--seed``, ``--grid``, ``--walks`` and ``--samples`` (the
@@ -93,7 +94,6 @@ MAX_CALLS = 200  # ... or this many times, whichever comes first
 CORE_SIZES = (8, 64)
 CORE_SEEDS = (0, 1, 2, 3)
 CORE_DT = 1e-3
-TIE_ANGLE = 0.02  # rad: more than a hull edge of these walks turns in one sample step
 END_TO_END = ("setup_s", "wall_s", "samples_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
 
 
@@ -270,14 +270,12 @@ def run_flips(args) -> dict:
     """Flip location on the walks corpora, per seed and kind: see the module docstring."""
     sys.path.insert(0, str(Path(args.src).resolve()))
     from kinostable import tracker
-    from kinostable.angles import angular_distance
     from kinostable.scenarios import random_walk
-    from kinostable.solvers import optimal
 
     stats: dict = {}
-    real = {name: getattr(tracker, name) for name in
-            ("_locate_flips", "_locate_group", "_sweeps", "block_optima", "_edge_crossings",
-             "_bisect") if hasattr(tracker, name)}
+    names = ("_locate_flips", "_isotropic_flips", "_locate_group", "_edge_crossings",
+             "_sweeps", "_isotropic_instants")
+    real = {name: getattr(tracker, name) for name in names}
 
     def timed(name, key):
         def run(*a):
@@ -290,50 +288,37 @@ def run_flips(args) -> dict:
 
     def group(traj, kind, period, jumps):
         stats["groups"] += 1
-        stats["solves"] = 0
-        rounds = []
-        stats["rounds_now"] = rounds
-        flips = real["_locate_group"](traj, kind, period, jumps)
-        if "_edge_crossings" not in real:  # one solve per bisection round, one per sweep chunk
-            size = tracker.table_block(traj.n_points, tracker._SWEEP_GRID + 1)
-            rounds.append(stats["solves"] - math.ceil(len(flips) / size))
-        stats["rounds"].append(sum(rounds))
+        stats["passes"] = []
+        try:
+            return real["_locate_group"](traj, kind, period, jumps)
+        finally:
+            stats["rounds"].append(sum(stats["passes"]))
+
+    def crossings(traj, kind, period, t_lo, t_hi, pair_lo, pair_hi):
+        out = real["_edge_crossings"](traj, kind, period, t_lo, t_hi, pair_lo, pair_hi)
+        if stats["passes"]:  # the halves of jumps split at a third optimum
+            stats["splits"] += len(t_lo) // 2
+        else:
+            stats["tie_exits"] += int((out[3] & out[4]).sum())
+        stats["passes"].append(out[6])
+        stats["unbracketed"] += int((~out[3]).sum())
+        return out
+
+    def sweeps(kind, period, points, a_from, *rest):
+        flips = timed("_sweeps", "sweep_s")(kind, period, points, a_from, *rest)
+        stats["floor_dropped"] += len(a_from) - len(flips)
         return flips
 
-    def solve(frames, kinds):
-        stats["solves"] += 1
-        return real["block_optima"](frames, kinds)
-
-    def crossings(*a):
-        out = real["_edge_crossings"](*a)
-        stats["rounds_now"].append(out[4])
-        stats["root_found"] += int(out[3].sum())
-        return out
-
-    def bisect(*a):
-        out = real["_bisect"](*a)
-        stats["rounds_now"].append(out[5])
-        stats["bisected"] += len(out[0])
-        return out
-
-    def tie_jump(traj, kind, period, jump) -> bool:
-        """Both ends of the jump are co-optima at one of its bounding samples:
-        two tied candidates there lie within ``TIE_ANGLE`` of its two ends."""
-        for t in (jump[0], jump[2]):
-            tied = optimal(traj.frame_at(t), kind).all_optima
-            near = [[angular_distance(a, c, period) <= TIE_ANGLE for c in tied]
-                    for a in (jump[1], jump[3])]
-            if any(p and q for k, p in enumerate(near[0]) for m, q in enumerate(near[1])
-                   if k != m):
-                return True
-        return False
+    def instants(traj):
+        found = real["_isotropic_instants"](traj)
+        stats["isotropic_instants"] += len(found)
+        return found
 
     out = {}
     patched = {"_locate_flips": timed("_locate_flips", "locate_s"),
-               "_sweeps": timed("_sweeps", "sweep_s"), "_locate_group": group,
-               "block_optima": solve}
-    if "_edge_crossings" in real:
-        patched.update(_edge_crossings=crossings, _bisect=bisect)
+               "_isotropic_flips": timed("_isotropic_flips", "locate_s"),
+               "_sweeps": sweeps, "_locate_group": group,
+               "_edge_crossings": crossings, "_isotropic_instants": instants}
     for name, fn in patched.items():
         setattr(tracker, name, fn)
     try:
@@ -341,26 +326,23 @@ def run_flips(args) -> dict:
             walks = walks_corpus(seed, random_walk)
             per_kind = {}
             for kind in ("obb", "strip", "pc"):
-                stats.update(groups=0, rounds=[], locate_s=0.0, sweep_s=0.0, root_found=0,
-                             bisected=0, solves=0)
-                jumps = tie = flips = 0
+                stats.update(groups=0, rounds=[], locate_s=0.0, sweep_s=0.0, tie_exits=0,
+                             splits=0, unbracketed=0, floor_dropped=0, isotropic_instants=0)
+                jumps = flips = 0
                 for traj in walks:
                     found = []
                     setattr(tracker, "_locate_flips", lambda tr, k, p, j, found=found:
                             found.extend(j) or patched["_locate_flips"](tr, k, p, j))
                     flips += len(tracker.track_topological(traj, kind, CORE_DT).flips)
                     jumps += len(found)
-                    period = tracker.tracking_period(kind)
-                    tie += sum(tie_jump(traj, kind, period, j) for j in found)
-                row = {"jumps": jumps, "tie_jumps": tie, "located_flips": flips,
-                       "dismissed": jumps - flips, "groups": stats["groups"],
+                row = {"jumps": jumps, "located_flips": flips, "groups": stats["groups"],
                        "rounds_per_group": stats["rounds"],
                        "median_rounds_per_group": (statistics.median(stats["rounds"])
                                                    if stats["rounds"] else 0),
                        "locate_s": stats["locate_s"] - stats["sweep_s"],
                        "sweep_s": stats["sweep_s"]}
-                if "_edge_crossings" in real:
-                    row.update(root_found=stats["root_found"], bisected=stats["bisected"])
+                row.update({key: stats[key] for key in ("tie_exits", "splits", "unbracketed",
+                                                        "floor_dropped", "isotropic_instants")})
                 per_kind[kind] = row
                 print(seed, kind, json.dumps({k: v for k, v in row.items()
                                               if k != "rounds_per_group"}), flush=True)

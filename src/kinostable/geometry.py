@@ -506,15 +506,14 @@ def diametric_box(points) -> DiametricBox:
                         float(box.width[0]), float(box.aspect[0]))
 
 
-def frame_diameters(frames: Frames, rows: np.ndarray | None = None) -> np.ndarray:
-    """Largest pairwise distance of every frame of a block, or of its frames ``rows``."""
-    rows = np.arange(len(frames)) if rows is None else rows
+def frame_diameters(frames: Frames) -> np.ndarray:
+    """Largest pairwise distance of every frame of a block."""
     if frames.n_points <= _BRUTE_FORCE_LIMIT:
         step = pair_block(frames.n_points)
         return np.sqrt(np.concatenate([
-            _brute_distances(frames.points[rows[lo:lo + step]]).max(axis=(1, 2))
-            for lo in range(0, len(rows), step)]))
-    return np.sqrt([_hull_distances(frames.hull(b))[2].max() for b in rows.tolist()])
+            _brute_distances(frames.points[lo:lo + step]).max(axis=(1, 2))
+            for lo in range(0, len(frames), step)]))
+    return np.sqrt([_hull_distances(frames.hull(b))[2].max() for b in range(len(frames))])
 
 
 def frame_diameter(points) -> float:

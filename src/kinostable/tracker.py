@@ -7,28 +7,24 @@ orientations, and scores them at once.  ``track_topological`` steers to the
 optimum with array arithmetic, ``chasing.chase`` toward the diametric pair
 at a capped speed, in a loop on floats.
 
-The topological tracker outputs an optimal orientation at every sample.
-Box and strip optima lie on hull edge orientations (Freeman and Shapira,
-1975), and the solve keeps each candidate's edge as a vertex pair.  Where
-several candidates tie with the optimum (within ``solvers._COST_TIE_REL``),
-the output is the tied one nearest the previous output: moving among
-co-optima is no flip.  When the output jumps between samples from edge A
-to edge B, the jump is located at the root of cost_A(t) - cost_B(t), each
-cost taken at its own edge's orientation at t, by regula falsi: a round
-scores two orientations per jump, with no hull and no solve.  The solve
-made at the root for the sweep must find A or B among the co-optima.  A
-jump falls back to bisecting the instant where the optimum switches sides
-(each round solves every pending midpoint) for ``pc``, which has no edge
-candidates, and where the steered pair did not change, A and B tie at the
-earlier sample, the costs do not cross, a probed frame is rejected, the
-root-finding takes more than ``_ROOT_ROUNDS`` rounds, or the solve at the
-root finds a third optimum.  All jumps of a run are located in lockstep.
-A jump whose located orientations lie within its drift threshold was fast
-continuous drift, and records nothing.  At the located instant the output
-conceptually sweeps the arc between the two optima; the sweep direction is
-the one whose worst intermediate cost is smaller, and that worst swept
-cost/ratio is recorded as a flip event of zero simulated duration.  The
-located flips are swept in lockstep too, scored as the solves are scored.
+The topological tracker outputs an optimal orientation at every sample,
+and records a flip where the optimum it steers to changes identity, and
+nowhere else.  Where several candidates tie with the optimum (within
+``solvers._COST_TIE_REL``), the output is the tied one nearest the
+previous output: moving among co-optima is no flip.  Box and strip optima
+lie on hull edge orientations (Freeman and Shapira, 1975), and their
+identity is that edge.  A jump, a sample step where the steered edge
+changes from A to B, is located by cost-only root-finding where A stops
+being optimal against B, or where A and B tie at the earlier sample,
+where A leaves the tie; where a third edge C is optimal at that instant,
+it splits into A -> C and C -> B.  The principal axis changes identity
+where the scatter matrix is isotropic, at instants found in closed form
+from the keyframes.  At a located instant the output conceptually sweeps
+the arc between the two optima, in the direction whose worst cost is
+smaller, and that worst swept cost/ratio is recorded as a flip event of
+zero simulated duration, unless the two optima lie within 1e-9: the
+identity then changed continuously, as where a vertex crosses the optimal
+edge.  All jumps of a run are located and swept in lockstep.
 
 Box orientations are tracked modulo pi/2 (the box cost is pi/2-periodic,
 so a quarter-turn relabeling of the axes is not a real flip); axis and
@@ -53,22 +49,26 @@ from .angles import (
 )
 from .costs import DescriptorKind, frame_costs
 from .errors import DegenerateInputError
-from .geometry import Frames, block_size, frame_diameters, frame_faults, table_block
+from .geometry import Frames, block_size, frame_faults, table_block
 from .ratios import ratios
-from .solvers import _COST_TIE_REL, BlockOptima, block_optima, orientation_costs
+from .solvers import (
+    _COST_TIE_REL,
+    _EIGEN_TIE_REL,
+    BlockOptima,
+    _segment_moments,
+    block_optima,
+    orientation_costs,
+)
 from .trajectory import Trajectory
 
-# A jump larger than this many dt-steps' worth of plausible optimum drift
-# (point speed over diameter) is treated as a flip rather than drift.
-_FLIP_SPEED_FACTOR = 10.0
 _DIRECTION_GRID = 64
 _SWEEP_GRID = 512
-_BISECT_ITERS = 80
+_GAP_FLOOR = 1e-9  # a flip whose two ends lie at most this far apart records nothing
 _REFINE_ITERS = 60
-# Regula falsi rounds after the endpoint round before a jump falls back to
-# bisection, and the bracket width, relative to its time, that ends them.
-_ROOT_ROUNDS = 12
+# The bracket width, relative to its time, at which a root is found, and
+# the rounds a bracket may go without halving before it takes its midpoint.
 _ROOT_XTOL = 1e-13
+_STALE_ROUNDS = 8
 
 _atan2 = elementwise(math.atan2, 2)
 
@@ -200,187 +200,149 @@ def _arc_worst(frames: Frames, kind, start: np.ndarray, signed_len: np.ndarray,
     return offsets[rows, best], values[rows, best]
 
 
-def _sweeps(frames: Frames, kind, period, a_from: np.ndarray, a_to: np.ndarray,
+def _sweeps(kind, period, points: np.ndarray, a_from: np.ndarray, a_to: np.ndarray,
             opt_cost: np.ndarray, times: np.ndarray) -> list[FlipEvent]:
-    """The flip sweep of each frame of a block from ``a_from`` to ``a_to``:
-    the direction with the smaller sampled worst cost, then the worst cost
-    along it, refined around the sampled maximum."""
-    start, end = canonical_array(a_from, period), canonical_array(a_to, period)
-    gap_up = (end - start) % period
-    gap_down = period - gap_up
-    _, worst_up = _arc_worst(frames, kind, a_from, gap_up, _DIRECTION_GRID)
-    _, worst_down = _arc_worst(frames, kind, a_from, -gap_down, _DIRECTION_GRID)
-    signed_len = np.where(worst_up <= worst_down, gap_up, -gap_down)
-    off, worst = _arc_worst(frames, kind, a_from, signed_len, _SWEEP_GRID)
-    step = np.abs(signed_len) / _SWEEP_GRID
-    lo = np.maximum(off - step, np.minimum(0.0, signed_len))
-    hi = np.minimum(off + step, np.maximum(0.0, signed_len))
-    refine = np.flatnonzero(hi > lo)
-    if len(refine):
-        off_ref, worst_ref = _refine_max(frames.points[refine], kind, a_from[refine],
-                                         lo[refine], hi[refine])
-        better = worst_ref > worst[refine]
-        off[refine[better]], worst[refine[better]] = off_ref[better], worst_ref[better]
-    columns = (times, start, end, np.where(signed_len >= 0.0, 1, -1), np.abs(signed_len),
-               canonical_array(a_from + off, period), worst, opt_cost, ratios(worst, opt_cost))
-    return [FlipEvent(*row) for row in zip(*(col.tolist() for col in columns))]
+    """The flip sweep at each frame of a (F, n, 2) block from ``a_from`` to
+    ``a_to``, ``table_block`` frames at a time: the direction with the
+    smaller sampled worst cost, then the worst cost along it, refined around
+    the sampled maximum.  A flip whose two ends lie at most ``_GAP_FLOOR``
+    apart modulo ``period`` records nothing: the optimum changed identity
+    continuously there."""
+    keep = np.flatnonzero(~(angular_distances(a_from, a_to, period) <= _GAP_FLOOR))
+    size, flips = table_block(points.shape[1], _SWEEP_GRID + 1), []
+    for lo in range(0, len(keep), size):
+        part = keep[lo:lo + size]
+        frames, a_from_p = Frames(points[part]), a_from[part]
+        start, end = canonical_array(a_from_p, period), canonical_array(a_to[part], period)
+        gap_up = (end - start) % period
+        gap_down = period - gap_up
+        _, worst_up = _arc_worst(frames, kind, a_from_p, gap_up, _DIRECTION_GRID)
+        _, worst_down = _arc_worst(frames, kind, a_from_p, -gap_down, _DIRECTION_GRID)
+        signed_len = np.where(worst_up <= worst_down, gap_up, -gap_down)
+        off, worst = _arc_worst(frames, kind, a_from_p, signed_len, _SWEEP_GRID)
+        step = np.abs(signed_len) / _SWEEP_GRID
+        lo_x = np.maximum(off - step, np.minimum(0.0, signed_len))
+        hi_x = np.minimum(off + step, np.maximum(0.0, signed_len))
+        refine = np.flatnonzero(hi_x > lo_x)
+        if len(refine):
+            off_ref, worst_ref = _refine_max(frames.points[refine], kind, a_from_p[refine],
+                                             lo_x[refine], hi_x[refine])
+            better = worst_ref > worst[refine]
+            off[refine[better]], worst[refine[better]] = off_ref[better], worst_ref[better]
+        columns = (times[part], start, end, np.where(signed_len >= 0.0, 1, -1),
+                   np.abs(signed_len), canonical_array(a_from_p + off, period), worst,
+                   opt_cost[part], ratios(worst, opt_cost[part]))
+        flips += [FlipEvent(*row) for row in zip(*(col.tolist() for col in columns))]
+    return flips
 
 
 class Jump(NamedTuple):
-    """An output jump between the samples ``t_lo`` and ``t_hi``: the steered
-    orientations at both, the drift threshold its located gap must exceed,
-    and the steered hull-edge pairs at both (None for ``pc``)."""
+    """A change of the steered edge between the samples ``t_lo`` and ``t_hi``,
+    from ``pair_lo`` (A) to ``pair_hi`` (B), each a (tail, head) index pair."""
 
     t_lo: float
-    a_lo: float
     t_hi: float
-    a_hi: float
-    threshold: float
-    pair_lo: tuple[int, int] | None = None
-    pair_hi: tuple[int, int] | None = None
-
-
-def _edge_angles(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Canonical orientation of each frame's edge ``pairs[b]`` (tail, head),
-    with the arithmetic of ``solvers._edge_candidates``."""
-    rows = np.arange(len(points))
-    vec = points[rows, pairs[:, 1]] - points[rows, pairs[:, 0]]
-    return canonical_array(_atan2(vec[:, 1], vec[:, 0]))
+    pair_lo: tuple[int, int]
+    pair_hi: tuple[int, int]
 
 
 def _edge_crossings(traj: Trajectory, kind, period, t_lo: np.ndarray, t_hi: np.ndarray,
                     pair_lo: np.ndarray, pair_hi: np.ndarray):
     """Where each jump's departing edge A stops being optimal against its
-    arriving edge B: the root in (t_lo, t_hi) of f(t) = cost_A(t) - cost_B(t),
-    each cost taken at its own edge's orientation at t.
+    arriving edge B: the root in its bracket of g = f = cost_A - cost_B,
+    each cost taken at its own edge's orientation at t, or, where A and B
+    tie at t_lo (f at least minus ``_COST_TIE_REL`` of cost_B), of
+    g = h = f - ``_COST_TIE_REL`` * |cost_B|: where A leaves the tie band,
+    which is where ``_steer`` leaves A.
 
-    Regula falsi with the Anderson-Bjorck rule (1973), all jumps in
-    lockstep: a round interpolates each bracket to a new time and replaces
-    the end whose sign the new value shares; where the same end is replaced
-    twice running, the kept end's value is scaled by 1 - f(new) / f(old),
-    or halved where that is not positive (the Illinois rule of Dowell and
-    Jarratt, 1971).  A jump is found when its bracket is at most
-    ``_ROOT_XTOL`` wide, relative to its time, or when its interpolant
-    rounds onto an end.  It is not found (``ok`` False) when f(t_lo) is not
-    below minus the tie tolerance (``_COST_TIE_REL`` of cost_B): A and B
-    tie there, f is flat until A leaves the tie, and regula falsi creeps
-    along the flat part; nor when f(t_hi) is not positive, a probed frame
-    is rejected, or ``_ROOT_ROUNDS`` rounds do not suffice.  Returns (t,
-    start, end, ok, rounds): the end with the smaller |f|, the two edges'
-    orientations there modulo ``period``, and the rounds made, the
-    endpoint round included.
+    All jumps are root-found in lockstep, one probe per open bracket a
+    round, each scoring two orientations with no hull and no solve.  A probe
+    is regula falsi with the Anderson-Bjorck rule (1973), kept
+    ``_ROOT_XTOL`` / 2 inside the bracket, relative to its time, so that a
+    root at an end closes the bracket at once.  A tie jump bisects instead,
+    as regula falsi creeps along the flat part of h, and so does a bracket
+    that has not halved in ``_STALE_ROUNDS`` rounds: every bracket closes to
+    ``_ROOT_XTOL``.
+
+    Returns (t, start, end, ok, tie, faults, rounds): the end with the
+    smaller |g|, the two edges' orientations there modulo ``period``, whether
+    the jump is bracketed (g(t_lo) <= 0 < g(t_hi), and for a tie jump A and
+    B more than ``_GAP_FLOOR`` apart at t_lo: else they were one box there),
+    whether it is a tie jump, each rejected probe's message by row, and the
+    rounds made.
     """
     size = len(t_lo)
 
     def score(t, rows):
-        """f at each probe, A's and B's orientations there, cost_B, and
-        whether the probe's frame is rejected."""
+        """f at each probe, its tie band, A's and B's orientations there (as
+        ``solvers._edge_candidates`` computes them), and the rejected probes."""
         points = np.concatenate([traj.positions_at_times(t)] * 2)
-        ang = _edge_angles(points, np.concatenate([pair_lo[rows], pair_hi[rows]]))
+        m, edges = len(rows), np.concatenate([pair_lo[rows], pair_hi[rows]])
+        vec = points[np.arange(2 * m), edges[:, 1]] - points[np.arange(2 * m), edges[:, 0]]
+        ang = canonical_array(_atan2(vec[:, 1], vec[:, 0]))
         cost = frame_costs(points, (kind,), ang)[0]
-        m = len(rows)
-        bad = np.zeros(m, dtype=bool)
-        bad[list(frame_faults(points[:m]))] = True
-        return cost[:m] - cost[m:], ang[:m], ang[m:], cost[m:], bad
+        band = _COST_TIE_REL * (np.abs(cost[m:]) + 1e-300)
+        return cost[:m] - cost[m:], band, ang[:m], ang[m:], frame_faults(points[:m])
 
-    f, ang_a, ang_b, cost_b, _ = score(np.concatenate([t_lo, t_hi]), np.tile(np.arange(size), 2))
-    # row 0 the low end of each bracket, row 1 the high end; ``values`` are
-    # f as the Anderson-Bjorck rule scales it, ``residual`` f as probed
-    ends, residual = np.stack([t_lo, t_hi]), f.reshape(2, size)
+    f, band, ang_a, ang_b, _ = score(np.concatenate([t_lo, t_hi]), np.tile(np.arange(size), 2))
+    tie = f[:size] >= -band[:size]
+    # row 0 the low end of each bracket, row 1 the high end; ``residual`` is
+    # g = f, or h for a tie jump, as probed, ``values`` g as the
+    # Anderson-Bjorck rule scales it
+    ends = np.stack([t_lo, t_hi]).astype(float)
+    residual = (f - np.where(np.tile(tie, 2), band, 0.0)).reshape(2, size)
     values = residual.copy()
     angles = np.stack([ang_a.reshape(2, size), ang_b.reshape(2, size)], axis=1)
-    ok = (values[0] < -_COST_TIE_REL * (np.abs(cost_b[:size]) + 1e-300)) & (0.0 < values[1])
-    side = np.zeros(size, dtype=np.int8)  # the end the last round replaced: -1 low, 1 high
+    one_box = angular_distances(ang_a[:size], ang_b[:size], period) <= _GAP_FLOOR
+    ok = (residual[0] <= 0.0) & (0.0 < residual[1]) & ~(tie & one_box)
+    faults = {}
+    side = np.zeros(size, dtype=np.int8)  # the end the last probe replaced: -1 low, 1 high
+    stale, span = np.zeros(size, dtype=np.intp), ends[1] - ends[0]  # since the last halving
     rounds = 1
 
-    def open_brackets():
-        return ok & (ends[1] - ends[0] > _ROOT_XTOL * np.maximum(1.0, np.abs(ends[1])))
-
-    for _ in range(_ROOT_ROUNDS):
-        idx = np.flatnonzero(open_brackets())
-        lo, hi = ends[:, idx]
-        c = hi - values[1, idx] * (hi - lo) / (values[1, idx] - values[0, idx])
-        # an interpolant that rounds onto an end has found the root there
-        for end, stuck in ((0, ~(lo < c)), (1, ~(c < hi))):
-            at = idx[stuck]
-            ends[1 - end, at], residual[1 - end, at] = ends[end, at], residual[end, at]
-            angles[1 - end, :, at] = angles[end, :, at]
-        inside = (lo < c) & (c < hi)
-        idx, c = idx[inside], c[inside]
+    while True:
+        idx = np.flatnonzero(ok & (ends[1] - ends[0]
+                                   > _ROOT_XTOL * np.maximum(1.0, np.abs(ends[1]))))
         if not len(idx):
             break
         rounds += 1
-        fc, ang_a, ang_b, _, bad = score(c, idx)
-        ok[idx[bad]] = False
-        up, down = ~bad & (fc > 0.0), ~bad & (fc < 0.0)
-        for end, again in ((1, up & (side[idx] == 1)), (0, down & (side[idx] == -1))):
-            at = idx[again]
-            m = 1.0 - fc[again] / values[end, at]
-            values[1 - end, at] *= np.where(m > 0.0, m, 0.5)
-        for end, keep in ((1, ~bad & (fc >= 0.0)), (0, ~bad & (fc <= 0.0))):
-            at = idx[keep]
-            ends[end, at], values[end, at], residual[end, at] = c[keep], fc[keep], fc[keep]
-            angles[end, 0, at], angles[end, 1, at] = ang_a[keep], ang_b[keep]
-        side[idx[up]], side[idx[down]] = 1, -1
-    ok &= ~open_brackets()
+        (lo, hi), (v_lo, v_hi), was, tied = ends[:, idx], values[:, idx], side[idx], tie[idx]
+        nudge = 0.5 * _ROOT_XTOL * np.maximum(1.0, np.abs(hi))
+        c = np.minimum(np.maximum(hi - v_hi * (hi - lo) / (v_hi - v_lo), lo + nudge), hi - nudge)
+        c = np.where((stale[idx] >= _STALE_ROUNDS) | tied, 0.5 * (lo + hi), c)
+
+        fc, band, ang_a, ang_b, bad = score(c, idx)
+        for i, message in bad.items():  # a rejected probe drops its bracket
+            faults[int(idx[i])] = message
+            ok[idx[i]] = False
+        g = fc - np.where(tied, band, 0.0)
+        up, down = g > 0.0, g < 0.0
+        # where one end is replaced twice running, the other end's value is scaled
+        m = 1.0 - g / np.where(up, v_hi, v_lo)
+        scale = np.stack([up & (was == 1), down & (was == -1)])
+        kept = np.where(scale, np.where(m > 0.0, m, 0.5) * values[:, idx], values[:, idx])
+        replace = np.stack([g <= 0.0, g >= 0.0])
+        ends[:, idx] = np.where(replace, c, ends[:, idx])
+        values[:, idx] = np.where(replace, g, kept)
+        residual[:, idx] = np.where(replace, g, residual[:, idx])
+        angles[:, :, idx] = np.where(replace[:, None], np.stack([ang_a, ang_b]),
+                                     angles[:, :, idx])
+        side[idx] = np.where(up, 1, np.where(down, -1, was))
+        width = ends[1, idx] - ends[0, idx]
+        halved = width <= 0.5 * span[idx]
+        span[idx] = np.where(halved, width, span[idx])
+        stale[idx] = np.where(halved, 0, stale[idx] + 1)
     pick = (np.abs(residual[1]) < np.abs(residual[0])).astype(np.intp)
     cols = np.arange(size)
     return (ends[pick, cols], canonical_array(angles[pick, 0, cols], period),
-            canonical_array(angles[pick, 1, cols], period), ok, rounds)
+            canonical_array(angles[pick, 1, cols], period), ok, tie, faults, rounds)
 
 
-def _bisect(traj: Trajectory, kind, period, t_lo, a_lo, t_hi, a_hi):
-    """Bisect each jump to the instant where the optimum switches sides:
-    every round solves the pending midpoints of all jumps as one block of
-    frames, with the arithmetic of one bisection per jump.  Returns the
-    narrowed (t_lo, a_lo, t_hi, a_hi), the message of every jump whose
-    midpoint was rejected, and the rounds made.
-    """
-    t_lo, a_lo, t_hi, a_hi = (np.array(x, dtype=float) for x in (t_lo, a_lo, t_hi, a_hi))
-    pending = np.ones(len(t_lo), dtype=bool)
-    faults: dict[int, str] = {}
-    rounds = 0
-    for _ in range(_BISECT_ITERS):
-        t_mid = 0.5 * (t_lo + t_hi)
-        pending &= (t_lo < t_mid) & (t_mid < t_hi)
-        idx = np.flatnonzero(pending)
-        if not len(idx):
-            break
-        rounds += 1
-        points = traj.positions_at_times(t_mid[idx])
-        bad = frame_faults(points)
-        for i, message in bad.items():
-            faults[int(idx[i])] = message
-        if bad:
-            keep = np.array([i not in bad for i in range(len(idx))])
-            idx, points = idx[keep], points[keep]
-            pending[list(faults)] = False
-        if not len(idx):
-            continue
-        a_mid = canonical_array(block_optima(Frames(points), (kind,))[0].alpha, period)
-        lower = (angular_distances(a_mid, a_lo[idx], period)
-                 <= angular_distances(a_mid, a_hi[idx], period))
-        t_lo[idx[lower]], a_lo[idx[lower]] = t_mid[idx[lower]], a_mid[lower]
-        t_hi[idx[~lower]], a_hi[idx[~lower]] = t_mid[idx[~lower]], a_mid[~lower]
-    return t_lo, a_lo, t_hi, a_hi, faults, rounds
-
-
-def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[FlipEvent]:
-    """Locate every jump's flip instant and sweep there.
-
-    ``jumps`` holds a ``Jump`` (or its first five fields) per jump, in time
-    order.  The jumps are located in consecutive groups of a quarter block,
-    because a group holds about four frame-sized arrays per jump at once:
-    its flip frames, both edges' probes in the root-finding, and in each
-    bisection round the midpoints' positions and hull index rows.  Sixteen
-    jumps of a 4000-point cloud, one block, peak at 4.2 MB traced; groups
-    of four stay near 1.7 MB.  A rejected midpoint or flip frame raises its
-    error where a one-jump-at-a-time location would have: after every
-    earlier jump's sweep.
-    """
-    jumps = [Jump(*jump) for jump in jumps]
-    n = traj.n_points
-    group = max(1, block_size(n) // 4)
+def _locate_flips(traj: Trajectory, kind, period, jumps: list[Jump]) -> list[FlipEvent]:
+    """Locate and sweep the flips of ``jumps`` (in time order), in groups of
+    a quarter block: a group holds a few frame-sized arrays per jump at
+    once, its probes and the frames at its roots."""
+    group = max(1, block_size(traj.n_points) // 4)
     flips = []
     for start in range(0, len(jumps), group):
         flips += _locate_group(traj, kind, period, jumps[start:start + group])
@@ -388,75 +350,115 @@ def _locate_flips(traj: Trajectory, kind, period, jumps: list[tuple]) -> list[Fl
 
 
 def _locate_group(traj: Trajectory, kind, period, jumps: list[Jump]) -> list[FlipEvent]:
-    """``_locate_flips`` on one block of jumps.
+    """``_locate_flips`` on one group of jumps.
 
-    A jump between two different hull-edge pairs A and B is located by
-    root-finding (``_edge_crossings``) and confirmed by the solve made at
-    the found instant for the sweep: A or B must tie with the optimum
-    there.  Every other jump (``pc``, an unchanged pair, a root not found
-    or not confirmed) is bisected (``_bisect``).  A jump whose located
-    orientations are at most its drift threshold apart was fast continuous
-    drift, not a flip, and records nothing.  The located flips are swept in
-    lockstep, ``table_block`` of them at a time.
+    Each jump A -> B is root-found (``_edge_crossings``) and the optimum
+    solved at its root.  Where A or B ties with it, the jump is a flip there
+    from A's orientation to B's.  Where a third edge C is optimal there, the
+    jump splits into A -> C before the root and C -> B after it, located in
+    the next lockstep pass.  A jump that is not bracketed records nothing:
+    A is no worse than B at t_hi, and the steering moved among co-optima.
+    A rejected probe raises its error after every earlier jump's sweep, as
+    one jump at a time would.
     """
-    count = len(jumps)
-    t_lo, a_lo, t_hi, a_hi, threshold = (np.array(col, dtype=float)
-                                         for col in list(zip(*jumps))[:5])
-    limit = np.where(1e-9 > threshold, 1e-9, threshold)
-    t_flip, opt_cost = 0.5 * (t_lo + t_hi), np.empty(count)
-    points = np.empty((count, traj.n_points, 2))
-    located = np.zeros(count, dtype=bool)
-    bisect = np.ones(count, dtype=bool)
-
-    edge = np.flatnonzero([j.pair_lo is not None and tuple(j.pair_lo) != tuple(j.pair_hi)
-                           for j in jumps])
-    if len(edge):
-        pair_lo = np.array([jumps[i].pair_lo for i in edge.tolist()], dtype=np.intp)
-        pair_hi = np.array([jumps[i].pair_hi for i in edge.tolist()], dtype=np.intp)
-        t, start, end, ok, _ = _edge_crossings(traj, kind, period, t_lo[edge], t_hi[edge],
-                                               pair_lo, pair_hi)
-        edge, t, start, end, pair_lo, pair_hi = (x[ok] for x in (edge, t, start, end,
-                                                                  pair_lo, pair_hi))
-    if len(edge):
-        frames = Frames(traj.positions_at_times(t))
+    pending = [(k, *jump) for k, jump in enumerate(jumps)]
+    located = []  # (jump, time, start, end, optimal cost, frame) per flip
+    faults: dict[int, str] = {}
+    while pending:
+        order, t_lo, t_hi, pair_lo, pair_hi = (np.array(col) for col in zip(*pending))
+        t, start, end, ok, _, bad, _ = _edge_crossings(traj, kind, period, t_lo, t_hi,
+                                                       pair_lo, pair_hi)
+        for row, message in bad.items():
+            faults.setdefault(int(order[row]), message)
+        rows = np.flatnonzero(ok)
+        pending = []
+        if not len(rows):
+            break
+        frames = Frames(traj.positions_at_times(t[rows]))
         opt = block_optima(frames, (kind,))[0]
         tied = opt.tied()
-        confirmed = np.zeros(len(edge), dtype=bool)
-        for pair in (pair_lo, pair_hi):
-            confirmed |= (tied & (opt.pairs == pair[:, None, :]).all(axis=2)).any(axis=1)
-        rows = np.flatnonzero(confirmed)
-        idx = edge[rows]
-        bisect[idx] = False
-        t_flip[idx], a_lo[idx], a_hi[idx] = t[rows], start[rows], end[rows]
-        opt_cost[idx], points[idx] = opt.cost[rows], frames.points[rows]
-        gap = angular_distances(a_lo[idx], a_hi[idx], period)
-        located[idx] = ~(gap <= limit[idx])
+        hit = np.zeros(len(rows), dtype=bool)
+        for pair in (pair_lo[rows], pair_hi[rows]):
+            hit |= (tied & (opt.pairs == pair[:, None, :]).all(axis=2)).any(axis=1)
+        third = opt.pairs[np.arange(len(rows)), np.argmin(opt.values, axis=1)]
+        for i, r in enumerate(rows.tolist()):
+            k, root = int(order[r]), float(t[r])
+            if hit[i]:
+                located.append((k, root, start[r], end[r], opt.cost[i], frames.points[i]))
+            else:
+                c = tuple(third[i].tolist())
+                pending += [(k, float(t_lo[r]), root, tuple(pair_lo[r].tolist()), c),
+                            (k, root, float(t_hi[r]), c, tuple(pair_hi[r].tolist()))]
 
-    faults: dict[int, str] = {}
-    idx = np.flatnonzero(bisect)
-    if len(idx):
-        lo, alo, hi, ahi, bad, _ = _bisect(traj, kind, period, t_lo[idx], a_lo[idx],
-                                           t_hi[idx], a_hi[idx])
-        faults = {int(idx[i]): message for i, message in bad.items()}
-        a_lo[idx], a_hi[idx], t_flip[idx] = alo, ahi, 0.5 * (lo + hi)
-        gap = angular_distances(alo, ahi, period)
-        stop = min(faults, default=count)
-        idx = idx[(idx < stop) & ~(gap <= limit[idx])]
-    if len(idx):
-        at = traj.positions_at_times(t_flip[idx])
-        bad = frame_faults(at)
-        if bad:
-            raise DegenerateInputError(bad[min(bad)])
-        opt_cost[idx], points[idx] = block_optima(Frames(at), (kind,))[0].cost, at
-        located[idx] = True
+    stop = min(faults, default=len(jumps))
+    located = sorted((x for x in located if x[0] < stop), key=lambda x: x[:2])
+    flips = []
+    if located:
+        _, times, start, end, opt_cost, points = (np.array(col) for col in zip(*located))
+        flips = _sweeps(kind, period, points, start, end, opt_cost, times)
+    if faults:
+        raise DegenerateInputError(faults[stop])
+    return flips
 
-    stop = min(faults, default=count)
-    idx = np.flatnonzero(located[:stop])
-    size, flips = table_block(traj.n_points, _SWEEP_GRID + 1), []
-    for lo in range(0, len(idx), size):
-        part = idx[lo:lo + size]
-        flips += _sweeps(Frames(points[part]), kind, period, a_lo[part], a_hi[part],
-                         opt_cost[part], t_flip[part])
+
+def _isotropic_instants(traj: Trajectory) -> np.ndarray:
+    """The instants, ascending, where the principal axis changes identity:
+    where the scatter matrix is isotropic, as ``solvers._scatter_axes`` tests.
+
+    Along a keyframe segment the scatter matrix is the quadratic S(s) of
+    ``solvers.principal_axes``, so d = Sxx - Syy, e = Sxy and tr = Sxx + Syy
+    are quadratics in s.  The axis, half the angle of (d, 2e), is continuous
+    wherever q = d^2 + 4e^2 - (``_EIGEN_TIE_REL`` tr)^2 is positive.  Each
+    minimum of q at most 0 is an instant: a real root in (0, 1) of the cubic
+    q' where q'' > 0, or a keyframe where q stops falling and starts rising.
+    q is evaluated from d, e and tr, far less rounded than its coefficients.
+    """
+    key = traj.times
+    if len(key) < 2:
+        return np.empty(0)
+    caa, mid, cbb = np.moveaxis(_segment_moments(traj, np.arange(len(key) - 1)), 1, 0)
+    # S(s) = (1 - s)^2 Caa + s (1 - s) mid + s^2 Cbb, by ascending power of s
+    coef = np.stack([caa, mid - 2.0 * caa, caa - mid + cbb], axis=-1)
+    quads = (coef[:, 0, 0] - coef[:, 1, 1], coef[:, 0, 1], coef[:, 0, 0] + coef[:, 1, 1])
+    quartic = np.zeros((len(caa), 5))
+    for weight, p in zip((1.0, 4.0, -_EIGEN_TIE_REL**2), quads):
+        for i in range(3):
+            quartic[:, i:i + 3] += weight * p[:, i:i + 1] * p
+    slope = quartic[:, 1:] * np.arange(1, 5)
+    # the roots of each q', the eigenvalues of its companion matrix; none is
+    # sought where q' has no cubic term, as where the points move rigidly
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        monic = -slope[:, 2::-1] / slope[:, 3:]
+    companion = np.zeros((len(slope), 3, 3))
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    companion[:, 0] = np.where(np.isfinite(monic).all(axis=1)[:, None], monic, 0.0)
+    roots = np.linalg.eigvals(companion)
+    seg, at = np.nonzero((roots.imag == 0.0) & (0.0 < roots.real) & (roots.real < 1.0))
+    s = roots.real[seg, at]
+    minimum = (slope[seg, 1:] * np.arange(1, 4) * s[:, None] ** np.arange(3)).sum(axis=1) > 0.0
+    # interior keyframes that end a falling segment and start a rising one
+    kink = np.flatnonzero((slope[:-1].sum(axis=1) <= 0.0) & (slope[1:, 0] >= 0.0)) + 1
+    seg, s = np.concatenate([seg[minimum], kink]), np.concatenate([s[minimum], 0.0 * kink])
+    d, e, tr = ((p[seg] * s[:, None] ** np.arange(3)).sum(axis=1) for p in quads)
+    keep = d * d + 4.0 * e * e <= (_EIGEN_TIE_REL * tr) ** 2
+    return np.sort(key[seg[keep]] + s[keep] * (key[seg[keep] + 1] - key[seg[keep]]))
+
+
+def _isotropic_flips(traj: Trajectory, times: np.ndarray, beta: np.ndarray) -> list[FlipEvent]:
+    """The ``pc`` flips of a run with outputs ``beta`` at ``times``: one at
+    each isotropic instant between two samples, swept from the output before
+    it to the one after it.  A rejected frame raises after earlier sweeps."""
+    t = _isotropic_instants(traj)
+    before = np.searchsorted(times, t, side="left") - 1
+    after = np.searchsorted(times, t, side="right")
+    keep = (before >= 0) & (after < len(times))
+    t, before, after = t[keep], before[keep], after[keep]
+    points = traj.positions_at_times(t)
+    faults = frame_faults(points)
+    stop = min(faults, default=len(t))
+    opt_cost = block_optima(Frames(points[:stop]), (DescriptorKind.PC,))[0].cost
+    flips = _sweeps(DescriptorKind.PC, ORIENTATION_PERIOD, points[:stop], beta[before[:stop]],
+                    beta[after[:stop]], opt_cost, t[:stop])
     if faults:
         raise DegenerateInputError(faults[stop])
     return flips
@@ -495,41 +497,34 @@ def track_topological(
     """Run the continuous, unbounded-speed tracker over a sampled trajectory."""
     kind = DescriptorKind(kind)
     period = tracking_period(kind)
-    # plausible optimum drift over one step, times the frame diameter
-    drift = _FLIP_SPEED_FACTOR * dt * traj.max_point_speed()
     jumps: list[Jump] = []
+    blocks = []  # pc: the sample times and outputs of every block run
     prev_t, prev_pair = 0.0, None
 
     def to_optimum(frames, times, optima, prev_beta):
         nonlocal prev_t, prev_pair
         b, pairs = _steer(optima[0], prev_beta, period)
-        before = np.concatenate(([b[0] if prev_beta is None else prev_beta], b[:-1]))
-        jump = angular_distances(before, b, period)
-        # The bounding-box diagonal is at least the diameter, so drift over
-        # twice the diagonal stays below the threshold, rounding included: a
-        # jump within it is no flip, and only the other jumps need a diameter.
-        span = np.ptp(frames.points, axis=1)
-        loose = drift / (2.0 * np.sqrt(span[:, 0] * span[:, 0] + span[:, 1] * span[:, 1]))
-        loose = np.where(period / 4.0 < loose, period / 4.0, loose)
-        rows = np.flatnonzero((jump > 1e-9) & (jump > loose))
-        if len(rows):
-            threshold = drift / frame_diameters(frames, rows)
-            threshold = np.where(period / 4.0 < threshold, period / 4.0, threshold)
-            flip = jump[rows] > threshold
-            t_before = np.concatenate(([prev_t], times[:-1]))
-            ends = [None] * (len(b) + 1) if pairs is None else [prev_pair] + [
-                tuple(p) for p in pairs.tolist()]
-            for i, th in zip(rows[flip].tolist(), threshold[flip].tolist()):
-                jumps.append(Jump(float(t_before[i]), float(before[i]), float(times[i]),
-                                  float(b[i]), th, ends[i], ends[i + 1]))
-        prev_t = float(times[-1])
-        prev_pair = None if pairs is None else tuple(pairs[-1].tolist())
+        if pairs is None:
+            blocks.append((times, b))
+            return b
+        ends = np.concatenate([pairs[:1] if prev_pair is None else prev_pair[None], pairs])
+        t_ends, ends = np.concatenate([[prev_t], times]).tolist(), ends.tolist()
+        jumps.extend(Jump(t_ends[i], t_ends[i + 1], tuple(ends[i]), tuple(ends[i + 1]))
+                     for i in range(len(b)) if ends[i] != ends[i + 1])
+        prev_t, prev_pair = float(times[-1]), pairs[-1]
         return b
+
+    def flips():
+        if kind is not DescriptorKind.PC:
+            return _locate_flips(traj, kind, period, jumps)
+        if not blocks:
+            return []
+        return _isotropic_flips(traj, *(np.concatenate(col) for col in zip(*blocks)))
 
     try:
         output = sampled_run(traj, dt, (kind,), period, to_optimum)[kind]
     except DegenerateInputError:
-        _locate_flips(traj, kind, period, jumps)  # an earlier jump's error comes first
+        flips()  # an earlier flip's error comes first
         raise
-    output.flips = _locate_flips(traj, kind, period, jumps)
+    output.flips = flips()
     return output

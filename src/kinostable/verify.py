@@ -33,15 +33,14 @@ from .angles import angular_distances, winding_number
 from .chasing import (ChaseParams, aspect_drop_bound, aspect_drop_window, chase,
                       normalize_trajectory, pair_turn_bound, pair_turn_window)
 from .costs import DescriptorKind
-from .errors import DomainError
-from .geometry import Frames, block_size, diametric_boxes
+from .errors import DegenerateInputError, DomainError
+from .geometry import Frames, block_size, diametric_boxes, frame_faults
 from .ratios import max_ratio
 from .scenarios import (
     obb_lower_bound,
     pc_fast_flip,
     pc_flip,
     random_walk,
-    stateless_disk,
     strip_lower_bound,
 )
 from .solvers import block_optima, principal_axes
@@ -354,12 +353,18 @@ def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3, anchor: int = 0) -> 
 
 
 def forced_orientation_winding(n: int = 5, samples: int = 4096) -> int:
-    """Winding number of the forced optimal strip orientation over one sweep."""
-    size = block_size(n)
-    angles = []
+    """Winding number of the forced optimal strip orientation over one sweep
+    of ``stateless_disk(n, 1.0, phi)``, built and checked a block at a time."""
+    if n < 3:
+        raise DomainError("need at least 3 points")
+    reach, size, angles = 1.0 * np.arange(1, n + 1, dtype=float) / n, block_size(n), []
     for start in range(0, samples, size):
-        points = np.stack([stateless_disk(n, 1.0, 2.0 * math.pi * k / samples).points
-                           for k in range(start, min(start + size, samples))])
+        phis = [2.0 * math.pi * k / samples for k in range(start, min(start + size, samples))]
+        points = np.stack([reach * np.array([[f(phi)] for phi in phis])
+                           for f in (math.sin, math.cos)], axis=2)
+        faults = frame_faults(points)
+        if faults:
+            raise DegenerateInputError(faults[min(faults)])
         angles += block_optima(Frames(points), (DescriptorKind.STRIP,))[0].alpha.tolist()
     return winding_number(angles)
 

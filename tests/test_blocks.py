@@ -4,7 +4,7 @@
 the verify sampling stages read their frames through
 ``Trajectory.frame_blocks``.  These tests hold the block code to the
 one-frame calls at every sample (blocks split mid-run and padded candidate
-rows included), the lockstep flip bisection to a one-jump-at-a-time
+rows included), the lockstep flip location to a one-jump-at-a-time
 reference kept here, the degenerate inputs to pinned outputs, and the
 block budget to a memory bound.
 """
@@ -18,7 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from kinostable import geometry
+from kinostable import geometry, tracker
 from kinostable.angles import angular_distance, canonical
 from kinostable.chasing import chase
 from kinostable.cli import main
@@ -37,9 +37,8 @@ from kinostable.scenarios import obb_lower_bound, random_walk, strip_lower_bound
 from kinostable.solvers import block_optima, optimal
 from kinostable.ratios import ratio
 from kinostable.tracker import (
-    _FLIP_SPEED_FACTOR,
-    _ROOT_ROUNDS as ROOT_ROUNDS,
     _ROOT_XTOL as ROOT_XTOL,
+    _STALE_ROUNDS as STALE_ROUNDS,
     FlipEvent,
     _locate_flips,
     track_topological,
@@ -217,88 +216,108 @@ def steer_one(points, kind, period, prev):
 
 
 def sequential_flips(traj: Trajectory, kind, dt: float):
-    """The flips of a run found one jump at a time, with one-frame solves:
-    each jump between two hull-edge pairs root-found (``cross_one``) and
-    confirmed, every other one bisected (``locate_one``), then swept."""
+    """The flips of a run found one jump at a time, with one-frame calls:
+    each change of the steered hull-edge pair root-found (``cross_one``),
+    each ``pc`` output step searched for an isotropic frame
+    (``isotropic_one``), then swept."""
     period = tracking_period(kind)
-    v_max = traj.max_point_speed()
     flips = []
     prev_t, prev_b, prev_pair = None, None, None
     for t in traj.sample_times(dt).tolist():
-        frame = traj.frame_at(t)
-        b, pair = steer_one(frame.points, kind, period, prev_b)
+        b, pair = steer_one(traj.positions_at(t), kind, period, prev_b)
         if prev_b is not None:
-            jump = angular_distance(prev_b, b, period)
-            if jump > 1e-9:
-                threshold = min(_FLIP_SPEED_FACTOR * dt * v_max / frame_diameter(frame),
-                                period / 4.0)
-                if jump > threshold:
-                    flip = None
-                    found = pair is not None and pair != prev_pair and cross_one(
-                        traj, kind, period, prev_t, t, prev_pair, pair)
-                    if found:
-                        t_flip, start, end = found
-                        if angular_distance(start, end, period) > max(threshold, 1e-9):
-                            pts = traj.positions_at(t_flip)
-                            flip = sweep_one(pts, kind, period, start, end,
-                                             optimal(pts, kind).cost, t_flip)
-                    else:
-                        flip = locate_one(traj, kind, period, prev_t, prev_b, t, b, threshold)
-                    if flip is not None:
-                        flips.append(flip)
+            if kind is DescriptorKind.PC:
+                flips += isotropic_one(traj, prev_t, prev_b, t, b)
+            elif pair != prev_pair:
+                flips += locate_one(traj, kind, period, prev_t, t, prev_pair, pair)
         prev_t, prev_b, prev_pair = t, b, pair
     return flips
 
 
+def locate_one(traj, kind, period, t_lo, t_hi, pair_lo, pair_hi):
+    """One jump's flips: at its root, where A or B is optimal, a flip unless
+    its ends lie within 1e-9; where a third edge C is, A -> C and C -> B."""
+    found = cross_one(traj, kind, period, t_lo, t_hi, pair_lo, pair_hi)
+    if found is None:
+        return []
+    t, start, end = found
+    pts = traj.positions_at(t)
+    opt = block_optima(Frames.of(pts), (kind,))[0]
+    ends = [tuple(p) for p, tie in zip(opt.pairs[0].tolist(), opt.tied()[0].tolist()) if tie]
+    if pair_lo in ends or pair_hi in ends:
+        if angular_distance(start, end, period) <= 1e-9:
+            return []
+        return [sweep_one(pts, kind, period, start, end, float(opt.cost[0]), t)]
+    third = tuple(opt.pairs[0, int(np.argmin(opt.values[0]))].tolist())
+    return (locate_one(traj, kind, period, t_lo, t, pair_lo, third)
+            + locate_one(traj, kind, period, t, t_hi, third, pair_hi))
+
+
 def cross_one(traj, kind, period, t_lo, t_hi, pair_lo, pair_hi):
-    """One jump's regula falsi (Anderson-Bjorck) on cost_A - cost_B,
-    confirmed by a solve at the found time: (time, start, end), or None
-    where the tracker bisects."""
+    """One jump's root-finding on g = cost_A - cost_B, less the tie band
+    where A and B tie at t_lo: Anderson-Bjorck regula falsi, each probe kept
+    XTOL / 2 inside the bracket, or the midpoint for a tie and after
+    ``STALE_ROUNDS`` rounds without a halving.  (time, start, end) at the
+    end with the smaller |g|, or None where g does not change sign or a tie
+    starts along one orientation."""
 
     def score(t):
         pts = traj.positions_at(t)
         ang = [canonical(math.atan2(pts[j, 1] - pts[i, 1], pts[j, 0] - pts[i, 0]))
                for i, j in (pair_lo, pair_hi)]
         c_a, c_b = (cost(pts, kind, a) for a in ang)
-        return c_a - c_b, ang, c_b, bool(geometry.frame_faults(pts[None]))
+        return c_a - c_b, 1e-9 * (abs(c_b) + 1e-300), ang
 
-    (f_lo, ang_lo, c_b, _), (f_hi, ang_hi, _, _) = score(t_lo), score(t_hi)
-    if not (f_lo < -1e-9 * (abs(c_b) + 1e-300) and 0.0 < f_hi):
+    (f_lo, band, ang_lo), (f_hi, band_hi, ang_hi) = score(t_lo), score(t_hi)
+    tie = f_lo >= -band
+    res_lo, res_hi = (f_lo - band, f_hi - band_hi) if tie else (f_lo, f_hi)
+    one_box = angular_distance(ang_lo[0], ang_lo[1], period) <= 1e-9
+    if not res_lo <= 0.0 < res_hi or (tie and one_box):
         return None
-    res_lo, res_hi, side = f_lo, f_hi, 0
-    for _ in range(ROOT_ROUNDS):
-        if not t_hi - t_lo > ROOT_XTOL * max(1.0, abs(t_hi)):
-            break
-        c = t_hi - f_hi * (t_hi - t_lo) / (f_hi - f_lo)
-        if not t_lo < c:
-            t_hi, res_hi, ang_hi = t_lo, res_lo, ang_lo
-            break
-        if not c < t_hi:
-            t_lo, res_lo, ang_lo = t_hi, res_hi, ang_hi
-            break
-        fc, ang, _, bad = score(c)
-        if bad:
-            return None
-        if fc > 0.0 and side == 1:
-            m = 1.0 - fc / f_hi
-            f_lo *= m if m > 0.0 else 0.5
-        if fc < 0.0 and side == -1:
-            m = 1.0 - fc / f_lo
-            f_hi *= m if m > 0.0 else 0.5
-        if fc >= 0.0:
-            t_hi, f_hi, res_hi, ang_hi = c, fc, fc, ang
-        if fc <= 0.0:
-            t_lo, f_lo, res_lo, ang_lo = c, fc, fc, ang
-        side = 1 if fc > 0.0 else -1 if fc < 0.0 else side
-    if t_hi - t_lo > ROOT_XTOL * max(1.0, abs(t_hi)):
-        return None
+    val_lo, val_hi = res_lo, res_hi
+    side, stale, span = 0, 0, t_hi - t_lo
+    while t_hi - t_lo > ROOT_XTOL * max(1.0, abs(t_hi)):
+        nudge = 0.5 * ROOT_XTOL * max(1.0, abs(t_hi))
+        c = min(max(t_hi - val_hi * (t_hi - t_lo) / (val_hi - val_lo), t_lo + nudge),
+                t_hi - nudge)
+        if stale >= STALE_ROUNDS or tie:
+            c = 0.5 * (t_lo + t_hi)
+        f, band, ang = score(c)
+        g = f - band if tie else f
+        if g > 0.0 and side == 1:
+            m = 1.0 - g / val_hi
+            val_lo *= m if m > 0.0 else 0.5
+        if g < 0.0 and side == -1:
+            m = 1.0 - g / val_lo
+            val_hi *= m if m > 0.0 else 0.5
+        if g >= 0.0:
+            t_hi, val_hi, res_hi, ang_hi = c, g, g, ang
+        if g <= 0.0:
+            t_lo, val_lo, res_lo, ang_lo = c, g, g, ang
+        side = 1 if g > 0.0 else -1 if g < 0.0 else side
+        width = t_hi - t_lo
+        stale = 0 if width <= 0.5 * span else stale + 1
+        span = width if width <= 0.5 * span else span
     t, ang = (t_hi, ang_hi) if abs(res_hi) < abs(res_lo) else (t_lo, ang_lo)
-    opt = block_optima(Frames.of(traj.positions_at(t)), (kind,))[0]
-    tied = opt.tied()[0]
-    ends = [tuple(p) for p, tie_c in zip(opt.pairs[0].tolist(), tied.tolist()) if tie_c]
-    if pair_lo not in ends and pair_hi not in ends:
-        return None
     return t, canonical(ang[0], period), canonical(ang[1], period)
+
+
+def isotropic_one(traj, t_lo, b_lo, t_hi, b_hi):
+    """A ``pc`` flip between two samples where the frame's scatter matrix is
+    isotropic (d^2 + 4e^2 <= (1e-9 tr)^2) at the golden-section minimum of
+    that quartic over the step, found from each frame's own points."""
+    def q(t):
+        pts = traj.positions_at(t)
+        c = pts - pts.mean(axis=0)
+        sxx, sxy, syy = c[:, 0] @ c[:, 0], c[:, 0] @ c[:, 1], c[:, 1] @ c[:, 1]
+        return (sxx - syy) ** 2 + 4.0 * sxy * sxy - (1e-9 * (sxx + syy)) ** 2
+
+    t, value = refine_one(lambda t: -q(t), t_lo, t_hi, iters=80)
+    if -value > 0.0 or not t_lo < t < t_hi:
+        return []
+    pts = traj.positions_at(t)
+    return [sweep_one(pts, DescriptorKind.PC, math.pi, b_lo, b_hi,
+                      optimal(pts, DescriptorKind.PC).cost, t)]
 
 
 def refine_one(f, lo, hi, iters=60):
@@ -351,23 +370,6 @@ def sweep_one(pts, kind, period, a_from, a_to, opt_cost, time):
     )
 
 
-def locate_one(traj, kind, period, t_lo, a_lo, t_hi, a_hi, threshold):
-    for _ in range(80):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if not (t_lo < t_mid < t_hi):
-            break
-        a_mid = canonical(optimal(traj.frame_at(t_mid), kind).alpha, period)
-        if angular_distance(a_mid, a_lo, period) <= angular_distance(a_mid, a_hi, period):
-            t_lo, a_lo = t_mid, a_mid
-        else:
-            t_hi, a_hi = t_mid, a_mid
-    if angular_distance(a_lo, a_hi, period) <= max(threshold, 1e-9):
-        return None
-    t_flip = 0.5 * (t_lo + t_hi)
-    frame = traj.frame_at(t_flip)
-    return sweep_one(frame.points, kind, period, a_lo, a_hi, optimal(frame, kind).cost, t_flip)
-
-
 def symmetric_pc_flip(quarter: int = 62) -> Trajectory:
     """A cloud of 4 * ``quarter`` points, symmetric in both axes, that narrows
     through isotropy as ``pc_flip`` does, above the brute-force limit."""
@@ -392,20 +394,43 @@ def symmetric_pc_flip(quarter: int = 62) -> Trajectory:
         "strip-lower-bound", "pc-n248"])
 def test_lockstep_flips_equal_sequential_bisection(request, traj, kind, dt):
     flips = track_topological(traj, kind, dt).flips
-    assert flips == sequential_flips(traj, kind, dt)
+    reference = sequential_flips(traj, kind, dt)
+    if kind is DescriptorKind.PC:  # closed form against a search of each step
+        assert [(f.start, f.end) for f in flips] == [(f.start, f.end) for f in reference]
+        for got, want in zip(flips, reference):
+            assert abs(got.time - want.time) <= 1e-9
+            assert abs(got.worst_ratio - want.worst_ratio) <= 1e-9
+    else:
+        assert flips == reference
     if request.node.callspec.id == "walk15-obb":
         assert not flips  # its box jumps are all between tied co-optima, held without flips
     else:
         assert flips  # every other input here flips
 
 
-def test_lockstep_raises_the_earliest_jumps_midpoint_fault():
-    # Two jumps; the second one's first midpoint is a coincident frame.
-    tri = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    traj = Trajectory(np.array([0.0, 1.0]), np.stack([tri, -tri]))
-    jumps = [(0.0, 0.0, 0.25, 1.0, 0.1), (0.25, 0.0, 0.75, 1.0, 0.1)]
+def test_lockstep_raises_the_earliest_jumps_midpoint_fault(monkeypatch):
+    # The box flip scenario, then a right isosceles triangle, whose three
+    # flush boxes tie, shrinking through a point at t = 2.5 and opening into
+    # an obtuse one.  The second jump starts tied, so its first probe is its
+    # midpoint, the coincident frame: it raises after the first jump's flip
+    # is swept.
+    flip = obb_lower_bound()
+    first = []
+    monkeypatch.setattr(tracker, "_locate_flips", lambda traj, kind, period, jumps:
+                        first.extend(jumps) or [])
+    track_topological(flip, DescriptorKind.OBB, 1e-3)
+    monkeypatch.undo()
+    tri = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.3), (0.1, 0.2)])
+    obtuse = -np.array([(-1.0, 0.0), (1.0, 0.0), (3.0, 1.0), (0.0, 0.3), (0.1, 0.2)])
+    traj = Trajectory(np.array([0.0, 1.0, 1.5, 2.0, 3.0, 3.5]),
+                      np.stack([*flip.positions, 2.0 * tri, tri, -tri, obtuse]))
+    swept = []
+    real = tracker._sweeps
+    monkeypatch.setattr(tracker, "_sweeps", lambda *args: swept.extend(real(*args)) or swept)
+    jumps = [*first, tracker.Jump(1.75, 3.25, (1, 2), (0, 1))]
     with pytest.raises(DegenerateInputError, match="^all points coincide"):
         _locate_flips(traj, DescriptorKind.OBB, math.pi / 2, jumps)
+    assert swept == track_topological(flip, DescriptorKind.OBB, 1e-3).flips
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +518,17 @@ PINNED = {
         "chase-obb": "39c17c8797a5a86ffbb5dbf03ae7d8d66693283e5fb86902d2c0705ff0aa4519",
         "chase-strip": "589dc51f5b504c6099244732c7b1c3de5c21da1dc3d7db4557236486f3eabf36",
         "descriptor": "6113c50080b8e8dbe3c1b73d970ff8796d5fca182ff4e189f7da96a20f14729f",
-        # re-pinned when the tracker began holding tied co-optima: the flip
-        # rows between them are gone
-        "track-obb": "e4c4cdbfda590a23a898fa9ca53dcd43a68bc66ec3870fb43db3c61aa167cb93",
+        # re-pinned when the tracker began holding tied co-optima (the flip
+        # rows between them are gone), and again when a jump that starts in
+        # a tie began to be located where the tie ends: the flip at
+        # t = 0.71125 moved to 0.71168, the one at 0.0883250 by 6e-10
+        "track-obb": "684c8340fe30813b074230cfead62685d3502bc67d5281892805a64457b57e3c",
         "track-pc": "155b93b8c9e2035ff30f2d851dd3a57439df4d28e8c50452ff220ae4821c078a",
-        # re-pinned when flips between hull edges began to be root-found: the
-        # flip at t = 0.642857 moved in the last bits
-        "track-strip": "fff9c64a101ffd0072b1856b6d1b135ec0e50cbd3a40c0f376645e28c40b85be",
+        # re-pinned when flips between hull edges began to be root-found (the
+        # flip at t = 0.642857 moved in the last bits), and again when a jump
+        # that starts in a tie began to be located where the tie ends: the
+        # flip at t = 2e-16 moved to 9e-10, the one at 0.642857 in the last bits
+        "track-strip": "a9276f9500280bfdc7e051f330c263176364916215bd97f1577880889fe09111",
     },
     "single-keyframe": {
         "chase-nonorm-obb": "05fbff6f0bc6f6b351ab2f42eadf50ef349b646afce2afea1ff8082bc8744fec",

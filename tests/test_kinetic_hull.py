@@ -24,7 +24,7 @@ from kinostable.chasing import chase
 from kinostable.costs import DescriptorKind
 from kinostable.geometry import Frames
 from kinostable.scenarios import random_walk
-from kinostable.tracker import _locate_flips, track_topological
+from kinostable.tracker import Jump, _locate_flips, track_topological
 from kinostable.trajectory import Trajectory
 
 from test_blocks import frozen_convex_hull
@@ -271,7 +271,7 @@ def test_chain_runs_on_few_small_frames(monkeypatch):
     samples = len(traj.sample_times(1e-3))
     runs = count_chain_runs(monkeypatch)
     out = track_topological(traj, DescriptorKind.OBB, 1e-3)
-    assert len(out.flips) > 0  # the count includes the flip bisections
+    assert len(out.flips) > 0  # the count includes the flip location
     assert len(runs) < 0.1 * samples
 
 
@@ -337,17 +337,27 @@ def test_certified_runs_stay_within_the_block_budget(monkeypatch):
 
 
 def test_flip_bisections_stay_within_the_block_budget(monkeypatch):
-    # Jumps of a 4000-point cloud, bisected in groups whose midpoints are
-    # one block of frames each.  Groups of block_size(4000) = 16 midpoints
-    # would peak above the bound at 32 jumps; the budget's groups do not.
-    # The threshold exceeds every gap, so no flip is located or swept.
-    base, traj = drifting_cloud()
+    # A 4000-point cloud whose hull, a 6.2 x 2.2 rectangle, turns into a
+    # 2.2 x 6.2 one: the strip flush with the bottom edge and the one flush
+    # with the right edge tie at t = 0.5.  Jumps between them are located in
+    # groups whose probes are two frames each, the roots' frames swept.
+    # Groups of block_size(4000) = 16 jumps would peak above the bound at 32
+    # jumps; the budget's groups do not.
+    base, _ = drifting_cloud()
+    base[:-4] /= 3.0  # the ellipse, inside every rectangle on the way
+    tall = base.copy()
+    tall[-4:] = [(-1.1, -3.1), (1.1, -3.1), (1.1, 3.1), (-1.1, 3.1)]
+    traj = Trajectory(np.array([0.0, 1.0]), np.stack([base, tall]))
     recorded_chain(monkeypatch, base)
-    box = DescriptorKind.OBB
-    _locate_flips(traj, box, math.pi / 2, [(0.0, 0.0, 0.5, 1.0, 10.0)])  # first-call set-up
+    strip = DescriptorKind.STRIP
+    bottom, right = (3996, 3997), (3997, 3998)
+    _locate_flips(traj, strip, math.pi, [Jump(0.25, 0.75, bottom, right)])  # first-call set-up
     for count in (8, 32):
-        jumps = [(k / count, 0.0, (k + 1) / count, 1.0, 10.0) for k in range(count)]
+        jumps = [Jump(0.5 - (k + 1) / (4 * count), 0.5 + 1 / (4 * count), bottom, right)
+                 for k in range(count)]
         flips = []
-        peak = traced_peak(lambda: flips.extend(_locate_flips(traj, box, math.pi / 2, jumps)))
-        assert flips == []
+        peak = traced_peak(lambda: flips.extend(_locate_flips(traj, strip, math.pi, jumps)))
+        assert len(flips) == count
+        assert all(abs(f.time - 0.5) <= 1e-12 and abs(f.worst_ratio - math.sqrt(2.0)) <= 1e-9
+                   for f in flips)
         assert peak < 4 * geometry._BLOCK_BYTES, count

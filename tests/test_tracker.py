@@ -138,65 +138,77 @@ def recorded_jumps(monkeypatch, traj, kind, dt):
     return [tracker.Jump(*j) for j in jumps], flips
 
 
-def bisected_starts(monkeypatch) -> list:
-    """Record the ``t_lo`` of every jump ``_locate_group`` bisects."""
-    starts = []
-    real = tracker._bisect
-
-    def record(traj, kind, period, t_lo, *rest):
-        starts.extend(np.asarray(t_lo).tolist())
-        return real(traj, kind, period, t_lo, *rest)
-
-    monkeypatch.setattr(tracker, "_bisect", record)
-    return starts
-
-
-def test_jumps_fall_back_to_bisection(monkeypatch):
-    box, walk = DescriptorKind.OBB, random_walk(seed=6)
+def test_each_kind_of_jump(monkeypatch):
+    box = DescriptorKind.OBB
+    period = tracker.tracking_period(box)
+    walk = random_walk(seed=6)
     jumps, flips = recorded_jumps(monkeypatch, walk, box, 1e-3)
-    jump, flip = jumps[0], flips[0]
 
-    def locate(jumps, traj=walk, kind=box):
-        starts = bisected_starts(monkeypatch)
-        flips = tracker._locate_flips(traj, kind, tracker.tracking_period(kind), jumps)
-        monkeypatch.undo()
-        return starts, flips
+    def same_flips(found, want):
+        assert len(found) == len(want)
+        for got, flip in zip(found, want):
+            assert abs(got.time - flip.time) <= 1e-9
+            assert abs(got.worst_ratio - flip.worst_ratio) <= 1e-9
 
-    def same_flip(found, flip=flip):
-        assert abs(found.time - flip.time) <= 1e-9
-        assert abs(found.worst_ratio - flip.worst_ratio) <= 1e-9
+    # a jump is a change of the steered pair; where the pair is unchanged,
+    # one edge turned fast, which is continuous, and nothing is recorded
+    assert jumps and all(j.pair_lo != j.pair_hi for j in jumps)
+    unchanged = [j._replace(pair_hi=j.pair_lo) for j in jumps]
+    assert tracker._locate_flips(walk, box, period, unchanged) == []
 
-    assert locate([jump]) == ([], [flip])  # root-found and confirmed
-    for name, fallback in [
-        ("unchanged pair", jump._replace(pair_hi=jump.pair_lo)),
-        ("no sign change", jump._replace(pair_lo=jump.pair_hi, pair_hi=jump.pair_lo)),
-        ("no pairs", jump._replace(pair_lo=None, pair_hi=None)),
-    ]:
-        starts, (found,) = locate([fallback])
-        assert starts == [jump.t_lo], name
-        same_flip(found)
-    monkeypatch.setattr(tracker, "_ROOT_ROUNDS", 1)
-    starts, (found,) = locate([jump])
-    assert starts == [jump.t_lo]  # round cap
-    same_flip(found)
+    # the box flip scenario's two boxes tie exactly at the sample t = 0.625:
+    # the flip is where the earlier box leaves the tie band, 1e-9 of the cost 2
+    (flip,) = track_topological(obb_lower_bound(), box, 1e-3).flips
+    assert flip.time == pytest.approx(0.625 + 6.25e-10, abs=1e-12)
+    assert flip.worst_ratio == pytest.approx(1.25, abs=1e-9)
 
-    # the box flip scenario's two boxes tie exactly at the sample t = 0.625
-    (tied,), (flip,) = recorded_jumps(monkeypatch, obb_lower_bound(), box, 1e-3)
-    assert tied.t_lo == 0.625 and tied.pair_lo != tied.pair_hi
-    assert locate([tied], traj=obb_lower_bound()) == ([0.625], [flip])
+    # walk seed 50 jumps from edge (2, 6) to (6, 5) between t = 0.024 and
+    # 0.025; the two boxes tie until t = 0.0244464, where the flip is
+    tied = random_walk(n=8, seed=50, steps=20, duration=0.4)
+    (jump,) = [j for j in recorded_jumps(monkeypatch, tied, box, 1e-3)[0] if j.t_lo == 0.024]
+    assert (jump.pair_lo, jump.pair_hi) == ((2, 6), (6, 5))
+    (flip,) = tracker._locate_flips(tied, box, period, [jump])
+    assert flip.time == pytest.approx(0.0244464, abs=1e-7)
 
-    # walk seed 6 turns its box A -> C at t = 0.8026 and C -> B at t = 0.8182;
-    # one jump from A to B crosses their costs where C is optimal
-    wide = tracker.Jump(0.801, 0.05751735638258704, 0.819, 0.655429187892012,
-                        0.008588141011458054, (6, 0), (3, 5))
-    starts, (found,) = locate([wide])
-    assert starts == [wide.t_lo]  # a third candidate at the crossing
-    assert 0.818 < found.time < 0.819
+    # walk seed 6 turns its box A -> C at t = 0.80187 and C -> B at 0.81814;
+    # one jump from A to B finds C optimal where A and B cross, and splits
+    wide = tracker.Jump(0.801, 0.819, (6, 0), (3, 5))
+    between = [f for f in flips if wide.t_lo < f.time < wide.t_hi]
+    assert len(between) == 2
+    same_flips(tracker._locate_flips(walk, box, period, [wide]), between)
 
-    # pc has no edge candidates: every jump is bisected
-    starts = bisected_starts(monkeypatch)
-    flips = track_topological(pc_flip(), DescriptorKind.PC, 1e-3).flips
-    assert len(starts) == len(flips) == 1
+    # pc flips at its isotropic instant, found in closed form
+    (flip,) = track_topological(pc_flip(), DescriptorKind.PC, 1e-3).flips
+    assert abs(flip.time - 2.0 / 3.0) <= 1e-9
+
+
+def test_pc_flips_at_an_isotropic_keyframe_and_none_at_rest():
+    # the pc_flip cloud narrowing through isotropy exactly at a keyframe,
+    # where its width's rate changes: the quartic's minimum is that keyframe
+    def cloud(w):
+        x, y = w / 2.0, 0.5
+        return np.array([(-x, -y), (x, -y), (x, y), (-x, y), (-x, 0.0), (x, 0.0),
+                         (0.0, -y), (0.0, y)])
+
+    kinked = Trajectory(np.array([0.0, 0.5, 1.0]), np.stack([cloud(2.0), cloud(1.0), cloud(0.5)]))
+    (flip,) = track_topological(kinked, DescriptorKind.PC, 1e-3).flips
+    assert flip.time == 0.5 and flip.arc_length == pytest.approx(math.pi / 2)
+    # a cloud at rest has a constant quartic, whose derivative has no roots
+    still = Trajectory(np.array([0.0, 1.0]), np.stack([cloud(2.0), cloud(2.0)]))
+    assert track_topological(still, DescriptorKind.PC, 1e-2).flips == []
+
+
+def test_tie_flips_do_not_depend_on_dt():
+    # walk seed 50 starts two of its jumps between tied boxes; bisecting
+    # them put the flips inside the ties, at times that moved with dt
+    walk = random_walk(n=8, seed=50, steps=20, duration=0.4)
+    coarse, fine = (track_topological(walk, DescriptorKind.OBB, dt).flips for dt in (1e-3, 1e-4))
+    assert len(coarse) == len(fine) == 8
+    for a, b in zip(coarse, fine):
+        assert abs(a.time - b.time) <= 1e-9
+        assert abs(a.worst_ratio - b.worst_ratio) <= 1e-9
+    assert any(abs(f.time - 0.0244464) <= 1e-7 for f in coarse)
+    assert any(abs(f.time - 0.0684110) <= 1e-7 for f in coarse)
 
 
 @pytest.mark.parametrize("traj, kind", [
@@ -207,17 +219,15 @@ def test_jumps_fall_back_to_bisection(monkeypatch):
 def test_lockstep_location_equals_one_jump_at_a_time(monkeypatch, traj, kind):
     jumps, flips = recorded_jumps(monkeypatch, traj, kind, 1e-3)
     period = tracker.tracking_period(kind)
-    edge = [j for j in jumps if j.pair_lo != j.pair_hi]
-    assert len(edge) >= 3
-    columns = [np.array(col) for col in zip(*edge)]
-    lockstep = tracker._edge_crossings(traj, kind, period, columns[0], columns[2],
-                                       np.array(columns[5]), np.array(columns[6]))
-    for k, j in enumerate(edge):
+    assert len(jumps) >= 3
+    lockstep = tracker._edge_crossings(traj, kind, period,
+                                       *(np.array(col) for col in zip(*jumps)))
+    for k, j in enumerate(jumps):
         one = tracker._edge_crossings(traj, kind, period, np.array([j.t_lo]), np.array([j.t_hi]),
                                       np.array([j.pair_lo]), np.array([j.pair_hi]))
-        for got, alone in zip(lockstep[:4], one[:4]):
+        for got, alone in zip(lockstep[:5], one[:5]):
             assert got[k] == alone[0]
-        assert one[4] <= lockstep[4]  # rounds
-    assert lockstep[3].all()
+        assert one[6] <= lockstep[6]  # rounds
+    assert lockstep[3].all() and not lockstep[5]  # bracketed, and no probe rejected
     alone = [f for j in jumps for f in tracker._locate_flips(traj, kind, period, [j])]
     assert flips == alone and flips

@@ -9,7 +9,14 @@ from kinostable.chasing import normalize_trajectory
 from kinostable.errors import DomainError
 from kinostable.geometry import diametric_boxes
 from kinostable.ratios import max_ratio, ratio
-from kinostable.scenarios import obb_lower_bound, pc_fast_flip, pc_flip, random_walk
+from kinostable import verify
+from kinostable.scenarios import (
+    obb_lower_bound,
+    pc_fast_flip,
+    pc_flip,
+    random_walk,
+    stateless_disk,
+)
 from kinostable.costs import DescriptorKind
 from kinostable.solvers import block_optima
 from kinostable.tracker import track_topological
@@ -307,6 +314,20 @@ def test_min_anchor_diameter_equals_point_roots(traj, dt):
 
 def test_forced_orientation_double_cover_small():
     assert abs(forced_orientation_winding(n=5, samples=512)) == 2
+
+
+def test_forced_orientation_frames_are_the_stateless_disks(monkeypatch):
+    # the sweep builds its frames a block at a time; each must be bitwise
+    # the checked frame stateless_disk builds one at a time
+    solved = []
+    monkeypatch.setattr(verify, "block_optima",
+                        lambda frames, kinds: solved.append(frames.points) or
+                        block_optima(frames, kinds))
+    forced_orientation_winding(n=7, samples=300)
+    one_by_one = [stateless_disk(7, 1.0, 2.0 * math.pi * k / 300).points for k in range(300)]
+    assert np.concatenate(solved).tobytes() == np.stack(one_by_one).tobytes()
+    with pytest.raises(DomainError):
+        forced_orientation_winding(n=2)
 
 
 def test_parallel_map_is_an_ordered_map_on_the_calling_thread():
