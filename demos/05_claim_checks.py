@@ -10,7 +10,7 @@ claims, with their expected values and tolerances, are the rows of
 
 from kinostable import SuiteOptions, run_claim_suite
 
-report = run_claim_suite(SuiteOptions(grid=128, walks=4, trig_samples=20_000))
+report = run_claim_suite(SuiteOptions(walks=4, trig_samples=20_000))
 for line in report.table_lines():
     print(line)
 print()

@@ -61,12 +61,14 @@ optimal identity; the parent rows of ``BENCH_flips.json`` from before
 that came from the parent commit's own script.
 
 ``claims`` evaluates every entry of ``verify.CLAIMS`` with the suite
-options ``--seed``, ``--grid``, ``--walks`` and ``--samples`` (the
-``kinostable verify`` defaults unless given), in order on one ``SuiteRun``
-as ``kinostable verify`` does, so an input that claims share is built in
-the row of the first claim that reads it, and ``total_s`` is the claim
-time of one verify run.  It records each claim's wall time, computed value
-and verdict.
+options ``--seed``, ``--walks`` and ``--samples`` (the ``kinostable
+verify`` defaults unless given), in order on one ``SuiteRun`` as
+``kinostable verify`` does, so an input that claims share is built in the
+row of the first claim that reads it, and ``total_s`` is the claim time of
+one verify run.  It records each claim's wall time, computed value and
+verdict, and on a tree whose sweep program is certified by branch and
+bound, the program's certified bound, witness and box count.  A tree that
+still scans a grid runs it at its own default grid.
 """
 
 from __future__ import annotations
@@ -358,8 +360,7 @@ def run_claims(args) -> dict:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from kinostable.verify import CLAIMS, SuiteOptions, SuiteRun
 
-    run = SuiteRun(SuiteOptions(grid=args.grid, seed=args.seed, walks=args.walks,
-                                trig_samples=args.samples))
+    run = SuiteRun(SuiteOptions(seed=args.seed, walks=args.walks, trig_samples=args.samples))
     rows = []
     for claim in CLAIMS:
         t0 = time.perf_counter()
@@ -367,10 +368,13 @@ def run_claims(args) -> dict:
         rows.append({"claim": claim.claim_id, "wall_s": time.perf_counter() - t0,
                      "computed": check.computed, "passed": check.passed})
         print(json.dumps(rows[-1]), flush=True)
-    return {"git_commit": git_commit(Path(args.src)),
-            "options": {"seed": args.seed, "grid": args.grid, "walks": args.walks,
-                        "samples": args.samples},
-            "total_s": sum(row["wall_s"] for row in rows), "claims": rows}
+    out = {"git_commit": git_commit(Path(args.src)),
+           "options": {"seed": args.seed, "walks": args.walks, "samples": args.samples},
+           "total_s": sum(row["wall_s"] for row in rows), "claims": rows}
+    if hasattr(run.program, "bound"):
+        out["program"] = {"bound": run.program.bound, "witness": run.program.witness,
+                          "boxes": run.program.boxes}
+    return out
 
 
 def kinobench_once(checkout: Path, args) -> dict:
@@ -442,7 +446,6 @@ def main(argv=None) -> int:
     p.add_argument("--label", default="change")
     p.add_argument("--src", default=str(ROOT / "src"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=512)
     p.add_argument("--walks", type=int, default=20)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--out", required=True)

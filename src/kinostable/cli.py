@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-")
 
     p = sub.add_parser("verify", help="run the full claim-verification suite")
-    p.add_argument("--grid", type=int, default=512)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--walks", type=int, default=20)
@@ -175,17 +174,17 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    opts = SuiteOptions(
-        grid=args.grid, dt=args.dt, seed=args.seed,
-        walks=args.walks, trig_samples=args.samples,
-    )
-    # the options are checked above and the report path here, before any claim runs
-    with _open(args.out, "w") if args.out else nullcontext() as fp:
-        report = run_claim_suite(opts)
-        for line in report.table_lines():
-            print(line)
-        print(f"{'ALL CLAIMS PASS' if report.passed else 'CLAIM FAILURES PRESENT'}")
-        if fp is not None:
+    opts = SuiteOptions(dt=args.dt, seed=args.seed, walks=args.walks, trig_samples=args.samples)
+    # The options are checked above and the report path here, before any claim
+    # runs; an existing report is truncated only once the suite has returned.
+    if args.out:
+        with _open(args.out, "a"):
+            pass
+    report = run_claim_suite(opts)
+    print(*report.table_lines(), "ALL CLAIMS PASS" if report.passed else "CLAIM FAILURES PRESENT",
+          sep="\n")
+    if args.out:
+        with _open(args.out, "w") as fp:
             json.dump(report.to_json_dict(), fp, indent=2)
             fp.write("\n")
     return 0 if report.passed else 3

@@ -4,7 +4,8 @@ The claims live in one table, :data:`CLAIMS`: each row has an id, a
 description and a check that compares a computed value with its expected
 value under a pinned tolerance (or a violation count that must be zero).
 The table covers: the constrained max-min program bounding the worst box
-sweep by 5/4, the sine/arcsine inequalities, the empirical
+sweep by 5/4 (an upper bound certified by interval branch and bound, with
+a feasible witness from below), the sine/arcsine inequalities, the empirical
 orientation-change and aspect-drop bounds, the worst-case flip ratios of the
 three built-in adversarial scenarios, the double-cover winding of the forced
 orientation, the principal-axis speed escape, the speed-capped chase
@@ -29,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import angular_distances, winding_number
+from .angles import angular_distances, elementwise, winding_number
 from .chasing import (ChaseParams, aspect_drop_bound, aspect_drop_window, chase,
                       normalize_trajectory, pair_turn_bound, pair_turn_window)
 from .costs import DescriptorKind
@@ -141,82 +142,81 @@ def _program_objective(a, b, alpha):
                       swept_box_peak(1.0, a * b, np.sin(alpha)))
 
 
-def _program_grid_max(a_lo, a_hi, b_lo, b_hi, al_lo, al_hi, grid):
-    """Max of ``_program_objective`` on a ``grid``^3 mesh and its first argmax in
-    (alpha, a, b) order, or (-inf, nans); a scan visits only the feasible b range
-    of each (alpha, a) row, a <= b <= a cos(alpha) + sin(alpha)/a."""
-    best_val, best_arg = -math.inf, (math.nan,) * 3
-    a_grid = np.linspace(a_lo, a_hi, grid)
-    b_grid = np.linspace(b_lo, b_hi, grid)
-    first = np.searchsorted(b_grid, a_grid, "left")
-    for alpha in np.linspace(al_lo, al_hi, grid):
-        b_top = a_grid * math.cos(alpha) + math.sin(alpha) / a_grid
-        ends = np.searchsorted(b_grid, b_top, "right")
-        counts = np.maximum(ends - first, 0)
-        if not counts.any():
-            continue
-        starts = np.cumsum(counts) - counts  # row i fills [starts[i], starts[i] + counts[i])
-        aa = np.repeat(a_grid, counts)
-        bb = b_grid[np.arange(len(aa)) + np.repeat(first - starts, counts)]
-        vals = _program_objective(aa, bb, alpha)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_arg = (float(aa[i]), float(bb[i]), float(alpha))
-    return best_val, best_arg
+# Outward rounding of every box bound.  A bound is a sum, product or quotient of
+# positive terms, so relative errors add along its longest path: libm's sin and cos
+# are within 1 ulp, eps (glibc documents it; hence math's, not numpy's SIMD kernels),
+# and every other operation rounds by eps/2.  b_top is 2 eps deep, the peak 4.5 eps
+# (g damps r's error: r g'(r)/g(r) = (r-1)/(r+1) < 1), and each product with this
+# factor adds eps/2, so 1 + 32 eps covers the 5 eps with room to spare.
+_OUTWARD = 1.0 + 32.0 * np.finfo(float).eps
+_PRUNE_SLACK = 1e-12  # a box is done once its bound is within this of the best witness
+_PROGRAM_BOXES = 200_000  # box budget: past it, the open boxes' bounds are reported
+_cos, _sin = elementwise(math.cos), elementwise(math.sin)
+_OCTANTS = np.array([[(k >> j) & 1 for j in range(3)] for k in range(8)], dtype=bool)
+
+
+def _box_bound(lo, hi):
+    """Upper bound of ``_program_objective`` on each box's feasible points
+    (rows of (a, b, alpha) ends), -inf on a box without one.  On the angle
+    range b <= b_top, and both terms are g(r) / (2(1 + cos turn)) with
+    g(r) = r + 2 + 1/r increasing for r >= 1: r = b/a <= b_top/a_lo at cos
+    alpha >= cos alpha_hi, and r = ab <= a_hi b_top at sin alpha >= sin alpha_lo."""
+    (a_lo, b_lo, al_lo), (a_hi, b_hi, al_hi) = lo.T, hi.T
+    b_top = np.minimum(b_hi, (a_hi * _cos(al_lo) + _sin(al_hi) / a_lo) * _OUTWARD)
+    bound = np.minimum(swept_box_peak(1.0, b_top / a_lo, _cos(al_hi)),
+                       swept_box_peak(1.0, a_hi * b_top, _sin(al_lo))) * _OUTWARD
+    return np.where(b_top < np.maximum(b_lo, a_lo), -np.inf, bound)
 
 
 @dataclass(frozen=True)
 class ProgramResult:
-    max_value: float
-    argmax: tuple[float, float, float]
+    bound: float  # certified upper bound of the large-angle branch
+    witness: float  # its best value at a feasible box centre, witness_at = (a, b, alpha)
+    witness_at: tuple[float, float, float]
+    boxes: int
     small_angle_max: float
     small_angle_argmax: tuple[float, float]
 
 
-def verify_obb_program(grid: int = 512, refine_rounds: int = 8) -> ProgramResult:
-    """Grid scan plus local refinement over the feasible (a, b, alpha) box,
-    ``grid`` points along each axis; a scan visits only the feasible b range
-    of each (alpha, a) row.
+def verify_obb_program() -> ProgramResult:
+    """Certified upper bound and a feasible witness of the sweep program.
 
     The large-angle branch maximizes
     min((a+b)^2 / (2ab(1+cos alpha)), (1+ab)^2 / (2ab(1+sin alpha))) subject
-    to b <= a*cos(alpha) + sin(alpha)/a, pi/4 < alpha < pi/2, 1 <= a <= b.
-    The small-angle branch reduces to (1+c)^2 / (2c(1+cos alpha)) over
-    1 <= c <= sqrt(2), 0 < alpha <= pi/4, maximized at the corner.
+    to b <= a*cos(alpha) + sin(alpha)/a, pi/4 < alpha < pi/2, 1 <= a <= b; its
+    supremum is 5/4, at a = b = sqrt(2), cos alpha = 3/5.  Branch and bound
+    keeps the best objective at a feasible box centre as the witness, and
+    splits a box into 8 until its bound is within ``_PRUNE_SLACK`` of it; the
+    certified bound is the largest bound of a pruned box.  Past
+    ``_PROGRAM_BOXES`` boxes the open ones count as pruned, so a bound that
+    does not converge (NaN included) fails instead of looping.  The
+    small-angle branch, (1+c)^2 / (2c(1+cos alpha)) over 1 <= c <= sqrt(2),
+    0 < alpha <= pi/4, increases in c and alpha: its maximum is the corner.
     """
-    if grid < 64:
-        raise DomainError("grid must be at least 64")
-    # Feasibility forces a <= sqrt(cot(alpha/2)) <= sqrt(1 + sqrt(2)) and
-    # b <= a cos(alpha) + sin(alpha)/a < 2.2 on the angle range.
-    a_hi = math.sqrt(1.0 + SQRT2) + 1e-9
-    val, (a0, b0, al0) = _program_grid_max(1.0, a_hi, 1.0, 2.2, math.pi / 4, math.pi / 2, grid)
-    span_a = (a_hi - 1.0) / (grid - 1)
-    span_b = 1.2 / (grid - 1)
-    span_al = (math.pi / 4) / (grid - 1)
-    for _ in range(refine_rounds):
-        v, arg = _program_grid_max(
-            max(1.0, a0 - span_a), a0 + span_a,
-            max(1.0, b0 - span_b), b0 + span_b,
-            max(math.pi / 4, al0 - span_al), min(math.pi / 2, al0 + span_al), 48,
-        )
-        if v > val:
-            val, (a0, b0, al0) = v, arg
-        span_a /= 12.0
-        span_b /= 12.0
-        span_al /= 12.0
-
-    c_grid = np.linspace(1.0, SQRT2, grid)
-    al_grid = np.linspace(1e-9, math.pi / 4, grid)
-    cc, alal = np.meshgrid(c_grid, al_grid, indexing="ij")
-    small = swept_box_peak(1.0, cc, np.cos(alal))
-    i = int(np.argmax(small))
-    return ProgramResult(
-        max_value=val,
-        argmax=(a0, b0, al0),
-        small_angle_max=float(small.flat[i]),
-        small_angle_argmax=(float(cc.flat[i]), float(alal.flat[i])),
-    )
+    # Feasibility forces a <= sqrt(cot(alpha/2)) <= sqrt(1 + sqrt(2)), b < 2.2 on the
+    # angle range, and a = b = 1 (objective 1) between the float pi/2 and pi/2.
+    lo = np.array([[1.0, 1.0, math.pi / 4]])
+    hi = np.array([[math.sqrt(1.0 + SQRT2) + 1e-9, 2.2, math.pi / 2]])
+    bound, best, best_at, boxes = -math.inf, -math.inf, (math.nan,) * 3, 0
+    while len(lo):
+        boxes += len(lo)
+        upper = _box_bound(lo, hi)
+        mid = 0.5 * (lo + hi)
+        a, b, alpha = mid.T
+        feasible = (a <= b) & (b <= a * np.cos(alpha) + np.sin(alpha) / a)
+        values = np.where(feasible, _program_objective(a, b, alpha), -math.inf)
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best, best_at = float(values[i]), tuple(mid[i].tolist())
+        split = ~(upper <= best + _PRUNE_SLACK)  # a NaN bound stays open ...
+        split &= boxes + 8 * int(split.sum()) <= _PROGRAM_BOXES  # ... within the budget
+        bound = float(np.max(upper[~split], initial=bound))  # NaN propagates
+        lo, hi, mid = lo[split, None], hi[split, None], mid[split, None]
+        lo = np.where(_OCTANTS, mid, lo).reshape(-1, 3)
+        hi = np.where(_OCTANTS, hi, mid).reshape(-1, 3)
+    c, turn = SQRT2, math.pi / 4
+    return ProgramResult(float(np.maximum(bound, best)), best, best_at, boxes,
+                         swept_box_peak(1.0, c, math.cos(turn)), (c, turn))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def chase_suite(trajectories: list[Trajectory], dt: float = 1e-3) -> ChaseSuiteR
 
 @dataclass(frozen=True)
 class SuiteOptions:
-    grid: int = 512
+    grid: int = 512  # unread; kinobench's mini verify still passes it
     dt: float = 1e-3
     seed: int = 0
     walks: int = 20
@@ -428,8 +428,6 @@ class SuiteOptions:
             raise DomainError("walks must be at least 1")
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
-        if self.grid < 64:
-            raise DomainError("grid must be at least 64")
         if self.trig_samples < 1:
             raise DomainError("samples must be at least 1")
         check_dt(self.dt)
@@ -448,7 +446,7 @@ class SuiteRun:
 
     @cached_property
     def program(self) -> ProgramResult:
-        return verify_obb_program(self.opts.grid)
+        return verify_obb_program()
 
     @cached_property
     def trig(self) -> dict[str, SamplingResult]:
@@ -509,7 +507,8 @@ class Claim:
         return ClaimCheck(self.claim_id, self.description, *self.check(run))
 
 
-FIVE_QUARTERS = 1.25 + 1e-3  # the 5/4 box-sweep bound plus grid and sampling slack
+FIVE_QUARTERS = 1.25 + 1e-3  # the 5/4 box-sweep bound plus slack for sampled sweeps
+PROGRAM_CAP = 1.25 + 1e-9  # the certified bound exceeds 5/4 by at most its 1e-12 prune slack
 CHASE_RATIO_CAP = ChaseParams().ratio_cap  # 4c+6 = 18
 PROGRAM_BUDGET = Budget("the sweep program", 60.0)
 BOX_FLIP_BUDGET = Budget("the box flip scenario and sweep", 30.0)
@@ -521,7 +520,7 @@ def _fmt(x: float) -> str:
 
 
 def _at_most(value: float, cap: float, detail: str = "", label: str = "") -> Verdict:
-    return f"{label}<= {cap:g}", _fmt(value), value <= cap, detail
+    return f"{label}<= {_fmt(cap)}", _fmt(value), value <= cap, detail
 
 
 def _near(value: float, expected: float, tol: float, detail: str = "") -> Verdict:
@@ -560,9 +559,10 @@ def _flip_claim(claim_id: str, scenario: Callable[[], Trajectory], kind: Descrip
 
 
 def _program_max(run: SuiteRun) -> Verdict:
-    a, b, alpha = run.program.argmax
-    return _at_most(run.program.max_value, FIVE_QUARTERS,
-                    f"argmax a={a:.6f} b={b:.6f} alpha={alpha:.6f}")
+    res = run.program
+    a, b, alpha = res.witness_at
+    return _at_most(res.bound, PROGRAM_CAP, f"bound {res.bound!r} over {res.boxes} boxes; "
+                    f"witness {res.witness!r} at a={a:.10f} b={b:.10f} alpha={alpha:.10f}")
 
 
 def _double_cover(run: SuiteRun) -> Verdict:

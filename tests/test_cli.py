@@ -171,7 +171,7 @@ def test_deterministic_outputs(tmp_path):
 def test_verify_quick_suite_exits_zero(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, [
-        "verify", "--grid", "64", "--walks", "2", "--samples", "2000",
+        "verify", "--walks", "2", "--samples", "2000",
         "--out", str(report_path),
     ])
     assert code == 0
@@ -289,13 +289,13 @@ def test_track_rejects_a_horizon_past_the_keyframes(capsys, monkeypatch):
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_no_trig_samples(capsys, samples):
-    code, out, err = run_cli(capsys, ["verify", "--grid", "64", "--samples", samples])
+    code, out, err = run_cli(capsys, ["verify", "--samples", samples])
     assert (code, out, err) == (2, "", "error: samples must be at least 1\n")
 
 
 @pytest.mark.parametrize("walks", ["0", "-3"])
 def test_verify_rejects_no_walks(capsys, walks):
-    code, out, err = run_cli(capsys, ["verify", "--grid", "64", "--walks", walks])
+    code, out, err = run_cli(capsys, ["verify", "--walks", walks])
     assert (code, out, err) == (2, "", "error: walks must be at least 1\n")
 
 
@@ -344,7 +344,6 @@ def test_an_output_in_a_missing_directory_is_an_input_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("option, message", [
     pytest.param(["--samples", "0"], "samples must be at least 1", id="samples-0"),
-    pytest.param(["--grid", "63"], "grid must be at least 64", id="grid-63"),
     pytest.param(["--dt", "0"], "dt must be positive", id="dt-0"),
     pytest.param(["--dt", "nan"], "dt must be positive", id="dt-nan"),
     pytest.param(["--dt", "inf"], "dt must be finite", id="dt-inf"),
@@ -370,7 +369,36 @@ def test_verify_checks_its_report_path_before_running_the_suite(capsys, tmp_path
 
     monkeypatch.setattr("kinostable.verify.verify_obb_program", no_program)
     out_path = tmp_path / "missing" / "report.json"
-    code, out, err = run_cli(capsys, ["verify", "--grid", "64", "--walks", "1", "--samples", "10",
+    code, out, err = run_cli(capsys, ["verify", "--walks", "1", "--samples", "10",
                                       "--out", str(out_path)])
     assert (code, out) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"
+
+
+def test_a_claim_that_raises_leaves_an_existing_report_as_it_was(capsys, tmp_path):
+    # the sample-count bound on dt fails only inside a claim, after the program ran
+    report = tmp_path / "report.json"
+    report.write_bytes(b'{"passed": true, "claims": []}\n')
+    code, _, err = run_cli(capsys, ["verify", "--dt", "1e-9", "--walks", "1", "--samples", "10",
+                                    "--out", str(report)])
+    assert code == 2
+    assert err.startswith("error: dt 1e-09 needs 8e+08 samples")
+    assert report.read_bytes() == b'{"passed": true, "claims": []}\n'
+
+
+@pytest.mark.parametrize("target", ["file", "-"])
+def test_verify_writes_its_report_after_the_table(capsys, tmp_path, monkeypatch, target):
+    from kinostable.verify import ClaimCheck, VerificationReport
+
+    report = VerificationReport([ClaimCheck("demo", "passes", "0", "0", True)])
+    monkeypatch.setattr("kinostable.cli.run_claim_suite", lambda opts: report)
+    path = tmp_path / "report.json"
+    path.write_text("an older, longer report\n" * 100)
+    code, out, _ = run_cli(capsys, ["verify", "--out", str(path) if target == "file" else "-"])
+    table = "[PASS] demo  expected 0  got 0\nALL CLAIMS PASS\n"
+    written = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert code == 0
+    if target == "file":
+        assert (out, path.read_text()) == (table, written)
+    else:
+        assert out == table + written

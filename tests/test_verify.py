@@ -25,7 +25,6 @@ from kinostable.verify import (
     SuiteOptions,
     SuiteRun,
     _parallel_map,
-    _program_grid_max,
     _program_objective,
     forced_orientation_winding,
     intermediate_box_area,
@@ -59,79 +58,80 @@ class TestRatioPolicy:
         assert a == pytest.approx(b, rel=1e-9)
 
 
-def dense_program_grid_max(a_lo, a_hi, b_lo, b_hi, al_lo, al_hi, grid):
-    """Reference for ``_program_grid_max``: the objective on the whole (a, b) mesh
-    at each angle, infeasible points masked to -inf, first argmax kept."""
-    best_val, best_arg = -math.inf, (math.nan,) * 3
-    a_grid = np.linspace(a_lo, a_hi, grid)
-    b_grid = np.linspace(b_lo, b_hi, grid)
-    aa, bb = np.meshgrid(a_grid, b_grid, indexing="ij")
-    for alpha in np.linspace(al_lo, al_hi, grid):
-        feasible = (bb >= aa) & (bb <= aa * math.cos(alpha) + math.sin(alpha) / aa)
-        if not feasible.any():
-            continue
-        vals = np.where(feasible, _program_objective(aa, bb, alpha), -math.inf)
-        i = int(np.argmax(vals))
-        v = float(vals.flat[i])
-        if v > best_val:
-            best_val = v
-            best_arg = (float(aa.flat[i]), float(bb.flat[i]), float(alpha))
-    return best_val, best_arg
-
-
 A_HI = math.sqrt(1.0 + SQRT2) + 1e-9
+DOMAIN_LO = np.array([1.0, 1.0, math.pi / 4])
+DOMAIN_HI = np.array([A_HI, 2.2, math.pi / 2])
+
+
+def feasible_points(rng, count):
+    """Seeded feasible (a, b, alpha) rows, half of them on b = a cos(alpha) + sin(alpha)/a."""
+    a = rng.uniform(1.0, A_HI, count)
+    alpha = rng.uniform(math.pi / 4, math.pi / 2, count)
+    b_max = np.minimum(2.2, a * np.cos(alpha) + np.sin(alpha) / a)
+    keep = b_max >= a
+    a, alpha, b_max = a[keep], alpha[keep], b_max[keep]
+    b = np.where(rng.random(len(a)) < 0.5, b_max, rng.uniform(a, b_max))
+    return np.column_stack([a, b, alpha])
 
 
 class TestProgram:
-    @pytest.mark.parametrize("window", [
-        pytest.param((1.0, A_HI, 1.0, 2.2, math.pi / 4, math.pi / 2, g), id=f"full-{g}")
-        for g in (64, 65, 96, 129)
-    ] + [
-        # the refine window around the ridge a = b = sqrt(2), alpha = atan(4/3)
-        pytest.param((1.41, 1.418, 1.41, 1.418, 0.925, 0.929, 48), id="ridge"),
-        # alpha near pi/2 bounds b by about 1/a < a: the upper angles have no feasible point
-        pytest.param((1.2, 1.6, 1.2, 1.6, 1.2, math.pi / 2, 48), id="empty-angles"),
-    ])
-    def test_feasible_band_scan_equals_the_dense_masked_scan(self, window):
-        val, arg = _program_grid_max(*window)
-        assert val > -math.inf
-        assert (val, arg) == dense_program_grid_max(*window)
-
-    def test_scan_without_a_feasible_point(self):
-        window = (1.5, 1.6, 1.0, 1.4, 0.8, 1.0, 48)  # every b below every a
-        for val, arg in (_program_grid_max(*window), dense_program_grid_max(*window)):
-            assert val == -math.inf
-            assert len(arg) == 3 and all(math.isnan(x) for x in arg)
+    def test_box_bound_covers_the_objective(self):
+        rng = np.random.default_rng(7)
+        points = feasible_points(rng, 200_000)
+        # a box around each point, widths 1e-9 to 1 of the domain on each axis;
+        # a quarter of them are the point itself, where only rounding separates
+        # the bound from the objective (without outward rounding 7 % of those fail)
+        width = (DOMAIN_HI - DOMAIN_LO) * 10.0 ** rng.uniform(-9.0, 0.0, points.shape)
+        width[: len(points) // 4] = 0.0
+        share = rng.random(points.shape)
+        lo = np.maximum(DOMAIN_LO, points - share * width)
+        hi = np.minimum(DOMAIN_HI, points + (1.0 - share) * width)
+        margin = verify._box_bound(lo, hi) - _program_objective(*points.T)
+        assert len(points) > 50_000
+        assert margin.min() >= 0.0
 
     def test_global_max_stays_at_five_quarters(self):
-        res = verify_obb_program(grid=96)
-        assert res.max_value <= 1.25 + 1e-3
-        assert res.max_value >= 1.2  # the grid does find the ridge
+        # the maximizer a = b = sqrt(2), cos alpha = 3/5 makes both terms 5/4,
+        # with b = a cos(alpha) + sin(alpha)/a tight
+        res = verify_obb_program()
+        assert 1.25 - 1e-9 <= res.witness <= 1.25 <= res.bound <= 1.25 + 1e-12
+        assert res.witness_at == pytest.approx((SQRT2, SQRT2, math.acos(0.6)), abs=1e-9)
+        assert res.boxes < verify._PROGRAM_BOXES
 
     def test_small_angle_branch_corner(self):
-        res = verify_obb_program(grid=64, refine_rounds=0)
-        assert res.small_angle_max == pytest.approx(0.5 + SQRT2 / 2.0, abs=1e-9)
-        c, alpha = res.small_angle_argmax
-        assert c == pytest.approx(SQRT2)
-        assert alpha == pytest.approx(math.pi / 4)
+        res = verify_obb_program()
+        assert res.small_angle_max == 1.2071067811865475
+        assert res.small_angle_max == pytest.approx(0.5 + SQRT2 / 2.0, abs=1e-15)
+        assert res.small_angle_argmax == (SQRT2, math.pi / 4)
 
     def test_argmax_is_feasible(self):
-        res = verify_obb_program(grid=96)
-        a, b, alpha = res.argmax
+        res = verify_obb_program()
+        a, b, alpha = res.witness_at
         assert 1.0 <= a <= b
         assert math.pi / 4 < alpha < math.pi / 2
-        assert b <= a * math.cos(alpha) + math.sin(alpha) / a + 1e-9
+        assert b <= a * np.cos(alpha) + np.sin(alpha) / a  # as the search tests it
+        assert res.witness == _program_objective(a, b, alpha)
 
-    def test_nested_grids_are_monotone(self):
-        coarse = verify_obb_program(grid=65, refine_rounds=0)
-        fine = verify_obb_program(grid=129, refine_rounds=0)
-        assert coarse.max_value <= fine.max_value + 1e-12
+    def test_a_box_without_a_feasible_point_has_no_bound(self):
+        lo, hi = np.array([[1.5, 1.0, 0.8]]), np.array([[1.6, 1.4, 1.0]])  # every b below every a
+        assert verify._box_bound(lo, hi).tolist() == [-math.inf]
 
-    def test_rejects_tiny_grids(self):
-        from kinostable.errors import DomainError
+    def test_the_claim_fails_above_its_cap(self, monkeypatch):
+        claim = next(c for c in verify.CLAIMS if c.claim_id == "box-sweep-program-max")
+        run = SuiteRun(SuiteOptions(walks=1))
+        assert claim.evaluate(run).passed
+        monkeypatch.setattr(verify, "PROGRAM_CAP", 1.2499)
+        check = claim.evaluate(run)
+        assert (check.expected, check.passed) == ("<= 1.2499", False)
 
-        with pytest.raises(DomainError):
-            verify_obb_program(grid=8)
+    def test_a_nan_bound_fails_the_claim_without_hanging(self, monkeypatch):
+        monkeypatch.setattr(verify, "_box_bound", lambda lo, hi: np.full(len(lo), math.nan))
+        res = verify_obb_program()
+        assert math.isnan(res.bound)
+        assert res.boxes <= verify._PROGRAM_BOXES
+        claim = next(c for c in verify.CLAIMS if c.claim_id == "box-sweep-program-max")
+        check = claim.evaluate(SuiteRun(SuiteOptions(walks=1)))
+        assert (check.computed, check.passed) == ("nan", False)
 
 
 class TestIntermediateBoxArea:
