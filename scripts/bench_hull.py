@@ -68,7 +68,10 @@ row of the first claim that reads it, and ``total_s`` is the claim time of
 one verify run.  It records each claim's wall time, computed value and
 verdict, and on a tree whose sweep program is certified by branch and
 bound, the program's certified bound, witness and box count.  A tree that
-still scans a grid runs it at its own default grid.
+still scans a grid runs it at its own default grid.  Beside the claim rows
+it times the two stages of ``axis-speed-escape`` on their own,
+``measured_axis_speed`` and ``min_anchor_diameter`` of ``pc_fast_flip`` at
+the suite's rate and dt: the best of three runs each, with the value.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ MAX_CALLS = 200  # ... or this many times, whichever comes first
 CORE_SIZES = (8, 64)
 CORE_SEEDS = (0, 1, 2, 3)
 CORE_DT = 1e-3
+STAGE_REPEATS = 3  # ``claims`` keeps the best of this many runs of each stage
 END_TO_END = ("setup_s", "wall_s", "samples_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
 
 
@@ -356,9 +360,12 @@ def run_flips(args) -> dict:
 
 
 def run_claims(args) -> dict:
-    """Wall time of each claim of ``verify.CLAIMS``: see the module docstring."""
+    """Wall time of each claim of ``verify.CLAIMS``, and of the two stages of
+    ``axis-speed-escape``: see the module docstring."""
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from kinostable.verify import CLAIMS, SuiteOptions, SuiteRun
+    from kinostable.scenarios import pc_fast_flip
+    from kinostable.verify import (CLAIMS, SuiteOptions, SuiteRun, measured_axis_speed,
+                                   min_anchor_diameter)
 
     run = SuiteRun(SuiteOptions(seed=args.seed, walks=args.walks, trig_samples=args.samples))
     rows = []
@@ -368,9 +375,22 @@ def run_claims(args) -> dict:
         rows.append({"claim": claim.claim_id, "wall_s": time.perf_counter() - t0,
                      "computed": check.computed, "passed": check.passed})
         print(json.dumps(rows[-1]), flush=True)
+    opts = run.opts
+    fast = pc_fast_flip(opts.fast_flip_rate)
+    stages = []
+    for stage in (measured_axis_speed, min_anchor_diameter):
+        seconds = []
+        for _ in range(STAGE_REPEATS):
+            t0 = time.perf_counter()
+            value = stage(fast, opts.dt)
+            seconds.append(time.perf_counter() - t0)
+        stages.append({"stage": stage.__name__, "input": f"pc_fast_flip({opts.fast_flip_rate:g})",
+                       "points": fast.n_points, "dt": opts.dt, "best_s": min(seconds),
+                       "runs_s": seconds, "value": value})
+        print(json.dumps(stages[-1]), flush=True)
     out = {"git_commit": git_commit(Path(args.src)),
            "options": {"seed": args.seed, "walks": args.walks, "samples": args.samples},
-           "total_s": sum(row["wall_s"] for row in rows), "claims": rows}
+           "total_s": sum(row["wall_s"] for row in rows), "claims": rows, "stages": stages}
     if hasattr(run.program, "bound"):
         out["program"] = {"bound": run.program.bound, "witness": run.program.witness,
                           "boxes": run.program.boxes}

@@ -16,9 +16,9 @@ sits inside the safe zone (gap <= H) or the enclosing interval
 The chaser is a steering rule over ``tracker.sampled_run``, the same
 block-by-block core the topological tracker runs on: per block of frames,
 the diametric boxes are solved at once and the capped rotation runs as a
-loop on floats.  One chase path is scored against both the box and the
+loop on floats.  One chase path is scored against the box and/or the
 strip optimum, so the run comes back as one ``TrackerOutput`` per kind
-(with no flip events) beside the safe-zone report.
+scored (with no flip events) beside the safe-zone report.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class SafeZoneReport:
 @dataclass
 class ChaseResult:
     """A chase run: one orientation path, its safe-zone report, and one run
-    table per extent descriptor (box and strip) scoring that path.
+    table per extent descriptor scored (box, strip or both) on that path.
 
     Every table shares the run's ``times`` and ``beta`` arrays and has
     period pi, because the chased orientation is taken modulo pi.
@@ -174,12 +174,21 @@ class ChaseResult:
     runs: dict[DescriptorKind, TrackerOutput]
 
 
-def chase(traj: Trajectory, params: ChaseParams = ChaseParams(), dt: float = 1e-3) -> ChaseResult:
+_EXTENTS = (DescriptorKind.OBB, DescriptorKind.STRIP)
+
+
+def chase(traj: Trajectory, params: ChaseParams = ChaseParams(), dt: float = 1e-3,
+          kinds: tuple[DescriptorKind, ...] = _EXTENTS) -> ChaseResult:
     """Run the speed-capped chasing tracker over a (normalized) trajectory.
 
     The tracker chases the diametric-pair orientation, starting on it in the
-    first frame so that the run begins in steady state.
+    first frame so that the run begins in steady state.  The path is scored
+    against the optimum of each of ``kinds``, box and strip by default; the
+    path does not depend on them.
     """
+    kinds = tuple(DescriptorKind(k) for k in kinds)
+    if not kinds or not set(kinds) <= set(_EXTENTS):
+        raise DomainError("chase runs score box and/or strip costs only")
     max_step = params.max_turn_rate * dt
     zone = []  # per block: the diametric box's aspect and the tracker's gap to it
 
@@ -193,11 +202,9 @@ def chase(traj: Trajectory, params: ChaseParams = ChaseParams(), dt: float = 1e-
         zone.append((box.aspect, angular_distances(beta, box.alpha)))
         return beta
 
-    runs = sampled_run(
-        traj, dt, (DescriptorKind.OBB, DescriptorKind.STRIP), ORIENTATION_PERIOD, toward_pair,
-    )
+    runs = sampled_run(traj, dt, kinds, ORIENTATION_PERIOD, toward_pair)
     aspect, gap = (np.concatenate(col) for col in zip(*zone))
     c = params.safe_zone_factor
     report = SafeZoneReport(aspect, safe_zone_half_width(aspect, c), jump_distance(aspect, c), gap)
-    box_run = runs[DescriptorKind.OBB]
-    return ChaseResult(params, box_run.times, box_run.beta, report, runs)
+    run = runs[kinds[0]]
+    return ChaseResult(params, run.times, run.beta, report, runs)

@@ -18,8 +18,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -153,9 +154,10 @@ def _cmd_chase(args) -> int:
         traj = read_trajectory(fp)
     if not args.no_normalize:
         traj, _, _ = normalize_trajectory(traj)
-    result = chase(traj, ChaseParams(args.K, args.c), args.dt)
+    kind = DescriptorKind(args.kind)
+    result = chase(traj, ChaseParams(args.K, args.c), args.dt, (kind,))
     with _open(args.out, "w") as fp:
-        write_chase_csv(fp, result, DescriptorKind(args.kind))
+        write_chase_csv(fp, result, kind)
     return 0
 
 
@@ -176,11 +178,19 @@ def _cmd_ratio(args) -> int:
 def _cmd_verify(args) -> int:
     opts = SuiteOptions(dt=args.dt, seed=args.seed, walks=args.walks, trig_samples=args.samples)
     # The options are checked above and the report path here, before any claim
-    # runs; an existing report is truncated only once the suite has returned.
+    # runs; an existing report is truncated only once the suite has returned,
+    # and a report file this call created is removed if the suite raises.
+    created = bool(args.out) and args.out != "-" and not os.path.lexists(args.out)
     if args.out:
         with _open(args.out, "a"):
             pass
-    report = run_claim_suite(opts)
+    try:
+        report = run_claim_suite(opts)
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                os.remove(args.out)
+        raise
     print(*report.table_lines(), "ALL CLAIMS PASS" if report.passed else "CLAIM FAILURES PRESENT",
           sep="\n")
     if args.out:

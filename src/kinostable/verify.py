@@ -18,7 +18,11 @@ off one scatter polynomial per keyframe segment
 samples whose eigenvalue gap is below 1e-3 of their segment's moment scale
 are solved frame by frame.  Each axis is then within about 1e3 rounding
 units (a few 1e-13 rad) of the per-frame solve, and the measured speed
-within about that over dt.
+within about that over dt.  Its diameter check interpolates one point per
+run of adjacent points with equal keyframe paths, 4 of the cluster's
+61,498 at the default rate (``min_anchor_diameter``).  That is exact:
+interpolation is elementwise, so points with ``==`` keyframes get equal
+coordinates, bitwise up to the sign of a zero, which squaring drops.
 """
 
 from __future__ import annotations
@@ -338,7 +342,22 @@ def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3, anchor: int = 0) -> 
     ``anchor``), cheap enough for very large clusters.  The square root is
     taken of each frame's largest dx*dx + dy*dy only: it is correctly
     rounded and monotone, so that is the largest root.
+
+    Only the first point of each run of adjacent points with ``==`` keyframe
+    paths is interpolated, and ``anchor`` stands for the head of its run.
+    Interpolation is elementwise per point, so points whose keyframes
+    compare equal get equal coordinates at every sample, bitwise up to the
+    sign of a zero, which squaring drops: the result is the same float as
+    over all points.  At least two runs are left, since a ``Trajectory``
+    has no keyframe whose points all coincide.
     """
+    anchor = range(traj.n_points)[anchor]  # a negative anchor counts from the end
+    pos = traj.positions
+    repeats = (pos[:, 1:] == pos[:, :-1]).all(axis=(0, 2))  # point i + 1 follows point i's path
+    keep = np.flatnonzero(np.concatenate(([True], ~repeats)))
+    if len(keep) < traj.n_points:
+        anchor = int(np.count_nonzero(~repeats[:anchor]))
+        traj = Trajectory(traj.times, pos[:, keep])
     times = traj.sample_times(dt)
     worst = math.inf
     for frames in traj.frame_blocks(times, check=False):

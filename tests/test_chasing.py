@@ -187,6 +187,21 @@ class TestChase:
         inside = sz.ang_gap <= sz.safe_half_width
         assert np.array_equal(sz.in_safe_zone, inside)
 
+    @pytest.mark.parametrize("kind", [DescriptorKind.OBB, DescriptorKind.STRIP])
+    def test_one_kind_scores_only_that_kind_and_keeps_the_path(self, kind):
+        traj = normalize_trajectory(random_walk(seed=5, steps=25))[0]
+        both, one = chase(traj, dt=2e-3), chase(traj, dt=2e-3, kinds=(kind,))
+        assert list(one.runs) == [kind]
+        for name in ("times", "beta", "opt_alpha", "cost", "opt_cost", "ratio"):
+            assert np.array_equal(getattr(one.runs[kind], name), getattr(both.runs[kind], name))
+        assert np.array_equal(one.safe_zone.ang_gap, both.safe_zone.ang_gap)
+
+    @pytest.mark.parametrize("kinds", [(), (DescriptorKind.PC,),
+                                       (DescriptorKind.OBB, DescriptorKind.PC)])
+    def test_rejects_kinds_other_than_box_and_strip(self, kinds):
+        with pytest.raises(DomainError, match="box and/or strip"):
+            chase(static_trajectory([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), dt=1e-1, kinds=kinds)
+
     def test_rejects_bad_params(self):
         with pytest.raises(DomainError):
             ChaseParams(max_turn_rate=0.0)

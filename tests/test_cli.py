@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from kinostable import geometry, trajectory
-from kinostable.chasing import chase
+from kinostable.chasing import ChaseParams, chase, normalize_trajectory
 from kinostable.cli import build_parser, main
 from kinostable.costs import DescriptorKind
 from kinostable.errors import DomainError
-from kinostable.runio import read_trajectory, write_tracker_csv, write_trajectory
+from kinostable.runio import (read_trajectory, write_chase_csv, write_tracker_csv,
+                              write_trajectory)
 from kinostable.scenarios import obb_lower_bound
 from kinostable.solvers import optimal
 from kinostable.tracker import track_topological
@@ -124,6 +125,18 @@ def test_chase_run_csv(tmp_path, capsys):
     assert header == "time,beta,optAlpha,cost,optCost,ratio,z,H,J,angGap,inSafeZone"
     cells = out.splitlines()[1].split(",")
     assert cells[-1] in {"0", "1"}
+
+
+@pytest.mark.parametrize("kind", ["obb", "strip"])
+def test_chase_csv_matches_a_run_that_scores_both_kinds(tmp_path, capsys, kind):
+    traj_path = tmp_path / "walk.jsonl"
+    main(["scenario", "random-walk", "--seed", "3", "--steps", "10", "--out", str(traj_path)])
+    code, out, _ = run_cli(capsys, ["chase", str(traj_path), "--kind", kind, "--dt", "5e-3"])
+    with open(traj_path, encoding="utf-8") as fp:
+        traj = normalize_trajectory(read_trajectory(fp))[0]
+    expected = io.StringIO()
+    write_chase_csv(expected, chase(traj, ChaseParams(), 5e-3), DescriptorKind(kind))
+    assert (code, out) == (0, expected.getvalue())
 
 
 def test_malformed_file_is_validation_error(capsys, monkeypatch):
@@ -384,6 +397,27 @@ def test_a_claim_that_raises_leaves_an_existing_report_as_it_was(capsys, tmp_pat
     assert code == 2
     assert err.startswith("error: dt 1e-09 needs 8e+08 samples")
     assert report.read_bytes() == b'{"passed": true, "claims": []}\n'
+
+
+@pytest.mark.parametrize("failure", ["claim-raises", "interrupted"])
+def test_a_suite_that_raises_removes_only_a_report_it_created(capsys, tmp_path, monkeypatch,
+                                                              failure):
+    def interrupted(opts):
+        raise KeyboardInterrupt
+
+    if failure == "interrupted":
+        monkeypatch.setattr("kinostable.cli.run_claim_suite", interrupted)
+    existing, new = tmp_path / "report.json", tmp_path / "new.json"
+    existing.write_bytes(b'{"passed": true, "claims": []}\n')
+    for path in (new, existing):
+        argv = ["verify", "--dt", "1e-9", "--walks", "1", "--samples", "10", "--out", str(path)]
+        if failure == "interrupted":
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert run_cli(capsys, argv)[0] == 2
+    assert not new.exists()
+    assert existing.read_bytes() == b'{"passed": true, "claims": []}\n'
 
 
 @pytest.mark.parametrize("target", ["file", "-"])

@@ -293,23 +293,69 @@ def test_measured_axis_speed_matches_the_scalar_loop():
     assert measured_axis_speed(traj) == worst
 
 
-def anchor_diameter_by_point_roots(traj, dt=1e-3, anchor=0):
-    """``min_anchor_diameter`` as it was written before: the root of every
-    point's squared distance, summed over the (dx, dy) axis."""
-    worst = math.inf
+def anchor_diameter_by_point_roots(traj, dt, anchors):
+    """``min_anchor_diameter`` as it was written before, at each of
+    ``anchors``: the root of every point's squared distance, summed over the
+    (dx, dy) axis, with every point interpolated."""
+    worst = [math.inf] * len(anchors)
     for frames in traj.frame_blocks(traj.sample_times(dt), check=False):
         pts = frames.points
-        d = np.sqrt(((pts - pts[:, anchor:anchor + 1]) ** 2).sum(axis=2)).max(axis=1)
-        worst = min(worst, float(d.min()))
+        for i, anchor in enumerate(anchors):
+            d = np.sqrt(((pts - pts[:, anchor:anchor + 1]) ** 2).sum(axis=2)).max(axis=1)
+            worst[i] = min(worst[i], float(d.min()))
     return worst
 
 
-@pytest.mark.parametrize("traj, dt", [(pc_fast_flip(100.0), 1e-2)]
-                         + [(random_walk(seed=seed), 1e-3) for seed in range(5)],
-                         ids=["pc-fast-flip"] + [f"walk{seed}" for seed in range(5)])
-def test_min_anchor_diameter_equals_point_roots(traj, dt):
-    assert min_anchor_diameter(traj, dt) == anchor_diameter_by_point_roots(traj, dt)
-    assert min_anchor_diameter(traj, dt, anchor=3) == anchor_diameter_by_point_roots(traj, dt, 3)
+def _repeated_walk():
+    """A walk whose points 0, 2 and 7 repeat next to themselves, and 0 and 1
+    again further on."""
+    walk = random_walk(seed=0)
+    return Trajectory(walk.times, walk.positions[:, [0, 0, 1, 2, 2, 2, 3, 0, 4, 5, 1, 6, 7, 7]])
+
+
+def _signed_zero():
+    """Points 0 and 1 follow equal paths, but point 1's x is -0.0 where
+    point 0's is 0.0, so the two interpolate to zeros of either sign."""
+    x = np.array([[0.0, 0.0], [-0.0, -0.0], [3.0, 1.0], [-1.0, -1.0]])
+    y = np.array([[2.0, -1.0], [2.0, -1.0], [0.0, 0.5], [-1.0, -0.0]])
+    return Trajectory(np.array([0.0, 1.0]), np.stack([x, y], axis=2).transpose(1, 0, 2))
+
+
+_EVERY_KIND_OF_ANCHOR = (0, 1, 3, -1)
+
+
+@pytest.mark.parametrize("traj, dt, anchors", [(pc_fast_flip(100.0), 1e-2, _EVERY_KIND_OF_ANCHOR)]
+                         + [(random_walk(seed=seed), 1e-3, _EVERY_KIND_OF_ANCHOR)
+                            for seed in range(5)]
+                         + [(pc_fast_flip(100.0), 1e-3, (0, -1)),
+                            (_repeated_walk(), 1e-3, _EVERY_KIND_OF_ANCHOR),
+                            (_signed_zero(), 1e-3, _EVERY_KIND_OF_ANCHOR)],
+                         ids=["pc-fast-flip"] + [f"walk{seed}" for seed in range(5)]
+                         + ["pc-fast-flip-dt1e-3", "repeated-walk", "signed-zero"])
+def test_min_anchor_diameter_equals_point_roots(traj, dt, anchors):
+    # -1 stands for the last point.  Anchor 3 and the last point sit inside a
+    # run of equal paths on the fast flip (its two clumps) and on the repeated
+    # walk; anchor 1 is the -0.0 twin of anchor 0 on the signed-zero input.
+    # At dt = 1e-3 the fast flip is checked at the claim's anchor 0 and in a clump.
+    assert [min_anchor_diameter(traj, dt, anchor) for anchor in anchors] \
+        == anchor_diameter_by_point_roots(traj, dt, [a % traj.n_points for a in anchors])
+
+
+def test_min_anchor_diameter_interpolates_one_point_per_path(monkeypatch):
+    # the fast flip's 61,498 points follow 4 paths: two anchors, two clumps
+    traj, shapes = pc_fast_flip(100.0), []
+    real = Trajectory.positions_at_times
+
+    def counted(self, times):
+        out = real(self, times)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(Trajectory, "positions_at_times", counted)
+    min_anchor_diameter(traj, 1e-3)
+    assert traj.n_points == 61_498
+    assert sum(shape[0] for shape in shapes) == len(traj.sample_times(1e-3)) == 1001
+    assert {shape[1:] for shape in shapes} == {(4, 2)}
 
 
 def test_forced_orientation_double_cover_small():
