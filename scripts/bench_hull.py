@@ -31,14 +31,16 @@ Inputs come from a fixed seed: uniform clouds of 8 and 64 points, and
 ellipses with 10^3 to 10^5 hull vertices plus half as many interior
 points.  Sizes above ``--skip-above`` are recorded as not run, with the
 bytes the O(h^2) path would allocate for them.  ``--normalize-hull`` also
-times one default ``normalize_trajectory`` (1025 diameters) at that hull
-size.
+times one default ``normalize_trajectory`` (a grid of 1025 frames and the
+keyframes) at that hull size.
 
 ``core`` times ``track_topological`` (obb, strip, pc) and ``chase`` per
 sample, on the walks of the kinobench ``walks`` workload (20 steps over
 0.4 time units, dt = 1e-3) at n = 8 and 64 for fixed seeds; the chase runs
 on the normalized walk, as ``kinostable chase`` does.  Each entry is the
-best of ``--repeats`` runs per seed, and the median over seeds.  One more
+best of ``--repeats`` runs per seed, and the median over seeds.  A
+``normalize`` row per size times ``normalize_trajectory`` of each raw walk,
+per walk instead of per sample.  One more
 run per seed counts the blocks its samples came in, the frames whose hull
 was built and the monotone-chain runs among them; the rest kept a certified
 hull (on a tree that replays chain traces, they replayed one).  The counts
@@ -262,6 +264,18 @@ def run_core(args) -> dict:
                    "per_seed_us": per_seed, "per_seed_counts": counts}
             rows.append(row)
             print(json.dumps(row), flush=True)
+        per_walk = []
+        for traj in walks:
+            best = math.inf
+            for _ in range(args.repeats):
+                t0 = time.perf_counter()
+                normalize_trajectory(traj)
+                best = min(best, time.perf_counter() - t0)
+            per_walk.append(1e6 * best)
+        row = {"n": n, "op": "normalize", "per_walk_us": statistics.median(per_walk),
+               "per_seed_us": per_walk}
+        rows.append(row)
+        print(json.dumps(row), flush=True)
     return {"git_commit": git_commit(Path(args.src)), "dt": CORE_DT, "seeds": args.seeds,
             "repeats": args.repeats, "rows": rows}
 

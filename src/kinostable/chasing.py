@@ -31,7 +31,7 @@ import numpy as np
 from .angles import ORIENTATION_PERIOD, angular_distances, elementwise, rotate_toward
 from .costs import DescriptorKind
 from .errors import DegenerateInputError, DomainError
-from .geometry import diametric_boxes, frame_diameters
+from .geometry import _EXTREMES, diameter_lower_bounds, diametric_boxes, frame_diameters
 from .tracker import TrackerOutput, sampled_run
 from .trajectory import Trajectory
 
@@ -124,12 +124,34 @@ def normalize_trajectory(
     Returns (normalized trajectory, spatial factor, temporal factor):
     positions were multiplied by the spatial factor and times by the
     temporal one.
+
+    The minimum is taken over the keyframe times and ``sample_count``
+    uniform samples, without the diameter of every one of those frames.
+    Each frame first gets a lower bound LB on its diameter D, in O(n)
+    (``diameter_lower_bounds``): the distance of one of its own pairs, with
+    the arithmetic of ``frame_diameters``, so D >= LB exactly in floats.
+    Up to ``geometry._EXTREMES`` points, LB is D.  Above, frames are
+    diametered in ascending LB order over the whole grid, in doubling
+    chunks, until the next LB is at least the smallest D found: no frame
+    left can be smaller, so the minimum is ``==`` that of every frame.  LB
+    = 0 only where D = 0 (the points extreme along x and along y coincide,
+    so all do), so a collapse raises before any frame is diametered, at
+    every n.
     """
     grid = np.union1d(traj.times, np.linspace(0.0, traj.horizon, sample_count))
-    min_diam = min(float(frame_diameters(frames).min())
-                   for frames in traj.frame_blocks(grid, check=False))
+    lower = np.concatenate([diameter_lower_bounds(frames)
+                            for frames in traj.frame_blocks(grid, check=False)])
+    min_diam = float(lower.min())
     if min_diam <= 0.0:
         raise DegenerateInputError("trajectory collapses to a single point")
+    if traj.n_points > _EXTREMES:  # the bounds are not the diameters
+        order = np.argsort(lower, kind="stable")
+        min_diam, done, size = math.inf, 0, 1
+        while done < len(order) and lower[order[done]] < min_diam:
+            chunk = np.sort(order[done:done + size])  # in time order, for the hull certificates
+            for frames in traj.frame_blocks(grid[chunk], check=False):
+                min_diam = min(min_diam, float(frame_diameters(frames).min()))
+            done, size = done + size, 2 * size
     scale = 1.0 / min_diam
     v_max = traj.max_point_speed() * scale
     time_factor = v_max if v_max > 0.0 else 1.0
@@ -139,8 +161,11 @@ def normalize_trajectory(
 
 @dataclass
 class SafeZoneReport:
-    """Per-sample safe-zone instrumentation of a chase run."""
+    """Per-sample safe-zone instrumentation of a chase run: the diametric
+    pair's orientation (the ``target`` chased) and aspect, and the bounds
+    and gap they give."""
 
+    target: np.ndarray
     aspect: np.ndarray
     safe_half_width: np.ndarray
     jump_allowance: np.ndarray
@@ -190,7 +215,7 @@ def chase(traj: Trajectory, params: ChaseParams = ChaseParams(), dt: float = 1e-
     if not kinds or not set(kinds) <= set(_EXTENTS):
         raise DomainError("chase runs score box and/or strip costs only")
     max_step = params.max_turn_rate * dt
-    zone = []  # per block: the diametric box's aspect and the tracker's gap to it
+    zone = []  # per block: the diametric box's orientation and aspect, and the tracker's gap
 
     def toward_pair(frames, times, optima, prev_beta):
         box = diametric_boxes(frames)
@@ -199,12 +224,13 @@ def chase(traj: Trajectory, params: ChaseParams = ChaseParams(), dt: float = 1e-
             prev_beta = alpha if prev_beta is None else rotate_toward(prev_beta, alpha, max_step)
             beta.append(prev_beta)
         beta = np.array(beta)
-        zone.append((box.aspect, angular_distances(beta, box.alpha)))
+        zone.append((box.alpha, box.aspect, angular_distances(beta, box.alpha)))
         return beta
 
     runs = sampled_run(traj, dt, kinds, ORIENTATION_PERIOD, toward_pair)
-    aspect, gap = (np.concatenate(col) for col in zip(*zone))
+    target, aspect, gap = (np.concatenate(col) for col in zip(*zone))
     c = params.safe_zone_factor
-    report = SafeZoneReport(aspect, safe_zone_half_width(aspect, c), jump_distance(aspect, c), gap)
+    report = SafeZoneReport(target, aspect, safe_zone_half_width(aspect, c),
+                            jump_distance(aspect, c), gap)
     run = runs[kinds[0]]
     return ChaseResult(params, run.times, run.beta, report, runs)

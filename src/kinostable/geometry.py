@@ -3,14 +3,21 @@
 Two paths compute the hull-only quantities, chosen here and nowhere else by
 frame size:
 
-* at most ``_BRUTE_FORCE_LIMIT`` points: the full matrix of pairwise
-  squared distances gives the diameter, and the box and strip candidate
-  costs project every point (``costs.candidate_costs``);
+* at most ``_BRUTE_FORCE_LIMIT`` points: the squared distance of every
+  point pair gives the diameter, that of every pair of hull vertices the
+  diametral pairs (a farthest pair's points are hull vertices; Shamos,
+  1978), and the box and strip candidate costs project every point
+  (``costs.candidate_costs``);
 * above it: one rotating-calipers pass over the convex hull (Toussaint,
   1983) gives the antipodal vertex pairs, the only pairs that can be
-  diametral, and the extreme hull vertices give every candidate's extents
-  (``extents_on_hull``).  Both are O(h) in time and memory for h hull
-  vertices.
+  diametral, for both, and the extreme hull vertices give every
+  candidate's extents (``extents_on_hull``).  Both are O(h) in time and
+  memory for h hull vertices.
+
+``diameter_lower_bounds`` bounds every frame's diameter from below in O(n)
+per frame, with the same per-pair arithmetic, so a scan for the smallest
+diameter (``chasing.normalize_trajectory``) diameters only the frames whose
+bound is below the smallest diameter found.
 
 Every quantity is computed for a block of frames at once (``Frames``, a
 (B, n, 2) array): the trackers, the descriptor command and the
@@ -66,15 +73,16 @@ import numpy as np
 from .angles import canonical_array, elementwise
 from .errors import DegenerateInputError
 
-# At most this many points, the diameter comes from every pairwise distance
-# and the candidate extents from projecting every point: no hull is needed
-# for them, and at n = 8 that measured faster than reading the hull.
-# Larger frames use only the hull's antipodal pairs and extreme vertices,
-# with the same per-pair and per-vertex arithmetic: the diameter and the
-# diametric box are exactly those of all hull pairs, and a candidate's
-# extents differ from projecting every point only where a non-vertex point
-# rounds past the extreme vertex (a few ulp of the coordinates).  Box and
-# strip candidates come from the hull at every size.
+# At most this many points, the diameter comes from every pairwise distance,
+# the diametral pairs from every pair of hull vertices (the hull is built for
+# the box and strip candidates anyway), and the candidate extents from
+# projecting every point: at n = 8 that measured faster than reading the
+# hull's extreme vertices.  Larger frames use only the hull's antipodal pairs
+# and extreme vertices, with the same per-pair and per-vertex arithmetic: the
+# diameter and the diametric box are exactly those of all hull pairs, and a
+# candidate's extents differ from projecting every point only where a
+# non-vertex point rounds past the extreme vertex (a few ulp of the
+# coordinates).  Box and strip candidates come from the hull at every size.
 _BRUTE_FORCE_LIMIT = 64
 
 # The memory budget, in bytes, of a block's (B, n, 2) positions and of each
@@ -89,6 +97,10 @@ _CCW_BOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 # that of about four more 64-point frames, and on random walks at dt = 1e-3
 # a hull certifies about 11 frames at n = 64 and 76 at n = 8.
 _FIRST_WINDOW = 8
+
+# The points extreme along x, y, x + y and x - y, among which
+# ``diameter_lower_bounds`` measures: at most this many.
+_EXTREMES = 8
 
 _atan2, _sin, _cos = elementwise(math.atan2, 2), elementwise(math.sin), elementwise(math.cos)
 
@@ -442,36 +454,63 @@ def extents_on_hull(hull: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray]:
             spread(np.column_stack([-s, c]), alphas + 0.5 * math.pi))
 
 
+def _with_twins(points: np.ndarray, t: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """The pairs ``(t, i, j)`` of point indices with every point equal to
+    an end standing in for that end, each pair as ``i < j``: the pairs a
+    scan of every point pair finds where the ends are farthest apart."""
+    z = np.ascontiguousarray(points, dtype=float).view(np.complex128)[:, :, 0]  # == on both
+    twin_i, twin_j = z[t] == z[t, i, None], z[t] == z[t, j, None]  # (H, n)
+    dup = np.count_nonzero(twin_i | twin_j, axis=1) > 2
+    if not dup.any():
+        return t, i, j
+    r, a, b = np.nonzero(twin_i[dup, :, None] & twin_j[dup, None, :])
+    return (np.concatenate((t[~dup], t[dup][r])), np.concatenate((i[~dup], np.minimum(a, b))),
+            np.concatenate((j[~dup], np.maximum(a, b))))
+
+
 def _diametral_hits(frames: Frames):
     """Every farthest pair ``i < j`` of every frame: (frame index, i, j,
     pair vector from i to j), and the squared diameter of each frame.
 
-    At most ``_BRUTE_FORCE_LIMIT`` points the pairs index the frame's
-    points, above it the frame's hull vertices.
+    A farthest pair's points are hull vertices.  At most
+    ``_BRUTE_FORCE_LIMIT`` points, the distances of every pair of each
+    frame's hull vertices give the pairs, with the arithmetic of every
+    point pair's; they index the frame's points, ``i < j`` by point index,
+    and a point equal to an end counts as that end, so the pairs and their
+    vectors are those a scan of every point pair hits.  Above the limit
+    the pairs index the hull vertices and come from the antipodal pairs.
     """
     rows = []
     if frames.n_points <= _BRUTE_FORCE_LIMIT:
         pts = frames.points
-        step = pair_block(frames.n_points)
+        try:
+            idx, counts = frames.hull_indices
+        except DegenerateInputError:  # the chain's only error: a frame's points coincide
+            raise DegenerateInputError("all points coincide; diametric box is undefined") from None
+        idx = np.where(np.arange(idx.shape[1]) < counts[:, None], idx, idx[:, :1])  # pad: vertex 0
+        step = pair_block(idx.shape[1])
         for lo in range(0, len(pts), step):
-            d2 = _brute_distances(pts[lo:lo + step])
+            part = idx[lo:lo + step]
+            d2 = _brute_distances(pts[np.arange(lo, lo + len(part))[:, None], part])
             dmax2 = d2.max(axis=(1, 2))
-            if (dmax2 == 0.0).any():
+            if (dmax2 == 0.0).any():  # distinct points whose squared distances all underflow
                 raise DegenerateInputError("all points coincide; diametric box is undefined")
-            t, i, j = np.nonzero(d2 == dmax2[:, None, None])
-            keep = i < j
-            t, i, j = t[keep] + lo, i[keep], j[keep]
-            rows.append((t, i, j, pts[t, j] - pts[t, i], dmax2))
-    else:
-        for b in range(len(frames)):
-            hull = frames.hull(b)
-            i, j, d2 = _hull_distances(hull)
-            dmax2 = d2.max(keepdims=True)
-            hits = np.flatnonzero(d2 == dmax2)
-            i, j = i[hits], j[hits]
-            keep = i < j
-            i, j = i[keep], j[keep]
-            rows.append((np.full(len(i), b), i, j, hull[j] - hull[i], dmax2))
+            t, p, q = np.nonzero(d2 == dmax2[:, None, None])
+            i, j = part[t, p], part[t, q]
+            keep = (i < j) & (np.maximum(p, q) < counts[lo + t])  # no padding
+            rows.append((t[keep] + lo, i[keep], j[keep], dmax2))
+        t, i, j, dmax2 = (np.concatenate(col) for col in zip(*rows))
+        t, i, j = _with_twins(pts, t, i, j)
+        return t, i, j, pts[t, j] - pts[t, i], dmax2
+    for b in range(len(frames)):
+        hull = frames.hull(b)
+        i, j, d2 = _hull_distances(hull)
+        dmax2 = d2.max(keepdims=True)
+        hits = np.flatnonzero(d2 == dmax2)
+        i, j = i[hits], j[hits]
+        keep = i < j
+        i, j = i[keep], j[keep]
+        rows.append((np.full(len(i), b), i, j, hull[j] - hull[i], dmax2))
     return tuple(np.concatenate(col) for col in zip(*rows))
 
 
@@ -514,6 +553,52 @@ def frame_diameters(frames: Frames) -> np.ndarray:
             _brute_distances(frames.points[lo:lo + step]).max(axis=(1, 2))
             for lo in range(0, len(frames), step)]))
     return np.sqrt([_hull_distances(frames.hull(b))[2].max() for b in range(len(frames))])
+
+
+def diameter_lower_bounds(frames: Frames) -> np.ndarray:
+    """A lower bound on the diameter of every frame of a block, in O(n)
+    per frame.
+
+    Up to ``_EXTREMES`` points it is the diameter.  Above, it is the
+    largest of two sets of the frame's pair distances: those among its
+    points extreme along x, y, x + y and x - y, and those from the point
+    farthest from its first point (two steps of the farthest-point walk,
+    which on round and elongated frames alike ends near a farthest pair).
+    Every squared distance is dx*dx + dy*dy, rounded as the
+    ``_brute_distances`` entry of its pair, the arithmetic of
+    ``frame_diameters`` up to the brute-force limit, so each bound is one
+    of the distances a frame's diameter is the largest of, and at most it
+    exactly.  Above the limit the diameter is the largest distance of the
+    hull's antipodal pairs, which is that of all pairs of hull vertices
+    (see ``_BRUTE_FORCE_LIMIT``), and the pairs here are of hull points:
+    extreme along a direction, or farthest from a point.
+    """
+    if frames.n_points <= _EXTREMES:
+        return frame_diameters(frames)
+    pts = frames.points
+    x, y = pts[:, :, 0], pts[:, :, 1]
+    rows = np.arange(len(pts))
+
+    # each helper's (B, n) temporaries are freed when it returns, one at a time
+    def ends(key: np.ndarray) -> list[np.ndarray]:
+        return [key.argmin(axis=1), key.argmax(axis=1)]
+
+    def farthest(xs: np.ndarray, ys: np.ndarray, a: np.ndarray):
+        """The largest squared distance from each frame's point ``a[b]`` to
+        its points ``(xs[b], ys[b])``, and the point it is attained at."""
+        d2 = xs - xs[rows, a, None]
+        d2 *= d2
+        dy = ys - ys[rows, a, None]
+        dy *= dy
+        d2 += dy
+        far = d2.argmax(axis=1)
+        return d2[rows, far], far
+
+    at = np.column_stack(ends(x) + ends(y) + ends(x + y) + ends(x - y))
+    ex, ey = x[rows[:, None], at], y[rows[:, None], at]
+    bounds = [farthest(ex, ey, np.full(len(pts), k))[0] for k in range(at.shape[1])]
+    bounds.append(farthest(x, y, farthest(x, y, np.zeros(len(pts), dtype=np.intp))[1])[0])
+    return np.sqrt(np.max(bounds, axis=0))
 
 
 def frame_diameter(points) -> float:

@@ -74,8 +74,9 @@ def _edge_candidates(frames: Frames) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     hulls, sizes = frames.hull_indices
     edges = np.where(sizes == 2, 1, sizes)
+    start = np.cumsum(edges) - edges  # frame b's edges are flat[start[b]:start[b] + edges[b]]
     row = np.repeat(np.arange(len(frames)), edges)
-    k = np.arange(len(row)) - np.repeat(np.cumsum(edges) - edges, edges)
+    k = np.arange(len(row)) - np.repeat(start, edges)
     ends = np.column_stack([hulls[row, k], hulls[row, (k + 1) % sizes[row]]])
     vec = frames.points[row, ends[:, 1]] - frames.points[row, ends[:, 0]]
     flat = canonical_array(_atan2(vec[:, 1], vec[:, 0]))
@@ -93,7 +94,7 @@ def _edge_candidates(frames: Frames) -> tuple[np.ndarray, np.ndarray, np.ndarray
     # a frame's orientation 0 comes first; of 0.0 and -0.0 it keeps the one
     # np.unique's own sort puts first, as the candidates always have
     for b in np.unique(row[flat == 0.0]).tolist():
-        angles[b, 0] = np.unique(flat[row == b])[0]
+        angles[b, 0] = np.unique(flat[start[b]:start[b] + edges[b]])[0]
     return angles, pairs, counts
 
 

@@ -55,6 +55,10 @@ from .trajectory import Trajectory, check_dt
 SQRT2 = math.sqrt(2.0)
 _TRIG_TOL = 1e-12  # a sampled inequality may miss by this much rounding
 _WINDOW_STEPS = (1, 2, 5, 10)  # sample spacings the empirical bounds are checked over
+_UNCHASED = "pc-flip"  # the one normalized trajectory the chase claims leave out
+
+# A run's sample times and the diametric pair's orientation and aspect at each.
+PairSamples = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def thread_count() -> int:
@@ -274,10 +278,21 @@ def verify_trig_bounds(samples: int = 100_000, seed: int = 0) -> dict[str, Sampl
 # Empirical orientation-change / aspect-drop bounds on sampled trajectories.
 
 
-def verify_bound_empirics(named_trajectories: list[tuple[str, Trajectory]],
+def diametric_samples(traj: Trajectory, dt: float = 1e-3) -> PairSamples:
+    """The sample times of ``traj`` at ``dt``, and the diametric pair's
+    orientation and aspect at each: what ``chase`` steers by and reports
+    (``SafeZoneReport.target`` and ``aspect``)."""
+    times = traj.sample_times(dt)
+    boxes = [diametric_boxes(frames) for frames in traj.frame_blocks(times)]
+    return (times, np.concatenate([b.alpha for b in boxes]),
+            np.concatenate([b.aspect for b in boxes]))
+
+
+def verify_bound_empirics(named_samples: list[tuple[str, PairSamples]],
                           dt: float = 1e-3) -> dict[str, SamplingResult]:
     """Check the sampled diametric pair against the turn and drop bounds.
 
+    Each entry names a trajectory and its ``diametric_samples`` at ``dt``.
     Trajectories must already be normalized (unit speed, diameter >= 1).
     Sampling can miss the exact flip instant by up to dt per endpoint, so
     both bounds are evaluated at 4*dt of extra elapsed time, over every
@@ -287,11 +302,7 @@ def verify_bound_empirics(named_trajectories: list[tuple[str, Trajectory]],
     # per bound: [violations, worst margin, witness]; the witness is the first
     # maximum in (trajectory, window, sample) order
     found = {"pair-turn": [0, -math.inf, None], "aspect-drop": [0, -math.inf, None]}
-    for name, traj in named_trajectories:
-        times = traj.sample_times(dt)
-        boxes = [diametric_boxes(frames) for frames in traj.frame_blocks(times)]
-        alphas = np.concatenate([b.alpha for b in boxes])
-        aspects = np.concatenate([b.aspect for b in boxes])
+    for name, (times, alphas, aspects) in named_samples:
         turn_window, drop_window = pair_turn_window(aspects), aspect_drop_window(aspects)
         for k in (k for k in _WINDOW_STEPS if k < len(times)):
             elapsed, n = k * dt, len(times) - k
@@ -395,6 +406,8 @@ class ChaseSuiteResult:
     worst_gap_excess: float
     max_obb_ratio: float
     max_strip_ratio: float
+    # per run, the diametric pair it chased (``diametric_samples``)
+    pairs: tuple[PairSamples, ...] = field(default=(), compare=False, repr=False)
 
 
 def chase_suite(trajectories: list[Trajectory], dt: float = 1e-3) -> ChaseSuiteResult:
@@ -404,7 +417,8 @@ def chase_suite(trajectories: list[Trajectory], dt: float = 1e-3) -> ChaseSuiteR
     Checks, per run: the per-step rotation never exceeds the cap; after the
     tracker first enters the safe zone, at every sample with aspect <= 1/2
     the gap stays within (2c+2)*arcsin(aspect) plus one step of slack; and
-    the box and strip ratios stay bounded.
+    the box and strip ratios stay bounded.  The result keeps each run's
+    diametric pair samples.
     """
     params = ChaseParams()
     step_cap = params.max_turn_rate * dt
@@ -420,10 +434,12 @@ def chase_suite(trajectories: list[Trajectory], dt: float = 1e-3) -> ChaseSuiteR
         return (
             step_excess, int((excess > 1e-12).sum()), float(excess.max(initial=-math.inf)),
             float(np.max(box.ratio)), float(np.max(strip.ratio)),
+            (res.times, sz.target, sz.aspect),
         )
 
-    steps, violations, gaps, boxes, strips = zip(*_parallel_map(run, trajectories))
-    return ChaseSuiteResult(max(steps), sum(violations), max(gaps), max(boxes), max(strips))
+    steps, violations, gaps, boxes, strips, pairs = zip(*_parallel_map(run, trajectories))
+    return ChaseSuiteResult(max(steps), sum(violations), max(gaps), max(boxes), max(strips),
+                            pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +508,17 @@ class SuiteRun:
 
     @cached_property
     def empirics(self) -> dict[str, SamplingResult]:
-        return verify_bound_empirics(self.normalized, self.opts.dt)
+        """The turn and drop bounds on the normalized corpus, on the pairs
+        the chase runs sampled; only the axis scenario samples its own."""
+        chased = iter(self.chased.pairs)
+        named = [(name, diametric_samples(t, self.opts.dt) if name == _UNCHASED else next(chased))
+                 for name, t in self.normalized]
+        return verify_bound_empirics(named, self.opts.dt)
 
     @cached_property
     def chased(self) -> ChaseSuiteResult:
         """The chase guarantees on the normalized corpus, without the axis scenario."""
-        trajs = [t for name, t in self.normalized if name != "pc-flip"]
+        trajs = [t for name, t in self.normalized if name != _UNCHASED]
         return chase_suite(trajs, self.opts.dt)
 
 

@@ -18,9 +18,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from kinostable import geometry, tracker
+from kinostable import chasing, geometry, tracker
 from kinostable.angles import angular_distance, canonical
-from kinostable.chasing import chase
+from kinostable.chasing import chase, normalize_trajectory
 from kinostable.cli import main
 from kinostable.costs import DescriptorKind, cost, costs_at, frame_costs
 from kinostable.errors import DegenerateInputError
@@ -566,32 +566,60 @@ def test_degenerate_outputs_are_pinned(tmp_path, name):
 # The block budget bounds memory on large frames.
 
 
-def test_block_budget_bounds_run_memory(monkeypatch):
-    # 4000 points above the brute-force limit, 300 samples: all positions of
-    # the run would take 4000 * 300 * 16 bytes = 19.2 MB at once.
+# 4000 points above the brute-force limit, 300 samples: all positions of a
+# run would take 4000 * 300 * 16 bytes = 19.2 MB at once; a third of it bounds
+# what a run may hold.
+RUN_MEMORY_CAP = 300 * 4000 * 2 * 8 / 3
+
+
+def large_cloud(monkeypatch) -> np.ndarray:
+    """A 4000-point cloud, with the monotone chain replaced by reading off
+    its hull vertices.  The runs below move it by similarities, so every
+    frame's hull is those vertices.  Reading them off keeps the tests to
+    seconds under tracing, which the chain's per-point Python objects would
+    slow tenfold; the chain's own transient memory is O(n) per frame either
+    way."""
     rng = np.random.default_rng(11)
     phi = rng.uniform(0.0, 2.0 * math.pi, 4000)
     base = np.column_stack([3.0 * np.cos(phi), np.sin(phi)]) * np.sqrt(rng.uniform(0, 1, (4000, 1)))
+    vertices = np.array([np.flatnonzero((base == v).all(axis=1))[0] for v in convex_hull(base)])
+    monkeypatch.setattr(geometry, "_monotone_chain", lambda points, keep=None: vertices)
+    return base
+
+
+def peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_budget_bounds_run_memory(monkeypatch):
+    base = large_cloud(monkeypatch)
     c, s = math.cos(0.4), math.sin(0.4)
     traj = Trajectory(np.array([0.0, 1.0]), np.stack([base, base @ [[c, s], [-s, c]]]))
     dt = 1.0 / 299
     assert len(traj.sample_times(dt)) == 300
-    whole_run = 300 * 4000 * 2 * 8
-    # Every frame is a similarity image of the first, so its hull is the same
-    # vertices.  Reading them off keeps the test to seconds under tracing,
-    # which the monotone chain's per-point Python objects would slow tenfold;
-    # the chain's own transient memory is O(n) per frame either way.
-    vertices = np.array([np.flatnonzero((base == v).all(axis=1))[0] for v in convex_hull(base)])
-    monkeypatch.setattr(geometry, "_monotone_chain", lambda points, keep=None: vertices)
     for run in (lambda: track_topological(traj, DescriptorKind.OBB, dt),
                 lambda: chase(traj, dt=dt)):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < whole_run / 3
+        assert peak_bytes(run) < RUN_MEMORY_CAP
+
+
+def test_normalization_stays_within_the_block_budget(monkeypatch):
+    # Halved lower bounds never reach a drifting cloud's diameter, so the
+    # scan does not end early: the bounds and the diameters of all 1025 grid
+    # frames (65.6 MB of positions) are computed.
+    base = large_cloud(monkeypatch)
+    traj = Trajectory(np.array([0.0, 1.0]), np.stack([base, base + [5.0, -2.0]]))
+    bounds, diameters = chasing.diameter_lower_bounds, chasing.frame_diameters
+    diametered = []
+    monkeypatch.setattr(chasing, "diameter_lower_bounds", lambda frames: 0.5 * bounds(frames))
+    monkeypatch.setattr(chasing, "frame_diameters",
+                        lambda frames: diametered.append(len(frames)) or diameters(frames))
+    assert peak_bytes(lambda: normalize_trajectory(traj)) < RUN_MEMORY_CAP
+    assert sum(diametered) == 1025
 
 
 def test_flip_sweeps_stay_within_the_block_budget():

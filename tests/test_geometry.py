@@ -15,6 +15,7 @@ from kinostable.geometry import (
     extent,
     frame_diameter,
 )
+from kinostable.scenarios import random_walk
 from kinostable.tracker import track_topological
 from kinostable.trajectory import Trajectory
 
@@ -180,3 +181,13 @@ def test_one_hull_build_per_sample(monkeypatch, run):
     real, builds = geometry._monotone_chain, []
     monkeypatch.setattr(geometry, "_monotone_chain", lambda *args: builds.append(1) or real(*args))
     assert len(run(traj).times) == len(builds) == 3
+
+
+def test_chase_diametric_pairs_read_the_block_hulls(monkeypatch):
+    # Up to the brute-force limit the diametric pairs come from the hull
+    # vertices, which the box and strip solve of the same block has built.
+    walk = random_walk(n=40, seed=3, steps=10)
+    real, blocks = geometry._consecutive_hulls, []
+    monkeypatch.setattr(geometry, "_consecutive_hulls",
+                        lambda points: blocks.append(len(points)) or real(points))
+    assert len(chase(walk, dt=1e-3).times) == sum(blocks) == len(walk.sample_times(1e-3))

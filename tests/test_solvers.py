@@ -6,9 +6,10 @@ import pytest
 from kinostable.angles import angular_distances
 from kinostable.costs import DescriptorKind, cost_pc, cost_strip, costs_at
 from kinostable.errors import DegenerateInputError
-from kinostable.geometry import Frame, diametric_box
+from kinostable.geometry import Frame, Frames, diametric_box
 from kinostable.scenarios import pc_fast_flip, pc_flip, random_walk
 from kinostable.solvers import (
+    _edge_candidates,
     block_optima,
     hull_edge_orientations,
     optimal,
@@ -217,3 +218,25 @@ def test_one_keyframe_is_solved_frame_by_frame():
     alpha, isotropic = per_frame_axes(traj, times)
     assert np.array_equal(axes.alpha, alpha) and np.array_equal(axes.isotropic, isotropic)
     assert axes.alpha[0] == optimal_pc(points).alpha
+
+
+def test_signed_zero_candidates_in_a_block_match_one_frame_calls():
+    # each frame's orientation 0 comes from a bottom edge (-0.0 where its
+    # head's y is -0.0) and a top edge (0.0); hull sizes differ, so the
+    # frames' edges sit at different offsets of the block's flat arrays
+    frames = np.array([
+        [(0.3, 0.2), (1.0, 0.1), (0.7, 1.0), (0.1, 0.9), (0.5, 0.5)],
+        [(0.0, 0.0), (1.0, -0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)],
+        [(0.0, -0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)],
+        [(0.0, 0.0), (2.0, -0.0), (2.5, 1.0), (1.0, 2.0), (-0.5, 1.0)],
+        [(0.0, 0.0), (3.0, -0.0), (3.0, 1.0), (0.0, 1.0), (1.0, 1.0)],
+    ])
+    angles, pairs, counts = _edge_candidates(Frames(frames))
+    signs = set()
+    for b, points in enumerate(frames):
+        one, one_pairs, (k,) = _edge_candidates(Frames(points[None]))
+        assert counts[b] == k
+        assert angles[b, :k].tobytes() == one[0, :k].tobytes()  # bitwise, -0.0 included
+        assert (pairs[b, :k] == one_pairs[0, :k]).all()
+        signs.add(bool(np.signbit(angles[b, 0])) if angles[b, 0] == 0.0 else None)
+    assert signs == {None, False, True}

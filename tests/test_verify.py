@@ -26,6 +26,7 @@ from kinostable.verify import (
     SuiteRun,
     _parallel_map,
     _program_objective,
+    diametric_samples,
     forced_orientation_winding,
     intermediate_box_area,
     measured_axis_speed,
@@ -218,19 +219,21 @@ class TestBoundEmpirics:
     def test_static_trajectory_has_no_motion(self):
         pts = np.array([(0.0, 0.0), (1.3, 0.0), (0.6, 0.4)])
         traj = Trajectory(np.array([0.0, 0.2]), np.stack([pts, pts]))
-        results = verify_bound_empirics([("static", traj)], dt=0.01)
+        results = verify_bound_empirics([("static", diametric_samples(traj, 0.01))], dt=0.01)
         assert results["pair-turn"].violations == 0
         assert results["aspect-drop"].violations == 0
 
     def test_flip_scenario_within_bounds(self):
         normalized, _, _ = normalize_trajectory(obb_lower_bound())
-        results = verify_bound_empirics([("obb-lb", normalized)], dt=2e-3)
+        results = verify_bound_empirics([("obb-lb", diametric_samples(normalized, 2e-3))],
+                                        dt=2e-3)
         assert results["pair-turn"].violations == 0
         assert results["aspect-drop"].violations == 0
 
     def test_random_walks_within_bounds(self):
         named = [
-            (f"walk-{s}", normalize_trajectory(random_walk(seed=s, steps=25))[0])
+            (f"walk-{s}", diametric_samples(normalize_trajectory(random_walk(seed=s, steps=25))[0],
+                                            2e-3))
             for s in range(3)
         ]
         results = verify_bound_empirics(named, dt=2e-3)
@@ -272,13 +275,19 @@ def scalar_bound_empirics(named_trajectories, dt=1e-3, window_steps=(1, 2, 5, 10
     return found
 
 
-def test_bound_empirics_match_the_scalar_loop():
-    corpus = SuiteRun(SuiteOptions(walks=4)).normalized
-    results = verify_bound_empirics(corpus)
-    reference = scalar_bound_empirics(corpus)
-    for key, (violations, worst, witness) in reference.items():
-        assert (results[key].violations, results[key].worst_margin, results[key].witness) \
-            == (violations, worst, witness), key
+def test_bound_empirics_match_the_scalar_loop(monkeypatch):
+    run = SuiteRun(SuiteOptions(walks=4))
+    reference = scalar_bound_empirics(run.normalized)
+    direct = verify_bound_empirics([(name, diametric_samples(t)) for name, t in run.normalized])
+    # the suite samples only the trajectory it does not chase; the rest come from the chase runs
+    sampled = []
+    monkeypatch.setattr(verify, "diametric_samples",
+                        lambda traj, dt: sampled.append(traj) or diametric_samples(traj, dt))
+    for results in (direct, run.empirics):
+        for key, (violations, worst, witness) in reference.items():
+            assert (results[key].violations, results[key].worst_margin, results[key].witness) \
+                == (violations, worst, witness), key
+    assert len(sampled) == 1 and sampled[0] is dict(run.normalized)["pc-flip"]
 
 
 def test_measured_axis_speed_matches_the_scalar_loop():
