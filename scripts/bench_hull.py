@@ -42,11 +42,12 @@ best of ``--repeats`` runs per seed, and the median over seeds.  A
 ``normalize`` row per size times ``normalize_trajectory`` of each raw walk,
 per walk instead of per sample.  One more
 run per seed counts the blocks its samples came in, the frames whose hull
-was built and the monotone-chain runs among them; the rest kept a certified
-hull (on a tree that replays chain traces, they replayed one).  The counts
-read ``Trajectory.frame_blocks``, ``geometry.Frames.hull_indices`` and
-``geometry._monotone_chain``, so ``core`` runs on trees that build hulls in
-blocks.
+was built, the frames the monotone chain ran on and the certificate checks;
+the frames not chained kept a certified hull.  The counts read
+``Trajectory.frame_blocks``, ``geometry.Frames.hull_indices``,
+``geometry._certify`` and the chain's block entry
+``geometry._monotone_chains`` (the one-frame ``_monotone_chain`` on a tree
+from before it), so ``core`` runs on trees that build hulls in blocks.
 
 ``flips`` runs ``track_topological`` (obb, strip, pc) at dt = 1e-3 on the
 48 walks of the kinobench ``walks`` corpus of each seed (``--seeds``,
@@ -56,8 +57,9 @@ located where the tie ends (``tie_exits``), the jumps split at a third
 optimum (``splits``) and the jumps and split halves not bracketed
 (``unbracketed``); the located flips dropped at the 1e-9 gap floor
 (``floor_dropped``); the ``pc`` isotropic instants; the root-finding
-rounds of each group of jumps, every pass of a split included; and the
-seconds spent locating and sweeping.  It patches the tracker's flip
+rounds of each group of jumps, every pass of a split included; the
+seconds spent locating and sweeping; and the hull counts of ``core`` over
+the whole corpus (``hulls``).  It patches the tracker's flip
 location by name, so it runs on trees that locate flips as changes of
 optimal identity; the parent rows of ``BENCH_flips.json`` from before
 that came from the parent commit's own script.
@@ -68,8 +70,10 @@ verify`` defaults unless given), in order on one ``SuiteRun`` as
 ``kinostable verify`` does, so an input that claims share is built in the
 row of the first claim that reads it, and ``total_s`` is the claim time of
 one verify run.  It records each claim's wall time, computed value and
-verdict, and on a tree whose sweep program is certified by branch and
-bound, the program's certified bound, witness and box count.  A tree that
+verdict, the hull counts of ``core`` taken during the timed evaluation
+(``hulls``; the counting wrappers cost about 0.1 ms per thousand calls),
+and on a tree whose sweep program is certified by branch and bound, the
+program's certified bound, witness and box count.  A tree that
 still scans a grid runs it at its own default grid.  Beside the claim rows
 it times the two stages of ``axis-speed-escape`` on their own,
 ``measured_axis_speed`` and ``min_anchor_diameter`` of ``pc_fast_flip`` at
@@ -88,6 +92,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 
@@ -197,42 +202,52 @@ def run_layers(args) -> dict:
     return out
 
 
-def hull_counts(run) -> dict:
-    """The blocks of the samples of ``run()`` (``Trajectory.frame_blocks``),
-    the frames whose hull it built (``Frames.hull_indices``) and the
-    monotone-chain runs among them; the rest kept a certified hull."""
+@contextmanager
+def hull_counts():
+    """Count, while open: the blocks of samples (``Trajectory.frame_blocks``),
+    the frames whose hull was built (``Frames.hull_indices``), the frames
+    the monotone chain ran on (``geometry._monotone_chains``, the block
+    entry, or the one-frame ``_monotone_chain`` of a tree from before it)
+    and the certificate checks (``geometry._certify`` calls); the frames
+    built but not chained kept a certified hull.  The dict yielded is
+    filled in on exit."""
     from kinostable import geometry
     from kinostable.trajectory import Trajectory
 
-    counts = {"blocks": 0, "hull_frames": 0, "chain_runs": 0}
-    real_blocks = Trajectory.frame_blocks
-    real_chain = geometry._monotone_chain
-    real_hulls = geometry.Frames.__dict__["hull_indices"]
+    counts = {"blocks": 0, "hull_frames": 0, "chained_frames": 0, "certificate_checks": 0}
+    chain_name = "_monotone_chains" if hasattr(geometry, "_monotone_chains") else "_monotone_chain"
+    real = {"blocks": Trajectory.frame_blocks, "chain": getattr(geometry, chain_name),
+            "certify": geometry._certify, "hulls": geometry.Frames.__dict__["hull_indices"]}
 
     def blocks(traj, *args, **kwargs):
-        for frames in real_blocks(traj, *args, **kwargs):
+        for frames in real["blocks"](traj, *args, **kwargs):
             counts["blocks"] += 1
             yield frames
 
-    def chain(*args):
-        counts["chain_runs"] += 1
-        return real_chain(*args)
+    def chain(points, *args):
+        counts["chained_frames"] += len(points) if points.ndim == 3 else 1
+        return real["chain"](points, *args)
+
+    def certify(*args):
+        counts["certificate_checks"] += 1
+        return real["certify"](*args)
 
     def hulls(frames):
         counts["hull_frames"] += len(frames)
-        return real_hulls.func(frames)
+        return real["hulls"].func(frames)
 
     counting = cached_property(hulls)
     counting.__set_name__(geometry.Frames, "hull_indices")
-    Trajectory.frame_blocks, geometry._monotone_chain = blocks, chain
+    Trajectory.frame_blocks, geometry._certify = blocks, certify
+    setattr(geometry, chain_name, chain)
     geometry.Frames.hull_indices = counting
     try:
-        run()
+        yield counts
     finally:
-        Trajectory.frame_blocks, geometry._monotone_chain = real_blocks, real_chain
-        geometry.Frames.hull_indices = real_hulls
-    counts["certified"] = counts["hull_frames"] - counts["chain_runs"]
-    return counts
+        Trajectory.frame_blocks, geometry._certify = real["blocks"], real["certify"]
+        setattr(geometry, chain_name, real["chain"])
+        geometry.Frames.hull_indices = real["hulls"]
+        counts["certified"] = counts["hull_frames"] - counts["chained_frames"]
 
 
 def run_core(args) -> dict:
@@ -259,7 +274,9 @@ def run_core(args) -> dict:
                     run()
                     best = min(best, time.perf_counter() - t0)
                 per_seed.append(1e6 * best / samples)
-                counts.append({"samples": samples, **hull_counts(run)})
+                with hull_counts() as count:
+                    run()
+                counts.append({"samples": samples, **count})
             row = {"n": n, "op": op, "per_sample_us": statistics.median(per_seed),
                    "per_seed_us": per_seed, "per_seed_counts": counts}
             rows.append(row)
@@ -349,13 +366,15 @@ def run_flips(args) -> dict:
                 stats.update(groups=0, rounds=[], locate_s=0.0, sweep_s=0.0, tie_exits=0,
                              splits=0, unbracketed=0, floor_dropped=0, isotropic_instants=0)
                 jumps = flips = 0
-                for traj in walks:
-                    found = []
-                    setattr(tracker, "_locate_flips", lambda tr, k, p, j, found=found:
-                            found.extend(j) or patched["_locate_flips"](tr, k, p, j))
-                    flips += len(tracker.track_topological(traj, kind, CORE_DT).flips)
-                    jumps += len(found)
-                row = {"jumps": jumps, "located_flips": flips, "groups": stats["groups"],
+                with hull_counts() as counts:
+                    for traj in walks:
+                        found = []
+                        setattr(tracker, "_locate_flips", lambda tr, k, p, j, found=found:
+                                found.extend(j) or patched["_locate_flips"](tr, k, p, j))
+                        flips += len(tracker.track_topological(traj, kind, CORE_DT).flips)
+                        jumps += len(found)
+                row = {"jumps": jumps, "located_flips": flips, "hulls": counts,
+                       "groups": stats["groups"],
                        "rounds_per_group": stats["rounds"],
                        "median_rounds_per_group": (statistics.median(stats["rounds"])
                                                    if stats["rounds"] else 0),
@@ -384,10 +403,12 @@ def run_claims(args) -> dict:
     run = SuiteRun(SuiteOptions(seed=args.seed, walks=args.walks, trig_samples=args.samples))
     rows = []
     for claim in CLAIMS:
-        t0 = time.perf_counter()
-        check = claim.evaluate(run)
-        rows.append({"claim": claim.claim_id, "wall_s": time.perf_counter() - t0,
-                     "computed": check.computed, "passed": check.passed})
+        with hull_counts() as counts:
+            t0 = time.perf_counter()
+            check = claim.evaluate(run)
+            wall = time.perf_counter() - t0
+        rows.append({"claim": claim.claim_id, "wall_s": wall, "computed": check.computed,
+                     "passed": check.passed, "hulls": counts})
         print(json.dumps(rows[-1]), flush=True)
     opts = run.opts
     fast = pc_fast_flip(opts.fast_flip_rate)

@@ -56,10 +56,23 @@ A frame that fails runs the chain, on only the points the failed
 certificate could not place strictly inside the old hull (every vertex
 among them), and its hull certifies the frames after it.  Frames are
 checked in windows that double while they certify, within the budget; a
-frame whose (h, n) test alone exceeds the budget runs the chain.  The
-chain runs on point indices in stable lexicographic order, keeping the
-first of equal points, as the Python ``set`` of coordinate tuples it was
-first written with does.
+frame whose (h, n) test alone exceeds the budget runs the chain.
+
+The chain runs on runs of consecutive frames at once
+(``_monotone_chains``): one stable lexsort orders the points of every
+frame of a run, keeping the first of equal points, as the Python ``set``
+of coordinate tuples it was first written with does, and each frame's
+chain is then the Python loop on its own points.  A run is one frame
+long after a certificate held; otherwise it is as long as the frames
+chained since one last held, so a stretch of F frames that no hull
+certifies (collinear frames with 2-vertex hulls, a point kept on a hull
+edge or a duplicated vertex, frames over the budget) costs O(log F)
+certificate checks instead of F: runs of 1, 1, 2, 4, ... frames.  Each
+frame of a run chains only the points the failed certificate could not
+place strictly inside the old hull, where the failed window tested it;
+equal points share that mark, so the first of equal points kept is the
+same.  An isolated hull change, or two in a row, chains exactly the frames
+it did one frame at a time, and every hull is still the chain's own.
 """
 
 from __future__ import annotations
@@ -242,27 +255,36 @@ def _half_chain(seq: list[int], xs: list[float], ys: list[float]) -> list[int]:
     return out
 
 
-def _monotone_chain(points: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-    """Andrew's monotone chain on one (n, 2) frame, or on its points
-    ``keep`` (ascending indices): the hull indices, counterclockwise from
-    the lexicographically smallest point, the first of equal points kept."""
-    x, y = points[:, 0], points[:, 1]
+def _monotone_chains(points: np.ndarray, keep: np.ndarray | None = None) -> list[np.ndarray]:
+    """Andrew's monotone chain on every frame of a (F, n, 2) block, or on
+    each frame's points where the (F, n) mask ``keep`` holds: each frame's
+    hull indices, counterclockwise from its lexicographically smallest
+    point, the first of equal points kept.
+
+    One stable lexsort orders the points of all F frames, and the first
+    of each run of equal points is kept before ``keep`` filters: equal
+    points share their mark there (a certificate tests them alike), so
+    the point kept is the first of its equals either way.
+    """
+    x, y = points[..., 0], points[..., 1]
+    order = np.lexsort((y, x), axis=-1)
+    rows = np.arange(len(points))[:, None]
+    xs, ys = x[rows, order], y[rows, order]
+    fresh = np.ones(order.shape, dtype=bool)
+    fresh[:, 1:] = (xs[:, 1:] != xs[:, :-1]) | (ys[:, 1:] != ys[:, :-1])
     if keep is not None:
-        x, y = x[keep], y[keep]
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    fresh = np.ones(len(order), dtype=bool)
-    fresh[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    order = order[fresh]
-    if keep is not None:
-        order = keep[order]
-    if len(order) == 1:
-        raise DegenerateInputError("all points coincide; hull is undefined")
-    if len(order) == 2:
-        return order
-    seq, xs, ys = order.tolist(), points[:, 0].tolist(), points[:, 1].tolist()
-    lower, upper = _half_chain(seq, xs, ys), _half_chain(seq[::-1], xs, ys)
-    return np.array(lower[:-1] + upper[:-1], dtype=np.intp)
+        fresh &= keep[rows, order]
+    hulls = []
+    for f in range(len(points)):
+        seq = order[f, fresh[f]]
+        if len(seq) == 1:
+            raise DegenerateInputError("all points coincide; hull is undefined")
+        if len(seq) > 2:
+            seq, xf, yf = seq.tolist(), x[f].tolist(), y[f].tolist()
+            lower, upper = _half_chain(seq, xf, yf), _half_chain(seq[::-1], xf, yf)
+            seq = np.array(lower[:-1] + upper[:-1], dtype=np.intp)
+        hulls.append(seq)
+    return hulls
 
 
 def _certify(points: np.ndarray, hull: np.ndarray, smallest: np.ndarray):
@@ -299,8 +321,10 @@ def _smallest_points(points: np.ndarray) -> np.ndarray:
 
 def _consecutive_hulls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hull indices of consecutive frames: a frame keeps the hull of the
-    last frame before it that ran the chain while its certificate holds
-    (see the module docstring), rotated to start at its smallest point.
+    last frame before it that ran the chain while its certificate holds,
+    rotated to start at its smallest point; frames that fail run the chain
+    in runs that grow while no certificate holds (see the module
+    docstring).
 
     A (B, hmax) matrix whose row b holds frame b's ``counts[b]`` vertices,
     then zeros.  Near-collinear points can round to a chain of up to
@@ -310,15 +334,16 @@ def _consecutive_hulls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size, n = points.shape[:2]
     idx, counts = np.zeros((size, 2 * n), dtype=np.intp), np.zeros(size, dtype=np.intp)
     smallest = _smallest_points(points)
-    b, keep = 0, None
+    b, chained, keep = 0, 0, None  # chained: frames chained since a certificate last held
     while b < size:
-        hull = _monotone_chain(points[b], keep)
+        stop = min(size, b + max(1, chained))
+        for f, hull in enumerate(_monotone_chains(points[b:stop], keep), b):
+            idx[f, :len(hull)], counts[f] = hull, len(hull)
+        chained += stop - b
+        b, keep = stop, None
         h = len(hull)
-        idx[b, :h], counts[b] = hull, h
-        b += 1
-        keep = None
         cap = certificate_block(h, n) if h > 2 else 0
-        width = min(_FIRST_WINDOW, cap)
+        width = min(max(_FIRST_WINDOW, chained), cap)  # rows for a whole next run
         while cap and b < size:
             stop = min(size, b + width)
             keeps, start, strict = _certify(points[b:stop], hull, smallest[b:stop])
@@ -326,8 +351,12 @@ def _consecutive_hulls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             turn = (start[:k, None] + np.arange(h)) % h
             idx[b:b + k, :h], counts[b:b + k] = hull[turn], h
             b += k
-            if b < stop:  # the chain runs on the points not strictly inside
-                keep = np.flatnonzero(~strict[k].all(axis=0))
+            if k:
+                chained = 0
+            if b < stop:  # the next run chains the points not strictly inside, where tested
+                keep = np.ones((min(max(1, chained), size - b), n), dtype=bool)
+                inside = strict[k:k + len(keep)].all(axis=1)
+                keep[:len(inside)] = ~inside
                 break
             width = min(2 * width, cap)
     return idx[:, :counts.max(initial=0)], counts
@@ -546,12 +575,20 @@ def diametric_box(points) -> DiametricBox:
 
 
 def frame_diameters(frames: Frames) -> np.ndarray:
-    """Largest pairwise distance of every frame of a block."""
+    """Largest pairwise distance of every frame of a block: 0.0 where a
+    frame's points coincide, at every size."""
+    pts = frames.points
     if frames.n_points <= _BRUTE_FORCE_LIMIT:
         step = pair_block(frames.n_points)
         return np.sqrt(np.concatenate([
-            _brute_distances(frames.points[lo:lo + step]).max(axis=(1, 2))
+            _brute_distances(pts[lo:lo + step]).max(axis=(1, 2))
             for lo in range(0, len(frames), step)]))
+    spread = ~(pts == pts[:, :1]).all(axis=(1, 2))
+    if not spread.all():  # a frame whose points coincide has no hull
+        out = np.zeros(len(pts))
+        if spread.any():
+            out[spread] = frame_diameters(Frames(pts[spread]))
+        return out
     return np.sqrt([_hull_distances(frames.hull(b))[2].max() for b in range(len(frames))])
 
 

@@ -36,6 +36,9 @@ CSV_COLUMNS = (
     "z", "H", "J", "angGap", "inSafeZone",
 )
 
+# the exact types of a JSON number: a JSON boolean loads as bool, an int subclass
+_NUMBER_TYPES = {int, float}
+
 
 def _f(x: float) -> str:
     """Shortest exact decimal form of a float."""
@@ -89,12 +92,9 @@ def read_trajectory(fp: IO[str]) -> Trajectory:
             fail(i, "keyframe missing field 'xy'")
         t = row["t"]
         xy = row["xy"]
-        # exact types: a JSON boolean loads as bool, an int subclass
-        if type(t) not in (int, float):
+        if type(t) not in _NUMBER_TYPES:
             fail(i, "field 't' must be a number")
-        if not isinstance(xy, list) or len(xy) != 2 * n or not all(
-            type(v) in (int, float) for v in xy
-        ):
+        if not isinstance(xy, list) or len(xy) != 2 * n or not set(map(type, xy)) <= _NUMBER_TYPES:
             fail(i, f"field 'xy' must be a flat list of {2 * n} numbers")
         times.append(float(t))
         frames.append(np.array(xy, dtype=float).reshape(n, 2))
@@ -103,7 +103,7 @@ def read_trajectory(fp: IO[str]) -> Trajectory:
     traj = Trajectory(np.array(times), np.stack(frames))
     if "horizon" in header:
         horizon = header["horizon"]
-        if type(horizon) not in (int, float) or horizon != traj.horizon:
+        if type(horizon) not in _NUMBER_TYPES or horizon != traj.horizon:
             fail(1, f"header 'horizon' {horizon!r} is not the last keyframe time {traj.horizon!r}")
     return traj
 

@@ -92,8 +92,10 @@ def _edge_candidates(frames: Frames) -> tuple[np.ndarray, np.ndarray, np.ndarray
     pairs = np.zeros(angles.shape + (2,), dtype=np.intp)
     pairs[row[kept], at] = ends[kept]
     # a frame's orientation 0 comes first; of 0.0 and -0.0 it keeps the one
-    # np.unique's own sort puts first, as the candidates always have
-    for b in np.unique(row[flat == 0.0]).tolist():
+    # np.unique's own sort puts first, as the candidates always have.  A
+    # frame whose zeros carry one sign already holds it.
+    zero, negative = flat == 0.0, np.signbit(flat)
+    for b in np.intersect1d(row[zero & negative], row[zero & ~negative]).tolist():
         angles[b, 0] = np.unique(flat[start[b]:start[b] + edges[b]])[0]
     return angles, pairs, counts
 

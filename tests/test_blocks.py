@@ -573,8 +573,8 @@ RUN_MEMORY_CAP = 300 * 4000 * 2 * 8 / 3
 
 
 def large_cloud(monkeypatch) -> np.ndarray:
-    """A 4000-point cloud, with the monotone chain replaced by reading off
-    its hull vertices.  The runs below move it by similarities, so every
+    """A 4000-point cloud, with the block chain replaced by reading off
+    its hull vertices for every frame it is given.  The runs below move it by similarities, so every
     frame's hull is those vertices.  Reading them off keeps the tests to
     seconds under tracing, which the chain's per-point Python objects would
     slow tenfold; the chain's own transient memory is O(n) per frame either
@@ -583,7 +583,8 @@ def large_cloud(monkeypatch) -> np.ndarray:
     phi = rng.uniform(0.0, 2.0 * math.pi, 4000)
     base = np.column_stack([3.0 * np.cos(phi), np.sin(phi)]) * np.sqrt(rng.uniform(0, 1, (4000, 1)))
     vertices = np.array([np.flatnonzero((base == v).all(axis=1))[0] for v in convex_hull(base)])
-    monkeypatch.setattr(geometry, "_monotone_chain", lambda points, keep=None: vertices)
+    monkeypatch.setattr(geometry, "_monotone_chains",
+                        lambda points, keep=None: [vertices] * len(points))
     return base
 
 

@@ -104,10 +104,10 @@ def test_descriptor_all_builds_one_hull_per_sample(tmp_path, capsys, monkeypatch
     ]
     # 200 points is above the brute-force limit: box, strip and their edge
     # candidates all read the hull, which each sample builds at most once
-    chain_runs = []
-    real = geometry._monotone_chain
-    monkeypatch.setattr(geometry, "_monotone_chain",
-                        lambda *args: chain_runs.append(1) or real(*args))
+    chain_runs = []  # the frames chained
+    real = geometry._monotone_chains
+    monkeypatch.setattr(geometry, "_monotone_chains",
+                        lambda points, keep=None: chain_runs.extend(points) or real(points, keep))
     code, out, _ = run_cli(capsys, ["descriptor", str(traj_path), "--dt", "0.25"])
     assert code == 0
     assert out.splitlines()[1:] == expected

@@ -18,7 +18,7 @@ from kinostable import chasing
 from kinostable.angles import canonical_array, elementwise
 from kinostable.chasing import normalize_trajectory
 from kinostable.errors import DegenerateInputError
-from kinostable.geometry import (Frames, diameter_lower_bounds, diametric_boxes,
+from kinostable.geometry import (Frames, diameter_lower_bounds, diametric_boxes, frame_diameter,
                                  frame_diameters)
 from kinostable.scenarios import obb_lower_bound, pc_flip, random_walk, strip_lower_bound
 from kinostable.trajectory import Trajectory
@@ -179,3 +179,16 @@ def test_a_collapse_between_keyframes_still_raises(n):
     traj = Trajectory(np.array([0.0, 1.0]), np.stack([ring, -ring]))  # a point at t = 0.5
     with pytest.raises(DegenerateInputError, match="^trajectory collapses to a single point$"):
         normalize_trajectory(traj)
+
+
+@pytest.mark.parametrize("n", [8, 80])
+def test_coincident_frames_have_diameter_zero_at_every_size(n):
+    ring = np.column_stack([np.cos(np.arange(n)), np.sin(np.arange(n))])
+    assert frame_diameter(np.zeros((n, 2))) == 0.0
+    assert frame_diameter(np.full((n, 2), -0.0)) == 0.0
+    # coincident frames between spread ones, in one block
+    block = np.stack([ring, np.zeros((n, 2)), 2.0 * ring, np.full((n, 2), 3.5)])
+    got = frame_diameters(Frames(block))
+    assert got[[1, 3]].tolist() == [0.0, 0.0]
+    assert got[[0, 2]].tobytes() == np.concatenate(
+        [frame_diameters(Frames(block[[k]])) for k in (0, 2)]).tobytes()

@@ -178,8 +178,9 @@ def test_one_hull_build_per_sample(monkeypatch, run):
     ellipse = np.column_stack([3.0 * np.cos(phi), np.sin(phi)])
     c, s = math.cos(0.3), math.sin(0.3)
     traj = Trajectory(np.array([0.0, 1.0]), np.stack([ellipse, ellipse @ [[c, s], [-s, c]]]))
-    real, builds = geometry._monotone_chain, []
-    monkeypatch.setattr(geometry, "_monotone_chain", lambda *args: builds.append(1) or real(*args))
+    real, builds = geometry._monotone_chains, []  # the frames chained
+    monkeypatch.setattr(geometry, "_monotone_chains",
+                        lambda points, keep=None: builds.extend(points) or real(points, keep))
     assert len(run(traj).times) == len(builds) == 3
 
 

@@ -93,6 +93,18 @@ class TestTrajectoryFile:
         with pytest.raises(FileFormatError, match=f"line 2.*{field}"):
             read_trajectory(buf)
 
+    @pytest.mark.parametrize("value", ["true", '"1"', "null", "[1]"])
+    def test_non_numbers_inside_xy_report_their_line(self, value):
+        buf = io.StringIO(
+            '{"format": "kinostable-trajectory", "version": 1, "points": 2, "horizon": 2.0}\n'
+            '{"t": 0.0, "xy": [0, 0, 1, 0]}\n'
+            '{"t": 1.0, "xy": [0, 0.5, 1, 1]}\n'
+            f'{{"t": 2.0, "xy": [0, 0, {value}, 1]}}\n'
+        )
+        with pytest.raises(FileFormatError,
+                           match=r"^line 4: field 'xy' must be a flat list of 4 numbers$"):
+            read_trajectory(buf)
+
     def test_header_horizon_must_be_the_last_keyframe_time(self):
         rows = ('{"t": 0.0, "xy": [0, 0, 1, 0]}\n'
                 '{"t": 2.0, "xy": [0, 0, 1, 1]}\n')

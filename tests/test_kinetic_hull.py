@@ -7,9 +7,11 @@ lexicographically smallest point is a hull vertex, where the kept hull is
 rotated to start.  The sequences here move points through the events that
 break a certificate, or must not: x-order swaps of interior points (none),
 a swap of the leftmost hull vertex (a rotation), exact collinearity, duplicate
-points, -0.0 coordinates and a frame of two distinct points.  Every frame's
-hull must equal ``frozen_convex_hull`` bit for bit, whichever way it was
-built.
+points, -0.0 coordinates and a frame of two distinct points.  The paper's
+constructions make stretches that no hull certifies (collinear frames, edge
+midpoints kept on the hull, duplicated vertices), which the chain runs on in
+runs of 1, 1, 2, 4, ... frames.  Every frame's hull must equal
+``frozen_convex_hull`` bit for bit, whichever way it was built.
 """
 
 import math
@@ -19,11 +21,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kinostable import geometry
+from kinostable import geometry, verify
 from kinostable.chasing import chase
 from kinostable.costs import DescriptorKind
 from kinostable.geometry import Frames
-from kinostable.scenarios import random_walk
+from kinostable.scenarios import pc_flip, random_walk
 from kinostable.tracker import Jump, _locate_flips, track_topological
 from kinostable.trajectory import Trajectory
 
@@ -117,11 +119,12 @@ def assert_frozen(frames: Frames) -> None:
 
 
 def count_chain_runs(monkeypatch) -> list:
-    """Patch the chain to record the (n, 2) frame of each run."""
+    """Patch the block chain to record the (n, 2) view of each frame it
+    chains: one entry per chained frame, however the frames were batched."""
     runs = []
-    real = geometry._monotone_chain
-    monkeypatch.setattr(geometry, "_monotone_chain",
-                        lambda points, keep=None: runs.append(points) or real(points, keep))
+    real = geometry._monotone_chains
+    monkeypatch.setattr(geometry, "_monotone_chains",
+                        lambda points, keep=None: runs.extend(points) or real(points, keep))
     return runs
 
 
@@ -298,15 +301,16 @@ def drifting_cloud(n: int = 4000) -> tuple[np.ndarray, Trajectory]:
 
 
 def recorded_chain(monkeypatch, base: np.ndarray) -> list:
-    """Replace the chain by a copy of its run on ``base``, counted: every
-    frame of the drifting cloud has that hull, which the other frames of a
-    block then certify, without the chain's per-point Python loop under
-    tracing."""
-    hull = geometry._monotone_chain(base)
+    """Replace the block chain by a copy of its run on ``base`` for each
+    frame it is given, one entry per frame: every frame of the drifting
+    cloud has that hull, which the other frames of a block then certify,
+    without the chain's per-point Python loop under tracing."""
+    (hull,) = geometry._monotone_chains(base[None])
     assert len(hull) == 4
     runs = []
-    monkeypatch.setattr(geometry, "_monotone_chain",
-                        lambda points, keep=None: runs.append(1) or hull.copy())
+    monkeypatch.setattr(geometry, "_monotone_chains",
+                        lambda points, keep=None: runs.extend([1] * len(points))
+                        or [hull.copy() for _ in points])
     return runs
 
 
@@ -361,3 +365,66 @@ def test_flip_bisections_stay_within_the_block_budget(monkeypatch):
         assert all(abs(f.time - 0.5) <= 1e-12 and abs(f.worst_ratio - math.sqrt(2.0)) <= 1e-9
                    for f in flips)
         assert peak < 4 * geometry._BLOCK_BYTES, count
+
+
+# ---------------------------------------------------------------------------
+# Stretches no hull certifies: the paper's constructions are degenerate on
+# purpose, so the chain runs on runs of frames that double.
+
+
+def winding_frames(monkeypatch) -> np.ndarray:
+    """The 4096 frames ``forced_orientation_winding`` solves: five
+    collinear points turning once, whose hulls round to 2 to 6 vertices."""
+    blocks, real = [], verify.block_optima
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "block_optima",
+                      lambda frames, kinds: blocks.append(frames.points) or real(frames, kinds))
+        verify.forced_orientation_winding()
+    return np.concatenate(blocks)
+
+
+def pc_flip_frames() -> np.ndarray:
+    """``pc_flip`` at dt = 1e-3: edge midpoints on the hull in every frame."""
+    traj = pc_flip()
+    return traj.positions_at_times(traj.sample_times(1e-3))
+
+
+def lattice_frames() -> np.ndarray:
+    """Frames of 10 points on a 3 x 3 lattice, duplicates and -0.0 included."""
+    rng = np.random.default_rng(22)
+    pts = rng.integers(-1, 2, size=(3000, 10, 2)).astype(float)
+    pts[rng.uniform(size=pts.shape) < 0.5] *= -1.0
+    return pts[~(pts == pts[:, :1]).all(axis=(1, 2))]
+
+
+DEGENERATE = {"winding": winding_frames, "pc-flip": lambda _: pc_flip_frames(),
+              "lattice": lambda _: lattice_frames()}
+
+
+@pytest.mark.parametrize("small_budget", [False, True], ids=["budget", "small-budget"])
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_sequences_match_frozen_chain(monkeypatch, name, small_budget):
+    pts = DEGENERATE[name](monkeypatch)
+    if small_budget:  # certificate windows of 1 to 3 frames, shorter than the runs
+        monkeypatch.setattr(geometry, "_BLOCK_BYTES", 32 * 3 * pts.shape[1] * 3)
+    ref = [frozen_convex_hull(frame).tobytes() for frame in pts]
+    whole = Frames(pts)
+    splits = np.cumsum(np.random.default_rng(len(pts)).integers(1, 300, size=len(pts)))
+    parts = [Frames(part) for part in np.split(pts, splits[splits < len(pts)])]
+    assert len(parts) > 2
+    got = [frames.hull(b).tobytes() for frames in (whole, *parts) for b in range(len(frames))]
+    assert got == ref + ref  # bitwise, -0.0 included
+    if name == "winding":
+        assert set(whole.hull_indices[1].tolist()) == {2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("frames", [1, 2, 16, 100, 1001])
+def test_an_uncertifiable_stretch_costs_logarithmically_many_certificates(monkeypatch, frames):
+    pts = pc_flip_frames()[:frames]
+    calls, real = [], geometry._certify
+    monkeypatch.setattr(geometry, "_certify", lambda *args: calls.append(1) or real(*args))
+    runs = count_chain_runs(monkeypatch)
+    assert_frozen(Frames(pts))
+    assert len(runs) == frames  # every frame chained: none certifies the next
+    # runs of 1, 1, 2, 4, ... frames, each but the last followed by one failed window
+    assert len(calls) == math.ceil(math.log2(frames))

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from kinostable.angles import angular_distances
+from kinostable.angles import angular_distances, canonical_array
 from kinostable.costs import DescriptorKind, cost_pc, cost_strip, costs_at
 from kinostable.errors import DegenerateInputError
-from kinostable.geometry import Frame, Frames, diametric_box
+from kinostable.geometry import Frame, Frames, convex_hull, diametric_box
 from kinostable.scenarios import pc_fast_flip, pc_flip, random_walk
 from kinostable.solvers import (
     _edge_candidates,
@@ -220,6 +220,48 @@ def test_one_keyframe_is_solved_frame_by_frame():
     assert axes.alpha[0] == optimal_pc(points).alpha
 
 
+def edge_orientations(points: np.ndarray) -> np.ndarray:
+    """A frame's hull-edge orientations, in hull order."""
+    hull = convex_hull(points)
+    vec = np.roll(hull, -1, axis=0) - hull
+    return canonical_array(np.arctan2(vec[:, 1], vec[:, 0]))
+
+
+def zero_edge_signs(points: np.ndarray) -> set[bool]:
+    """The sign bits of a frame's hull-edge orientations that are 0."""
+    angles = edge_orientations(points)
+    return set(np.signbit(angles[angles == 0.0]).tolist())
+
+
+def twenty_gon(head_y: float, flat_top: bool = True) -> np.ndarray:
+    """A 20-gon whose bottom edge runs from y = 0.0 to y = ``head_y``
+    counterclockwise, with a horizontal top edge if ``flat_top``."""
+    theta = -0.5 * math.pi + (np.arange(20) + 0.5) * (math.pi / 10)
+    points = np.column_stack([np.cos(theta), np.sin(theta) - math.sin(theta[0])])
+    points[19, 1], points[0, 1] = 0.0, head_y
+    points[9, 1] = points[10, 1] = max(points[9, 1], points[10, 1])
+    if not flat_top:
+        points[10, 1] += 0.01
+    return points
+
+
+def assert_block_matches_one_frame_calls(frames: np.ndarray) -> set:
+    """Compare a block's candidates with one-frame calls, bitwise, and a
+    first candidate 0 with the one ``np.unique`` sorts first; the signs of
+    the frames' first candidates where they are 0."""
+    angles, pairs, counts = _edge_candidates(Frames(frames))
+    signs = set()
+    for b, points in enumerate(frames):
+        one, one_pairs, (k,) = _edge_candidates(Frames(points[None]))
+        assert counts[b] == k
+        assert angles[b, :k].tobytes() == one[0, :k].tobytes()  # bitwise, -0.0 included
+        assert (pairs[b, :k] == one_pairs[0, :k]).all()
+        if angles[b, 0] == 0.0:
+            assert angles[b, 0].tobytes() == np.unique(edge_orientations(points))[0].tobytes()
+        signs.add(bool(np.signbit(angles[b, 0])) if angles[b, 0] == 0.0 else None)
+    return signs
+
+
 def test_signed_zero_candidates_in_a_block_match_one_frame_calls():
     # each frame's orientation 0 comes from a bottom edge (-0.0 where its
     # head's y is -0.0) and a top edge (0.0); hull sizes differ, so the
@@ -231,12 +273,17 @@ def test_signed_zero_candidates_in_a_block_match_one_frame_calls():
         [(0.0, 0.0), (2.0, -0.0), (2.5, 1.0), (1.0, 2.0), (-0.5, 1.0)],
         [(0.0, 0.0), (3.0, -0.0), (3.0, 1.0), (0.0, 1.0), (1.0, 1.0)],
     ])
-    angles, pairs, counts = _edge_candidates(Frames(frames))
-    signs = set()
-    for b, points in enumerate(frames):
-        one, one_pairs, (k,) = _edge_candidates(Frames(points[None]))
-        assert counts[b] == k
-        assert angles[b, :k].tobytes() == one[0, :k].tobytes()  # bitwise, -0.0 included
-        assert (pairs[b, :k] == one_pairs[0, :k]).all()
-        signs.add(bool(np.signbit(angles[b, 0])) if angles[b, 0] == 0.0 else None)
-    assert signs == {None, False, True}
+    assert assert_block_matches_one_frame_calls(frames) == {None, False, True}
+    # 20-gons whose zero orientations carry +0.0 only, -0.0 only, both
+    # signs, or none, side by side: with 20 candidates np.unique's sort no
+    # longer keeps the hull order of 0.0 and -0.0, so only the both-sign
+    # frames need it
+    mixed = np.array([twenty_gon(0.0), twenty_gon(-0.0, flat_top=False), twenty_gon(-0.0),
+                      twenty_gon(0.0, flat_top=False), twenty_gon(0.01, flat_top=False),
+                      twenty_gon(-0.0)[::-1]])
+    assert [zero_edge_signs(points) for points in mixed] == [
+        {False}, {True}, {False, True}, {False}, set(), {False, True}]
+    assert all(len(convex_hull(points)) == 20 for points in mixed)
+    both = edge_orientations(mixed[2])
+    assert np.signbit(both[both == 0.0][0]) != np.signbit(np.unique(both)[0])
+    assert assert_block_matches_one_frame_calls(mixed) == {None, False, True}
