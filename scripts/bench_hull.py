@@ -7,7 +7,7 @@ per label or workload, the rest of the file kept):
     # per-call layers of one source tree, from the repository root
     python3 scripts/bench_hull.py layers --label change --out BENCH_hull.json
     python3 scripts/bench_hull.py layers --label parent --src ../parent/src \\
-        --skip-above 3000 --out BENCH_hull.json
+        --out BENCH_hull.json
 
     # per-sample tracker time of one source tree with the block hull
     python3 scripts/bench_hull.py core --label change --out BENCH_kinetic.json
@@ -29,13 +29,12 @@ built, ``diametric_box``, ``frame_diameter`` and ``optimal_box_and_strip``:
 the median of repeated calls, and the tracemalloc peak of one more call.
 Inputs come from a fixed seed: uniform clouds of 8 and 64 points, and
 ellipses with 10^3 to 10^5 hull vertices plus half as many interior
-points.  Sizes above ``--skip-above`` are recorded as not run, with the
-bytes the O(h^2) path would allocate for them.  ``--normalize-hull`` also
+points.  ``--normalize-hull`` also
 times one default ``normalize_trajectory`` (a grid of 1025 frames and the
 keyframes) at that hull size.
 
 ``core`` times ``track_topological`` (obb, strip, pc) and ``chase`` per
-sample, on the walks of the kinobench ``walks`` workload (20 steps over
+sample of one source tree, on the walks of the kinobench ``walks`` workload (20 steps over
 0.4 time units, dt = 1e-3) at n = 8 and 64 for fixed seeds; the chase runs
 on the normalized walk, as ``kinostable chase`` does.  Each entry is the
 best of ``--repeats`` runs per seed, and the median over seeds.  A
@@ -46,8 +45,11 @@ was built, the frames the monotone chain ran on and the certificate checks;
 the frames not chained kept a certified hull.  The counts read
 ``Trajectory.frame_blocks``, ``geometry.Frames.hull_indices``,
 ``geometry._certify`` and the chain's block entry
-``geometry._monotone_chains`` (the one-frame ``_monotone_chain`` on a tree
-from before it), so ``core`` runs on trees that build hulls in blocks.
+``geometry._monotone_chains``, so ``core`` runs on trees that build hulls
+in blocks and chain runs of frames.  Its times profile that one tree: two
+``core`` runs, one per tree, also differ by the host's drift between
+them, so parent/change comparisons come from the ``kinobench``
+subcommand, which alternates the two trees.
 
 ``flips`` runs ``track_topological`` (obb, strip, pc) at dt = 1e-3 on the
 48 walks of the kinobench ``walks`` corpus of each seed (``--seeds``,
@@ -72,9 +74,8 @@ row of the first claim that reads it, and ``total_s`` is the claim time of
 one verify run.  It records each claim's wall time, computed value and
 verdict, the hull counts of ``core`` taken during the timed evaluation
 (``hulls``; the counting wrappers cost about 0.1 ms per thousand calls),
-and on a tree whose sweep program is certified by branch and bound, the
-program's certified bound, witness and box count.  A tree that
-still scans a grid runs it at its own default grid.  Beside the claim rows
+and the sweep program's certified bound, witness and box count.  Beside
+the claim rows
 it times the two stages of ``axis-speed-escape`` on their own,
 ``measured_axis_speed`` and ``min_anchor_diameter`` of ``pc_fast_flip`` at
 the suite's rate and dt: the best of three runs each, with the value.
@@ -140,12 +141,6 @@ def size_input(size: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (size, 2)) if size <= 64 else ellipse(rng, size)
 
 
-def quadratic_bytes(n: int, h: int) -> dict:
-    """What the O(h^2) hull path allocated: the (h, h, 2) difference array and
-    the (h, h) distance matrix, and the two (n, h) candidate projections."""
-    return {"diametric_box": 24 * h * h, "optimal_box_and_strip": 16 * n * h}
-
-
 def per_call(fn) -> dict:
     seconds = []
     start = time.perf_counter()
@@ -174,18 +169,12 @@ def run_layers(args) -> dict:
         pts = size_input(size)
         frame = Frame(pts)
         hull = len(frame.hull)
-        row = {"points": len(pts), "hull": hull}
-        if size > 64:
-            row["quadratic_bytes"] = quadratic_bytes(len(pts), hull)
-        if size > args.skip_above:
-            row["not_run"] = "the O(h^2) path would allocate quadratic_bytes"
-        else:
-            row["layers"] = {
-                "convex_hull": per_call(lambda: convex_hull(pts)),
-                "diametric_box": per_call(lambda: diametric_box(frame)),
-                "frame_diameter": per_call(lambda: frame_diameter(frame)),
-                "optimal_box_and_strip": per_call(lambda: optimal_box_and_strip(frame)),
-            }
+        row = {"points": len(pts), "hull": hull, "layers": {
+            "convex_hull": per_call(lambda: convex_hull(pts)),
+            "diametric_box": per_call(lambda: diametric_box(frame)),
+            "frame_diameter": per_call(lambda: frame_diameter(frame)),
+            "optimal_box_and_strip": per_call(lambda: optimal_box_and_strip(frame)),
+        }}
         rows.append(row)
         print(json.dumps(row), flush=True)
     out = {"git_commit": git_commit(Path(args.src)), "sizes": rows}
@@ -206,17 +195,15 @@ def run_layers(args) -> dict:
 def hull_counts():
     """Count, while open: the blocks of samples (``Trajectory.frame_blocks``),
     the frames whose hull was built (``Frames.hull_indices``), the frames
-    the monotone chain ran on (``geometry._monotone_chains``, the block
-    entry, or the one-frame ``_monotone_chain`` of a tree from before it)
-    and the certificate checks (``geometry._certify`` calls); the frames
+    the monotone chain ran on (``geometry._monotone_chains``) and the
+    certificate checks (``geometry._certify`` calls); the frames
     built but not chained kept a certified hull.  The dict yielded is
     filled in on exit."""
     from kinostable import geometry
     from kinostable.trajectory import Trajectory
 
     counts = {"blocks": 0, "hull_frames": 0, "chained_frames": 0, "certificate_checks": 0}
-    chain_name = "_monotone_chains" if hasattr(geometry, "_monotone_chains") else "_monotone_chain"
-    real = {"blocks": Trajectory.frame_blocks, "chain": getattr(geometry, chain_name),
+    real = {"blocks": Trajectory.frame_blocks, "chain": geometry._monotone_chains,
             "certify": geometry._certify, "hulls": geometry.Frames.__dict__["hull_indices"]}
 
     def blocks(traj, *args, **kwargs):
@@ -225,7 +212,7 @@ def hull_counts():
             yield frames
 
     def chain(points, *args):
-        counts["chained_frames"] += len(points) if points.ndim == 3 else 1
+        counts["chained_frames"] += len(points)
         return real["chain"](points, *args)
 
     def certify(*args):
@@ -238,14 +225,13 @@ def hull_counts():
 
     counting = cached_property(hulls)
     counting.__set_name__(geometry.Frames, "hull_indices")
-    Trajectory.frame_blocks, geometry._certify = blocks, certify
-    setattr(geometry, chain_name, chain)
+    Trajectory.frame_blocks, geometry._certify, geometry._monotone_chains = blocks, certify, chain
     geometry.Frames.hull_indices = counting
     try:
         yield counts
     finally:
         Trajectory.frame_blocks, geometry._certify = real["blocks"], real["certify"]
-        setattr(geometry, chain_name, real["chain"])
+        geometry._monotone_chains = real["chain"]
         geometry.Frames.hull_indices = real["hulls"]
         counts["certified"] = counts["hull_frames"] - counts["chained_frames"]
 
@@ -423,13 +409,11 @@ def run_claims(args) -> dict:
                        "points": fast.n_points, "dt": opts.dt, "best_s": min(seconds),
                        "runs_s": seconds, "value": value})
         print(json.dumps(stages[-1]), flush=True)
-    out = {"git_commit": git_commit(Path(args.src)),
-           "options": {"seed": args.seed, "walks": args.walks, "samples": args.samples},
-           "total_s": sum(row["wall_s"] for row in rows), "claims": rows, "stages": stages}
-    if hasattr(run.program, "bound"):
-        out["program"] = {"bound": run.program.bound, "witness": run.program.witness,
-                          "boxes": run.program.boxes}
-    return out
+    return {"git_commit": git_commit(Path(args.src)),
+            "options": {"seed": args.seed, "walks": args.walks, "samples": args.samples},
+            "total_s": sum(row["wall_s"] for row in rows), "claims": rows, "stages": stages,
+            "program": {"bound": run.program.bound, "witness": run.program.witness,
+                        "boxes": run.program.boxes}}
 
 
 def kinobench_once(checkout: Path, args) -> dict:
@@ -480,7 +464,6 @@ def main(argv=None) -> int:
     p.add_argument("--label", default="change")
     p.add_argument("--src", default=str(ROOT / "src"))
     p.add_argument("--sizes", type=lambda s: [int(v) for v in s.split(",")], default=list(SIZES))
-    p.add_argument("--skip-above", type=int, default=max(SIZES))
     p.add_argument("--normalize-hull", type=int, default=0)
     p.add_argument("--out", required=True)
     p = sub.add_parser("core", help="per-sample tracker time of one source tree")

@@ -31,6 +31,10 @@ def elementwise(fn, nin: int = 1):
     return apply
 
 
+atan2, hypot = elementwise(math.atan2, 2), elementwise(math.hypot, 2)
+sin, cos, asin = elementwise(math.sin), elementwise(math.cos), elementwise(math.asin)
+
+
 def canonical(theta: float, period: float = ORIENTATION_PERIOD) -> float:
     """Fold an angle into the canonical range [0, period)."""
     t = math.fmod(theta, period)
@@ -46,6 +50,11 @@ def canonical_array(theta: np.ndarray, period: float = ORIENTATION_PERIOD) -> np
     t = np.fmod(theta, period)
     t = np.where(t < 0.0, t + period, t)
     return np.where(t >= period, t - period, t)
+
+
+def orientations(vec: np.ndarray) -> np.ndarray:
+    """The canonical orientation of every row of a (k, 2) array of vectors."""
+    return canonical_array(atan2(vec[:, 1], vec[:, 0]))
 
 
 def angular_distance(a: float, b: float, period: float = ORIENTATION_PERIOD) -> float:

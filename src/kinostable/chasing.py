@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import ORIENTATION_PERIOD, angular_distances, elementwise, rotate_toward
+from .angles import ORIENTATION_PERIOD, angular_distances, asin, rotate_toward, sin
 from .costs import DescriptorKind
 from .errors import DegenerateInputError, DomainError
 from .geometry import _EXTREMES, diameter_lower_bounds, diametric_boxes, frame_diameters
@@ -56,9 +56,6 @@ class ChaseParams:
         return 4.0 * self.safe_zone_factor + 6.0
 
 
-_asin, _sin = elementwise(math.asin), elementwise(math.sin)
-
-
 def _check(aspect, elapsed=0.0, window=None, formula=""):
     """Check a bound's inputs; return its validity window ``window(aspect)``."""
     if not np.all((0.0 <= aspect) & (aspect <= 1.0)):  # NaN fails
@@ -75,7 +72,7 @@ def safe_zone_half_width(aspect, factor: float = 3.0):
     """Half-width H = c*arcsin(aspect) of the interval around the target the
     tracker aims to stay in."""
     _check(aspect)
-    return factor * _asin(aspect)
+    return factor * asin(aspect)
 
 
 def jump_distance(aspect, factor: float = 3.0):
@@ -97,12 +94,12 @@ def pair_turn_bound(aspect, elapsed):
     """
     _check(aspect, elapsed, pair_turn_window, "(1-aspect)/(2+2*aspect)")
     # inside the window the argument exceeds 1 by rounding at most
-    return _asin(np.minimum(aspect + elapsed * (2.0 + 2.0 * aspect), 1.0))
+    return asin(np.minimum(aspect + elapsed * (2.0 + 2.0 * aspect), 1.0))
 
 
 def aspect_drop_window(aspect):
     """Longest elapsed time sin(arcsin(aspect)/2) / 2 ``aspect_drop_bound`` covers."""
-    return _sin(0.5 * _asin(aspect)) / 2.0
+    return sin(0.5 * asin(aspect)) / 2.0
 
 
 def aspect_drop_bound(aspect, elapsed):

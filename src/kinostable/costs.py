@@ -8,16 +8,24 @@ Each shape descriptor is the orientation minimizing one of these costs:
 * ``strip`` - width of the covering strip with that orientation.
 
 Costs are plain nonnegative floats; zero is allowed (collinear frames).
+
+``candidate_costs`` is the one cost kernel: each frame of a block at its
+own row of orientations, every kind in one call.  Box and strip share the
+extents across each orientation (``geometry.extents``); ``extent_cost``
+turns extents into either cost, also on the hull extents of large frames.
+``frame_costs`` is the kernel's one-column call.  ``pc`` keeps two forms:
+the kernel's scatter matrix, O(1) per orientation once formed, and the
+summed squared offsets ``frame_costs`` scores with.  They differ in the
+last bits, and the tracker's pinned ``pc`` outputs use the sum.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
 
-from .geometry import as_points
+from .geometry import as_points, extents
 
 
 class DescriptorKind(str, Enum):
@@ -26,37 +34,25 @@ class DescriptorKind(str, Enum):
     STRIP = "strip"
 
 
-def _spread(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """max - min of each frame of a (B, n, 2) block projected onto each column
-    of its own (2, m) direction matrix: the point-by-direction matrix product."""
-    proj = points @ directions
-    return proj.max(axis=1) - proj.min(axis=1)
+def extent_cost(kind: DescriptorKind, along, across):
+    """The strip width (the extent ``across`` an orientation) or the box area
+    (that times the extent ``along`` it)."""
+    return across if kind is DescriptorKind.STRIP else along * across
 
 
 def frame_costs(points: np.ndarray, kinds, betas) -> list[np.ndarray]:
     """Cost of every frame of a (B, n, 2) block at its own orientation
-    ``betas[b]``, one (B,) array per kind in ``kinds``.
-
-    The directions come from ``math.cos`` and ``math.sin``; box and strip
-    share one projection across the orientation.
-    """
+    ``betas[b]``, one (B,) array per kind in ``kinds``: the one-column call
+    of ``candidate_costs``, but for ``pc`` (see the module docstring)."""
     kinds = [DescriptorKind(k) for k in kinds]
-    cs = [(math.cos(a), math.sin(a)) for a in np.asarray(betas, dtype=float).tolist()]
-    across = np.array([[[-s], [c]] for c, s in cs])
-    out = []
+    betas = np.asarray(betas, dtype=float)[:, None]
+    extent_kinds = [kind for kind in kinds if kind is not DescriptorKind.PC]
+    scored = dict(zip(extent_kinds, candidate_costs(points, extent_kinds, betas)))
     if DescriptorKind.PC in kinds:
+        across = np.stack([-np.sin(betas), np.cos(betas)], axis=1)
         d = (points - points.mean(axis=1, keepdims=True)) @ across
-        pc = (np.swapaxes(d, 1, 2) @ d)[:, 0, 0]
-    if DescriptorKind.OBB in kinds or DescriptorKind.STRIP in kinds:
-        ext_v = _spread(points, across)[:, 0]
-    for kind in kinds:
-        if kind is DescriptorKind.PC:
-            out.append(pc)
-        elif kind is DescriptorKind.STRIP:
-            out.append(ext_v)
-        else:
-            out.append(_spread(points, np.array([[[c], [s]] for c, s in cs]))[:, 0] * ext_v)
-    return out
+        scored[DescriptorKind.PC] = (np.swapaxes(d, 1, 2) @ d)[:, 0]
+    return [scored[kind][:, 0] for kind in kinds]
 
 
 def cost(points, kind: DescriptorKind, alpha: float) -> float:
@@ -83,29 +79,30 @@ def cost_strip(points, alpha: float) -> float:
     return cost(points, DescriptorKind.STRIP, alpha)
 
 
-def candidate_costs(points: np.ndarray, kind: DescriptorKind, alphas: np.ndarray) -> np.ndarray:
+def candidate_costs(points: np.ndarray, kinds, alphas: np.ndarray) -> list[np.ndarray]:
     """Cost of each frame of a (B, n, 2) block at each orientation of its own
-    row of ``alphas`` (B, m), with ``np.cos`` and ``np.sin`` directions."""
-    kind = DescriptorKind(kind)
+    row of ``alphas`` (B, m), one (B, m) table per kind in ``kinds``, with
+    ``np.cos`` and ``np.sin`` directions."""
+    kinds = [DescriptorKind(k) for k in kinds]
     c, s = np.cos(alphas), np.sin(alphas)
-    if kind is DescriptorKind.PC:
+    if DescriptorKind.PC in kinds:
         centered = points - points.mean(axis=1, keepdims=True)
         sq = np.swapaxes(centered, 1, 2) @ centered
         sxx, sxy, syy = (sq[:, a, b, None] for a, b in ((0, 0), (0, 1), (1, 1)))
         # perpendicular direction (-sin, cos) against the scatter matrix
-        return sxx * s * s - 2.0 * sxy * s * c + syy * c * c
-    ext_v = _spread(points, np.stack([-s, c], axis=1))
-    if kind is DescriptorKind.STRIP:
-        return ext_v
-    return _spread(points, np.stack([c, s], axis=1)) * ext_v
+        pc = sxx * s * s - 2.0 * sxy * s * c + syy * c * c
+    if DescriptorKind.OBB in kinds or DescriptorKind.STRIP in kinds:
+        across = extents(points, np.stack([-s, c], axis=1))
+    along = extents(points, np.stack([c, s], axis=1)) if DescriptorKind.OBB in kinds else None
+    return [pc if kind is DescriptorKind.PC else extent_cost(kind, along, across) for kind in kinds]
 
 
 def costs_at(points, kind: DescriptorKind, alphas: np.ndarray) -> np.ndarray:
     """Vectorized cost evaluation over many orientations of one frame: the
     one-frame call of ``candidate_costs``.
 
-    Equal to ``cost`` per angle up to the last bit of the cosines and sines
-    (and, for ``pc``, the scatter-matrix form); used by the grid oracle.
+    Equal to ``cost`` per angle up to a wide product's last bit against a
+    one-column one (and the ``pc`` form); used by the grid oracle.
     """
     alphas = np.asarray(alphas, dtype=float)
-    return candidate_costs(as_points(points)[None], kind, alphas[None])[0]
+    return candidate_costs(as_points(points)[None], (kind,), alphas[None])[0][0]

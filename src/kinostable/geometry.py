@@ -7,17 +7,20 @@ frame size:
   point pair gives the diameter, that of every pair of hull vertices the
   diametral pairs (a farthest pair's points are hull vertices; Shamos,
   1978), and the box and strip candidate costs project every point
-  (``costs.candidate_costs``);
+  (``costs.candidate_costs`` on ``extents``);
 * above it: one rotating-calipers pass over the convex hull (Toussaint,
   1983) gives the antipodal vertex pairs, the only pairs that can be
   diametral, for both, and the extreme hull vertices give every
   candidate's extents (``extents_on_hull``).  Both are O(h) in time and
   memory for h hull vertices.
 
-``diameter_lower_bounds`` bounds every frame's diameter from below in O(n)
-per frame, with the same per-pair arithmetic, so a scan for the smallest
-diameter (``chasing.normalize_trajectory``) diameters only the frames whose
-bound is below the smallest diameter found.
+``extents`` is the one max - min of a point projection (candidate costs,
+diametric box width, ``extent``), and ``farthest`` the one farthest squared
+distance from a given point, with ``_brute_distances``' per-pair
+arithmetic: ``diameter_lower_bounds`` bounds every frame's diameter from
+below with it in O(n) per frame, so a scan for the smallest diameter
+(``chasing.normalize_trajectory``) diameters only the frames whose bound is
+below the smallest diameter found.
 
 Every quantity is computed for a block of frames at once (``Frames``, a
 (B, n, 2) array): the trackers, the descriptor command and the
@@ -83,7 +86,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import canonical_array, elementwise
+from .angles import cos, orientations, sin
 from .errors import DegenerateInputError
 
 # At most this many points, the diameter comes from every pairwise distance,
@@ -114,8 +117,6 @@ _FIRST_WINDOW = 8
 # The points extreme along x, y, x + y and x - y, among which
 # ``diameter_lower_bounds`` measures: at most this many.
 _EXTREMES = 8
-
-_atan2, _sin, _cos = elementwise(math.atan2, 2), elementwise(math.sin), elementwise(math.cos)
 
 _NON_FINITE = "frame contains non-finite coordinates"
 _COINCIDENT = "all points coincide; every descriptor is undefined"
@@ -371,12 +372,18 @@ def convex_hull(points) -> np.ndarray:
     return Frames.of(points).hull(0)
 
 
+def extents(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """max - min of each frame of a (B, n, 2) block projected onto each column
+    of its own (2, m) direction matrix: (B, m), the point-by-direction product."""
+    proj = points @ directions
+    return proj.max(axis=1) - proj.min(axis=1)
+
+
 def extent(points, theta: float) -> float:
-    """Width of the point set along direction ``theta``: max projection spread."""
-    pts = as_points(points)
-    u = np.array([math.cos(theta), math.sin(theta)])
-    proj = pts @ u
-    return float(proj.max() - proj.min())
+    """Width of the point set along direction ``theta``: the one-frame,
+    one-direction call of ``extents``."""
+    u = np.array([[[math.cos(theta)], [math.sin(theta)]]])
+    return float(extents(as_points(points)[None], u)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -467,7 +474,7 @@ def extents_on_hull(hull: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray]:
         """max - min of the hull projected onto ``direction[k]``, at angle ``phi[k]``.
 
         Each projection is a 1x2 by 2x1 product, the arithmetic of the
-        point-by-direction matrix product in ``costs.candidate_costs``, so
+        point-by-direction matrix product in ``extents``, so
         tied candidates compare the same way on both paths.
         """
 
@@ -554,14 +561,12 @@ def diametric_boxes(frames: Frames) -> DiametricBox:
     if frames.n_points < 2:
         raise DegenerateInputError("need at least 2 points")
     t, i, j, vec, dmax2 = _diametral_hits(frames)
-    a = canonical_array(_atan2(vec[:, 1], vec[:, 0]))
+    a = orientations(vec)
     order = np.lexsort((j, i, a, t))
     first = order[np.r_[True, t[order][1:] != t[order][:-1]]]
     alpha = a[first]
     diameter = np.sqrt(dmax2)
-    perp = np.column_stack([-_sin(alpha), _cos(alpha)])
-    proj = frames.points @ perp[:, :, None]
-    width = proj.max(axis=(1, 2)) - proj.min(axis=(1, 2))
+    width = extents(frames.points, np.column_stack([-sin(alpha), cos(alpha)])[:, :, None])[:, 0]
     aspect = width / diameter
     return DiametricBox(alpha=alpha, diameter=diameter, width=width,
                         aspect=np.where(1.0 < aspect, 1.0, aspect))
@@ -592,6 +597,19 @@ def frame_diameters(frames: Frames) -> np.ndarray:
     return np.sqrt([_hull_distances(frames.hull(b))[2].max() for b in range(len(frames))])
 
 
+def farthest(x: np.ndarray, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's largest squared distance from its point ``a[b]``, and where:
+    (B, n) coordinates, dx*dx + dy*dy rounded as in ``_brute_distances``."""
+    rows = np.arange(len(x))
+    d2 = x - x[rows, a, None]
+    d2 *= d2
+    dy = y - y[rows, a, None]
+    dy *= dy
+    d2 += dy
+    far = d2.argmax(axis=1)
+    return d2[rows, far], far
+
+
 def diameter_lower_bounds(frames: Frames) -> np.ndarray:
     """A lower bound on the diameter of every frame of a block, in O(n)
     per frame.
@@ -619,17 +637,6 @@ def diameter_lower_bounds(frames: Frames) -> np.ndarray:
     # each helper's (B, n) temporaries are freed when it returns, one at a time
     def ends(key: np.ndarray) -> list[np.ndarray]:
         return [key.argmin(axis=1), key.argmax(axis=1)]
-
-    def farthest(xs: np.ndarray, ys: np.ndarray, a: np.ndarray):
-        """The largest squared distance from each frame's point ``a[b]`` to
-        its points ``(xs[b], ys[b])``, and the point it is attained at."""
-        d2 = xs - xs[rows, a, None]
-        d2 *= d2
-        dy = ys - ys[rows, a, None]
-        dy *= dy
-        d2 += dy
-        far = d2.argmax(axis=1)
-        return d2[rows, far], far
 
     at = np.column_stack(ends(x) + ends(y) + ends(x + y) + ends(x - y))
     ex, ey = x[rows[:, None], at], y[rows[:, None], at]

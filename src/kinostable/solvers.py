@@ -2,13 +2,15 @@
 
 The box and strip optima are found among convex hull edge orientations: in
 the plane, a minimum-area box has a side flush with a hull edge, and a
-thinnest strip has a boundary containing one.  Each candidate's extents come
-from projecting every point on frames of at most 64 points, and from the
-extreme hull vertices above that (``geometry.extents_on_hull``, O(h) for h
-hull vertices); one extent array perpendicular to the candidate serves both
-the strip width and the box area.  ``orientation_costs`` holds this size
-switch for the solves and for the tracker's flip sweeps.  The principal
-axis comes from the 2x2 scatter matrix in closed form (``_scatter_axes``).
+thinnest strip has a boundary containing one.  ``orientation_costs`` scores
+the candidates for the solves and the tracker's flip sweeps: one call of
+the cost kernel ``costs.candidate_costs`` per chunk of frames of at most 64
+points, every kind at once; above that, box and strip take their extents
+off the extreme hull vertices (``geometry.extents_on_hull``, O(h) for h
+hull vertices) through the same ``costs.extent_cost``, and ``pc`` the
+kernel's scatter form (``costs`` says why scoring sums offsets instead).
+The principal axis comes from the 2x2 scatter matrix in closed form
+(``_scatter_axes``).
 ``block_optima`` solves every frame of a ``geometry.Frames`` block (the
 candidate rows padded to the longest); ``optimal``, ``optimal_pc`` and
 ``optimal_box_and_strip`` are its one-frame call.
@@ -33,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import canonical_array, elementwise
-from .costs import DescriptorKind, candidate_costs, costs_at
+from .angles import atan2, canonical_array, hypot, orientations
+from .costs import DescriptorKind, candidate_costs, costs_at, extent_cost
 from .errors import DegenerateInputError, DomainError
 from .geometry import _BRUTE_FORCE_LIMIT, Frames, as_points, extents_on_hull, table_block
 
@@ -43,8 +45,6 @@ _COST_TIE_REL = 1e-9
 # A segment-moment axis is kept where its eigenvalue gap is at least this
 # share of its segment's moment scale (``principal_axes``).
 _SEGMENT_GAP_REL = 1e-3
-
-_atan2, _hypot = elementwise(math.atan2, 2), elementwise(math.hypot, 2)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _edge_candidates(frames: Frames) -> tuple[np.ndarray, np.ndarray, np.ndarray
     k = np.arange(len(row)) - np.repeat(start, edges)
     ends = np.column_stack([hulls[row, k], hulls[row, (k + 1) % sizes[row]]])
     vec = frames.points[row, ends[:, 1]] - frames.points[row, ends[:, 0]]
-    flat = canonical_array(_atan2(vec[:, 1], vec[:, 0]))
+    flat = orientations(vec)
     # by frame, then orientation, then hull order; the first of equal ones kept
     order = np.lexsort((flat, row))
     keep = np.ones(len(order), dtype=bool)
@@ -148,40 +148,35 @@ def orientation_costs(frames: Frames, kinds: tuple[DescriptorKind, ...], angles:
     kind in ``kinds``, padded with inf.
 
     Up to ``_BRUTE_FORCE_LIMIT`` points, box and strip project every point,
-    (F, n, m) arrays made ``table_block`` frames at a time to keep within
-    the block budget; above it they read their extents off the extreme hull
+    (F, n, m) arrays made ``table_block`` frames at a time, every kind in one
+    kernel call; above it they read their extents off the extreme hull
     vertices.  ``pc`` takes the scatter form on all points at every size:
     it is not a hull quantity.
     """
     size, m = angles.shape
     pts = frames.points
     brute = frames.n_points <= _BRUTE_FORCE_LIMIT
-    extent_kinds = [kind for kind in kinds if kind is not DescriptorKind.PC]
-    table = {kind: np.empty(angles.shape) for kind in kinds}
+    table = np.empty((len(kinds), size, m))  # row k: kinds[k]
+    kernel = [k for k, kind in enumerate(kinds) if brute or kind is DescriptorKind.PC]
+    extent = [k for k, kind in enumerate(kinds) if kind is not DescriptorKind.PC]
     step = table_block(frames.n_points, m)
-    for lo in range(0, size, step):
-        part = slice(lo, lo + step)
-        for kind in kinds:
-            if brute or kind is DescriptorKind.PC:
-                table[kind][part] = candidate_costs(pts[part], kind, angles[part])
-    if brute:
+    for lo in range(0, size if kernel else 0, step):
+        table[kernel, lo:lo + step] = candidate_costs(pts[lo:lo + step], [kinds[k] for k in kernel],
+                                                      angles[lo:lo + step])
+    if extent and brute:
         # A one-column product rounds unlike one column of a wider product
         # (matrix-vector against matrix-matrix kernels), so a frame with a
         # single candidate is projected on its own column, as alone.
         single = np.flatnonzero(counts == 1)
         if len(single) and m > 1:
-            for kind in extent_kinds:
-                table[kind][single, :1] = candidate_costs(pts[single], kind, angles[single, :1])
-    else:
+            table[np.ix_(extent, single, [0])] = candidate_costs(
+                pts[single], [kinds[k] for k in extent], angles[single, :1])
+    elif extent:
         for b in range(size):
-            k = counts[b]
-            ext_u, ext_v = extents_on_hull(frames.hull(b), angles[b, :k])
-            for kind in extent_kinds:
-                table[kind][b, :k] = ext_v if kind is DescriptorKind.STRIP else ext_u * ext_v
-    pad = np.arange(m) >= counts[:, None]
-    for values in table.values():
-        values[pad] = np.inf
-    return [table[kind] for kind in kinds]
+            along, across = extents_on_hull(frames.hull(b), angles[b, :counts[b]])
+            table[extent, b, :counts[b]] = [extent_cost(kinds[k], along, across) for k in extent]
+    table[:, np.arange(m) >= counts[:, None]] = np.inf
+    return list(table)
 
 
 def _hull_optima(frames: Frames, kinds: tuple[DescriptorKind, ...]) -> list[BlockOptima]:
@@ -211,11 +206,11 @@ def _scatter_axes(sxx: np.ndarray, sxy: np.ndarray, syy: np.ndarray):
     and alpha defaults to 0.
     """
     mean = 0.5 * (sxx + syy)
-    half_gap = _hypot(0.5 * (sxx - syy), sxy)
+    half_gap = hypot(0.5 * (sxx - syy), sxy)
     lam_min = mean - half_gap
     lam_min = np.where(0.0 > lam_min, 0.0, lam_min)
     isotropic = 2.0 * half_gap <= _EIGEN_TIE_REL * (sxx + syy + 1e-300)
-    turn = _atan2(2.0 * sxy, sxx - syy)
+    turn = atan2(2.0 * sxy, sxx - syy)
     alpha = np.where(isotropic, 0.0, canonical_array(0.5 * turn))
     return half_gap, lam_min, isotropic, alpha
 

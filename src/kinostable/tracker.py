@@ -45,7 +45,7 @@ from .angles import (
     angular_distance,
     angular_distances,
     canonical_array,
-    elementwise,
+    orientations,
 )
 from .costs import DescriptorKind, frame_costs
 from .errors import DegenerateInputError
@@ -69,8 +69,6 @@ _REFINE_ITERS = 60
 # the rounds a bracket may go without halving before it takes its midpoint.
 _ROOT_XTOL = 1e-13
 _STALE_ROUNDS = 8
-
-_atan2 = elementwise(math.atan2, 2)
 
 
 def tracking_period(kind: DescriptorKind) -> float:
@@ -279,7 +277,7 @@ def _edge_crossings(traj: Trajectory, kind, period, t_lo: np.ndarray, t_hi: np.n
         points = np.concatenate([traj.positions_at_times(t)] * 2)
         m, edges = len(rows), np.concatenate([pair_lo[rows], pair_hi[rows]])
         vec = points[np.arange(2 * m), edges[:, 1]] - points[np.arange(2 * m), edges[:, 0]]
-        ang = canonical_array(_atan2(vec[:, 1], vec[:, 0]))
+        ang = orientations(vec)
         cost = frame_costs(points, (kind,), ang)[0]
         band = _COST_TIE_REL * (np.abs(cost[m:]) + 1e-300)
         return cost[:m] - cost[m:], band, ang[:m], ang[m:], frame_faults(points[:m])

@@ -34,12 +34,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import angular_distances, elementwise, winding_number
+from .angles import angular_distances, cos, sin, winding_number
 from .chasing import (ChaseParams, aspect_drop_bound, aspect_drop_window, chase,
                       normalize_trajectory, pair_turn_bound, pair_turn_window)
 from .costs import DescriptorKind
 from .errors import DegenerateInputError, DomainError
-from .geometry import Frames, block_size, diametric_boxes, frame_faults
+from .geometry import Frames, block_size, diametric_boxes, farthest, frame_faults
 from .ratios import max_ratio
 from .scenarios import (
     obb_lower_bound,
@@ -159,7 +159,6 @@ def _program_objective(a, b, alpha):
 _OUTWARD = 1.0 + 32.0 * np.finfo(float).eps
 _PRUNE_SLACK = 1e-12  # a box is done once its bound is within this of the best witness
 _PROGRAM_BOXES = 200_000  # box budget: past it, the open boxes' bounds are reported
-_cos, _sin = elementwise(math.cos), elementwise(math.sin)
 _OCTANTS = np.array([[(k >> j) & 1 for j in range(3)] for k in range(8)], dtype=bool)
 
 
@@ -170,9 +169,9 @@ def _box_bound(lo, hi):
     g(r) = r + 2 + 1/r increasing for r >= 1: r = b/a <= b_top/a_lo at cos
     alpha >= cos alpha_hi, and r = ab <= a_hi b_top at sin alpha >= sin alpha_lo."""
     (a_lo, b_lo, al_lo), (a_hi, b_hi, al_hi) = lo.T, hi.T
-    b_top = np.minimum(b_hi, (a_hi * _cos(al_lo) + _sin(al_hi) / a_lo) * _OUTWARD)
-    bound = np.minimum(swept_box_peak(1.0, b_top / a_lo, _cos(al_hi)),
-                       swept_box_peak(1.0, a_hi * b_top, _sin(al_lo))) * _OUTWARD
+    b_top = np.minimum(b_hi, (a_hi * cos(al_lo) + sin(al_hi) / a_lo) * _OUTWARD)
+    bound = np.minimum(swept_box_peak(1.0, b_top / a_lo, cos(al_hi)),
+                       swept_box_peak(1.0, a_hi * b_top, sin(al_lo))) * _OUTWARD
     return np.where(b_top < np.maximum(b_lo, a_lo), -np.inf, bound)
 
 
@@ -373,12 +372,8 @@ def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3, anchor: int = 0) -> 
     worst = math.inf
     for frames in traj.frame_blocks(times, check=False):
         pts = frames.points
-        dx = pts[:, :, 0] - pts[:, anchor:anchor + 1, 0]
-        dy = pts[:, :, 1] - pts[:, anchor:anchor + 1, 1]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        worst = min(worst, float(np.sqrt(dx.max(axis=1)).min()))
+        d2 = farthest(pts[:, :, 0], pts[:, :, 1], np.full(len(pts), anchor))[0]
+        worst = min(worst, float(np.sqrt(d2).min()))
     return worst
 
 

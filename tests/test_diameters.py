@@ -9,13 +9,11 @@ point of the frame, and the diameter of every grid frame.  Both must agree
 bitwise.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from kinostable import chasing
-from kinostable.angles import canonical_array, elementwise
+from kinostable.angles import atan2, canonical_array, cos, sin
 from kinostable.chasing import normalize_trajectory
 from kinostable.errors import DegenerateInputError
 from kinostable.geometry import (Frames, diameter_lower_bounds, diametric_boxes, frame_diameter,
@@ -24,8 +22,6 @@ from kinostable.scenarios import obb_lower_bound, pc_flip, random_walk, strip_lo
 from kinostable.trajectory import Trajectory
 
 from test_blocks import ellipse_walk, hull_inputs
-
-_atan2, _sin, _cos = elementwise(math.atan2, 2), elementwise(math.sin), elementwise(math.cos)
 
 
 def all_pair_boxes(points: np.ndarray):
@@ -43,12 +39,12 @@ def all_pair_boxes(points: np.ndarray):
     keep = i < j
     t, i, j = t[keep], i[keep], j[keep]
     vec = points[t, j] - points[t, i]
-    a = canonical_array(_atan2(vec[:, 1], vec[:, 0]))
+    a = canonical_array(atan2(vec[:, 1], vec[:, 0]))
     order = np.lexsort((j, i, a, t))
     first = order[np.r_[True, t[order][1:] != t[order][:-1]]]
     alpha = a[first]
     diameter = np.sqrt(dmax2)
-    perp = np.column_stack([-_sin(alpha), _cos(alpha)])
+    perp = np.column_stack([-sin(alpha), cos(alpha)])
     proj = points @ perp[:, :, None]
     width = proj.max(axis=(1, 2)) - proj.min(axis=(1, 2))
     aspect = width / diameter
