@@ -30,7 +30,7 @@ the median of repeated calls, and the tracemalloc peak of one more call.
 Inputs come from a fixed seed: uniform clouds of 8 and 64 points, and
 ellipses with 10^3 to 10^5 hull vertices plus half as many interior
 points.  ``--normalize-hull`` also
-times one default ``normalize_trajectory`` (a grid of 1025 frames and the
+times one ``normalize_trajectory`` (a grid of 1025 frames and the
 keyframes) at that hull size.
 
 ``core`` times ``track_topological`` (obb, strip, pc) and ``chase`` per

@@ -35,6 +35,8 @@ from .geometry import _EXTREMES, diameter_lower_bounds, diametric_boxes, frame_d
 from .tracker import TrackerOutput, sampled_run
 from .trajectory import Trajectory
 
+_NORMALIZE_SAMPLES = 1025  # uniform samples ``normalize_trajectory`` adds to the keyframes
+
 
 @dataclass(frozen=True)
 class ChaseParams:
@@ -113,16 +115,14 @@ def aspect_drop_bound(aspect, elapsed):
     return aspect - (half - 2.0 * elapsed) / (1.0 + 2.0 * elapsed)
 
 
-def normalize_trajectory(
-    traj: Trajectory, sample_count: int = 1025
-) -> tuple[Trajectory, float, float]:
+def normalize_trajectory(traj: Trajectory) -> tuple[Trajectory, float, float]:
     """Rescale space and time so min sampled diameter is 1 and max speed is 1.
 
     Returns (normalized trajectory, spatial factor, temporal factor):
     positions were multiplied by the spatial factor and times by the
     temporal one.
 
-    The minimum is taken over the keyframe times and ``sample_count``
+    The minimum is taken over the keyframe times and ``_NORMALIZE_SAMPLES``
     uniform samples, without the diameter of every one of those frames.
     Each frame first gets a lower bound LB on its diameter D, in O(n)
     (``diameter_lower_bounds``): the distance of one of its own pairs, with
@@ -135,7 +135,7 @@ def normalize_trajectory(
     so all do), so a collapse raises before any frame is diametered, at
     every n.
     """
-    grid = np.union1d(traj.times, np.linspace(0.0, traj.horizon, sample_count))
+    grid = np.union1d(traj.times, np.linspace(0.0, traj.horizon, _NORMALIZE_SAMPLES))
     lower = np.concatenate([diameter_lower_bounds(frames)
                             for frames in traj.frame_blocks(grid, check=False)])
     min_diam = float(lower.min())

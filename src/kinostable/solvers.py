@@ -7,10 +7,10 @@ the candidates for the solves and the tracker's flip sweeps: one call of
 the cost kernel ``costs.candidate_costs`` per chunk of frames of at most 64
 points, every kind at once; above that, box and strip take their extents
 off the extreme hull vertices (``geometry.extents_on_hull``, O(h) for h
-hull vertices) through the same ``costs.extent_cost``, and ``pc`` the
-kernel's scatter form (``costs`` says why scoring sums offsets instead).
-The principal axis comes from the 2x2 scatter matrix in closed form
-(``_scatter_axes``).
+hull vertices) through the same ``costs.extent_cost``; ``pc`` projects
+every point.  The principal axis comes from the 2x2 scatter matrix in
+closed form (``_scatter_axes``), its cost from ``costs.frame_costs`` there:
+the closed-form smaller eigenvalue cancels on thin clouds.
 ``block_optima`` solves every frame of a ``geometry.Frames`` block (the
 candidate rows padded to the longest); ``optimal``, ``optimal_pc`` and
 ``optimal_box_and_strip`` are its one-frame call.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import atan2, canonical_array, hypot, orientations
-from .costs import DescriptorKind, candidate_costs, costs_at, extent_cost
+from .costs import DescriptorKind, candidate_costs, costs_at, extent_cost, frame_costs
 from .errors import DegenerateInputError, DomainError
 from .geometry import _BRUTE_FORCE_LIMIT, Frames, as_points, extents_on_hull, table_block
 
@@ -150,8 +150,8 @@ def orientation_costs(frames: Frames, kinds: tuple[DescriptorKind, ...], angles:
     Up to ``_BRUTE_FORCE_LIMIT`` points, box and strip project every point,
     (F, n, m) arrays made ``table_block`` frames at a time, every kind in one
     kernel call; above it they read their extents off the extreme hull
-    vertices.  ``pc`` takes the scatter form on all points at every size:
-    it is not a hull quantity.
+    vertices.  ``pc`` projects every point at every size, above the limit
+    (where it alone does) ``table_block(n, 1)`` orientations at a time.
     """
     size, m = angles.shape
     pts = frames.points
@@ -159,10 +159,11 @@ def orientation_costs(frames: Frames, kinds: tuple[DescriptorKind, ...], angles:
     table = np.empty((len(kinds), size, m))  # row k: kinds[k]
     kernel = [k for k, kind in enumerate(kinds) if brute or kind is DescriptorKind.PC]
     extent = [k for k, kind in enumerate(kinds) if kind is not DescriptorKind.PC]
-    step = table_block(frames.n_points, m)
+    step, width = table_block(frames.n_points, m), m if brute else table_block(frames.n_points, 1)
     for lo in range(0, size if kernel else 0, step):
-        table[kernel, lo:lo + step] = candidate_costs(pts[lo:lo + step], [kinds[k] for k in kernel],
-                                                      angles[lo:lo + step])
+        for at in range(0, m, width):
+            table[kernel, lo:lo + step, at:at + width] = candidate_costs(
+                pts[lo:lo + step], [kinds[k] for k in kernel], angles[lo:lo + step, at:at + width])
     if extent and brute:
         # A one-column product rounds unlike one column of a wider product
         # (matrix-vector against matrix-matrix kernels), so a frame with a
@@ -198,31 +199,30 @@ def _hull_optima(frames: Frames, kinds: tuple[DescriptorKind, ...]) -> list[Bloc
 
 def _scatter_axes(sxx: np.ndarray, sxy: np.ndarray, syy: np.ndarray):
     """The closed-form principal axis of 2x2 scatter matrices given by their
-    entries: (half_gap, lam_min, isotropic, alpha), where 2 * half_gap is the
-    eigenvalue gap and lam_min the smaller eigenvalue (the cost).
+    entries: (half_gap, isotropic, alpha), where 2 * half_gap is the
+    eigenvalue gap.
 
     When the two eigenvalues agree within the relative tie tolerance
     ``_EIGEN_TIE_REL`` the matrix is isotropic: every orientation is optimal,
     and alpha defaults to 0.
     """
-    mean = 0.5 * (sxx + syy)
     half_gap = hypot(0.5 * (sxx - syy), sxy)
-    lam_min = mean - half_gap
-    lam_min = np.where(0.0 > lam_min, 0.0, lam_min)
     isotropic = 2.0 * half_gap <= _EIGEN_TIE_REL * (sxx + syy + 1e-300)
     turn = atan2(2.0 * sxy, sxx - syy)
     alpha = np.where(isotropic, 0.0, canonical_array(0.5 * turn))
-    return half_gap, lam_min, isotropic, alpha
+    return half_gap, isotropic, alpha
 
 
 def _pc_optima(frames: Frames) -> BlockOptima:
     """First principal axis of every frame from its 2x2 scatter matrix of
-    centered coordinates (``_scatter_axes``)."""
+    centered coordinates (``_scatter_axes``), with the cost ``frame_costs``
+    scores there."""
     pts = frames.points
     centered = pts - pts.mean(axis=1, keepdims=True)
     sq = np.swapaxes(centered, 1, 2) @ centered
-    _, lam_min, isotropic, alpha = _scatter_axes(sq[:, 0, 0], sq[:, 0, 1], sq[:, 1, 1])
-    return BlockOptima(DescriptorKind.PC, alpha, lam_min, isotropic)
+    _, isotropic, alpha = _scatter_axes(sq[:, 0, 0], sq[:, 0, 1], sq[:, 1, 1])
+    cost = frame_costs(pts, (DescriptorKind.PC,), alpha)[0]
+    return BlockOptima(DescriptorKind.PC, alpha, cost, isotropic)
 
 
 def block_optima(frames: Frames, kinds) -> list[BlockOptima]:
@@ -256,10 +256,10 @@ def _segment_moments(traj, segments: np.ndarray) -> np.ndarray:
     return table
 
 
-def principal_axes(traj, times: np.ndarray) -> tuple[BlockOptima, np.ndarray]:
+def principal_axes(traj, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first principal axis of a trajectory at each of ``times``
-    (clamped to [0, horizon]), with the indices of the samples solved frame
-    by frame.
+    (clamped to [0, horizon]): (alpha, isotropic, the indices of the samples
+    solved frame by frame).
 
     Motion is linear along a keyframe segment, so the centered frame at
     segment parameter s is (1 - s) A + s B for the centered keyframes A and
@@ -289,7 +289,7 @@ def principal_axes(traj, times: np.ndarray) -> tuple[BlockOptima, np.ndarray]:
     times = np.clip(np.asarray(times, dtype=float), 0.0, traj.horizon)
     if len(traj.times) == 1:
         fallback = np.arange(len(times))
-        alpha, cost = np.empty(len(times)), np.empty(len(times))
+        alpha = np.empty(len(times))
         isotropic = np.empty(len(times), dtype=bool)
     else:
         seg, s = traj.segments_at(times)
@@ -298,16 +298,16 @@ def principal_axes(traj, times: np.ndarray) -> tuple[BlockOptima, np.ndarray]:
         w0, w1, w2 = rest * rest, s * rest, s * s
         sxx, sxy, syy = (w0 * table[seg, 0, p, q] + w1 * table[seg, 1, p, q]
                          + w2 * table[seg, 2, p, q] for p, q in ((0, 0), (0, 1), (1, 1)))
-        half_gap, cost, isotropic, alpha = _scatter_axes(sxx, sxy, syy)
+        half_gap, isotropic, alpha = _scatter_axes(sxx, sxy, syy)
         scale = np.abs(table).sum(axis=1).max(axis=(1, 2))
         fallback = np.flatnonzero(~(2.0 * half_gap >= _SEGMENT_GAP_REL * scale[seg]))
     at = 0
     for frames in traj.frame_blocks(times[fallback]):
         pc = block_optima(frames, (DescriptorKind.PC,))[0]
         rows = fallback[at:at + len(frames)]
-        alpha[rows], cost[rows], isotropic[rows] = pc.alpha, pc.cost, pc.isotropic
+        alpha[rows], isotropic[rows] = pc.alpha, pc.isotropic
         at += len(frames)
-    return BlockOptima(DescriptorKind.PC, alpha, cost, isotropic), fallback
+    return alpha, isotropic, fallback
 
 
 def optimal_box_and_strip(frame) -> tuple[OptimalDescriptor, OptimalDescriptor]:

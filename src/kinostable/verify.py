@@ -339,7 +339,7 @@ def measured_axis_speed(traj: Trajectory, dt: float = 1e-3) -> float:
     within about twice that over dt of the per-frame one.
     """
     times = traj.sample_times(dt)
-    alphas = principal_axes(traj, times)[0].alpha
+    alphas = principal_axes(traj, times)[0]
     speeds = angular_distances(alphas[:-1], alphas[1:]) / np.diff(times)
     return float(speeds.max(initial=0.0))
 

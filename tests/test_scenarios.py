@@ -115,7 +115,7 @@ class TestAxisSpeedEscape:
         from kinostable.chasing import chase, normalize_trajectory
 
         traj = pc_fast_flip(target_rate=15.0)
-        normalized, _, _ = normalize_trajectory(traj, sample_count=257)
+        normalized, _, _ = normalize_trajectory(traj)
         res = chase(normalized, dt=2e-3)
         assert np.max(res.safe_zone.aspect) < 0.5
         assert np.max(res.runs[DescriptorKind.OBB].ratio) < 4.0

@@ -173,15 +173,15 @@ def per_frame_axes(traj, times):
                          + [f"walk{seed}" for seed in range(4)])
 def test_segment_moment_axes_match_per_frame_solves(traj, dt):
     times = traj.sample_times(dt)
-    axes, _ = principal_axes(traj, times)
+    axes_alpha, axes_isotropic, _ = principal_axes(traj, times)
     alpha, isotropic = per_frame_axes(traj, times)
-    assert angular_distances(axes.alpha, alpha).max() <= 1e-10
-    assert np.array_equal(axes.isotropic, isotropic)
+    assert angular_distances(axes_alpha, alpha).max() <= 1e-10
+    assert np.array_equal(axes_isotropic, isotropic)
 
 
 def test_fast_flip_axes_need_no_per_frame_solve():
     traj = pc_fast_flip(100.0)
-    _, fallback = principal_axes(traj, traj.sample_times(1e-3))
+    _, _, fallback = principal_axes(traj, traj.sample_times(1e-3))
     assert len(fallback) == 0
 
 
@@ -189,12 +189,12 @@ def test_pc_flip_falls_back_only_next_to_its_isotropic_instant():
     # the cloud's width 2 - 1.5 t passes its height 1 at t = 2/3
     traj = pc_flip()
     times = traj.sample_times(1e-3)
-    axes, fallback = principal_axes(traj, times)
+    axes_alpha, axes_isotropic, fallback = principal_axes(traj, times)
     assert {666, 667} <= set(fallback.tolist())  # the samples around t = 2/3
     assert np.abs(times[fallback] - 2.0 / 3.0).max() < 5e-3
     alpha, isotropic = per_frame_axes(traj, times[fallback])
-    assert np.array_equal(axes.alpha[fallback], alpha)
-    assert np.array_equal(axes.isotropic[fallback], isotropic)
+    assert np.array_equal(axes_alpha[fallback], alpha)
+    assert np.array_equal(axes_isotropic[fallback], isotropic)
 
 
 def test_points_that_coincide_at_a_sample_are_rejected_as_frame_by_frame():
@@ -213,11 +213,11 @@ def test_one_keyframe_is_solved_frame_by_frame():
     points = np.array([(0.0, 0.0), (2.0, 0.5), (0.5, 1.0)])
     traj = Trajectory(np.array([0.0]), points[None])
     times = np.array([0.0, 0.5, 1.0])
-    axes, fallback = principal_axes(traj, times)
+    axes_alpha, axes_isotropic, fallback = principal_axes(traj, times)
     assert fallback.tolist() == [0, 1, 2]
     alpha, isotropic = per_frame_axes(traj, times)
-    assert np.array_equal(axes.alpha, alpha) and np.array_equal(axes.isotropic, isotropic)
-    assert axes.alpha[0] == optimal_pc(points).alpha
+    assert np.array_equal(axes_alpha, alpha) and np.array_equal(axes_isotropic, isotropic)
+    assert axes_alpha[0] == optimal_pc(points).alpha
 
 
 def edge_orientations(points: np.ndarray) -> np.ndarray:
