@@ -49,7 +49,10 @@ the frames not chained kept a certified hull.  The counts read
 in blocks and chain runs of frames.  Its times profile that one tree: two
 ``core`` runs, one per tree, also differ by the host's drift between
 them, so parent/change comparisons come from the ``kinobench``
-subcommand, which alternates the two trees.
+subcommand, which alternates the two trees.  Each ``track-*`` row also
+records ``ratios_not_one``, the per-sample ratios over its seeds that are
+not exactly 1.0: the tracker outputs an optimum at every sample, so it
+reads 0.
 
 ``flips`` runs ``track_topological`` (obb, strip, pc) at dt = 1e-3 on the
 48 walks of the kinobench ``walks`` corpus of each seed (``--seeds``,
@@ -251,9 +254,12 @@ def run_core(args) -> dict:
                for kind in ("obb", "strip", "pc")}
         ops["chase"] = [lambda t=traj: chase(t, dt=CORE_DT) for traj in normalized]
         for op, runs in ops.items():
-            per_seed, counts = [], []
+            per_seed, counts, not_one = [], [], 0
             for run in runs:
-                samples = len(run().times)
+                out = run()
+                samples = len(out.times)
+                if op.startswith("track-"):
+                    not_one += int(np.count_nonzero(out.ratio != 1.0))
                 best = math.inf
                 for _ in range(args.repeats):
                     t0 = time.perf_counter()
@@ -265,6 +271,8 @@ def run_core(args) -> dict:
                 counts.append({"samples": samples, **count})
             row = {"n": n, "op": op, "per_sample_us": statistics.median(per_seed),
                    "per_seed_us": per_seed, "per_seed_counts": counts}
+            if op.startswith("track-"):
+                row["ratios_not_one"] = not_one
             rows.append(row)
             print(json.dumps(row), flush=True)
         per_walk = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import ORIENTATION_PERIOD, angular_distances, asin, rotate_toward, sin
-from .costs import DescriptorKind
+from .costs import DescriptorKind, frame_costs
 from .errors import DegenerateInputError, DomainError
 from .geometry import _EXTREMES, diameter_lower_bounds, diametric_boxes, frame_diameters
 from .tracker import TrackerOutput, sampled_run
@@ -222,7 +222,7 @@ def chase(traj: Trajectory, params: ChaseParams = ChaseParams(), dt: float = 1e-
             beta.append(prev_beta)
         beta = np.array(beta)
         zone.append((box.alpha, box.aspect, angular_distances(beta, box.alpha)))
-        return beta
+        return beta, frame_costs(frames.points, kinds, beta)
 
     runs = sampled_run(traj, dt, kinds, ORIENTATION_PERIOD, toward_pair)
     target, aspect, gap = (np.concatenate(col) for col in zip(*zone))

@@ -13,9 +13,9 @@ Costs are plain nonnegative floats; zero is allowed (collinear frames).
 own row of orientations, every kind in one call.  Box and strip share the
 extents across each orientation (``geometry.extents``); ``extent_cost``
 turns extents into either cost, also on the hull extents of large frames.
-``pc`` is the summed squared offsets across each orientation, one dot
-product per column.  ``frame_costs`` is the kernel's one-column call for
-every kind, and scores the principal axis's optimum too.
+``pc`` is the summed squared offsets across each orientation
+(``summed_squares``).  ``frame_costs`` is the kernel's one-column call for
+every kind; the chaser scores its orientations with it.
 """
 
 from __future__ import annotations
@@ -71,6 +71,13 @@ def cost_strip(points, alpha: float) -> float:
     return cost(points, DescriptorKind.STRIP, alpha)
 
 
+def summed_squares(centered: np.ndarray, across: np.ndarray) -> np.ndarray:
+    """The ``pc`` cost of each frame of a centered (B, n, 2) block across each
+    of its own (B, 2, m) directions: (B, m), each one (1, n) @ (n, 1) product."""
+    d = np.swapaxes(centered @ across, 1, 2)
+    return (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+
+
 def candidate_costs(points: np.ndarray, kinds, alphas: np.ndarray) -> list[np.ndarray]:
     """Cost of each frame of a (B, n, 2) block at each orientation of its own
     row of ``alphas`` (B, m), one (B, m) table per kind in ``kinds``, with
@@ -79,10 +86,7 @@ def candidate_costs(points: np.ndarray, kinds, alphas: np.ndarray) -> list[np.nd
     c, s = np.cos(alphas), np.sin(alphas)
     across = np.stack([-s, c], axis=1)
     if DescriptorKind.PC in kinds:
-        # (B, m, n) offsets across each orientation, each column's squared
-        # sum one (1, n) @ (n, 1) product
-        d = np.swapaxes((points - points.mean(axis=1, keepdims=True)) @ across, 1, 2)
-        pc = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+        pc = summed_squares(points - points.mean(axis=1, keepdims=True), across)
     if DescriptorKind.OBB in kinds or DescriptorKind.STRIP in kinds:
         width = extents(points, across)
     along = extents(points, np.stack([c, s], axis=1)) if DescriptorKind.OBB in kinds else None

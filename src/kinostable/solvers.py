@@ -9,8 +9,8 @@ points, every kind at once; above that, box and strip take their extents
 off the extreme hull vertices (``geometry.extents_on_hull``, O(h) for h
 hull vertices) through the same ``costs.extent_cost``; ``pc`` projects
 every point.  The principal axis comes from the 2x2 scatter matrix in
-closed form (``_scatter_axes``), its cost from ``costs.frame_costs`` there:
-the closed-form smaller eigenvalue cancels on thin clouds.
+closed form (``_scatter_axes``), its cost from ``costs.summed_squares``
+there: the closed-form smaller eigenvalue cancels on thin clouds.
 ``block_optima`` solves every frame of a ``geometry.Frames`` block (the
 candidate rows padded to the longest); ``optimal``, ``optimal_pc`` and
 ``optimal_box_and_strip`` are its one-frame call.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import atan2, canonical_array, hypot, orientations
-from .costs import DescriptorKind, candidate_costs, costs_at, extent_cost, frame_costs
+from .costs import DescriptorKind, candidate_costs, costs_at, extent_cost, summed_squares
 from .errors import DegenerateInputError, DomainError
 from .geometry import _BRUTE_FORCE_LIMIT, Frames, as_points, extents_on_hull, table_block
 
@@ -65,7 +65,8 @@ class OptimalDescriptor:
 def _edge_candidates(frames: Frames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The canonical hull-edge orientations of every frame of a block, sorted
     and deduplicated: (angles, pairs, counts), one row of ``angles`` per
-    frame, padded after its ``counts[b]`` candidates with zeros.
+    frame, padded after its ``counts[b]`` candidates with zeros to at least
+    two columns: a one-column (matrix-vector) product rounds unlike a wider one.
 
     ``pairs[b, c]`` holds the point indices (tail, head) of the edge that
     candidate c of frame b comes from: of parallel edges, the first in hull
@@ -87,7 +88,7 @@ def _edge_candidates(frames: Frames) -> tuple[np.ndarray, np.ndarray, np.ndarray
     kept = order[keep]
     counts = np.bincount(row[kept], minlength=len(frames))
     at = np.arange(len(kept)) - np.repeat(np.cumsum(counts) - counts, counts)
-    angles = np.zeros((len(frames), counts.max()))
+    angles = np.zeros((len(frames), max(2, counts.max())))
     angles[row[kept], at] = flat[kept]
     pairs = np.zeros(angles.shape + (2,), dtype=np.intp)
     pairs[row[kept], at] = ends[kept]
@@ -158,24 +159,15 @@ def orientation_costs(frames: Frames, kinds: tuple[DescriptorKind, ...], angles:
     brute = frames.n_points <= _BRUTE_FORCE_LIMIT
     table = np.empty((len(kinds), size, m))  # row k: kinds[k]
     kernel = [k for k, kind in enumerate(kinds) if brute or kind is DescriptorKind.PC]
-    extent = [k for k, kind in enumerate(kinds) if kind is not DescriptorKind.PC]
+    hull = [k for k in range(len(kinds)) if k not in kernel]
     step, width = table_block(frames.n_points, m), m if brute else table_block(frames.n_points, 1)
     for lo in range(0, size if kernel else 0, step):
         for at in range(0, m, width):
             table[kernel, lo:lo + step, at:at + width] = candidate_costs(
                 pts[lo:lo + step], [kinds[k] for k in kernel], angles[lo:lo + step, at:at + width])
-    if extent and brute:
-        # A one-column product rounds unlike one column of a wider product
-        # (matrix-vector against matrix-matrix kernels), so a frame with a
-        # single candidate is projected on its own column, as alone.
-        single = np.flatnonzero(counts == 1)
-        if len(single) and m > 1:
-            table[np.ix_(extent, single, [0])] = candidate_costs(
-                pts[single], [kinds[k] for k in extent], angles[single, :1])
-    elif extent:
-        for b in range(size):
-            along, across = extents_on_hull(frames.hull(b), angles[b, :counts[b]])
-            table[extent, b, :counts[b]] = [extent_cost(kinds[k], along, across) for k in extent]
+    for b in range(size if hull else 0):
+        along, across = extents_on_hull(frames.hull(b), angles[b, :counts[b]])
+        table[hull, b, :counts[b]] = [extent_cost(kinds[k], along, across) for k in hull]
     table[:, np.arange(m) >= counts[:, None]] = np.inf
     return list(table)
 
@@ -215,14 +207,13 @@ def _scatter_axes(sxx: np.ndarray, sxy: np.ndarray, syy: np.ndarray):
 
 def _pc_optima(frames: Frames) -> BlockOptima:
     """First principal axis of every frame from its 2x2 scatter matrix of
-    centered coordinates (``_scatter_axes``), with the cost ``frame_costs``
-    scores there."""
+    centered coordinates (``_scatter_axes``), and the ``pc`` cost there."""
     pts = frames.points
     centered = pts - pts.mean(axis=1, keepdims=True)
     sq = np.swapaxes(centered, 1, 2) @ centered
     _, isotropic, alpha = _scatter_axes(sq[:, 0, 0], sq[:, 0, 1], sq[:, 1, 1])
-    cost = frame_costs(pts, (DescriptorKind.PC,), alpha)[0]
-    return BlockOptima(DescriptorKind.PC, alpha, cost, isotropic)
+    across = np.stack([-np.sin(alpha), np.cos(alpha)], axis=1)[:, :, None]
+    return BlockOptima(DescriptorKind.PC, alpha, summed_squares(centered, across)[:, 0], isotropic)
 
 
 def block_optima(frames: Frames, kinds) -> list[BlockOptima]:

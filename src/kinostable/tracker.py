@@ -2,10 +2,10 @@
 
 Both trackers are steering rules over ``sampled_run``.  The run walks the
 samples in blocks of frames (``Trajectory.frame_blocks``): it solves each
-block's optima at once, lets the steering rule map the block to output
-orientations, and scores them at once.  ``track_topological`` steers to the
-optimum with array arithmetic, ``chasing.chase`` toward the diametric pair
-at a capped speed, in a loop on floats.
+block's optima at once and lets the steering rule map the block to output
+orientations and their costs.  ``track_topological`` steers to the optimum
+and its table cost with array arithmetic, ``chasing.chase`` toward the
+diametric pair at a capped speed, in a loop on floats.
 
 The topological tracker outputs an optimal orientation at every sample,
 and records a flip where the optimum it steers to changes identity, and
@@ -50,7 +50,7 @@ from .angles import (
 from .costs import DescriptorKind, frame_costs
 from .errors import DegenerateInputError
 from .geometry import Frames, block_size, frame_faults, table_block
-from .ratios import ratios
+from .ratios import ratios, zero_costs
 from .solvers import (
     _COST_TIE_REL,
     _EIGEN_TIE_REL,
@@ -126,9 +126,9 @@ def sampled_run(
     Block by block, the frames' optima for ``kinds`` are solved (box and
     strip together from one hull per frame); ``steer(frames, times, optima,
     prev_beta)``, with ``prev_beta`` the last orientation of the previous
-    block (None before the first), returns the block's output orientations,
-    which are scored against each kind's optimum.  Only the current block of
-    frames is held.  Every returned table shares ``times`` and ``beta``.
+    block (None before the first), returns the block's output orientations
+    and their costs, one array per kind.  Only the current block of frames
+    is held.  Every returned table shares ``times`` and ``beta``.
     """
     times = traj.sample_times(dt)
     n = len(times)
@@ -141,14 +141,11 @@ def sampled_run(
     for frames in traj.frame_blocks(times):
         block = slice(start, start + len(frames))
         optima = block_optima(frames, kinds)
-        out = steer(frames, times[block], optima, b)
+        out, scored = steer(frames, times[block], optima, b)
         beta[block] = out
-        scored = frame_costs(frames.points, kinds, out)
         for opt, c, (opt_a, out_c, opt_c, r) in zip(optima, scored, columns.values()):
-            opt_a[block] = opt.alpha
-            out_c[block] = c
-            opt_c[block] = opt.cost
-            r[block] = ratios(c, opt.cost)
+            opt_a[block], out_c[block], opt_c[block] = opt.alpha, c, opt.cost
+            r[block] = ratios(c, opt.cost, zero_costs(frames.points, opt.kind))
         b = float(out[-1])
         start = block.stop
 
@@ -227,9 +224,10 @@ def _sweeps(kind, period, points: np.ndarray, a_from: np.ndarray, a_to: np.ndarr
                                              lo_x[refine], hi_x[refine])
             better = worst_ref > worst[refine]
             off[refine[better]], worst[refine[better]] = off_ref[better], worst_ref[better]
+        zero = zero_costs(frames.points, kind)
         columns = (times[part], start, end, np.where(signed_len >= 0.0, 1, -1),
                    np.abs(signed_len), canonical_array(a_from_p + off, period), worst,
-                   opt_cost[part], ratios(worst, opt_cost[part]))
+                   opt_cost[part], ratios(worst, opt_cost[part], zero))
         flips += [FlipEvent(*row) for row in zip(*(col.tolist() for col in columns))]
     return flips
 
@@ -462,15 +460,16 @@ def _isotropic_flips(traj: Trajectory, times: np.ndarray, beta: np.ndarray) -> l
     return flips
 
 
-def _steer(opt: BlockOptima, prev_beta, period) -> tuple[np.ndarray, np.ndarray | None]:
-    """Each frame's output orientation and, for box and strip, the hull-edge
-    pair it comes from: the optimum, or, where several candidates tie with
-    it (``BlockOptima.tied``), the tied one nearest the previous output
-    modulo ``period``, the first of equally near ones.  Every output is an
-    optimal orientation, so moving among co-optima is no flip."""
+def _steer(opt: BlockOptima, prev_beta, period):
+    """Each frame's output orientation, its cost (its candidate table entry,
+    or the axis's optimal cost) and, for box and strip, its hull-edge pair:
+    the optimum, or, where several candidates tie with it
+    (``BlockOptima.tied``), the tied one nearest the previous output modulo
+    ``period``, the first of equally near ones.  Every output is optimal,
+    so moving among co-optima is no flip."""
     b = canonical_array(opt.alpha, period)
     if opt.pairs is None:
-        return b, None
+        return b, opt.cost, None
     choice = np.argmin(opt.values, axis=1)
     tied = opt.tied()
     multi = np.flatnonzero(tied.sum(axis=1) > 1).tolist()
@@ -484,7 +483,8 @@ def _steer(opt: BlockOptima, prev_beta, period) -> tuple[np.ndarray, np.ndarray 
             near = [angular_distance(row[j], ref, period) for j in options]
             choice[i] = options[near.index(min(near))]
             b[i] = row[choice[i]]
-    return b, opt.pairs[np.arange(len(b)), choice]
+    rows = np.arange(len(b))
+    return b, opt.values[rows, choice], opt.pairs[rows, choice]
 
 
 def track_topological(
@@ -501,16 +501,16 @@ def track_topological(
 
     def to_optimum(frames, times, optima, prev_beta):
         nonlocal prev_t, prev_pair
-        b, pairs = _steer(optima[0], prev_beta, period)
+        b, cost, pairs = _steer(optima[0], prev_beta, period)
         if pairs is None:
             blocks.append((times, b))
-            return b
+            return b, [cost]
         ends = np.concatenate([pairs[:1] if prev_pair is None else prev_pair[None], pairs])
         t_ends, ends = np.concatenate([[prev_t], times]).tolist(), ends.tolist()
         jumps.extend(Jump(t_ends[i], t_ends[i + 1], tuple(ends[i]), tuple(ends[i + 1]))
                      for i in range(len(b)) if ends[i] != ends[i + 1])
         prev_t, prev_pair = float(times[-1]), pairs[-1]
-        return b
+        return b, [cost]
 
     def flips():
         if kind is not DescriptorKind.PC:

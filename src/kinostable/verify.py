@@ -344,35 +344,33 @@ def measured_axis_speed(traj: Trajectory, dt: float = 1e-3) -> float:
     return float(speeds.max(initial=0.0))
 
 
-def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3, anchor: int = 0) -> float:
-    """Min over samples of the farthest distance from one fixed point.
+def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3) -> float:
+    """Min over samples of the farthest distance from point 0.
 
     This is a lower bound on the true diameter at every sample (the
     diameter is the max over all pairs, this is the max over pairs through
-    ``anchor``), cheap enough for very large clusters.  The square root is
+    point 0), cheap enough for very large clusters.  The square root is
     taken of each frame's largest dx*dx + dy*dy only: it is correctly
     rounded and monotone, so that is the largest root.
 
     Only the first point of each run of adjacent points with ``==`` keyframe
-    paths is interpolated, and ``anchor`` stands for the head of its run.
+    paths is interpolated, point 0 among them.
     Interpolation is elementwise per point, so points whose keyframes
     compare equal get equal coordinates at every sample, bitwise up to the
     sign of a zero, which squaring drops: the result is the same float as
     over all points.  At least two runs are left, since a ``Trajectory``
     has no keyframe whose points all coincide.
     """
-    anchor = range(traj.n_points)[anchor]  # a negative anchor counts from the end
     pos = traj.positions
-    repeats = (pos[:, 1:] == pos[:, :-1]).all(axis=(0, 2))  # point i + 1 follows point i's path
-    keep = np.flatnonzero(np.concatenate(([True], ~repeats)))
-    if len(keep) < traj.n_points:
-        anchor = int(np.count_nonzero(~repeats[:anchor]))
+    # point i + 1 is kept unless it follows point i's path
+    keep = np.concatenate(([True], (pos[:, 1:] != pos[:, :-1]).any(axis=(0, 2))))
+    if not keep.all():
         traj = Trajectory(traj.times, pos[:, keep])
     times = traj.sample_times(dt)
     worst = math.inf
     for frames in traj.frame_blocks(times, check=False):
         pts = frames.points
-        d2 = farthest(pts[:, :, 0], pts[:, :, 1], np.full(len(pts), anchor))[0]
+        d2 = farthest(pts[:, :, 0], pts[:, :, 1], np.zeros(len(pts), dtype=np.intp))[0]
         worst = min(worst, float(np.sqrt(d2).min()))
     return worst
 

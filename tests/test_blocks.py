@@ -35,7 +35,7 @@ from kinostable.geometry import (
 from kinostable.runio import write_trajectory
 from kinostable.scenarios import obb_lower_bound, random_walk, strip_lower_bound
 from kinostable.solvers import block_optima, optimal
-from kinostable.ratios import ratio
+from kinostable.ratios import ratios, zero_costs
 from kinostable.tracker import (
     _ROOT_XTOL as ROOT_XTOL,
     _STALE_ROUNDS as STALE_ROUNDS,
@@ -366,7 +366,9 @@ def sweep_one(pts, kind, period, a_from, a_to, opt_cost, time):
         time=time, start=canonical(a_from, period), end=canonical(a_to, period),
         direction=1 if signed_len >= 0.0 else -1, arc_length=abs(signed_len),
         worst_orientation=canonical(a_from + off, period), worst_cost=worst,
-        opt_cost=opt_cost, worst_ratio=ratio(worst, opt_cost),
+        opt_cost=opt_cost,
+        worst_ratio=float(ratios(np.array([worst]), np.array([opt_cost]),
+                                 zero_costs(pts[None], kind))[0]),
     )
 
 
@@ -505,16 +507,23 @@ OPERATIONS = {
 # axis's optimal cost became the summed squared offsets at the axis instead
 # of the scatter matrix's smaller eigenvalue: only the pc optCost and ratio
 # cells (every ratio now exactly 1.0) and the descriptor pc cost cells moved.
+# The collinear3 and two-points track-obb, track-strip, descriptor and chase
+# digests, and the duplicates track-obb and track-strip digests, were
+# re-pinned when candidate tables became at least two columns wide and the
+# tracker began reporting the table entry it steered to instead of scoring
+# its output again: the box and strip costs of frames with one candidate
+# (the collinear ones) moved in the last bits (cost and optCost cells), and
+# every tracked ratio became exactly 1.0 (cost and ratio cells).
 PINNED = {
     "collinear3": {
-        "chase-nonorm-obb": "76231f84d6803f0bb2c1643ad0663a050324ad7d6d368add85783d3bcfd38865",
-        "chase-nonorm-strip": "76de63a20f65846c013305d82c95224acd3e4eda06c27ccfa573f39c4f80c12b",
-        "chase-obb": "06b2844b2b151279805e1185a99a7fce5784e25d7d11c64e9a6122d291e9cd97",
-        "chase-strip": "ff97c958ba0057f5a958a9319ba5e7a3dc8a1361a1782b8a5907c3d331d86583",
-        "descriptor": "edf6c8bdb624fce6aca236f34cbfa4f16d8fcba31b3701a68b7c06cff509176b",
-        "track-obb": "7d5ad97c4a2242fcd76d40f2813bac57c17f88eaa493c6ec9dae1f812f43277a",
+        "chase-nonorm-obb": "4bb1b061415d6fbb0e14e78ecab572c8a80ed1ff2c89057be001de0f4dcb867c",
+        "chase-nonorm-strip": "2f129c205d43b64d3801165c4d4f39617667c276835b1fbac74f0112ee509631",
+        "chase-obb": "f6ab280ad832907ba8a2a424fd81cf004afd59b3d6e4a541df0d23941664277f",
+        "chase-strip": "d7ff4ea827f9af7a54f08f961f003ac2eba2384cfcc53f31c40fd075269a6c2b",
+        "descriptor": "0fc3c35fe430271667d4371df205ef6f34365e1301230fd06ddb1a02be061caa",
+        "track-obb": "f487aecc9edb727a5490128ddccfc249e884076695915fd3e5f0ca6d4dff8559",
         "track-pc": "29cfaf814ffa291128d0e3939962f2cb2623cb7332fb116473ac0675ab36e594",
-        "track-strip": "a02981a56573ea18be30b2966d1be7bfc92a3f35d1caae79f2bea21aa7c2af61",
+        "track-strip": "89a3d0962793fabf15c597fba1d09a362c2acd91d7b599784f5aa5d5a432b2cd",
     },
     "duplicates": {
         "chase-nonorm-obb": "7d3a684a64d58135954e96f7c9fc4d28edd5c1bb45107f4c51bcfeb03a29841e",
@@ -526,13 +535,13 @@ PINNED = {
         # rows between them are gone), and again when a jump that starts in
         # a tie began to be located where the tie ends: the flip at
         # t = 0.71125 moved to 0.71168, the one at 0.0883250 by 6e-10
-        "track-obb": "684c8340fe30813b074230cfead62685d3502bc67d5281892805a64457b57e3c",
+        "track-obb": "20e2e546226c608f7f48c72033dc75edc15b66af4c9559de2fa46400334ee329",
         "track-pc": "4cce4afd00be1b40ff354ff5df7c3c88b3a3abc7aae674b38133804a12d3a115",
         # re-pinned when flips between hull edges began to be root-found (the
         # flip at t = 0.642857 moved in the last bits), and again when a jump
         # that starts in a tie began to be located where the tie ends: the
         # flip at t = 2e-16 moved to 9e-10, the one at 0.642857 in the last bits
-        "track-strip": "a9276f9500280bfdc7e051f330c263176364916215bd97f1577880889fe09111",
+        "track-strip": "5014273ccc007828cb9d82cc964e72ccd7b6c216808e92679f985a04cc339fa7",
     },
     "single-keyframe": {
         "chase-nonorm-obb": "05fbff6f0bc6f6b351ab2f42eadf50ef349b646afce2afea1ff8082bc8744fec",
@@ -545,14 +554,14 @@ PINNED = {
         "track-strip": "a6276bad99446f6400fa8aad7a82e2342d044361b557a615eb58281e5773f42f",
     },
     "two-points": {
-        "chase-nonorm-obb": "0c5750ed6af18d3a7527e87b322a52994cebf027c8c213e7dbf0f913253e072e",
-        "chase-nonorm-strip": "b52cce59380f6a9e7dabcce835dd5c184b2fdca70b5c07194025e56dc944155d",
-        "chase-obb": "0837a52e6b4bf6384e71be54256d0c981b3cbd42c5a420bf3e6d5f4256b70f39",
-        "chase-strip": "42a00624c967edbeddb1ae43b176036702b4e67f182441f7b5f7edeed2562fbf",
-        "descriptor": "ce77929a212a3eb68baeb434aca49cad4319b405d33128c81e1ae2b4c800fdd3",
-        "track-obb": "8709ef6721009100aeca49c31b037d0521fb2adfcc7ddd23604e2d8b5b8cb18d",
+        "chase-nonorm-obb": "efd56d2cb45c0b86ad6921c41346e0578938652d0a9cade3dcaf36545c316d45",
+        "chase-nonorm-strip": "20eaaa4bd959abbb80886a18a2e55938aa8b9b761afd19b385f78bbca09e8f54",
+        "chase-obb": "917e2bc081bda1ef70251422a7a02ff34a6793d319a3b2b6e45ee0cbe335b784",
+        "chase-strip": "00850e3de066b86cf70a8c4fa5d7375026f8f7246de8ea742b615b94b0d33564",
+        "descriptor": "3887358d973e39a237b136b9ba2b039bdc5664f5a54e81cfc127728849cb0b8c",
+        "track-obb": "e990603a6e392b255159916c19d99af18d9066f9a8bad36719a7984b8f47b694",
         "track-pc": "e69861421fc669976283f720dc33e4dfe14635dfbf8185d09ecdef6e04859ae8",
-        "track-strip": "6efa7f529b4aa9a1ef779561029eb8bff02f95269c8b88331475c7e6eb89c2c8",
+        "track-strip": "325bf7fd6c0824112b561bae3ebef881bc9a8716492a412a5f8f96e5e1c46fa3",
     },
 }
 

@@ -12,7 +12,7 @@ from kinostable.costs import DescriptorKind
 from kinostable.errors import DomainError
 from kinostable.runio import (read_trajectory, write_chase_csv, write_tracker_csv,
                               write_trajectory)
-from kinostable.scenarios import obb_lower_bound
+from kinostable.scenarios import obb_lower_bound, random_walk
 from kinostable.solvers import optimal
 from kinostable.tracker import track_topological
 from kinostable.trajectory import Trajectory
@@ -436,3 +436,26 @@ def test_verify_writes_its_report_after_the_table(capsys, tmp_path, monkeypatch,
         assert (out, path.read_text()) == (table, written)
     else:
         assert out == table + written
+
+
+@pytest.mark.parametrize("n, seed", [(8, 3), (64, 5)])
+@pytest.mark.parametrize("kind", ["obb", "strip", "pc"])
+def test_tracked_costs_are_the_descriptor_costs(tmp_path, capsys, kind, n, seed):
+    # The tracker reports the cost of the candidate it steered to, which is
+    # the optimum the descriptor reports, to the last bit.
+    path = tmp_path / "walk.jsonl"
+    with open(path, "w", encoding="utf-8") as fp:
+        write_trajectory(fp, random_walk(n=n, seed=seed, steps=20, duration=0.4))
+    _, described, _ = run_cli(capsys, ["descriptor", str(path), "--kind", kind])
+    _, tracked, _ = run_cli(capsys, ["track", str(path), "--kind", kind])
+    samples = [row.split(",") for row in described.splitlines()[1:]]
+    want = iter(samples)
+    expect = next(want)
+    matched = []
+    for row in tracked.splitlines()[1:]:  # flip rows sit between the sample rows
+        cells = row.split(",")
+        if expect is not None and cells[0] == expect[0]:
+            matched.append((cells[3], expect[3]))
+            expect = next(want, None)
+    assert len(matched) == len(samples) == 401
+    assert [got for got, _ in matched] == [cost for _, cost in matched]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kinostable import tracker
-from kinostable.angles import BOX_PERIOD, angular_distance
+from kinostable.angles import BOX_PERIOD, angular_distance, canonical_array
 from kinostable.chasing import chase, normalize_trajectory
 from kinostable.costs import DescriptorKind, costs_at
 from kinostable.errors import DomainError
@@ -231,3 +231,20 @@ def test_lockstep_location_equals_one_jump_at_a_time(monkeypatch, traj, kind):
     assert lockstep[3].all() and not lockstep[5]  # bracketed, and no probe rejected
     alone = [f for j in jumps for f in tracker._locate_flips(traj, kind, period, [j])]
     assert flips == alone and flips
+
+
+def test_tracked_samples_score_the_optimum_exactly():
+    # The tracker reports the cost of the candidate table entry it steered
+    # to, so every sample's ratio is exactly 1, also where the steered box
+    # candidate lies at alpha >= pi/2 and is tracked at alpha - pi/2.
+    folded = 0
+    for n in (8, 64):
+        for seed in range(12):
+            traj = random_walk(n=n, seed=seed, steps=20, duration=0.4)
+            for kind in DescriptorKind:
+                out = track_topological(traj, kind, 1e-3)
+                assert (out.ratio == 1.0).all(), (n, seed, kind)
+                if kind is DescriptorKind.OBB:
+                    steered = out.beta == canonical_array(out.opt_alpha, BOX_PERIOD)
+                    folded += int((steered & (out.opt_alpha >= math.pi / 2)).sum())
+    assert folded

@@ -8,7 +8,7 @@ from kinostable.angles import angular_distance
 from kinostable.chasing import normalize_trajectory
 from kinostable.errors import DomainError
 from kinostable.geometry import diametric_boxes
-from kinostable.ratios import max_ratio, ratio
+from kinostable.ratios import max_ratio, ratios
 from kinostable import verify
 from kinostable.scenarios import (
     obb_lower_bound,
@@ -16,6 +16,7 @@ from kinostable.scenarios import (
     pc_flip,
     random_walk,
     stateless_disk,
+    strip_lower_bound,
 )
 from kinostable.costs import DescriptorKind
 from kinostable.solvers import block_optima
@@ -42,14 +43,27 @@ SQRT2 = math.sqrt(2.0)
 
 class TestRatioPolicy:
     def test_plain_quotient(self):
-        assert ratio(3.0, 2.0) == 1.5
+        assert ratios(np.array([3.0]), np.array([2.0]), 1e-12).tolist() == [1.5]
 
     def test_zero_over_zero_is_perfect(self):
-        assert ratio(0.0, 0.0) == 1.0
-        assert ratio(5e-13, 1e-13) == 1.0
+        assert ratios(np.array([0.0, 5e-13]), np.array([0.0, 1e-13]), 1e-12).tolist() == [1.0, 1.0]
 
     def test_missing_a_zero_optimum_is_infinite(self):
-        assert ratio(0.5, 0.0) == math.inf
+        assert ratios(np.array([0.5]), np.array([0.0]), 1e-12).tolist() == [math.inf]
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("scenario, kind, claim, tol", [
+        (obb_lower_bound, DescriptorKind.OBB, 1.25, 1e-3),
+        (strip_lower_bound, DescriptorKind.STRIP, SQRT2, 1e-3),
+        (pc_flip, DescriptorKind.PC, 1.0, 1e-6),
+    ], ids=["box", "strip", "axis"])
+    def test_forced_flip_ratios_at_every_scale(self, scenario, kind, claim, tol, scale):
+        # What counts as a zero optimum is relative to the frame's size, so
+        # the box areas of about 1e-16 at scale 1e-8 still flip at 5/4.
+        traj = scenario()
+        out = track_topological(Trajectory(traj.times, traj.positions * scale), kind, 1e-3)
+        assert len(out.flips) == 1
+        assert max_ratio(out) == pytest.approx(claim, abs=tol)
 
     def test_scale_invariance_of_run_ratios(self):
         traj = obb_lower_bound()
@@ -302,16 +316,15 @@ def test_measured_axis_speed_matches_the_scalar_loop():
     assert measured_axis_speed(traj) == worst
 
 
-def anchor_diameter_by_point_roots(traj, dt, anchors):
-    """``min_anchor_diameter`` as it was written before, at each of
-    ``anchors``: the root of every point's squared distance, summed over the
-    (dx, dy) axis, with every point interpolated."""
-    worst = [math.inf] * len(anchors)
+def anchor_diameter_by_point_roots(traj, dt):
+    """``min_anchor_diameter`` as it was written before: the root of every
+    point's squared distance from point 0, summed over the (dx, dy) axis,
+    with every point interpolated."""
+    worst = math.inf
     for frames in traj.frame_blocks(traj.sample_times(dt), check=False):
         pts = frames.points
-        for i, anchor in enumerate(anchors):
-            d = np.sqrt(((pts - pts[:, anchor:anchor + 1]) ** 2).sum(axis=2)).max(axis=1)
-            worst[i] = min(worst[i], float(d.min()))
+        d = np.sqrt(((pts - pts[:, :1]) ** 2).sum(axis=2)).max(axis=1)
+        worst = min(worst, float(d.min()))
     return worst
 
 
@@ -330,24 +343,16 @@ def _signed_zero():
     return Trajectory(np.array([0.0, 1.0]), np.stack([x, y], axis=2).transpose(1, 0, 2))
 
 
-_EVERY_KIND_OF_ANCHOR = (0, 1, 3, -1)
-
-
-@pytest.mark.parametrize("traj, dt, anchors", [(pc_fast_flip(100.0), 1e-2, _EVERY_KIND_OF_ANCHOR)]
-                         + [(random_walk(seed=seed), 1e-3, _EVERY_KIND_OF_ANCHOR)
-                            for seed in range(5)]
-                         + [(pc_fast_flip(100.0), 1e-3, (0, -1)),
-                            (_repeated_walk(), 1e-3, _EVERY_KIND_OF_ANCHOR),
-                            (_signed_zero(), 1e-3, _EVERY_KIND_OF_ANCHOR)],
+@pytest.mark.parametrize("traj, dt", [(pc_fast_flip(100.0), 1e-2)]
+                         + [(random_walk(seed=seed), 1e-3) for seed in range(5)]
+                         + [(pc_fast_flip(100.0), 1e-3), (_repeated_walk(), 1e-3),
+                            (_signed_zero(), 1e-3)],
                          ids=["pc-fast-flip"] + [f"walk{seed}" for seed in range(5)]
                          + ["pc-fast-flip-dt1e-3", "repeated-walk", "signed-zero"])
-def test_min_anchor_diameter_equals_point_roots(traj, dt, anchors):
-    # -1 stands for the last point.  Anchor 3 and the last point sit inside a
-    # run of equal paths on the fast flip (its two clumps) and on the repeated
-    # walk; anchor 1 is the -0.0 twin of anchor 0 on the signed-zero input.
-    # At dt = 1e-3 the fast flip is checked at the claim's anchor 0 and in a clump.
-    assert [min_anchor_diameter(traj, dt, anchor) for anchor in anchors] \
-        == anchor_diameter_by_point_roots(traj, dt, [a % traj.n_points for a in anchors])
+def test_min_anchor_diameter_equals_point_roots(traj, dt):
+    # Point 0 heads a run of equal paths on the repeated walk, and has a
+    # -0.0 twin, point 1, on the signed-zero input.
+    assert min_anchor_diameter(traj, dt) == anchor_diameter_by_point_roots(traj, dt)
 
 
 def test_min_anchor_diameter_interpolates_one_point_per_path(monkeypatch):
