@@ -53,8 +53,9 @@ def canonical_array(theta: np.ndarray, period: float = ORIENTATION_PERIOD) -> np
 
 
 def orientations(vec: np.ndarray) -> np.ndarray:
-    """The canonical orientation of every row of a (k, 2) array of vectors."""
-    return canonical_array(atan2(vec[:, 1], vec[:, 0]))
+    """The canonical orientation of every row of a (k, 2) array of vectors,
+    +0.0 where it is zero."""
+    return canonical_array(atan2(vec[:, 1], vec[:, 0])) + 0.0
 
 
 def angular_distance(a: float, b: float, period: float = ORIENTATION_PERIOD) -> float:

@@ -14,6 +14,12 @@ frame size:
   candidate's extents (``extents_on_hull``).  Both are O(h) in time and
   memory for h hull vertices.
 
+For the diameter and the diametric box the switch is a speed choice only:
+both paths compute each pair's squared distance with the same arithmetic,
+and take a farthest pair's vector from its lower end, so a frame's box
+depends on its points alone and is bitwise the same on either side.
+Candidate extents can differ across it by a few ulp (see ``_BRUTE_FORCE_LIMIT``).
+
 ``extents`` is the one max - min of a point projection (candidate costs,
 diametric box width, ``extent``), and ``farthest`` the one farthest squared
 distance from a given point, with ``_brute_distances``' per-pair
@@ -95,7 +101,7 @@ from .errors import DegenerateInputError
 # projecting every point: at n = 8 that measured faster than reading the
 # hull's extreme vertices.  Larger frames use only the hull's antipodal pairs
 # and extreme vertices, with the same per-pair and per-vertex arithmetic: the
-# diameter and the diametric box are exactly those of all hull pairs, and a
+# diameter and the diametric box are bitwise those of the smaller path, and a
 # candidate's extents differ from projecting every point only where a
 # non-vertex point rounds past the extreme vertex (a few ulp of the
 # coordinates).  Box and strip candidates come from the hull at every size.
@@ -279,7 +285,7 @@ def _monotone_chains(points: np.ndarray, keep: np.ndarray | None = None) -> list
     for f in range(len(points)):
         seq = order[f, fresh[f]]
         if len(seq) == 1:
-            raise DegenerateInputError("all points coincide; hull is undefined")
+            raise DegenerateInputError(_COINCIDENT)
         if len(seq) > 2:
             seq, xf, yf = seq.tolist(), x[f].tolist(), y[f].tolist()
             lower, upper = _half_chain(seq, xf, yf), _half_chain(seq[::-1], xf, yf)
@@ -491,79 +497,62 @@ def extents_on_hull(hull: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray]:
             spread(np.column_stack([-s, c]), alphas + 0.5 * math.pi))
 
 
-def _with_twins(points: np.ndarray, t: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """The pairs ``(t, i, j)`` of point indices with every point equal to
-    an end standing in for that end, each pair as ``i < j``: the pairs a
-    scan of every point pair finds where the ends are farthest apart."""
-    z = np.ascontiguousarray(points, dtype=float).view(np.complex128)[:, :, 0]  # == on both
-    twin_i, twin_j = z[t] == z[t, i, None], z[t] == z[t, j, None]  # (H, n)
-    dup = np.count_nonzero(twin_i | twin_j, axis=1) > 2
-    if not dup.any():
-        return t, i, j
-    r, a, b = np.nonzero(twin_i[dup, :, None] & twin_j[dup, None, :])
-    return (np.concatenate((t[~dup], t[dup][r])), np.concatenate((i[~dup], np.minimum(a, b))),
-            np.concatenate((j[~dup], np.maximum(a, b))))
-
-
 def _diametral_hits(frames: Frames):
-    """Every farthest pair ``i < j`` of every frame: (frame index, i, j,
-    pair vector from i to j), and the squared diameter of each frame.
+    """Every farthest pair of hull vertices of every frame: (frame index,
+    pair vector), and the squared diameter of each frame.
 
-    A farthest pair's points are hull vertices.  At most
-    ``_BRUTE_FORCE_LIMIT`` points, the distances of every pair of each
-    frame's hull vertices give the pairs, with the arithmetic of every
-    point pair's; they index the frame's points, ``i < j`` by point index,
-    and a point equal to an end counts as that end, so the pairs and their
-    vectors are those a scan of every point pair hits.  Above the limit
-    the pairs index the hull vertices and come from the antipodal pairs.
+    A pair's vector runs from its lower end (smaller y, then smaller x), so
+    it depends on the pair's two points alone: a - b = -(b - a) in floats,
+    up to the sign of a zero component, which does not change the pair's
+    orientation (``orientations`` returns +0.0 for a zero one).  A scan of
+    every point pair, the pairs of hull vertices and the antipodal pairs
+    thus give each pair the same orientation.  Up to
+    ``_BRUTE_FORCE_LIMIT`` points the pairs come from the pair matrix of
+    each frame's hull vertices, above it from the antipodal pairs; a
+    farthest pair's points are hull vertices.
     """
     rows = []
     if frames.n_points <= _BRUTE_FORCE_LIMIT:
-        pts = frames.points
-        try:
-            idx, counts = frames.hull_indices
-        except DegenerateInputError:  # the chain's only error: a frame's points coincide
-            raise DegenerateInputError("all points coincide; diametric box is undefined") from None
+        idx, counts = frames.hull_indices
         idx = np.where(np.arange(idx.shape[1]) < counts[:, None], idx, idx[:, :1])  # pad: vertex 0
         step = pair_block(idx.shape[1])
-        for lo in range(0, len(pts), step):
+        for lo in range(0, len(idx), step):
             part = idx[lo:lo + step]
-            d2 = _brute_distances(pts[np.arange(lo, lo + len(part))[:, None], part])
+            hull = frames.points[np.arange(lo, lo + len(part))[:, None], part]
+            d2 = _brute_distances(hull)
             dmax2 = d2.max(axis=(1, 2))
-            if (dmax2 == 0.0).any():  # distinct points whose squared distances all underflow
-                raise DegenerateInputError("all points coincide; diametric box is undefined")
             t, p, q = np.nonzero(d2 == dmax2[:, None, None])
-            i, j = part[t, p], part[t, q]
-            keep = (i < j) & (np.maximum(p, q) < counts[lo + t])  # no padding
-            rows.append((t[keep] + lo, i[keep], j[keep], dmax2))
-        t, i, j, dmax2 = (np.concatenate(col) for col in zip(*rows))
-        t, i, j = _with_twins(pts, t, i, j)
-        return t, i, j, pts[t, j] - pts[t, i], dmax2
-    for b in range(len(frames)):
-        hull = frames.hull(b)
-        i, j, d2 = _hull_distances(hull)
-        dmax2 = d2.max(keepdims=True)
-        hits = np.flatnonzero(d2 == dmax2)
-        i, j = i[hits], j[hits]
-        keep = i < j
-        i, j = i[keep], j[keep]
-        rows.append((np.full(len(i), b), i, j, hull[j] - hull[i], dmax2))
-    return tuple(np.concatenate(col) for col in zip(*rows))
+            keep = (p < q) & (q < counts[lo + t])  # each pair once, no padding
+            t, p, q = t[keep], p[keep], q[keep]
+            rows.append((t + lo, hull[t, p], hull[t, q], dmax2))
+    else:
+        for f in range(len(frames)):
+            hull = frames.hull(f)
+            i, j, d2 = _hull_distances(hull)
+            dmax2 = d2.max(keepdims=True)
+            hits = np.flatnonzero((d2 == dmax2) & (i < j))
+            rows.append((np.full(len(hits), f), hull[i[hits]], hull[j[hits]], dmax2))
+    t, a, b, dmax2 = (np.concatenate(col) for col in zip(*rows))
+    swap = (b[:, 1] < a[:, 1]) | ((b[:, 1] == a[:, 1]) & (b[:, 0] < a[:, 0]))
+    return t, np.where(swap[:, None], a - b, b - a), dmax2
 
 
 def diametric_boxes(frames: Frames) -> DiametricBox:
     """Diametric box of every frame of a block, as one DiametricBox whose
     fields are (B,) arrays.
 
-    Ties between equally far pairs break to the smallest canonical
-    orientation, then the lexicographically smallest candidate index pair,
-    so replays are deterministic.
+    Of equally far pairs, a frame takes the smallest canonical orientation,
+    so its box depends on its points alone, not on their order or on the
+    size switch.  A frame whose squared diameter is 0 (its points coincide,
+    or their squared distances all underflow) has none.
     """
     if frames.n_points < 2:
         raise DegenerateInputError("need at least 2 points")
-    t, i, j, vec, dmax2 = _diametral_hits(frames)
+    t, vec, dmax2 = _diametral_hits(frames)
+    if (dmax2 == 0.0).any():
+        raise DegenerateInputError(_COINCIDENT)
     a = orientations(vec)
-    order = np.lexsort((j, i, a, t))
+    order = np.lexsort((a, t))
     first = order[np.r_[True, t[order][1:] != t[order][:-1]]]
     alpha = a[first]
     diameter = np.sqrt(dmax2)

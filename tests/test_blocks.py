@@ -513,23 +513,28 @@ OPERATIONS = {
 # tracker began reporting the table entry it steered to instead of scoring
 # its output again: the box and strip costs of frames with one candidate
 # (the collinear ones) moved in the last bits (cost and optCost cells), and
-# every tracked ratio became exactly 1.0 (cost and ratio cells).
+# every tracked ratio became exactly 1.0 (cost and ratio cells).  The
+# collinear3, duplicates and two-points chase digests were re-pinned when a
+# diametric pair's orientation began to be taken from the pair's lower end
+# instead of from its lower point index: the diametric box moved in the
+# last bits, and with it the beta, cost, ratio, z, H, J and angGap cells;
+# time, optAlpha, optCost and inSafeZone did not.
 PINNED = {
     "collinear3": {
-        "chase-nonorm-obb": "4bb1b061415d6fbb0e14e78ecab572c8a80ed1ff2c89057be001de0f4dcb867c",
-        "chase-nonorm-strip": "2f129c205d43b64d3801165c4d4f39617667c276835b1fbac74f0112ee509631",
-        "chase-obb": "f6ab280ad832907ba8a2a424fd81cf004afd59b3d6e4a541df0d23941664277f",
-        "chase-strip": "d7ff4ea827f9af7a54f08f961f003ac2eba2384cfcc53f31c40fd075269a6c2b",
+        "chase-nonorm-obb": "92417fbe2ca02a46d3e54e90ff5f4f3ecedb1c033ccdebb85e2cca79dbff85b2",
+        "chase-nonorm-strip": "d11cd56c283882cc158b4f0ab8acdda5d054b00b74b4f288520b36f42d258197",
+        "chase-obb": "6731e9114458341541f72a6561f309d56c37316d4ed572ae3f20fca2f2c9ac7f",
+        "chase-strip": "71d18fab495880a828f416c01c06975509772e75d5bb2635218409b390afecd2",
         "descriptor": "0fc3c35fe430271667d4371df205ef6f34365e1301230fd06ddb1a02be061caa",
         "track-obb": "f487aecc9edb727a5490128ddccfc249e884076695915fd3e5f0ca6d4dff8559",
         "track-pc": "29cfaf814ffa291128d0e3939962f2cb2623cb7332fb116473ac0675ab36e594",
         "track-strip": "89a3d0962793fabf15c597fba1d09a362c2acd91d7b599784f5aa5d5a432b2cd",
     },
     "duplicates": {
-        "chase-nonorm-obb": "7d3a684a64d58135954e96f7c9fc4d28edd5c1bb45107f4c51bcfeb03a29841e",
-        "chase-nonorm-strip": "6c4fe15bd50295a2c26f70c40665f0f19efe1ec23c348529922ed43a4c1548f2",
-        "chase-obb": "39c17c8797a5a86ffbb5dbf03ae7d8d66693283e5fb86902d2c0705ff0aa4519",
-        "chase-strip": "589dc51f5b504c6099244732c7b1c3de5c21da1dc3d7db4557236486f3eabf36",
+        "chase-nonorm-obb": "a8e8418e9fb7f4c8914bd60ec7adab2df695fd460e81f31f4c34d2048aad134b",
+        "chase-nonorm-strip": "f16ba913dc46623f84435e5ff1185ded6dea9bcac5924a51275ba2d6312f1d51",
+        "chase-obb": "b7253528a5fb9b58e5814bf54bb3f9683436e1fa1680474c0d9386d925a15127",
+        "chase-strip": "cce837251008285f30cb86d82e4abd4130e3d473bc5634066b10d7627624517b",
         "descriptor": "a9524ff4938707cd932eb8ea87f34e931f8b4b8900b0c740edd0aac239ea67e6",
         # re-pinned when the tracker began holding tied co-optima (the flip
         # rows between them are gone), and again when a jump that starts in
@@ -554,10 +559,10 @@ PINNED = {
         "track-strip": "a6276bad99446f6400fa8aad7a82e2342d044361b557a615eb58281e5773f42f",
     },
     "two-points": {
-        "chase-nonorm-obb": "efd56d2cb45c0b86ad6921c41346e0578938652d0a9cade3dcaf36545c316d45",
-        "chase-nonorm-strip": "20eaaa4bd959abbb80886a18a2e55938aa8b9b761afd19b385f78bbca09e8f54",
-        "chase-obb": "917e2bc081bda1ef70251422a7a02ff34a6793d319a3b2b6e45ee0cbe335b784",
-        "chase-strip": "00850e3de066b86cf70a8c4fa5d7375026f8f7246de8ea742b615b94b0d33564",
+        "chase-nonorm-obb": "e0de510be26dc4ab2222b0c3f2a7407b9c5ac51c3a56da2092bc638af46f99d6",
+        "chase-nonorm-strip": "b7eb8130520cfb5a7db55ff32517fa1b33d764f725638de084360903d6dc7107",
+        "chase-obb": "ffaf89a1057fc322507b66bc7df736e3377446cb8c477e432b6dfc22db873256",
+        "chase-strip": "549b66dbe51ade0a987812fc6de58fafa35cc27b4c6e17a6c090f1f4e08506d6",
         "descriptor": "3887358d973e39a237b136b9ba2b039bdc5664f5a54e81cfc127728849cb0b8c",
         "track-obb": "e990603a6e392b255159916c19d99af18d9066f9a8bad36719a7984b8f47b694",
         "track-pc": "e69861421fc669976283f720dc33e4dfe14635dfbf8185d09ecdef6e04859ae8",

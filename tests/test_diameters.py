@@ -4,15 +4,16 @@ Up to the brute-force limit, ``diametric_boxes`` takes its farthest pairs
 from the pair matrix of each frame's hull vertices, and
 ``normalize_trajectory`` diameters only the grid frames whose lower bound
 can still beat the smallest diameter found.  The references here are the
-scans they replace, kept as they were written: the pair matrix of every
-point of the frame, and the diameter of every grid frame.  Both must agree
-bitwise.
+scans they replace, kept as they were written but for taking each pair's
+vector from its lower end: the pair matrix of every point of the frame,
+and the diameter of every grid frame.  Both must agree bitwise, and so
+must the two sides of the size switch.
 """
 
 import numpy as np
 import pytest
 
-from kinostable import chasing
+from kinostable import chasing, geometry
 from kinostable.angles import atan2, canonical_array, cos, sin
 from kinostable.chasing import normalize_trajectory
 from kinostable.errors import DegenerateInputError
@@ -21,13 +22,14 @@ from kinostable.geometry import (Frames, diameter_lower_bounds, diametric_boxes,
 from kinostable.scenarios import obb_lower_bound, pc_flip, random_walk, strip_lower_bound
 from kinostable.trajectory import Trajectory
 
-from test_blocks import ellipse_walk, hull_inputs
+from test_blocks import DEGENERATE, ellipse_walk, hull_inputs
 
 
 def all_pair_boxes(points: np.ndarray):
     """The diametric boxes of a (B, n, 2) block from every point pair, with
-    the arithmetic and tie rule of the scan the hull pairs replaced:
-    (alpha, diameter, width, aspect)."""
+    the arithmetic and tie rule of the scan the hull pairs replaced, each
+    pair's vector taken from its lower end: (alpha, diameter, width,
+    aspect)."""
     x, y = points[:, :, 0], points[:, :, 1]
     dx = x[:, :, None] - x[:, None, :]
     dy = y[:, :, None] - y[:, None, :]
@@ -38,7 +40,9 @@ def all_pair_boxes(points: np.ndarray):
     t, i, j = np.nonzero(dx == dmax2[:, None, None])
     keep = i < j
     t, i, j = t[keep], i[keep], j[keep]
-    vec = points[t, j] - points[t, i]
+    a, b = points[t, i], points[t, j]
+    swap = (b[:, 1] < a[:, 1]) | ((b[:, 1] == a[:, 1]) & (b[:, 0] < a[:, 0]))
+    vec = np.where(swap[:, None], a - b, b - a) + 0.0  # from the lower end
     a = canonical_array(atan2(vec[:, 1], vec[:, 0]))
     order = np.lexsort((j, i, a, t))
     first = order[np.r_[True, t[order][1:] != t[order][:-1]]]
@@ -93,14 +97,54 @@ def test_hull_pairs_equal_all_pairs_on_degenerate_frames():
     assert_boxes_match(np.stack([pts for pts in frames if len(pts) == 5]))
 
 
-@pytest.mark.parametrize("points", [
-    np.zeros((5, 2)),
-    np.array([(0.0, 0.0), (1e-170, 0.0), (0.0, -1e-170)]),  # every squared distance underflows
-], ids=["coincident", "underflow"])
-def test_a_raw_coincident_frame_keeps_its_message(points):
-    message = "^all points coincide; diametric box is undefined$"
+def coincident(n):
+    return np.zeros((n, 2))
+
+
+def underflowing(n):
+    """Three distinct points, repeated to ``n``, whose squared distances all underflow."""
+    return np.resize([(0.0, 0.0), (1e-170, 0.0), (0.0, -1e-170)], (n, 2))
+
+
+@pytest.mark.parametrize("make, n", [(coincident, 8), (underflowing, 8),
+                                     (coincident, 80), (underflowing, 80)],
+                         ids=["coincident", "underflow", "coincident-80", "underflow-80"])
+def test_a_raw_coincident_frame_keeps_its_message(make, n):
+    message = "^all points coincide; every descriptor is undefined$"
     with pytest.raises(DegenerateInputError, match=message):
-        diametric_boxes(Frames(points[None]))
+        diametric_boxes(Frames(make(n)[None]))
+
+
+def size_switch_corpus():
+    """Blocks of frames on either side of the size switch: walks at n = 8
+    and 64, the degenerate trajectories and random hull inputs."""
+    for n in (8, 64):
+        for seed in range(6):
+            walk = random_walk(n=n, seed=seed, steps=20, duration=0.4)
+            yield from walk.frame_blocks(walk.sample_times(1e-3))
+    for traj in DEGENERATE.values():
+        yield from traj.frame_blocks(traj.sample_times(1e-3), check=False)
+    for pts in hull_inputs(np.random.default_rng(5), 200):
+        yield Frames(pts[None])
+
+
+def diametric_bytes(points: np.ndarray):
+    """A block's diameters and every field of its diametric boxes, as bytes,
+    or the message ``diametric_boxes`` raises."""
+    frames = Frames(points)
+    diameters = frame_diameters(frames).tobytes()
+    try:
+        box = diametric_boxes(frames)
+    except DegenerateInputError as err:
+        return diameters, str(err)
+    return diameters, *(f.tobytes() for f in (box.alpha, box.diameter, box.width, box.aspect))
+
+
+def test_the_size_switch_does_not_change_the_diametric_box(monkeypatch):
+    blocks = [frames.points for frames in size_switch_corpus()]
+    expected = [diametric_bytes(points) for points in blocks]
+    monkeypatch.setattr(geometry, "_BRUTE_FORCE_LIMIT", 0)  # the hull path at every size
+    assert [diametric_bytes(points) for points in blocks] == expected
 
 
 def full_scan_normalization(traj: Trajectory, sample_count: int = 1025):

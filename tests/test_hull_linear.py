@@ -42,10 +42,13 @@ def reference_diametric_box(points) -> DiametricBox:
     diff = hull[:, None, :] - hull[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     dmax2 = float(d2.max())
-    alpha, _ = min(
-        (canonical(math.atan2(hull[j, 1] - hull[i, 1], hull[j, 0] - hull[i, 0])), (i, j))
-        for i, j in zip(*np.nonzero(d2 == dmax2)) if i < j
-    )
+
+    def orientation(i, j):
+        lo, hi = sorted((hull[i], hull[j]), key=lambda p: (p[1], p[0]))  # from the lower end
+        dx, dy = hi - lo + 0.0
+        return canonical(math.atan2(dy, dx))
+
+    alpha, _ = min((orientation(i, j), (i, j)) for i, j in zip(*np.nonzero(d2 == dmax2)) if i < j)
     diameter = math.sqrt(dmax2)
     proj = pts @ np.array([-math.sin(alpha), math.cos(alpha)])
     width = float(proj.max() - proj.min())

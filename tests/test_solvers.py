@@ -245,21 +245,16 @@ def twenty_gon(head_y: float, flat_top: bool = True) -> np.ndarray:
     return points
 
 
-def assert_block_matches_one_frame_calls(frames: np.ndarray) -> set:
-    """Compare a block's candidates with one-frame calls, bitwise, and a
-    first candidate 0 with the one ``np.unique`` sorts first; the signs of
-    the frames' first candidates where they are 0."""
+def assert_block_matches_one_frame_calls(frames: np.ndarray) -> None:
+    """Compare a block's candidates with one-frame calls, bitwise, and
+    check that no candidate is -0.0."""
     angles, pairs, counts = _edge_candidates(Frames(frames))
-    signs = set()
+    assert not np.signbit(angles).any()
     for b, points in enumerate(frames):
         one, one_pairs, (k,) = _edge_candidates(Frames(points[None]))
         assert counts[b] == k
         assert angles[b, :k].tobytes() == one[0, :k].tobytes()  # bitwise, -0.0 included
         assert (pairs[b, :k] == one_pairs[0, :k]).all()
-        if angles[b, 0] == 0.0:
-            assert angles[b, 0].tobytes() == np.unique(edge_orientations(points))[0].tobytes()
-        signs.add(bool(np.signbit(angles[b, 0])) if angles[b, 0] == 0.0 else None)
-    return signs
 
 
 def test_signed_zero_candidates_in_a_block_match_one_frame_calls():
@@ -273,17 +268,15 @@ def test_signed_zero_candidates_in_a_block_match_one_frame_calls():
         [(0.0, 0.0), (2.0, -0.0), (2.5, 1.0), (1.0, 2.0), (-0.5, 1.0)],
         [(0.0, 0.0), (3.0, -0.0), (3.0, 1.0), (0.0, 1.0), (1.0, 1.0)],
     ])
-    assert assert_block_matches_one_frame_calls(frames) == {None, False, True}
+    assert [zero_edge_signs(points) for points in frames] == [
+        set(), {False, True}, {False}, {True}, {False, True}]
+    assert_block_matches_one_frame_calls(frames)
     # 20-gons whose zero orientations carry +0.0 only, -0.0 only, both
-    # signs, or none, side by side: with 20 candidates np.unique's sort no
-    # longer keeps the hull order of 0.0 and -0.0, so only the both-sign
-    # frames need it
+    # signs, or none, side by side
     mixed = np.array([twenty_gon(0.0), twenty_gon(-0.0, flat_top=False), twenty_gon(-0.0),
                       twenty_gon(0.0, flat_top=False), twenty_gon(0.01, flat_top=False),
                       twenty_gon(-0.0)[::-1]])
     assert [zero_edge_signs(points) for points in mixed] == [
         {False}, {True}, {False, True}, {False}, set(), {False, True}]
     assert all(len(convex_hull(points)) == 20 for points in mixed)
-    both = edge_orientations(mixed[2])
-    assert np.signbit(both[both == 0.0][0]) != np.signbit(np.unique(both)[0])
-    assert assert_block_matches_one_frame_calls(mixed) == {None, False, True}
+    assert_block_matches_one_frame_calls(mixed)
