@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import as_points, extents
+from .geometry import Frames, extents
 
 
 class DescriptorKind(str, Enum):
@@ -49,7 +49,7 @@ def frame_costs(points: np.ndarray, kinds, betas) -> list[np.ndarray]:
 
 def cost(points, kind: DescriptorKind, alpha: float) -> float:
     """Cost of one frame at one orientation: the one-frame call of ``frame_costs``."""
-    return float(frame_costs(as_points(points)[None], (kind,), [alpha])[0][0])
+    return float(frame_costs(Frames.of(points).points, (kind,), [alpha])[0][0])
 
 
 def cost_pc(points, alpha: float) -> float:
@@ -101,4 +101,4 @@ def costs_at(points, kind: DescriptorKind, alphas: np.ndarray) -> np.ndarray:
     one-column one; used by the grid oracle.
     """
     alphas = np.asarray(alphas, dtype=float)
-    return candidate_costs(as_points(points)[None], (kind,), alphas[None])[0][0]
+    return candidate_costs(Frames.of(points).points, (kind,), alphas[None])[0][0]

@@ -31,14 +31,15 @@ below the smallest diameter found.
 Every quantity is computed for a block of frames at once (``Frames``, a
 (B, n, 2) array): the trackers, the descriptor command and the
 normalization walk a run block by block, and the per-frame functions
-(``diametric_box``, ``frame_diameter``, ``convex_hull``) are the one-frame
-call of the same block code.  ``block_size`` sizes a block by the arrays
-that live as long as it does, O(n) per frame: the positions and the hull
-index matrix stay within ``_BLOCK_BYTES``.  Larger temporaries are made a
-chunk of frames at a time by the same budget: the (F, n, n) pair matrices
-up to the limit (``pair_block``), the hull certificates (below) and the
-scored orientation tables (``table_block``).  Only O(B) arrays outlive a
-block.
+(``diametric_box``, ``frame_diameter``, ``convex_hull``, ``extent``) are the
+one-frame call of the same block code on ``Frames.of``, which checks their
+input as ``Frame`` does; blocks are not checked.  ``block_size`` sizes a
+block by the arrays that live as long as it does, O(n) per frame: the
+positions and the hull index matrix stay within ``_BLOCK_BYTES``.  Larger
+temporaries are made a chunk of frames at a time by the same budget: the
+(F, n, n) pair matrices up to the limit (``pair_block``), the hull
+certificates (below) and the scored orientation tables (``table_block``).
+Only O(B) arrays outlive a block.
 
 Hulls are kinetic in the sense of Basch, Guibas and Hershberger (1997).  A
 frame keeps the hull of the last frame before it in its block that ran
@@ -101,10 +102,12 @@ from .errors import DegenerateInputError
 # projecting every point: at n = 8 that measured faster than reading the
 # hull's extreme vertices.  Larger frames use only the hull's antipodal pairs
 # and extreme vertices, with the same per-pair and per-vertex arithmetic: the
-# diameter and the diametric box are bitwise those of the smaller path, and a
-# candidate's extents differ from projecting every point only where a
-# non-vertex point rounds past the extreme vertex (a few ulp of the
-# coordinates).  Box and strip candidates come from the hull at every size.
+# diameter and the diametric box are bitwise those of the smaller path.  A
+# candidate's extents differ from projecting every point where a non-vertex
+# point rounds past the extreme vertex, and that tolerance is the contract:
+# within 4 ulp of the cost, or of the coordinate scale where the cost is
+# rounding noise (``tests/test_hull_linear.py``).  Box and strip candidates
+# come from the hull at every size.
 _BRUTE_FORCE_LIMIT = 64
 
 # The memory budget, in bytes, of a block's (B, n, 2) positions and of each
@@ -161,25 +164,18 @@ def frame_faults(points: np.ndarray) -> dict[int, str]:
             for i in np.flatnonzero(coincide | ~finite)}
 
 
-def as_points(obj) -> np.ndarray:
-    """Coerce a Frame or array-like into an (n, 2) float array."""
-    if isinstance(obj, Frame):
-        return obj.points
-    pts = np.asarray(obj, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DegenerateInputError(f"expected an (n, 2) point array, got shape {pts.shape}")
-    return pts
-
-
 @dataclass(frozen=True)
 class Frame:
-    """A snapshot of n >= 2 planar points, not all coincident."""
+    """A snapshot of n >= 2 planar points, finite and not all coincident.
+
+    The frame keeps a read-only copy of the points it is given.
+    """
 
     points: np.ndarray
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
+        pts = np.array(self.points, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise DegenerateInputError(f"frame needs an (n, 2) point array, got shape {pts.shape}")
         if len(pts) < 2:
@@ -217,10 +213,11 @@ class Frames:
     def __init__(self, points: np.ndarray):
         self.points = points
 
-    @classmethod
-    def of(cls, points) -> Frames:
-        """The one-frame block of a Frame or an (n, 2) point array."""
-        return points.block if isinstance(points, Frame) else cls(as_points(points)[None])
+    @staticmethod
+    def of(points) -> Frames:
+        """The one-frame block of a Frame or of an (n, 2) point array, checked
+        as ``Frame`` checks it: the one input check of every one-frame call."""
+        return (points if isinstance(points, Frame) else Frame(points)).block
 
     def __len__(self) -> int:
         return len(self.points)
@@ -389,7 +386,7 @@ def extent(points, theta: float) -> float:
     """Width of the point set along direction ``theta``: the one-frame,
     one-direction call of ``extents``."""
     u = np.array([[[math.cos(theta)], [math.sin(theta)]]])
-    return float(extents(as_points(points)[None], u)[0, 0])
+    return float(extents(Frames.of(points).points, u)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -546,8 +543,6 @@ def diametric_boxes(frames: Frames) -> DiametricBox:
     size switch.  A frame whose squared diameter is 0 (its points coincide,
     or their squared distances all underflow) has none.
     """
-    if frames.n_points < 2:
-        raise DegenerateInputError("need at least 2 points")
     t, vec, dmax2 = _diametral_hits(frames)
     if (dmax2 == 0.0).any():
         raise DegenerateInputError(_COINCIDENT)

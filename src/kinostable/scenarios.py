@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Frame, frame_diameter
+from .geometry import Frame, Frames, frame_diameters
 from .trajectory import Trajectory
 
 #: Fixed non-collinear anchor set blended into the collinear sweep frames.
@@ -162,7 +162,7 @@ def random_walk(n: int = 8, steps: int = 50, seed: int = 0, duration: float = 1.
     rng = np.random.default_rng(seed)
     thickness = rng.uniform(0.05, 1.5)
     start = np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-thickness, thickness, n)])
-    start *= (min_diameter * 1.2) / frame_diameter(start)
+    start *= (min_diameter * 1.2) / frame_diameters(Frames(start[None]))[0]
 
     seg = duration / steps
     keyframes = [start]
@@ -174,7 +174,7 @@ def random_walk(n: int = 8, steps: int = 50, seed: int = 0, duration: float = 1.
             norms = np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-12)
             step = direction / norms * rng.uniform(0.0, 1.0, (n, 1)) * seg
             cand = prev + step
-            if frame_diameter(cand) >= min_diameter:
+            if frame_diameters(Frames(cand[None]))[0] >= min_diameter:
                 nxt = cand
                 break
         keyframes.append(nxt)

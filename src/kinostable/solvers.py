@@ -37,8 +37,8 @@ import numpy as np
 
 from .angles import atan2, canonical_array, hypot, orientations
 from .costs import DescriptorKind, candidate_costs, costs_at, extent_cost, summed_squares
-from .errors import DegenerateInputError, DomainError
-from .geometry import _BRUTE_FORCE_LIMIT, Frames, as_points, extents_on_hull, table_block
+from .errors import DomainError
+from .geometry import _BRUTE_FORCE_LIMIT, Frames, extents_on_hull, table_block
 
 _EIGEN_TIE_REL = 1e-9
 _COST_TIE_REL = 1e-9
@@ -301,20 +301,15 @@ def optimal_box_and_strip(frame) -> tuple[OptimalDescriptor, OptimalDescriptor]:
     return box.descriptor(0), strip.descriptor(0)
 
 
-def optimal_pc(frame) -> OptimalDescriptor:
-    """First principal axis of one frame (see ``_pc_optima``)."""
-    if len(as_points(frame)) < 2:
-        raise DegenerateInputError("need at least 2 points")
-    return _pc_optima(Frames.of(frame)).descriptor(0)
-
-
 def optimal(frame, kind: DescriptorKind) -> OptimalDescriptor:
     """The optimal orientation of ``frame`` for one descriptor kind: the
     one-frame call of ``block_optima``."""
-    kind = DescriptorKind(kind)
-    if kind is DescriptorKind.PC:
-        return optimal_pc(frame)
     return block_optima(Frames.of(frame), (kind,))[0].descriptor(0)
+
+
+def optimal_pc(frame) -> OptimalDescriptor:
+    """First principal axis of one frame (see ``_pc_optima``)."""
+    return optimal(frame, DescriptorKind.PC)
 
 
 def _argmin_with_ties(angles: np.ndarray, values: np.ndarray) -> tuple[float, float, tuple[float, ...]]:
@@ -334,9 +329,8 @@ def oracle_argmin(frame, kind: DescriptorKind, grid_size: int = 8192) -> Optimal
     """
     if grid_size < 4:
         raise DomainError("grid_size must be at least 4")
-    pts = as_points(frame)
     kind = DescriptorKind(kind)
     angles = np.arange(grid_size, dtype=float) * (math.pi / grid_size)
-    values = costs_at(pts, kind, angles)
+    values = costs_at(frame, kind, angles)
     alpha, cmin, ties = _argmin_with_ties(angles, values)
     return OptimalDescriptor(kind, alpha, cmin, ties)

@@ -29,7 +29,10 @@ class Trajectory:
     """Keyframed motion: every point moves linearly between keyframes.
 
     ``times`` is strictly increasing and starts at 0; its last entry is the
-    horizon.  ``positions`` has shape (keyframes, points, 2).
+    horizon.  ``positions`` has shape (keyframes, points, 2).  Unlike
+    ``Frame``, a trajectory keeps the positions array it is given, when it
+    is already a C-contiguous float array, and makes it read-only: keyframes
+    can be large (26 MB in ``pc_fast_flip(100)``), so they are not copied.
     """
 
     times: np.ndarray

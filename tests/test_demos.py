@@ -1,10 +1,12 @@
-"""The narrative demos run to completion against the current package.
+"""The narrative demos, and the README's library quickstart, run to
+completion against the current package.
 
 Demo 05 is left out: it runs the claim suite, which
 ``test_cli.py::test_verify_quick_suite_exits_zero`` already covers.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +26,14 @@ def test_demo_exits_zero(demo):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quickstart_prints_the_forced_price():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) == pytest.approx(1.25, abs=1e-3)

@@ -224,8 +224,12 @@ def test_a_collapse_between_keyframes_still_raises(n):
 @pytest.mark.parametrize("n", [8, 80])
 def test_coincident_frames_have_diameter_zero_at_every_size(n):
     ring = np.column_stack([np.cos(np.arange(n)), np.sin(np.arange(n))])
-    assert frame_diameter(np.zeros((n, 2))) == 0.0
-    assert frame_diameter(np.full((n, 2), -0.0)) == 0.0
+    for points in (np.zeros((n, 2)), np.full((n, 2), -0.0)):
+        # the block form, which normalization reads, gives 0.0; the one-frame
+        # call checks its frame as ``Frame`` does, and rejects it
+        assert frame_diameters(Frames(points[None])).tolist() == [0.0]
+        with pytest.raises(DegenerateInputError, match="^all points coincide"):
+            frame_diameter(points)
     # coincident frames between spread ones, in one block
     block = np.stack([ring, np.zeros((n, 2)), 2.0 * ring, np.full((n, 2), 3.5)])
     got = frame_diameters(Frames(block))

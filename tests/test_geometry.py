@@ -5,7 +5,7 @@ import pytest
 
 from kinostable import geometry
 from kinostable.chasing import chase
-from kinostable.costs import DescriptorKind
+from kinostable.costs import DescriptorKind, cost, cost_obb, cost_pc, cost_strip, costs_at
 from kinostable.errors import DegenerateInputError
 from kinostable.geometry import (
     DiametricBox,
@@ -16,6 +16,8 @@ from kinostable.geometry import (
     frame_diameter,
 )
 from kinostable.scenarios import random_walk
+from kinostable.solvers import (hull_edge_orientations, optimal, optimal_box_and_strip, optimal_pc,
+                                oracle_argmin)
 from kinostable.tracker import track_topological
 from kinostable.trajectory import Trajectory
 
@@ -54,6 +56,53 @@ class TestFrame:
         f = Frame(UNIT_SQUARE)
         with pytest.raises(ValueError):
             f.points[0, 0] = 5.0
+
+    def test_keeps_a_copy_and_leaves_the_callers_array_writable(self):
+        x = np.array(UNIT_SQUARE)
+        f = Frame(x)
+        assert x.flags.writeable and not f.points.flags.writeable
+        x[0, 0] = 5.0
+        assert f.points[0, 0] == 0.0
+
+
+# Every one-frame entry point, each taking a Frame or an (n, 2) array.
+ONE_FRAME_CALLS = {
+    "convex_hull": convex_hull,
+    "diametric_box": diametric_box,
+    "frame_diameter": frame_diameter,
+    "extent": lambda p: extent(p, 0.3),
+    "cost": lambda p: cost(p, "obb", 0.3),
+    "cost_pc": lambda p: cost_pc(p, 0.3),
+    "cost_obb": lambda p: cost_obb(p, 0.3),
+    "cost_strip": lambda p: cost_strip(p, 0.3),
+    "costs_at": lambda p: costs_at(p, "strip", np.array([0.0, 0.3])),
+    "optimal-pc": lambda p: optimal(p, "pc"),
+    "optimal-obb": lambda p: optimal(p, "obb"),
+    "optimal-strip": lambda p: optimal(p, "strip"),
+    "optimal_pc": optimal_pc,
+    "optimal_box_and_strip": optimal_box_and_strip,
+    "hull_edge_orientations": hull_edge_orientations,
+    "oracle_argmin": lambda p: oracle_argmin(p, "obb", 64),
+}
+
+_SPREAD = np.array([(0.0, 0.0), (2.0, 0.5), (1.0, 2.0), (-0.5, 1.0), (0.5, 0.5)])
+DEGENERATE_FRAMES = {
+    "nan": np.where(np.arange(10).reshape(5, 2) == 3, np.nan, _SPREAD),
+    "inf": np.where(np.arange(10).reshape(5, 2) == 6, np.inf, _SPREAD),
+    "one-point": _SPREAD[:1],
+    "coincident": np.full((5, 2), 1.5),
+    "three-columns": np.column_stack([_SPREAD, _SPREAD[:, :1]]),
+}
+
+
+@pytest.mark.parametrize("frame", DEGENERATE_FRAMES.values(), ids=DEGENERATE_FRAMES)
+@pytest.mark.parametrize("call", ONE_FRAME_CALLS.values(), ids=ONE_FRAME_CALLS)
+def test_every_one_frame_call_rejects_what_frame_rejects(call, frame):
+    with pytest.raises(DegenerateInputError) as expected:
+        Frame(frame)
+    with pytest.raises(DegenerateInputError) as caught:
+        call(frame)
+    assert str(caught.value) == str(expected.value)
 
 
 class TestConvexHull:
