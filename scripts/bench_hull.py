@@ -80,8 +80,9 @@ verdict, the hull counts of ``core`` taken during the timed evaluation
 and the sweep program's certified bound, witness and box count.  Beside
 the claim rows
 it times the two stages of ``axis-speed-escape`` on their own,
-``measured_axis_speed`` and ``min_anchor_diameter`` of ``pc_fast_flip`` at
-the suite's rate and dt: the best of three runs each, with the value.
+``measured_axis_speed`` and ``min_anchor_diameter`` (the smallest sampled
+diameter, ``chasing.min_diameter`` on the sample grid) of ``pc_fast_flip``
+at the suite's rate and dt: the best of three runs each, with the value.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ the current diametric-pair orientation along the shorter arc, never faster
 than ``max_turn_rate`` radians per unit time.  The guarantees assume the
 trajectory is normalized: points move at most at unit speed and the
 diameter never drops below 1 (``normalize_trajectory`` rescales space and
-time to enforce both).
+time to enforce both, with the smallest sampled diameter from
+``min_diameter``, which ``verify.min_anchor_diameter`` checks too).
 
 The safe-zone instrumentation reports, per sample, the aspect ratio of the
 diametric box, the safe half-width ``H`` = c*arcsin(aspect), the jump
@@ -115,41 +116,55 @@ def aspect_drop_bound(aspect, elapsed):
     return aspect - (half - 2.0 * elapsed) / (1.0 + 2.0 * elapsed)
 
 
+def min_diameter(traj: Trajectory, times: np.ndarray) -> float:
+    """The smallest diameter of the frames at ``times``, ``==`` a full scan.
+
+    Only the first point of each run of adjacent points with ``==``
+    keyframe paths is interpolated (two runs at least: no keyframe
+    collapses).  Interpolation is elementwise, so points with ``==``
+    keyframes get equal coordinates, bitwise up to the sign of a zero,
+    which squaring drops: the pair distances are those of all points.
+
+    Each frame first gets a lower bound LB on its diameter D, in O(n)
+    (``diameter_lower_bounds``): the distance of one of its own pairs, with
+    the arithmetic of ``frame_diameters``, so D >= LB exactly in floats.
+    Up to ``geometry._EXTREMES`` points, LB is D.  Above, frames are
+    diametered in ascending LB order, in doubling chunks, until the next LB
+    is at least the smallest D found: no frame left can be smaller.  LB = 0
+    only where D = 0 (the points extreme along x and y coincide, so all
+    do), so a collapse raises before any frame is diametered, at every n.
+    """
+    pos = traj.positions
+    # point i + 1 is kept unless it follows point i's path
+    keep = np.concatenate(([True], (pos[:, 1:] != pos[:, :-1]).any(axis=(0, 2))))
+    if not keep.all():
+        traj = Trajectory(traj.times, pos[:, keep])
+    lower = np.concatenate([diameter_lower_bounds(frames)
+                            for frames in traj.frame_blocks(times, check=False)])
+    least = float(lower.min())
+    if least <= 0.0:
+        raise DegenerateInputError("trajectory collapses to a single point")
+    if traj.n_points > _EXTREMES:  # the bounds are not the diameters
+        order = np.argsort(lower, kind="stable")
+        least, done, size = math.inf, 0, 1
+        while done < len(order) and lower[order[done]] < least:
+            chunk = np.sort(order[done:done + size])  # in time order, for the hull certificates
+            for frames in traj.frame_blocks(times[chunk], check=False):
+                least = min(least, float(frame_diameters(frames).min()))
+            done, size = done + size, 2 * size
+    return least
+
+
 def normalize_trajectory(traj: Trajectory) -> tuple[Trajectory, float, float]:
     """Rescale space and time so min sampled diameter is 1 and max speed is 1.
 
     Returns (normalized trajectory, spatial factor, temporal factor):
     positions were multiplied by the spatial factor and times by the
-    temporal one.
-
-    The minimum is taken over the keyframe times and ``_NORMALIZE_SAMPLES``
-    uniform samples, without the diameter of every one of those frames.
-    Each frame first gets a lower bound LB on its diameter D, in O(n)
-    (``diameter_lower_bounds``): the distance of one of its own pairs, with
-    the arithmetic of ``frame_diameters``, so D >= LB exactly in floats.
-    Up to ``geometry._EXTREMES`` points, LB is D.  Above, frames are
-    diametered in ascending LB order over the whole grid, in doubling
-    chunks, until the next LB is at least the smallest D found: no frame
-    left can be smaller, so the minimum is ``==`` that of every frame.  LB
-    = 0 only where D = 0 (the points extreme along x and along y coincide,
-    so all do), so a collapse raises before any frame is diametered, at
-    every n.
+    temporal one.  The minimum diameter is ``min_diameter`` over the
+    keyframe times and ``_NORMALIZE_SAMPLES`` uniform samples.
     """
     grid = np.union1d(traj.times, np.linspace(0.0, traj.horizon, _NORMALIZE_SAMPLES))
-    lower = np.concatenate([diameter_lower_bounds(frames)
-                            for frames in traj.frame_blocks(grid, check=False)])
-    min_diam = float(lower.min())
-    if min_diam <= 0.0:
-        raise DegenerateInputError("trajectory collapses to a single point")
-    if traj.n_points > _EXTREMES:  # the bounds are not the diameters
-        order = np.argsort(lower, kind="stable")
-        min_diam, done, size = math.inf, 0, 1
-        while done < len(order) and lower[order[done]] < min_diam:
-            chunk = np.sort(order[done:done + size])  # in time order, for the hull certificates
-            for frames in traj.frame_blocks(grid[chunk], check=False):
-                min_diam = min(min_diam, float(frame_diameters(frames).min()))
-            done, size = done + size, 2 * size
-    scale = 1.0 / min_diam
+    scale = 1.0 / min_diameter(traj, grid)
     v_max = traj.max_point_speed() * scale
     time_factor = v_max if v_max > 0.0 else 1.0
     normalized = Trajectory(traj.times * time_factor, traj.positions * scale)

@@ -24,6 +24,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import DomainError
 from .geometry import Frames, extents
 
 
@@ -31,6 +32,11 @@ class DescriptorKind(str, Enum):
     PC = "pc"
     OBB = "obb"
     STRIP = "strip"
+
+    @classmethod
+    def _missing_(cls, value):
+        # Enum re-raises a ValueError from here as it is
+        raise DomainError(f"unknown descriptor kind {value!r}; choose from pc, obb, strip")
 
 
 def extent_cost(kind: DescriptorKind, along, across):

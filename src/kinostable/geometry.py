@@ -21,12 +21,11 @@ depends on its points alone and is bitwise the same on either side.
 Candidate extents can differ across it by a few ulp (see ``_BRUTE_FORCE_LIMIT``).
 
 ``extents`` is the one max - min of a point projection (candidate costs,
-diametric box width, ``extent``), and ``farthest`` the one farthest squared
-distance from a given point, with ``_brute_distances``' per-pair
-arithmetic: ``diameter_lower_bounds`` bounds every frame's diameter from
-below with it in O(n) per frame, so a scan for the smallest diameter
-(``chasing.normalize_trajectory``) diameters only the frames whose bound is
-below the smallest diameter found.
+diametric box width, ``extent``).  ``diameter_lower_bounds`` bounds every
+frame's diameter from below in O(n) per frame, with ``_brute_distances``'
+per-pair arithmetic, so the scan for the smallest diameter
+(``chasing.min_diameter``) diameters only the frames whose bound is below
+the smallest diameter found.
 
 Every quantity is computed for a block of frames at once (``Frames``, a
 (B, n, 2) array): the trackers, the descriptor command and the
@@ -158,8 +157,9 @@ def certificate_block(h: int, n: int) -> int:
 def frame_faults(points: np.ndarray) -> dict[int, str]:
     """Index and message of every frame of a (B, n, 2) block that ``Frame``
     rejects (a frame with a non-finite coordinate reports that first)."""
-    finite = np.isfinite(points).all(axis=(1, 2))
-    coincide = (points == points[:, :1]).all(axis=(1, 2))
+    mask = np.isfinite(points)  # one (B, n, 2) mask at a time, reused
+    finite = mask.all(axis=(1, 2))
+    coincide = np.equal(points, points[:, :1], out=mask).all(axis=(1, 2))
     return {int(i): _COINCIDENT if finite[i] else _NON_FINITE
             for i in np.flatnonzero(coincide | ~finite)}
 
@@ -582,19 +582,6 @@ def frame_diameters(frames: Frames) -> np.ndarray:
     return np.sqrt([_hull_distances(frames.hull(b))[2].max() for b in range(len(frames))])
 
 
-def farthest(x: np.ndarray, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each frame's largest squared distance from its point ``a[b]``, and where:
-    (B, n) coordinates, dx*dx + dy*dy rounded as in ``_brute_distances``."""
-    rows = np.arange(len(x))
-    d2 = x - x[rows, a, None]
-    d2 *= d2
-    dy = y - y[rows, a, None]
-    dy *= dy
-    d2 += dy
-    far = d2.argmax(axis=1)
-    return d2[rows, far], far
-
-
 def diameter_lower_bounds(frames: Frames) -> np.ndarray:
     """A lower bound on the diameter of every frame of a block, in O(n)
     per frame.
@@ -622,6 +609,16 @@ def diameter_lower_bounds(frames: Frames) -> np.ndarray:
     # each helper's (B, n) temporaries are freed when it returns, one at a time
     def ends(key: np.ndarray) -> list[np.ndarray]:
         return [key.argmin(axis=1), key.argmax(axis=1)]
+
+    # each frame's largest squared distance from its point a[b], and where
+    def farthest(xs: np.ndarray, ys: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d2 = xs - xs[rows, a, None]
+        d2 *= d2
+        dy = ys - ys[rows, a, None]
+        dy *= dy
+        d2 += dy
+        far = d2.argmax(axis=1)
+        return d2[rows, far], far
 
     at = np.column_stack(ends(x) + ends(y) + ends(x + y) + ends(x - y))
     ex, ey = x[rows[:, None], at], y[rows[:, None], at]

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .angles import cos, sin
 from .errors import DomainError
 from .geometry import Frame, Frames, frame_diameters
 from .trajectory import Trajectory
@@ -83,14 +84,21 @@ def stateless_disk(n: int, r: float, phi: float) -> Frame:
     at ``r`` = 1 drags the forced orientation twice around the space of
     orientations.
     """
+    return Frame(_stateless_disk_points(n, r, [phi])[0])
+
+
+def _stateless_disk_points(n: int, r: float, phis) -> np.ndarray:
+    """The (B, n, 2) points of ``stateless_disk(n, r, phi)`` at each of
+    ``phis``, with math's rounding of sin and cos, as one block that
+    ``Frame`` has not checked."""
     if n < 3:
         raise DomainError("need at least 3 points")
     if not 0.0 <= r <= 1.0:
         raise DomainError("r must lie in [0, 1]")
-    i = np.arange(1, n + 1, dtype=float)
-    line = np.column_stack([r * i / n * math.sin(phi), r * i / n * math.cos(phi)])
-    anchor = _ANCHOR[np.arange(n) % 3]
-    return Frame(line + (1.0 - r) * anchor)
+    phis = np.asarray(phis, dtype=float)
+    reach = r * np.arange(1, n + 1, dtype=float) / n
+    line = np.stack([reach * sin(phis)[:, None], reach * cos(phis)[:, None]], axis=2)
+    return line + (1.0 - r) * _ANCHOR[np.arange(n) % 3]
 
 
 def pc_fast_flip(target_rate: float = 100.0, duration: float = 1.0) -> Trajectory:
@@ -189,10 +197,8 @@ def _stateless_disk_trajectory(n: int = 5, samples: int = 256, duration: float =
         raise DomainError("need at least 1 step")
     if not 0.0 < duration < math.inf:
         raise DomainError("duration must be positive and finite")
-    phis = np.linspace(0.0, 2.0 * math.pi, samples + 1)
-    keyframes = np.stack([stateless_disk(n, 1.0, float(p)).points for p in phis])
-    times = np.linspace(0.0, duration, samples + 1)
-    return Trajectory(times, keyframes)
+    keyframes = _stateless_disk_points(n, 1.0, np.linspace(0.0, 2.0 * math.pi, samples + 1))
+    return Trajectory(np.linspace(0.0, duration, samples + 1), keyframes)
 
 
 # Each named scenario built from a parameter mapping; the order is the CLI's.

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .geometry import Frame, Frames, block_size, frame_faults
+from .geometry import _NON_FINITE, Frame, Frames, block_size, frame_faults
 
 # Most samples a sample grid may have: 2^25 float64 times are 256 MiB, and
 # a run keeps several more per-sample columns of that size (orientations,
@@ -55,11 +55,12 @@ class Trajectory:
             raise DegenerateInputError("keyframe times must be finite")
         if len(times) > 1 and not (np.diff(times) > 0.0).all():
             raise DegenerateInputError("keyframe times must be strictly increasing")
-        if not np.isfinite(pos).all():
+        faults = frame_faults(pos)
+        if _NON_FINITE in faults.values():
             raise DegenerateInputError("keyframes contain non-finite coordinates")
-        for k in range(pos.shape[0]):
-            if bool((pos[k] == pos[k, 0]).all()):
-                raise DegenerateInputError(f"keyframe at t={times[k]} has all points coincident")
+        if faults:
+            raise DegenerateInputError(
+                f"keyframe at t={times[min(faults)]} has all points coincident")
         times.setflags(write=False)
         pos.setflags(write=False)
         object.__setattr__(self, "times", times)

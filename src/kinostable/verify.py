@@ -18,11 +18,11 @@ off one scatter polynomial per keyframe segment
 samples whose eigenvalue gap is below 1e-3 of their segment's moment scale
 are solved frame by frame.  Each axis is then within about 1e3 rounding
 units (a few 1e-13 rad) of the per-frame solve, and the measured speed
-within about that over dt.  Its diameter check interpolates one point per
-run of adjacent points with equal keyframe paths, 4 of the cluster's
-61,498 at the default rate (``min_anchor_diameter``).  That is exact:
-interpolation is elementwise, so points with ``==`` keyframes get equal
-coordinates, bitwise up to the sign of a zero, which squaring drops.
+within about that over dt.  Its diameter check (``min_anchor_diameter``)
+is the scan normalization runs, ``chasing.min_diameter``, on the sample
+grid: the smallest sampled diameter, ``==`` a scan of every sampled frame
+with every point.  It interpolates one point per run of adjacent points
+with equal keyframe paths, 4 of the cluster's 61,498 at the default rate.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from functools import cached_property
 import numpy as np
 
 from .angles import angular_distances, cos, sin, winding_number
-from .chasing import (ChaseParams, aspect_drop_bound, aspect_drop_window, chase,
+from .chasing import (ChaseParams, aspect_drop_bound, aspect_drop_window, chase, min_diameter,
                       normalize_trajectory, pair_turn_bound, pair_turn_window)
 from .costs import DescriptorKind
-from .errors import DegenerateInputError, DomainError
-from .geometry import Frames, block_size, diametric_boxes, farthest, frame_faults
+from .errors import DomainError
+from .geometry import Frames, block_size, diametric_boxes
 from .ratios import max_ratio
 from .scenarios import (
+    _stateless_disk_points,
     obb_lower_bound,
     pc_fast_flip,
     pc_flip,
@@ -345,50 +346,23 @@ def measured_axis_speed(traj: Trajectory, dt: float = 1e-3) -> float:
 
 
 def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3) -> float:
-    """Min over samples of the farthest distance from point 0.
-
-    This is a lower bound on the true diameter at every sample (the
-    diameter is the max over all pairs, this is the max over pairs through
-    point 0), cheap enough for very large clusters.  The square root is
-    taken of each frame's largest dx*dx + dy*dy only: it is correctly
-    rounded and monotone, so that is the largest root.
-
-    Only the first point of each run of adjacent points with ``==`` keyframe
-    paths is interpolated, point 0 among them.
-    Interpolation is elementwise per point, so points whose keyframes
-    compare equal get equal coordinates at every sample, bitwise up to the
-    sign of a zero, which squaring drops: the result is the same float as
-    over all points.  At least two runs are left, since a ``Trajectory``
-    has no keyframe whose points all coincide.
-    """
-    pos = traj.positions
-    # point i + 1 is kept unless it follows point i's path
-    keep = np.concatenate(([True], (pos[:, 1:] != pos[:, :-1]).any(axis=(0, 2))))
-    if not keep.all():
-        traj = Trajectory(traj.times, pos[:, keep])
-    times = traj.sample_times(dt)
-    worst = math.inf
-    for frames in traj.frame_blocks(times, check=False):
-        pts = frames.points
-        d2 = farthest(pts[:, :, 0], pts[:, :, 1], np.zeros(len(pts), dtype=np.intp))[0]
-        worst = min(worst, float(np.sqrt(d2).min()))
-    return worst
+    """The ``axis-speed-escape`` claim's precondition check: the smallest
+    diameter over the sample grid at ``dt`` (``chasing.min_diameter``), ``==``
+    a scan of every sampled frame with every point; it interpolates one
+    point per keyframe path, 4 of ``pc_fast_flip``'s 61,498."""
+    return min_diameter(traj, traj.sample_times(dt))
 
 
 def forced_orientation_winding(n: int = 5, samples: int = 4096) -> int:
     """Winding number of the forced optimal strip orientation over one sweep
-    of ``stateless_disk(n, 1.0, phi)``, built and checked a block at a time."""
+    of ``stateless_disk(n, 1.0, phi)`` (distinct collinear points), a block at a time."""
     if n < 3:
         raise DomainError("need at least 3 points")
-    reach, size, angles = 1.0 * np.arange(1, n + 1, dtype=float) / n, block_size(n), []
+    size, angles = block_size(n), []
     for start in range(0, samples, size):
-        phis = [2.0 * math.pi * k / samples for k in range(start, min(start + size, samples))]
-        points = np.stack([reach * np.array([[f(phi)] for phi in phis])
-                           for f in (math.sin, math.cos)], axis=2)
-        faults = frame_faults(points)
-        if faults:
-            raise DegenerateInputError(faults[min(faults)])
-        angles += block_optima(Frames(points), (DescriptorKind.STRIP,))[0].alpha.tolist()
+        phis = 2.0 * math.pi * np.arange(start, min(start + size, samples), dtype=float) / samples
+        frames = Frames(_stateless_disk_points(n, 1.0, phis))
+        angles += block_optima(frames, (DescriptorKind.STRIP,))[0].alpha.tolist()
     return winding_number(angles)
 
 

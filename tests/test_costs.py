@@ -1,17 +1,25 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+from kinostable.chasing import chase
 from kinostable.costs import (
     DescriptorKind,
+    candidate_costs,
     cost,
     cost_obb,
     cost_pc,
     cost_strip,
     costs_at,
 )
-from kinostable.geometry import extent
+from kinostable.errors import DomainError
+from kinostable.geometry import Frames, extent
+from kinostable.runio import write_chase_csv
+from kinostable.scenarios import obb_lower_bound
+from kinostable.solvers import block_optima, optimal
+from kinostable.tracker import track_topological
 
 UNIT_SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 COLLINEAR = np.array([(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
@@ -115,3 +123,25 @@ def test_vectorized_costs_match_scalar():
         vec = costs_at(pts, kind, angles)
         scal = np.array([cost(pts, kind, float(a)) for a in angles])
         assert vec == pytest.approx(scal, rel=1e-12, abs=1e-12)
+
+
+# Every entry point that takes a kind, called with one that does not exist.
+UNKNOWN_KIND = {
+    "DescriptorKind": lambda: DescriptorKind("box"),
+    "optimal": lambda: optimal(UNIT_SQUARE, "box"),
+    "cost": lambda: cost(UNIT_SQUARE, "box", 0.1),
+    "costs_at": lambda: costs_at(UNIT_SQUARE, "box", np.array([0.1])),
+    "block_optima": lambda: block_optima(Frames(UNIT_SQUARE[None]), ("box",)),
+    "candidate_costs": lambda: candidate_costs(UNIT_SQUARE[None], ("box",), np.array([[0.1]])),
+    "track_topological": lambda: track_topological(obb_lower_bound(), "box", 1e-2),
+    "chase": lambda: chase(obb_lower_bound(), dt=1e-2, kinds=("box",)),
+    "write_chase_csv": lambda: write_chase_csv(io.StringIO(), chase(obb_lower_bound(), dt=1e-2),
+                                               "box"),
+}
+
+
+@pytest.mark.parametrize("name", UNKNOWN_KIND)
+def test_an_unknown_kind_is_a_domain_error(name):
+    message = "^unknown descriptor kind 'box'; choose from pc, obb, strip$"
+    with pytest.raises(DomainError, match=message):
+        UNKNOWN_KIND[name]()

@@ -2,8 +2,9 @@
 
 Up to the brute-force limit, ``diametric_boxes`` takes its farthest pairs
 from the pair matrix of each frame's hull vertices, and
-``normalize_trajectory`` diameters only the grid frames whose lower bound
-can still beat the smallest diameter found.  The references here are the
+``normalize_trajectory`` (through ``chasing.min_diameter``) interpolates
+one point per keyframe path and diameters only the grid frames whose lower
+bound can still beat the smallest diameter found.  The references here are the
 scans they replace, kept as they were written but for taking each pair's
 vector from its lower end: the pair matrix of every point of the frame,
 and the diameter of every grid frame.  Both must agree bitwise, and so
@@ -19,7 +20,8 @@ from kinostable.chasing import normalize_trajectory
 from kinostable.errors import DegenerateInputError
 from kinostable.geometry import (Frames, diameter_lower_bounds, diametric_boxes, frame_diameter,
                                  frame_diameters)
-from kinostable.scenarios import obb_lower_bound, pc_flip, random_walk, strip_lower_bound
+from kinostable.scenarios import (obb_lower_bound, pc_fast_flip, pc_flip, random_walk,
+                                  strip_lower_bound)
 from kinostable.trajectory import Trajectory
 
 from test_blocks import DEGENERATE, ellipse_walk, hull_inputs
@@ -184,6 +186,7 @@ NORMALIZED = {
     "walk-1e150": lambda: scaled(random_walk(n=64, seed=5, steps=20, duration=0.4), 1e150),
     "walk-n8-1e-150": lambda: scaled(random_walk(n=8, seed=5, steps=20, duration=0.4), 1e-150),
     "ellipse-n150": lambda: ellipse_walk(150),
+    "pc-fast-flip-10": lambda: pc_fast_flip(10.0),
 }
 
 
@@ -211,6 +214,20 @@ def test_pruned_normalization_equals_the_full_scan(monkeypatch, name):
     assert (scale, time_factor) == full_scan_normalization(traj)
     assert type(scale) is float and type(time_factor) is float
     assert normalized.positions.tobytes() == (traj.positions * scale).tobytes()
+
+
+def test_normalization_interpolates_one_point_per_path(monkeypatch):
+    # the fast flip's 618 points follow 4 paths: two anchors, two clumps
+    traj, shapes, real = pc_fast_flip(10.0), [], Trajectory.positions_at_times
+
+    def counted(self, times):
+        out = real(self, times)
+        shapes.append(out.shape[1:])
+        return out
+
+    monkeypatch.setattr(Trajectory, "positions_at_times", counted)
+    normalize_trajectory(traj)
+    assert traj.n_points == 618 and set(shapes) == {(4, 2)}
 
 
 @pytest.mark.parametrize("n", [3, 12, 80])

@@ -53,6 +53,18 @@ def test_rejects_coincident_keyframe():
         Trajectory(np.array([0.0, 1.0]), pos)
 
 
+def test_keyframe_faults_report_the_first_coincident_keyframe_and_non_finite_first():
+    pos = np.zeros((4, 3, 2))
+    pos[0, 1, 0] = pos[2, 2, 1] = 1.0  # keyframes 1 and 3 collapse to a point
+    times = np.array([0.0, 0.25, 0.5, 1.0])
+    coincident = "^keyframe at t=0.25 has all points coincident$"
+    with pytest.raises(DegenerateInputError, match=coincident):
+        Trajectory(times, pos)
+    pos[2, 0, 0] = np.nan  # a non-finite keyframe is reported before any collapse
+    with pytest.raises(DegenerateInputError, match="^keyframes contain non-finite coordinates$"):
+        Trajectory(times, pos)
+
+
 def test_max_point_speed_exact():
     traj = two_point_drift(duration=0.5)
     assert traj.max_point_speed() == pytest.approx(4.0)

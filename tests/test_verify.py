@@ -7,7 +7,7 @@ import pytest
 from kinostable.angles import angular_distance
 from kinostable.chasing import normalize_trajectory
 from kinostable.errors import DomainError
-from kinostable.geometry import diametric_boxes
+from kinostable.geometry import diametric_boxes, frame_diameters
 from kinostable.ratios import max_ratio, ratios
 from kinostable import verify
 from kinostable.scenarios import (
@@ -316,16 +316,11 @@ def test_measured_axis_speed_matches_the_scalar_loop():
     assert measured_axis_speed(traj) == worst
 
 
-def anchor_diameter_by_point_roots(traj, dt):
-    """``min_anchor_diameter`` as it was written before: the root of every
-    point's squared distance from point 0, summed over the (dx, dy) axis,
-    with every point interpolated."""
-    worst = math.inf
-    for frames in traj.frame_blocks(traj.sample_times(dt), check=False):
-        pts = frames.points
-        d = np.sqrt(((pts - pts[:, :1]) ** 2).sum(axis=2)).max(axis=1)
-        worst = min(worst, float(d.min()))
-    return worst
+def diameter_by_point_roots(traj, dt):
+    """The smallest diameter of every sampled frame with every point: the
+    root of each frame's largest squared point distance (``frame_diameters``)."""
+    return min(float(frame_diameters(frames).min())
+               for frames in traj.frame_blocks(traj.sample_times(dt), check=False))
 
 
 def _repeated_walk():
@@ -345,14 +340,14 @@ def _signed_zero():
 
 @pytest.mark.parametrize("traj, dt", [(pc_fast_flip(100.0), 1e-2)]
                          + [(random_walk(seed=seed), 1e-3) for seed in range(5)]
-                         + [(pc_fast_flip(100.0), 1e-3), (_repeated_walk(), 1e-3),
-                            (_signed_zero(), 1e-3)],
+                         + [(_repeated_walk(), 1e-3), (_signed_zero(), 1e-3)],
                          ids=["pc-fast-flip"] + [f"walk{seed}" for seed in range(5)]
-                         + ["pc-fast-flip-dt1e-3", "repeated-walk", "signed-zero"])
+                         + ["repeated-walk", "signed-zero"])
 def test_min_anchor_diameter_equals_point_roots(traj, dt):
     # Point 0 heads a run of equal paths on the repeated walk, and has a
-    # -0.0 twin, point 1, on the signed-zero input.
-    assert min_anchor_diameter(traj, dt) == anchor_diameter_by_point_roots(traj, dt)
+    # -0.0 twin, point 1, on the signed-zero input; the fast flip's 61,498
+    # points follow 4 paths.
+    assert min_anchor_diameter(traj, dt) == diameter_by_point_roots(traj, dt)
 
 
 def test_min_anchor_diameter_interpolates_one_point_per_path(monkeypatch):
