@@ -71,14 +71,14 @@ def _check(aspect, elapsed=0.0, window=None, formula=""):
     return limit
 
 
-def safe_zone_half_width(aspect, factor: float = 3.0):
+def safe_zone_half_width(aspect, factor: float = ChaseParams.safe_zone_factor):
     """Half-width H = c*arcsin(aspect) of the interval around the target the
     tracker aims to stay in."""
     _check(aspect)
     return factor * asin(aspect)
 
 
-def jump_distance(aspect, factor: float = 3.0):
+def jump_distance(aspect, factor: float = ChaseParams.safe_zone_factor):
     """Bound J = (c+2)*arcsin(aspect) on how far the interval endpoint can
     move instantaneously."""
     return safe_zone_half_width(aspect, factor + 2.0)

@@ -6,7 +6,8 @@ Subcommands compose over stdin/stdout pipes::
 
 ``track`` runs the continuous topological tracker and ``chase`` the
 speed-capped chaser; both write the same run CSV.  ``descriptor`` reports
-the raw per-sample optimum.
+the raw per-sample optimum.  Commands only parse and dispatch: an option not
+given takes the library's default, and ``runio`` writes every output.
 
 Exit status: 0 on success, 2 on any input-validation error, 3 when
 ``verify`` finds a failing claim.
@@ -31,6 +32,7 @@ from .runio import (
     read_run_csv,
     read_trajectory,
     write_chase_csv,
+    write_descriptor_csv,
     write_tracker_csv,
     write_trajectory,
 )
@@ -64,14 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kinostable", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scenario", help="emit a built-in trajectory")
+    p = sub.add_parser("scenario", help="emit a built-in trajectory",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("name", choices=SCENARIO_NAMES)
-    p.add_argument("--n", type=int, default=None, help="point count (where applicable)")
-    p.add_argument("--steps", type=int, default=None, help="keyframe steps (where applicable)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=1.0)
-    p.add_argument("--start-height", type=float, default=5.0)
-    p.add_argument("--target-rate", type=float, default=100.0)
+    p.add_argument("--n", type=int, help="point count (where applicable)")
+    p.add_argument("--steps", type=int, help="keyframe steps (where applicable)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--duration", type=float)
+    p.add_argument("--start-height", type=float)
+    p.add_argument("--target-rate", type=float)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("descriptor", help="per-frame optimal descriptors to CSV")
@@ -88,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
     p.add_argument("--kind", choices=["obb", "strip"], default="obb")
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--K", type=float, default=43.0)
-    p.add_argument("--c", type=float, default=3.0)
+    p.add_argument("--K", type=float, default=ChaseParams.max_turn_rate)
+    p.add_argument("--c", type=float, default=ChaseParams.safe_zone_factor)
     p.add_argument(
         "--no-normalize", action="store_true",
         help="skip unit-speed / unit-diameter normalization of the input",
@@ -99,23 +102,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-")
 
     p = sub.add_parser("verify", help="run the full claim-verification suite")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--walks", type=int, default=20)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--dt", type=float, default=SuiteOptions.dt)
+    p.add_argument("--seed", type=int, default=SuiteOptions.seed)
+    p.add_argument("--walks", type=int, default=SuiteOptions.walks)
+    p.add_argument("--samples", type=int, default=SuiteOptions.trig_samples)
     p.add_argument("--out", default=None, help="also write the report as JSON")
 
     return parser
 
 
 def _cmd_scenario(args) -> int:
-    params = {"seed": args.seed, "duration": args.duration,
-              "start_height": args.start_height, "target_rate": args.target_rate}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.steps is not None:
-        params["steps"] = args.steps
-    traj = build_scenario(args.name, params)
+    traj = build_scenario(args.name, vars(args))
     with _open(args.out, "w") as fp:
         write_trajectory(fp, traj)
     return 0
@@ -127,16 +124,7 @@ def _cmd_descriptor(args) -> int:
     times = traj.sample_times(args.dt)
     kinds = list(DescriptorKind) if args.kind == "all" else [DescriptorKind(args.kind)]
     with _open(args.out, "w") as fp:
-        fp.write("time,kind,alpha,cost,degenerate\n")
-        start = 0
-        for frames in traj.frame_blocks(times):  # box and strip from one hull per frame
-            optima = block_optima(frames, kinds)
-            columns = [(opt.kind.value, opt.alpha.tolist(), opt.cost.tolist(),
-                        opt.isotropic.tolist()) for opt in optima]
-            for i, t in enumerate(times[start:start + len(frames)].tolist()):
-                for kind, alpha, cost, isotropic in columns:
-                    fp.write(f"{t!r},{kind},{alpha[i]!r},{cost[i]!r},{1 if isotropic[i] else 0}\n")
-            start += len(frames)
+        write_descriptor_csv(fp, times, (block_optima(f, kinds) for f in traj.frame_blocks(times)))
     return 0
 
 

@@ -1,7 +1,7 @@
 """Planar primitives: point-set frames, convex hulls, extents, diametric boxes.
 
-Two paths compute the hull-only quantities, chosen here and nowhere else by
-frame size:
+Two paths compute the hull-only quantities, chosen by frame size here and,
+for the scored candidate tables, in ``solvers.orientation_costs``:
 
 * at most ``_BRUTE_FORCE_LIMIT`` points: the squared distance of every
   point pair gives the diameter, that of every pair of hull vertices the
@@ -369,8 +369,9 @@ def _consecutive_hulls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def convex_hull(points) -> np.ndarray:
     """Convex hull vertices in counterclockwise order, collinear vertices dropped.
 
-    Monotone chain on exactly compared, lexicographically sorted coordinates.
-    Collinear input yields the degenerate 2-vertex hull (segment endpoints).
+    The one-frame call of the certified block hull (``Frames.hull``; see the
+    module docstring), from the lexicographically smallest point.  Collinear
+    input yields the degenerate 2-vertex hull (segment endpoints).
     """
     return Frames.of(points).hull(0)
 

@@ -12,7 +12,9 @@ contract)::
 Every run is a ``TrackerOutput`` table written by one row writer.
 Topological runs leave the chase-only columns empty; chase runs fill them
 from the safe-zone report.  Flip sweeps appear as extra rows at the flip
-time carrying the worst swept orientation and ratio.
+time carrying the worst swept orientation and ratio.  Descriptor CSVs have
+the columns ``time,kind,alpha,cost,degenerate``; every float cell of either
+is its shortest round-trip decimal (``_column``).
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ CSV_COLUMNS = (
 
 # the exact types of a JSON number: a JSON boolean loads as bool, an int subclass
 _NUMBER_TYPES = {int, float}
-
-
-def _f(x: float) -> str:
-    """Shortest exact decimal form of a float."""
-    return repr(float(x))
 
 
 def write_trajectory(fp: IO[str], traj: Trajectory) -> None:
@@ -108,24 +105,17 @@ def read_trajectory(fp: IO[str]) -> Trajectory:
     return traj
 
 
-def _csv_row(values: Iterable[object]) -> str:
-    return ",".join("" if v is None else _f(v) for v in values)
-
-
-_NO_ZONE = [None] * 5
-
-
 def _column(values) -> list[str]:
-    """``_f`` of every entry of an array."""
+    """The one format of a float cell: the shortest exact decimal of each entry."""
     return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
 def _write_run(fp: IO[str], run: TrackerOutput, zone: SafeZoneReport | None) -> None:
     """Header, one row per sample and one per flip sweep, in time order.
 
-    A flip row sits before the sample rows at or after its time.  With a
-    safe-zone report, sample rows also fill the five chase-only cells.
-    Sample rows are formatted column by column.
+    A flip row sits before the sample rows at or after its time and leaves
+    the five chase-only cells empty.  With a safe-zone report, sample rows
+    fill them.  Sample rows are formatted column by column.
     """
     columns = [_column(c) for c in (run.times, run.beta, run.opt_alpha, run.cost,
                                     run.opt_cost, run.ratio)]
@@ -142,8 +132,8 @@ def _write_run(fp: IO[str], run: TrackerOutput, zone: SafeZoneReport | None) -> 
     done = 0
     for f, i in zip(flips, at):
         lines += rows[done:i]
-        lines.append(_csv_row([f.time, f.worst_orientation, f.end, f.worst_cost, f.opt_cost,
-                               f.worst_ratio, *_NO_ZONE]))
+        lines.append(",".join(_column([f.time, f.worst_orientation, f.end, f.worst_cost,
+                                       f.opt_cost, f.worst_ratio])) + ",,,,,")
         done = i
     lines += rows[done:]
     fp.write("\n".join(lines) + "\n")
@@ -160,6 +150,22 @@ def write_chase_csv(fp: IO[str], result: ChaseResult, kind: DescriptorKind) -> N
     if run is None:
         raise DomainError("chase runs report box and strip costs only")
     _write_run(fp, run, result.safe_zone)
+
+
+def write_descriptor_csv(fp: IO[str], times: np.ndarray, blocks: Iterable[list]) -> None:
+    """Per sample time, one row per descriptor kind: ``blocks`` yields the
+    ``block_optima`` of consecutive blocks of ``times``, each drawn once the
+    rows before it are written."""
+    fp.write("time,kind,alpha,cost,degenerate\n")
+    start = 0
+    for optima in blocks:
+        count = len(optima[0].alpha)
+        columns = [(opt.kind.value, _column(opt.alpha), _column(opt.cost),
+                    ["1" if v else "0" for v in opt.isotropic.tolist()]) for opt in optima]
+        for i, t in enumerate(_column(times[start:start + count])):
+            for kind, alpha, cost, degenerate in columns:
+                fp.write(f"{t},{kind},{alpha[i]},{cost[i]},{degenerate[i]}\n")
+        start += count
 
 
 def read_run_csv(fp: IO[str]) -> dict[str, np.ndarray]:

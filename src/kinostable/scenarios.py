@@ -49,8 +49,8 @@ def strip_lower_bound(start_height: float = 5.0, duration: float = 1.0) -> Traje
     The thinnest strip flips from vertical to horizontal when the moving
     points cross height 1; the halfway orientation has width sqrt(2) there.
     """
-    if start_height < 1.0:
-        raise DomainError("start_height must be at least 1")
+    if not 1.0 <= start_height < math.inf:  # NaN fails
+        raise DomainError("start_height must be finite and at least 1")
     start = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, start_height), (1.0, start_height)])
     end = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
     return Trajectory(np.array([0.0, duration]), np.stack([start, end]))
@@ -191,41 +191,33 @@ def random_walk(n: int = 8, steps: int = 50, seed: int = 0, duration: float = 1.
     return Trajectory(times, np.stack(keyframes))
 
 
-def _stateless_disk_trajectory(n: int = 5, samples: int = 256, duration: float = 1.0) -> Trajectory:
+def _stateless_disk_trajectory(n: int = 5, steps: int = 256, duration: float = 1.0) -> Trajectory:
     """The fully collinear sweep expressed as a keyframed trajectory."""
-    if samples < 1:
+    if steps < 1:
         raise DomainError("need at least 1 step")
     if not 0.0 < duration < math.inf:
         raise DomainError("duration must be positive and finite")
-    keyframes = _stateless_disk_points(n, 1.0, np.linspace(0.0, 2.0 * math.pi, samples + 1))
-    return Trajectory(np.linspace(0.0, duration, samples + 1), keyframes)
+    keyframes = _stateless_disk_points(n, 1.0, np.linspace(0.0, 2.0 * math.pi, steps + 1))
+    return Trajectory(np.linspace(0.0, duration, steps + 1), keyframes)
 
 
-# Each named scenario built from a parameter mapping; the order is the CLI's.
+# Each named scenario: its function and the parameters it reads; the order is the CLI's.
 _BUILDERS = {
-    "obb-lower-bound": lambda p: obb_lower_bound(duration=p.get("duration", 1.0)),
-    "strip-lower-bound": lambda p: strip_lower_bound(
-        start_height=p.get("start_height", 5.0), duration=p.get("duration", 1.0)
-    ),
-    "pc-flip": lambda p: pc_flip(duration=p.get("duration", 1.0)),
-    "pc-fast-flip": lambda p: pc_fast_flip(
-        target_rate=p.get("target_rate", 100.0), duration=p.get("duration", 1.0)
-    ),
-    "stateless-disk": lambda p: _stateless_disk_trajectory(
-        n=int(p.get("n", 5)), samples=int(p.get("steps", 256)),
-        duration=p.get("duration", 1.0),
-    ),
-    "random-walk": lambda p: random_walk(
-        n=int(p.get("n", 8)), steps=int(p.get("steps", 50)),
-        seed=int(p.get("seed", 0)), duration=p.get("duration", 1.0),
-    ),
+    "obb-lower-bound": (obb_lower_bound, ("duration",)),
+    "strip-lower-bound": (strip_lower_bound, ("start_height", "duration")),
+    "pc-flip": (pc_flip, ("duration",)),
+    "pc-fast-flip": (pc_fast_flip, ("target_rate", "duration")),
+    "stateless-disk": (_stateless_disk_trajectory, ("n", "steps", "duration")),
+    "random-walk": (random_walk, ("n", "steps", "seed", "duration")),
 }
 
 SCENARIO_NAMES = tuple(_BUILDERS)
 
 
 def build_scenario(name: str, params: dict | None = None) -> Trajectory:
-    """Build a named scenario trajectory from a parameter mapping."""
+    """Build a named scenario from the entries of ``params`` it reads; a
+    parameter not given takes the function's default."""
     if name not in _BUILDERS:
         raise DomainError(f"unknown scenario {name!r}; choose from {sorted(_BUILDERS)}")
-    return _BUILDERS[name](dict(params or {}))
+    build, names = _BUILDERS[name]
+    return build(**{key: value for key, value in (params or {}).items() if key in names})

@@ -355,9 +355,12 @@ def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3) -> float:
 
 def forced_orientation_winding(n: int = 5, samples: int = 4096) -> int:
     """Winding number of the forced optimal strip orientation over one sweep
-    of ``stateless_disk(n, 1.0, phi)`` (distinct collinear points), a block at a time."""
+    of ``stateless_disk(n, 1.0, phi)`` (distinct collinear points), a block at a time.
+    It turns by 2*pi, and ``winding_number`` needs steps below pi/2: at least 5 samples."""
     if n < 3:
         raise DomainError("need at least 3 points")
+    if samples < 5:
+        raise DomainError("samples must be at least 5")
     size, angles = block_size(n), []
     for start in range(0, samples, size):
         phis = 2.0 * math.pi * np.arange(start, min(start + size, samples), dtype=float) / samples

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kinostable import geometry, trajectory
+from kinostable import geometry, scenarios, trajectory
 from kinostable.chasing import ChaseParams, chase, normalize_trajectory
 from kinostable.cli import build_parser, main
 from kinostable.costs import DescriptorKind
@@ -204,10 +204,45 @@ def test_scenario_rejects_infinite_duration(capsys):
     (["pc-fast-flip", "--target-rate", "nan"], "target_rate must be positive and finite"),
     (["pc-fast-flip", "--target-rate", "inf"], "target_rate must be positive and finite"),
     (["random-walk", "--duration", "inf"], "duration must be positive and finite"),
+    (["strip-lower-bound", "--start-height", "nan"], "start_height must be finite and at least 1"),
+    (["strip-lower-bound", "--start-height", "inf"], "start_height must be finite and at least 1"),
 ])
 def test_scenario_rejects_non_finite_parameters(capsys, argv, message):
     code, out, err = run_cli(capsys, ["scenario", *argv])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# Each scenario's function, with the keywords it reads from ``ALL_OPTIONS``.
+SCENARIO_CALLS = {
+    "obb-lower-bound": (scenarios.obb_lower_bound, {"duration": 2.0}),
+    "strip-lower-bound": (scenarios.strip_lower_bound, {"start_height": 3.0, "duration": 2.0}),
+    "pc-flip": (scenarios.pc_flip, {"duration": 2.0}),
+    "pc-fast-flip": (scenarios.pc_fast_flip, {"target_rate": 30.0, "duration": 2.0}),
+    "stateless-disk": (scenarios._stateless_disk_trajectory,
+                       {"n": 7, "steps": 9, "duration": 2.0}),
+    "random-walk": (scenarios.random_walk, {"n": 7, "steps": 9, "seed": 4, "duration": 2.0}),
+}
+ALL_OPTIONS = ["--n", "7", "--steps", "9", "--seed", "4", "--duration", "2",
+               "--start-height", "3", "--target-rate", "30"]
+
+
+@pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
+@pytest.mark.parametrize("options", [False, True])
+def test_scenario_prints_its_function_called_with_only_the_given_options(
+        monkeypatch, name, options):
+    # Without options a scenario is the function's own default construction,
+    # the one verify checks.  The keyframes handed to write_trajectory are
+    # compared bitwise, which fixes every byte it prints (pc-fast-flip's
+    # default trajectory prints 67 MB).
+    assert set(SCENARIO_CALLS) == set(scenarios.SCENARIO_NAMES)
+    written = []
+    monkeypatch.setattr("kinostable.cli.write_trajectory", lambda fp, traj: written.append(traj))
+    assert main(["scenario", name, *(ALL_OPTIONS if options else [])]) == 0
+    build, keywords = SCENARIO_CALLS[name]
+    expected = build(**keywords) if options else build()
+    [traj] = written
+    for got, want in ((traj.times, expected.times), (traj.positions, expected.positions)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("duration", ["nan", "inf", "0", "-1"])

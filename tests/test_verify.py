@@ -371,6 +371,14 @@ def test_forced_orientation_double_cover_small():
     assert abs(forced_orientation_winding(n=5, samples=512)) == 2
 
 
+@pytest.mark.parametrize("samples", [-3, 0, 1, 4])
+def test_forced_orientation_winding_needs_five_samples(samples):
+    # a sweep turns the forced orientation by 2*pi: 4 steps of pi/2 are ambiguous
+    with pytest.raises(DomainError, match="samples must be at least 5"):
+        forced_orientation_winding(n=5, samples=samples)
+    assert forced_orientation_winding(n=5, samples=5) == -2
+
+
 def test_forced_orientation_frames_are_the_stateless_disks(monkeypatch):
     # the sweep builds its frames a block at a time; each must be bitwise
     # the checked frame stateless_disk builds one at a time
