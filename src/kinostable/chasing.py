@@ -34,7 +34,7 @@ from .costs import DescriptorKind, frame_costs
 from .errors import DegenerateInputError, DomainError
 from .geometry import _EXTREMES, diameter_lower_bounds, diametric_boxes, frame_diameters
 from .tracker import TrackerOutput, sampled_run
-from .trajectory import Trajectory
+from .trajectory import DEFAULT_DT, Trajectory
 
 _NORMALIZE_SAMPLES = 1025  # uniform samples ``normalize_trajectory`` adds to the keyframes
 
@@ -214,7 +214,7 @@ class ChaseResult:
 _EXTENTS = (DescriptorKind.OBB, DescriptorKind.STRIP)
 
 
-def chase(traj: Trajectory, params: ChaseParams = ChaseParams(), dt: float = 1e-3,
+def chase(traj: Trajectory, params: ChaseParams = ChaseParams(), dt: float = DEFAULT_DT,
           kinds: tuple[DescriptorKind, ...] = _EXTENTS) -> ChaseResult:
     """Run the speed-capped chasing tracker over a (normalized) trajectory.
 

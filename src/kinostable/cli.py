@@ -39,6 +39,7 @@ from .runio import (
 from .scenarios import SCENARIO_NAMES, build_scenario
 from .solvers import block_optima
 from .tracker import track_topological
+from .trajectory import DEFAULT_DT
 from .verify import SuiteOptions, run_claim_suite
 
 
@@ -80,17 +81,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("descriptor", help="per-frame optimal descriptors to CSV")
     _add_io_args(p)
     p.add_argument("--kind", choices=["all", "pc", "obb", "strip"], default="all")
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=DEFAULT_DT)
 
     p = sub.add_parser("track", help="tracker run over a trajectory")
     _add_io_args(p)
     p.add_argument("--kind", choices=["pc", "obb", "strip"], default="obb")
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=DEFAULT_DT)
 
     p = sub.add_parser("chase", help="speed-capped chase run with safe-zone report")
     _add_io_args(p)
     p.add_argument("--kind", choices=["obb", "strip"], default="obb")
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--K", type=float, default=ChaseParams.max_turn_rate)
     p.add_argument("--c", type=float, default=ChaseParams.safe_zone_factor)
     p.add_argument(

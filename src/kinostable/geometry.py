@@ -37,7 +37,8 @@ block by the arrays that live as long as it does, O(n) per frame: the
 positions and the hull index matrix stay within ``_BLOCK_BYTES``.  Larger
 temporaries are made a chunk of frames at a time by the same budget: the
 (F, n, n) pair matrices up to the limit (``pair_block``), the hull
-certificates (below) and the scored orientation tables (``table_block``).
+certificates and chain passes (below, ``chain_block``) and the scored
+orientation tables (``table_block``).
 Only O(B) arrays outlive a block.
 
 Hulls are kinetic in the sense of Basch, Guibas and Hershberger (1997).  A
@@ -68,14 +69,29 @@ checked in windows that double while they certify, within the budget; a
 frame whose (h, n) test alone exceeds the budget runs the chain.
 
 The chain runs on runs of consecutive frames at once
-(``_monotone_chains``): one stable lexsort orders the points of every
-frame of a run, keeping the first of equal points, as the Python ``set``
-of coordinate tuples it was first written with does, and each frame's
-chain is then the Python loop on its own points.  A run is one frame
-long after a certificate held; otherwise it is as long as the frames
-chained since one last held, so a stretch of F frames that no hull
-certifies (collinear frames with 2-vertex hulls, a point kept on a hull
-edge or a duplicated vertex, frames over the budget) costs O(log F)
+(``_monotone_chains``): one stable sort orders the points of every frame
+of a run, keeping the first of equal points, as the Python ``set`` of
+coordinate tuples it was first written with does.  Up to
+``_BRUTE_FORCE_LIMIT`` points each frame's chain is then the Python list
+stack (``_half_chain``) on its own points.  Above it numpy passes over the
+frames of the run make the chain's turn decisions in bulk wherever the
+static bound makes them exact: each pass deletes every point whose turn
+between its current neighbours is certainly negative, and the passes stop
+when one deletes nothing, so every turn left is certainly positive and
+the chain is the exact one, which is the stack's.  A half chain with a
+turn within the bound, or with a vertex whose first stack test (against
+the vertex before it and the point after it) is within it, runs the
+stack on all its points instead, so near-collinear, lattice, duplicate
+and ulp-twin frames keep the stack's bytes.  The switch sits at the limit
+because the passes cost some hundred numpy calls per run, more than the
+stack spends on the 8- and 64-point frames of random walks, while above
+it the stack's n interpreted steps per frame are the largest per-frame
+cost.
+
+A run is one frame long after a certificate held; otherwise it is as long
+as the frames chained since one last held, so a stretch of F frames that
+no hull certifies (collinear frames with 2-vertex hulls, a point kept on a
+hull edge or a duplicated vertex, frames over the budget) costs O(log F)
 certificate checks instead of F: runs of 1, 1, 2, 4, ... frames.  Each
 frame of a run chains only the points the failed certificate could not
 place strictly inside the old hull, where the failed window tested it;
@@ -114,7 +130,8 @@ _BRUTE_FORCE_LIMIT = 64
 _BLOCK_BYTES = 1 << 20
 
 # Shewchuk's orientation error bound: where the float cross product exceeds
-# this times |l| + |r|, its exact sign is positive (barring underflow).
+# this times |l| + |r| in magnitude, its exact sign is its sign (barring
+# underflow).
 _CCW_BOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
 
 # The first certificate window after a chain run: a check's fixed cost is
@@ -145,6 +162,13 @@ def table_block(n: int, m: int) -> int:
     """How many frames of ``n`` points ``orientation_costs`` may score at ``m``
     orientations at once: ten (F, m) tables and an (F, n, m) projection."""
     return max(1, _BLOCK_BYTES // (8 * m * (10 + n)))
+
+
+def chain_block(n: int) -> int:
+    """How many frames of ``n`` points the turn-deletion passes of
+    ``_monotone_chains`` take at once: they hold about 200 bytes per point
+    (204 measured at n = 4500 and 150,000)."""
+    return max(1, _BLOCK_BYTES // (200 * n))
 
 
 def certificate_block(h: int, n: int) -> int:
@@ -259,34 +283,149 @@ def _half_chain(seq: list[int], xs: list[float], ys: list[float]) -> list[int]:
     return out
 
 
+def _certain_turns(o: np.ndarray, a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chain's turn at each ``a`` of the (N, 2) triples ``o, a, p``, and
+    whether it exceeds the static error bound, so that its sign is exact."""
+    a, p = a - o, p - o
+    left = a[:, 0] * p[:, 1]
+    right = a[:, 1] * p[:, 0]
+    turn = left - right
+    np.abs(left, out=left)
+    np.abs(right, out=right)
+    left += right
+    left *= _CCW_BOUND
+    return turn, np.abs(turn, out=right) > left
+
+
+def _certified_chains(points: np.ndarray, order: np.ndarray, fresh: np.ndarray) -> list:
+    """Both half chains of every frame of a (F, n, 2) block over its points
+    ``order[f, fresh[f]]``, by certified turn deletion: per frame, the lower
+    and the upper chain as point indices, each None where a turn it
+    depends on was uncertain.
+
+    A pass evaluates the chain's own turn at points between two current
+    neighbours and deletes the points whose turn is certainly negative
+    (beyond the static bound, barring underflow): such a point lies
+    strictly right of a chord of two points around it, so it is no vertex,
+    and a chain whose turns are all certainly positive is the exact one.
+    The passes stop when one deletes nothing.  The first evaluates every
+    point once, on the lower chains; a turn certainly positive there is
+    certainly negative on the upper chain, which runs backwards, so that
+    chain deletes the point, and a turn within the bound fails both.  The
+    points left form one sequence, the lower chains and then the upper
+    chains backwards, linked to their current neighbours, and later passes
+    evaluate the points whose neighbours changed.
+
+    The stack's own turns can still round the wrong way where the points
+    they join are a few ulps apart: its first test of a vertex, against
+    the vertex before it and the point after it in the sequence, then
+    pops the vertex (``tests/test_blocks.py::twin_after_a_vertex``).  That
+    test is made last, on every vertex, and a half chain in which it is
+    uncertain fails too.  The seeded fuzz there, ulp twins included, finds
+    no other frame where the exact chain and the stack's differ.
+    """
+    size, n = order.shape
+    chain = np.repeat(np.arange(size), np.count_nonzero(fresh, axis=1))
+    lower = points.reshape(-1, 2).take((order + n * np.arange(size)[:, None])[fresh], axis=0)
+    turn, sure = _certain_turns(lower[:-2], lower[1:-1], lower[2:])
+    inner = chain[:-2] == chain[2:]  # neither end of its frame's chain
+    uncertain = np.zeros(2 * size, dtype=bool)  # lower chains, then upper chains
+    unsure = chain[1:-1][inner & ~sure]
+    uncertain[unsure] = uncertain[size + unsure] = True
+    sure &= inner
+    keep = np.ones((2, len(lower)), dtype=bool)
+    keep[0, 1:-1] = ~(sure & (turn < 0.0))
+    keep[1, 1:-1] = ~(sure & (turn > 0.0))
+    kept = [np.flatnonzero(keep[0]), np.flatnonzero(keep[1])[::-1]]
+    src = np.concatenate(kept)  # where each point left is in ``lower``
+    succ = np.concatenate((kept[0] + 1, kept[1] - 1))  # ... and the point after it in its chain
+    chain = np.concatenate((chain[kept[0]], size + chain[kept[1]]))
+    seq = lower.take(src, axis=0)
+    inner = np.zeros(len(seq), dtype=bool)
+    inner[1:-1] = chain[:-2] == chain[2:]
+    prev, next_ = np.arange(-1, len(seq) - 1), np.arange(1, len(seq) + 1)
+    alive = np.ones(len(seq), dtype=bool)
+    changed = np.zeros(len(seq) + 1, dtype=bool)
+    changed[1:-1] = succ[:-1] != src[1:]  # the first pass deleted the points between
+    at = np.flatnonzero((changed[:-1] | changed[1:]) & inner)
+    while len(at):
+        turn, sure = _certain_turns(*(seq.take(i, axis=0) for i in (prev[at], at, next_[at])))
+        if not sure.all():
+            uncertain[chain[at[~sure]]] = True
+        drop = at[sure & (turn < 0.0)]
+        if uncertain.any():
+            drop = drop[~uncertain[chain[drop]]]
+        alive[drop] = False
+        # the points either side of each run of deleted points, in sequence order
+        left, right = prev[drop], next_[drop]
+        left, right = left[alive[left]], right[alive[right]]
+        next_[left], prev[right] = right, left
+        changed = np.zeros(len(seq), dtype=bool)
+        changed[left] = changed[right] = True
+        at = np.flatnonzero(changed & inner)
+    at = np.flatnonzero(inner & alive)
+    _, sure = _certain_turns(seq.take(prev[at], axis=0), seq.take(at, axis=0), lower.take(succ[at], axis=0))
+    uncertain[chain[at[~sure]]] = True
+    at = np.flatnonzero(alive)
+    stretch = np.r_[:size, 2 * size - 1:size - 1:-1]  # the chains in sequence order
+    ends = np.cumsum(np.bincount(chain[at], minlength=2 * size)[stretch])
+    halves = dict(zip(stretch.tolist(), np.split(order[fresh][src[at]], ends[:-1])))
+    return [(None if uncertain[f] else halves[f], None if uncertain[size + f] else halves[size + f])
+            for f in range(size)]
+
+
 def _monotone_chains(points: np.ndarray, keep: np.ndarray | None = None) -> list[np.ndarray]:
     """Andrew's monotone chain on every frame of a (F, n, 2) block, or on
     each frame's points where the (F, n) mask ``keep`` holds: each frame's
     hull indices, counterclockwise from its lexicographically smallest
     point, the first of equal points kept.
 
-    One stable lexsort orders the points of all F frames, and the first
-    of each run of equal points is kept before ``keep`` filters: equal
-    points share their mark there (a certificate tests them alike), so
-    the point kept is the first of its equals either way.
+    One stable sort orders the points of all F frames, and the first of
+    each run of equal points is kept before ``keep`` filters: equal points
+    share their mark there (a certificate tests them alike), so the point
+    kept is the first of its equals either way.
+
+    Above ``_BRUTE_FORCE_LIMIT`` points a sort by x alone, the same order
+    where no two x are equal, replaces the slower lexsort, and numpy
+    passes (``_certified_chains``, ``chain_block(n)`` frames at a time)
+    make the turn decisions whose sign the static bound makes exact.  A
+    half chain with an uncertain one runs the stack, ``_half_chain``, on
+    all its points, as every half chain does up to the limit, where the
+    passes' hundred-odd numpy calls per run cost more than the stack.
     """
     x, y = points[..., 0], points[..., 1]
-    order = np.lexsort((y, x), axis=-1)
+    big = points.shape[1] > _BRUTE_FORCE_LIMIT
     rows = np.arange(len(points))[:, None]
-    xs, ys = x[rows, order], y[rows, order]
+    order = np.argsort(x, axis=-1) if big else np.lexsort((y, x), axis=-1)
+    xs = x[rows, order]
+    if big and (xs[:, 1:] == xs[:, :-1]).any():
+        order = np.lexsort((y, x), axis=-1)
+        xs = x[rows, order]
+    ys = y[rows, order]
     fresh = np.ones(order.shape, dtype=bool)
     fresh[:, 1:] = (xs[:, 1:] != xs[:, :-1]) | (ys[:, 1:] != ys[:, :-1])
     if keep is not None:
         fresh &= keep[rows, order]
+    certified = []
+    if big:
+        step = chain_block(points.shape[1])
+        for lo in range(0, len(points), step):
+            part = slice(lo, lo + step)
+            certified += _certified_chains(points[part], order[part], fresh[part])
     hulls = []
     for f in range(len(points)):
         seq = order[f, fresh[f]]
         if len(seq) == 1:
             raise DegenerateInputError(_COINCIDENT)
         if len(seq) > 2:
-            seq, xf, yf = seq.tolist(), x[f].tolist(), y[f].tolist()
-            lower, upper = _half_chain(seq, xf, yf), _half_chain(seq[::-1], xf, yf)
-            seq = np.array(lower[:-1] + upper[:-1], dtype=np.intp)
+            lower, upper = certified[f] if certified else (None, None)
+            if lower is None or upper is None:
+                seq, xf, yf = seq.tolist(), x[f].tolist(), y[f].tolist()
+                lower = _half_chain(seq, xf, yf) if lower is None else lower.tolist()
+                upper = _half_chain(seq[::-1], xf, yf) if upper is None else upper.tolist()
+                seq = np.array(lower[:-1] + upper[:-1], dtype=np.intp)
+            else:
+                seq = np.concatenate((lower[:-1], upper[:-1]))
         hulls.append(seq)
     return hulls
 
@@ -480,16 +619,19 @@ def extents_on_hull(hull: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray]:
         Each projection is a 1x2 by 2x1 product, which rounds unlike the
         matrix product in ``extents`` in the last bits: of 450,000 hull-edge
         candidate extents of the kinobench big-hull ellipses (seeds 1-5, t =
-        0, 0.5, 1) 26 differ, by at most 2 ulp (2.7e-16 relative).
+        0, 0.5, 1) 26 differ, by at most 2 ulp (2.7e-16 relative).  Both
+        ends are taken over the six vertices of the two windows: on an
+        ulp-thin hull the window around the lowest vertex can hold a higher
+        projection than the one around the highest, and the spread of one
+        set of values is never negative.
         """
 
         def proj(k: np.ndarray) -> np.ndarray:
             return (hull[k % len(hull)][:, None, :] @ direction[:, :, None])[:, 0, 0]
 
-        top = _extreme_vertices(theta, phi)
-        bottom = _extreme_vertices(theta, phi + math.pi)
-        return (np.maximum.reduce([proj(top + d) for d in (-1, 0, 1)])
-                - np.minimum.reduce([proj(bottom + d) for d in (-1, 0, 1)]))
+        ends = (_extreme_vertices(theta, phi), _extreme_vertices(theta, phi + math.pi))
+        window = [proj(k + d) for k in ends for d in (-1, 0, 1)]
+        return np.maximum.reduce(window) - np.minimum.reduce(window)
 
     return (spread(np.column_stack([c, s]), alphas),
             spread(np.column_stack([-s, c]), alphas + 0.5 * math.pi))

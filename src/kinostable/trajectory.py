@@ -15,6 +15,10 @@ from .geometry import _NON_FINITE, Frame, Frames, block_size, frame_faults
 # costs, ratios), so a larger grid cannot be run in memory.
 _MAX_SAMPLES = 1 << 25
 
+# The sample step of a run that is not given one: the CLI's ``--dt``,
+# ``chasing.chase`` and the verify stages and suite options.
+DEFAULT_DT = 1e-3
+
 
 def check_dt(dt: float) -> None:
     """Reject a sampling step no sample grid can use."""

@@ -51,7 +51,7 @@ from .scenarios import (
 )
 from .solvers import block_optima, principal_axes
 from .tracker import track_topological
-from .trajectory import Trajectory, check_dt
+from .trajectory import DEFAULT_DT, Trajectory, check_dt
 
 SQRT2 = math.sqrt(2.0)
 _TRIG_TOL = 1e-12  # a sampled inequality may miss by this much rounding
@@ -278,7 +278,7 @@ def verify_trig_bounds(samples: int = 100_000, seed: int = 0) -> dict[str, Sampl
 # Empirical orientation-change / aspect-drop bounds on sampled trajectories.
 
 
-def diametric_samples(traj: Trajectory, dt: float = 1e-3) -> PairSamples:
+def diametric_samples(traj: Trajectory, dt: float = DEFAULT_DT) -> PairSamples:
     """The sample times of ``traj`` at ``dt``, and the diametric pair's
     orientation and aspect at each: what ``chase`` steers by and reports
     (``SafeZoneReport.target`` and ``aspect``)."""
@@ -289,7 +289,7 @@ def diametric_samples(traj: Trajectory, dt: float = 1e-3) -> PairSamples:
 
 
 def verify_bound_empirics(named_samples: list[tuple[str, PairSamples]],
-                          dt: float = 1e-3) -> dict[str, SamplingResult]:
+                          dt: float = DEFAULT_DT) -> dict[str, SamplingResult]:
     """Check the sampled diametric pair against the turn and drop bounds.
 
     Each entry names a trajectory and its ``diametric_samples`` at ``dt``.
@@ -328,7 +328,7 @@ def verify_bound_empirics(named_samples: list[tuple[str, PairSamples]],
 # Scenario-level measurements.
 
 
-def measured_axis_speed(traj: Trajectory, dt: float = 1e-3) -> float:
+def measured_axis_speed(traj: Trajectory, dt: float = DEFAULT_DT) -> float:
     """Max finite-difference rotation speed of the optimal principal axis.
 
     The axes come from ``solvers.principal_axes``: one scatter polynomial
@@ -345,7 +345,7 @@ def measured_axis_speed(traj: Trajectory, dt: float = 1e-3) -> float:
     return float(speeds.max(initial=0.0))
 
 
-def min_anchor_diameter(traj: Trajectory, dt: float = 1e-3) -> float:
+def min_anchor_diameter(traj: Trajectory, dt: float = DEFAULT_DT) -> float:
     """The ``axis-speed-escape`` claim's precondition check: the smallest
     diameter over the sample grid at ``dt`` (``chasing.min_diameter``), ``==``
     a scan of every sampled frame with every point; it interpolates one
@@ -380,7 +380,7 @@ class ChaseSuiteResult:
     pairs: tuple[PairSamples, ...] = field(default=(), compare=False, repr=False)
 
 
-def chase_suite(trajectories: list[Trajectory], dt: float = 1e-3) -> ChaseSuiteResult:
+def chase_suite(trajectories: list[Trajectory], dt: float = DEFAULT_DT) -> ChaseSuiteResult:
     """Chase every (already normalized) trajectory with the default
     ``ChaseParams`` and aggregate the guarantees.
 
@@ -421,7 +421,7 @@ def chase_suite(trajectories: list[Trajectory], dt: float = 1e-3) -> ChaseSuiteR
 @dataclass(frozen=True)
 class SuiteOptions:
     grid: int = 512  # unread; kinobench's mini verify still passes it
-    dt: float = 1e-3
+    dt: float = DEFAULT_DT
     seed: int = 0
     walks: int = 20
     trig_samples: int = 100_000

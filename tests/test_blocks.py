@@ -46,6 +46,8 @@ from kinostable.tracker import (
 )
 from kinostable.trajectory import Trajectory
 
+from test_hull_linear import ellipse
+
 KINDS = tuple(DescriptorKind)
 
 
@@ -75,10 +77,11 @@ def frozen_convex_hull(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=float)
 
 
-def hull_inputs(rng, count):
-    """Random, integer-lattice, near-collinear, duplicate-point and -0.0 clouds."""
+def hull_inputs(rng, count, sizes=(3, 80)):
+    """Random, integer-lattice, near-collinear, duplicate-point and -0.0
+    clouds of ``sizes[0]`` up to ``sizes[1] - 1`` points."""
     for k in range(count):
-        n = int(rng.integers(3, 80))
+        n = int(rng.integers(*sizes))
         style = k % 5
         if style == 0:
             pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0)
@@ -106,6 +109,72 @@ def test_convex_hull_matches_frozen_chain():
         assert got.tobytes() == ref.tobytes()  # bitwise, -0.0 included
         checked += 1
     assert checked > 2900
+
+
+def ulp_twins(rng, n: int) -> np.ndarray:
+    """A convex polygon and points inside it, n in all, each point with a
+    twin 1-3 ``nextafter`` steps away in each coordinate."""
+    k = int(rng.integers(3, 40))
+    phi = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
+    polygon = np.column_stack([np.cos(phi), np.sin(phi)]) * rng.uniform(0.1, 10.0, 2)
+    base = np.vstack([polygon, rng.dirichlet(np.ones(k), max(1, n // 2 - k)) @ polygon])
+    twins, toward = base.copy(), rng.choice([-np.inf, np.inf], base.shape)
+    for step in range(3):
+        twins = np.where(rng.integers(1, 4, base.shape) > step, np.nextafter(twins, toward), twins)
+    pts = np.vstack([base, twins])
+    return pts[rng.permutation(len(pts))]
+
+
+def twin_after_a_vertex() -> np.ndarray:
+    """A vertex v = (2, 0.1) of a pentagon with a twin 2 ulps above it.
+    The chain's turn from the first point (0, 4) over v to the twin rounds
+    to 0 and pops v, so the chain keeps the twin; certified turns alone
+    would keep v.  The point (1.99, 0.13), just before v, certifies the
+    turns among the first points sorted."""
+    twin = (2.0, math.nextafter(math.nextafter(0.1, 1.0), 1.0))
+    corners = [(0.0, 4.0), (2.0, 0.1), twin, (4.0, 1.0), (3.0, 4.5), (1.0, 5.0), (1.99, 0.13)]
+    inner = np.random.default_rng(0).dirichlet(np.ones(3), 80) @ [(1.0, 4.0), (3.0, 1.0), (2.5, 4.0)]
+    return np.vstack([corners, inner])
+
+
+def assert_frozen_hulls(block: np.ndarray) -> None:
+    """Every frame's block chain, bitwise that of the frozen chain."""
+    for pts, idx in zip(block, geometry._monotone_chains(block)):
+        ref = frozen_convex_hull(pts)
+        assert pts[idx].shape == ref.shape
+        assert pts[idx].tobytes() == ref.tobytes()  # bitwise, -0.0 included
+
+
+def test_chains_above_the_limit_match_the_frozen_chain(monkeypatch):
+    # numpy passes build these chains, or the stack where a turn is uncertain
+    monkeypatch.setattr(geometry, "chain_block", lambda n: 2)  # several passes per call
+    rng = np.random.default_rng(6502)
+    frames = list(hull_inputs(rng, 60, sizes=(65, 2001)))
+    frames += [ulp_twins(rng, int(n)) for n in rng.integers(65, 2001, 8)]
+    frames += [ellipse(rng, int(h), interior=int(h) // 2) for h in rng.integers(44, 1334, 8)]
+    for pts in frames:
+        pts = pts * 10.0 ** rng.uniform(-150.0, 150.0)
+        got, ref = convex_hull(pts), frozen_convex_hull(pts)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()  # bitwise, -0.0 included
+    # frames of one block chain in lockstep, a certified ellipse among them
+    for n in (65, 300):
+        block = [pts[:n] for pts in frames if len(pts) >= n][:5]
+        assert_frozen_hulls(np.stack(block + [ellipse(rng, n - n // 3, interior=n // 3)]))
+    # scaling by a power of two rounds every turn alike
+    for scale in (2.0 ** -500, 1.0, 2.0 ** 500):
+        assert_frozen_hulls(scale * twin_after_a_vertex()[None])
+
+
+def test_the_stack_runs_only_on_uncertain_turns(monkeypatch):
+    stacks = []
+    real = geometry._half_chain
+    monkeypatch.setattr(geometry, "_half_chain", lambda *a: stacks.append(1) or real(*a))
+    convex_hull(ellipse(np.random.default_rng(3000), 3000, interior=1500))
+    assert not stacks
+    t = np.random.default_rng(100).uniform(-1.0, 1.0, 100)
+    convex_hull(np.column_stack([t, 0.5 * t + np.random.default_rng(1).normal(scale=1e-17, size=100)]))
+    assert stacks
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,17 @@ def test_brute_force_sizes_keep_projecting_every_point(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("n", [65, 100, 1000])
+def test_costs_of_a_tilted_segment_are_never_negative(n):
+    # collinear points t (cos a, sin a), t in [-1, 1]: off the axes the hull
+    # is ulp-thin, and its box and strip costs are rounding noise, not below 0
+    t = np.linspace(-1.0, 1.0, n)
+    for a in np.arange(40) * (math.pi / 40):
+        frame = Frame(np.column_stack([t * math.cos(a), t * math.sin(a)]))
+        for kind in (DescriptorKind.OBB, DescriptorKind.STRIP):
+            assert optimal(frame, kind).cost >= 0.0, (a, kind)
+
+
 @pytest.mark.parametrize("kind", [DescriptorKind.OBB, DescriptorKind.STRIP])
 def test_grid_oracle_at_two_thousand_hull_vertices(kind):
     """Acceptance criterion 1's one-sided rule at h = 2000."""
